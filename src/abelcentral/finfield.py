@@ -234,6 +234,30 @@ class FqField:
             acc = self.mul(acc, giant)
         raise RuntimeError("baby-step giant-step failed; generator invalid?")
 
+    # --- the points of function tables ---------------------------------------
+
+    @cached_property
+    def table_points(self) -> tuple[int, ...]:
+        """The elements of K \\ {0,1} in canonical order.
+
+        Prime fields use ascending integer order; extension fields ascending
+        discrete-log order (the integer encodings of extension elements carry
+        no arithmetic meaning).
+        """
+        pts = [x for x in self.elements() if x not in (0, 1)]
+        if self.k > 1:
+            pts.sort(key=self.dlog)
+        return tuple(pts)
+
+    @cached_property
+    def point_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
+        """dlog(x) and dlog(1 - x) for x in ``table_points``, unreduced and read-only."""
+        pts = self.table_points
+        dx = np.array([self.dlog(x) for x in pts], dtype=np.int64)
+        dy = np.array([self.dlog(self.one_minus(x)) for x in pts], dtype=np.int64)
+        dx.flags.writeable = dy.flags.writeable = False
+        return dx, dy
+
     # --- misc ---------------------------------------------------------------
 
     def element_label(self, x: int) -> str:

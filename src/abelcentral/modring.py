@@ -347,6 +347,20 @@ def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
     if v[: a.rows].any():
         return None
     x = (-v[a.rows:]) % n
-    if not np.array_equal((a.entries @ x) % n, vec):
+    if not np.array_equal(_matvec(a.entries, x, n), vec):
         return None
     return x
+
+
+def _matvec(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
+    """mat @ x mod n for entries in [0, n), without int64 overflow.
+
+    One matmul while its sums of products stay below 2^63; above that, one
+    column at a time, reduced after each step (each step stays below n^2 + n).
+    """
+    if (n - 1) ** 2 * mat.shape[1] < 2**63:
+        return (mat @ x) % n
+    acc = np.zeros(mat.shape[0], dtype=np.int64)
+    for j in range(mat.shape[1]):
+        acc = (acc + mat[:, j] * x[j]) % n
+    return acc

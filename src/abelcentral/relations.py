@@ -116,9 +116,8 @@ def relation_check(
         if s.n != n or t.n != n:
             raise ModulusError("character modulus differs from omega's order")
 
-    pts = tables.table_points(field)
-    dl_pts = np.array([field.dlog(x) for x in pts], dtype=np.int64)
-    dl_1m = np.array([field.dlog(field.one_minus(x)) for x in pts], dtype=np.int64)
+    pts = field.table_points
+    dl_pts, dl_1m = field.point_dlogs
 
     # (1): pointwise alternating sum over K minus {0, 1}.
     alt = np.zeros(len(pts), dtype=np.int64)

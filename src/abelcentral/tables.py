@@ -8,8 +8,8 @@ commutator/power words into that subgroup.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -21,7 +21,6 @@ from .finfield import (
     FqField,
     KummerCharacter,
     RootOfUnity,
-    characters,
     embed_field,
     omega as make_omega,
     restrict_character,
@@ -29,18 +28,9 @@ from .finfield import (
 from .modring import AbelianStructure, ModMatrix, SubgroupZnk, binom2
 
 
-@lru_cache(maxsize=None)
 def table_points(field: FqField) -> tuple[int, ...]:
-    """The elements of K \\ {0,1} in canonical order.
-
-    Prime fields use ascending integer order; extension fields ascending
-    discrete-log order (the integer encodings of extension elements carry no
-    arithmetic meaning).
-    """
-    pts = [x for x in field.elements() if x not in (0, 1)]
-    if field.k > 1:
-        pts.sort(key=field.dlog)
-    return tuple(pts)
+    """The elements of K \\ {0,1} in canonical order (``FqField.table_points``)."""
+    return field.table_points
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +49,7 @@ class FnTable:
 
     @property
     def points(self) -> tuple[int, ...]:
-        return table_points(self.field)
+        return self.field.table_points
 
     def __add__(self, other: "FnTable") -> "FnTable":
         self._check(other)
@@ -105,19 +95,17 @@ def _check_inputs(omega: RootOfUnity, *chars: KummerCharacter) -> None:
             raise ModulusError("character modulus differs from the root-of-unity order")
 
 
-@lru_cache(maxsize=None)
-def _dlog_arrays(field: FqField, n: int):
-    pts = table_points(field)
-    dx = np.array([field.dlog(x) for x in pts], dtype=np.int64) % n
-    dy = np.array([field.dlog(field.one_minus(x)) for x in pts], dtype=np.int64) % n
-    return dx, dy
+def _reduced_dlogs(field: FqField, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The field's point dlogs (x and 1 - x) reduced mod n."""
+    dx, dy = field.point_dlogs
+    return dx % n, dy % n
 
 
 def phi(f: KummerCharacter, g: KummerCharacter, omega: RootOfUnity) -> FnTable:
     """The table x -> (f(x)g(1-x) - f(1-x)g(x), f(x)g(omega) - f(omega)g(x))."""
     _check_inputs(omega, f, g)
     field, n = omega.field, omega.order
-    dx, dy = _dlog_arrays(field, n)
+    dx, dy = _reduced_dlogs(field, n)
     dw = field.dlog(omega.element) % n
     fx, fy, fw = (f.c * dx) % n, (f.c * dy) % n, (f.c * dw) % n
     gx, gy, gw = (g.c * dx) % n, (g.c * dy) % n, (g.c * dw) % n
@@ -131,11 +119,12 @@ def psi(f: KummerCharacter, omega: RootOfUnity) -> FnTable:
     _check_inputs(omega, f)
     field, n = omega.field, omega.order
     b2 = binom2(n).value
-    dx, dy = _dlog_arrays(field, n)
+    dx, dy = _reduced_dlogs(field, n)
     fx, fy = (f.c * dx) % n, (f.c * dy) % n
     fw = (f.c * (field.dlog(omega.element) % n)) % n
-    col1 = b2 * fx * fy
-    col2 = b2 * fx * fw + fx
+    bfx = (b2 * fx) % n
+    col1 = bfx * fy
+    col2 = bfx * fw + fx
     return FnTable(field, n, np.stack([col1, col2], axis=1))
 
 
@@ -151,22 +140,54 @@ class FfrakGroup:
 
 
 def ffrak_generate(field: FqField, omega: RootOfUnity) -> FfrakGroup:
-    """Span of the n^2 pair tables and n power tables over all characters."""
+    """Span of the n^2 pair tables and n power tables over all characters.
+
+    The characters of K^x mod n are the multiples c*chi of the generating
+    character chi (value 1 on the field's generator), so no table is built
+    one character at a time:
+
+    * phi is bilinear, so phi(a chi, b chi) = ab phi(chi, chi);
+    * psi is quadratic, psi(c chi) = c^2 A + c B with
+      A(x) = (C(n,2) chi(x) chi(1-x), C(n,2) chi(x) chi(omega)) and
+      B(x) = (0, chi(x)).
+
+    ``generators`` are the distinct non-zero tables in the order in which
+    the all-pairs loop (phi(f, g) for f, g = 0, chi, ..., (n-1) chi, then
+    psi(f) for f = 0, chi, ..., (n-1) chi) first meets them.  The rows f = 0
+    and f = chi of that loop already meet every pair table, as
+    k phi(chi, chi) for k = 0, 1, ..., n-1 in this order; these are distinct
+    exactly for k below the additive order n / gcd(n, entries) of
+    phi(chi, chi) and repeat after it.  So the candidates below are those
+    multiples followed by psi(c chi) for c = 0, 1, ..., n-1, and keeping each
+    first occurrence gives the loop's list.  phi is also alternating, so
+    phi(chi, chi) = 0 and its order is 1: every pair table vanishes over a
+    finite field.  Every product is reduced mod n before the next one, so
+    intermediates stay below 2n^2.
+    """
     if omega.field is not field:
         raise ModulusError("root of unity belongs to a different field")
     n = omega.order
     if (field.q - 1) % n != 0:
         raise HypothesisError(f"mu_{n} not contained in F_{field.q}")
-    chars = characters(field)
-    distinct: dict[bytes, FnTable] = {}
-    for f in chars:
-        for g in chars:
-            t = phi(f, g, omega)
-            distinct.setdefault(t.values.tobytes(), t)
-    for f in chars:
-        t = psi(f, omega)
-        distinct.setdefault(t.values.tobytes(), t)
-    gens = tuple(t for t in distinct.values() if not t.is_zero()) or (zero_table(field, n),)
+    chi = KummerCharacter(field, field.n, 1)
+    pair = phi(chi, chi, omega).values
+    order = n // math.gcd(n, int(np.gcd.reduce(pair.ravel())))
+    multiples = (np.arange(order)[:, None, None] * pair) % n
+
+    b2 = binom2(n).value
+    dx, dy = _reduced_dlogs(field, n)
+    dw = field.dlog(omega.element) % n
+    bdx = (b2 * dx) % n
+    quad = np.stack([(bdx * dy) % n, (bdx * dw) % n], axis=1)
+    c = np.arange(n)[:, None]
+    powers = ((c * c) % n)[..., None] * quad
+    powers[..., 1] += c * dx
+    powers %= n
+
+    distinct: dict[bytes, np.ndarray] = {}
+    for t in (*multiples, *powers):
+        distinct.setdefault(t.tobytes(), t)
+    gens = tuple(FnTable(field, n, t) for t in distinct.values() if t.any()) or (zero_table(field, n),)
     flat = np.stack([t.flatten() for t in gens])
     sub = modring.canonicalize(ModMatrix(n, flat))
     return FfrakGroup(

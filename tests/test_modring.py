@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abelcentral import modring
 from abelcentral.errors import DimensionError, ModulusError
@@ -168,3 +169,25 @@ class TestSolveLinear:
             assert (x is not None) == brute
             if x is not None:
                 assert not ((a.entries @ x - b) % n).any()
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_large_moduli_against_python_ints(self, data):
+        # Oracle: the system is made solvable from a known x0 and every
+        # product is taken in Python integers, which cannot overflow.
+        n = data.draw(st.sampled_from([2**31 - 1, 65537, 2**16]), label="n")
+        rows = data.draw(st.integers(1, 12), label="rows")
+        cols = data.draw(st.integers(1, 12), label="cols")
+        # Uniform entries from a drawn seed: hypothesis's own integers favour
+        # small values, whose products never come near 2^63.
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        a = [[rng.randrange(n) for _ in range(cols)] for _ in range(rows)]
+        x0 = [rng.randrange(n) for _ in range(cols)]
+
+        def apply(x):
+            return [sum(ai * int(xi) for ai, xi in zip(row, x)) % n for row in a]
+
+        b = apply(x0)
+        x = modring.solve_linear(ModMatrix(n, np.array(a, dtype=np.int64)), b)
+        assert x is not None
+        assert apply(x) == b

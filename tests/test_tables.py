@@ -1,17 +1,59 @@
 """The pair/power function tables and the subgroup they generate."""
 
+import gc
+import json
+import math
+import weakref
+
 import numpy as np
 import pytest
 
-from abelcentral import modring, tables
+from abelcentral import cli, modring, tables
 from abelcentral.errors import HypothesisError, ModulusError
 from abelcentral.finfield import KummerCharacter, characters, make_field, omega
+from abelcentral.modring import ModMatrix
 from abelcentral.tables import CommTerm, FormalWord, PowTerm
 
 
-def field_and_omega(p, n, k=1):
+def field_and_omega(p, n, k=1, index=1):
     f = make_field(p, k=k, n=n)
-    return f, omega(f, n)
+    return f, omega(f, n, index)
+
+
+def ffrak_oracle(field, w):
+    """Oracle: all n^2 pair tables and n power tables, one call each.
+
+    Returns the distinct non-zero tables in first-appearance order and the
+    invariant factors of their span.
+    """
+    chars = characters(field)
+    distinct = {}
+    for f in chars:
+        for g in chars:
+            t = tables.phi(f, g, w)
+            distinct.setdefault(t.values.tobytes(), t)
+    for f in chars:
+        t = tables.psi(f, w)
+        distinct.setdefault(t.values.tobytes(), t)
+    gens = [t.values.tolist() for t in distinct.values() if not t.is_zero()]
+    gens = gens or [[[0, 0]] * (field.q - 2)]
+    sub = modring.canonicalize(ModMatrix(w.order, np.array(gens).reshape(len(gens), -1)))
+    return gens, list(modring.structure(sub).invariant_factors)
+
+
+def oracle_cases():
+    """(p, k, n, omega index): every n | p - 1 for primes p < 50, every unit
+    index for n <= 12, and the five degree-2 fields of the benchmark."""
+    primes = [p for p in range(3, 50) if all(p % d for d in range(2, p))]
+    cases = []
+    for p in primes:
+        for n in range(2, p):
+            if (p - 1) % n:
+                continue
+            units = [i for i in range(1, n) if math.gcd(i, n) == 1] if n <= 12 else [1]
+            cases += [(p, 1, n, i) for i in units]
+    cases += [(p, 2, n, 1) for p, n in [(3, 4), (5, 8), (7, 16), (11, 12), (13, 7)]]
+    return cases
 
 
 class TestPointOrder:
@@ -139,6 +181,34 @@ class TestFfrak:
         bad = make_field(13, n=3)
         with pytest.raises(ModulusError):
             tables.ffrak_generate(bad, w)
+
+    def test_matches_all_pairs_oracle(self, capsys):
+        for p, k, n, index in oracle_cases():
+            field, w = field_and_omega(p, n, k=k, index=index)
+            g = tables.ffrak_generate(field, w)
+            gens, factors = ffrak_oracle(field, w)
+            assert [t.values.tolist() for t in g.generators] == gens, (p, k, n, index)
+            assert list(g.structure.invariant_factors) == factors, (p, k, n, index)
+            argv = ["ffrak", "--p", str(p), "--k", str(k), "--n", str(n), "--omega-index", str(index)]
+            assert cli.main(argv) == cli.EXIT_OK
+            doc = {"p": p, "k": k, "n": n, "omega": w.element, "generators": gens, "invariant_factors": factors}
+            assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n", argv
+
+    def test_modulus_mismatch(self):
+        # The characters have the field's modulus, which must be omega's order.
+        k = make_field(13, n=4)
+        with pytest.raises(ModulusError):
+            tables.ffrak_generate(k, omega(k, 2))
+
+    def test_field_is_not_kept_alive(self):
+        k, w = field_and_omega(13, 4)
+        tables.ffrak_generate(k, w)
+        tables.table_points(k)
+        tables.psi(KummerCharacter(k, 4, 1), w)
+        ref = weakref.ref(k)
+        del k, w
+        gc.collect()
+        assert ref() is None
 
 
 class TestOmegaEval:
