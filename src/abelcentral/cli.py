@@ -7,6 +7,7 @@ Exit codes: 0 success / all checks pass; 1 mathematical counterexample
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -158,7 +159,9 @@ def _cmd_verify(args) -> int:
     raise AssertionError("unreachable")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(prog="abelcentral")
     sub = parser.add_subparsers(dest="command", required=True)
 

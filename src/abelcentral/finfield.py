@@ -251,10 +251,24 @@ class FqField:
 
     @cached_property
     def point_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
-        """dlog(x) and dlog(1 - x) for x in ``table_points``, unreduced and read-only."""
+        """dlog(x) and dlog(1 - x) for x in ``table_points``, unreduced and read-only.
+
+        Read from the dlog table when the field has one; 1 - x is formed
+        digit-wise in base p (negate every coefficient, add 1 to the constant
+        one).  Fields above ``DLOG_TABLE_MAX`` fall back to one ``dlog`` call
+        per value.
+        """
         pts = self.table_points
-        dx = np.array([self.dlog(x) for x in pts], dtype=np.int64)
-        dy = np.array([self.dlog(self.one_minus(x)) for x in pts], dtype=np.int64)
+        if self._tables is None:
+            dx = np.array([self.dlog(x) for x in pts], dtype=np.int64)
+            dy = np.array([self.dlog(self.one_minus(x)) for x in pts], dtype=np.int64)
+        else:
+            x = np.array(pts, dtype=np.int64)
+            place = self.p ** np.arange(self.k, dtype=np.int64)
+            digits = (-(x[:, None] // place)) % self.p
+            digits[:, 0] = (digits[:, 0] + 1) % self.p
+            dlog = self._tables[1]
+            dx, dy = dlog[x], dlog[digits @ place]
         dx.flags.writeable = dy.flags.writeable = False
         return dx, dy
 

@@ -218,50 +218,86 @@ def commutator_sum(pairs, gen_image: HeisElem) -> int:
     return total % n
 
 
+def heis_pow_arrays(n: int, a, b, c, m: int):
+    """Coordinates of h(a, b; c)^m = h(m*a, m*b; m*c + C(m,2)*a*b) mod n.
+
+    ``a``, ``b``, ``c`` are integer arrays of equal shape (one element per
+    position); every product is reduced mod n before the next one.
+    """
+    binom = (m * (m - 1) // 2) % n
+    return (m * a) % n, (m * b) % n, (m * c + binom * ((a * b) % n)) % n
+
+
+def _commutator_sums(pairs, a, b, c, n: int) -> np.ndarray:
+    """``commutator_sum`` for every generator image h(a, b; c) of the arrays."""
+    total = np.zeros(np.shape(a), dtype=np.int64)
+    for s, t in pairs:
+        ua, ub, _ = heis_pow_arrays(n, a, b, c, s.c)
+        va, vb, _ = heis_pow_arrays(n, a, b, c, t.c)
+        total += (ua * vb - va * ub) % n
+    return total % n
+
+
 def enumerate_homs_check(pairs, field: FqField) -> bool:
     """Whether the commutator sum vanishes for every homomorphism.
 
-    Enumerates all n^3 generator images (every Heisenberg element has order
-    dividing n^2, verified by enumeration rather than assumed, so every image
-    defines a homomorphism from the cyclic order-n^2 source).  For each, the
-    closed-form commutator sum is cross-checked against the bilinear
-    criterion sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for the induced pair of
-    coordinate functionals; disagreement is a hard failure.
+    Enumerates all n^3 generator images h(a, b; c) as coordinate arrays, in
+    ``itertools.product`` order (every Heisenberg element has order dividing
+    n^2, verified by enumeration rather than assumed, so every image defines
+    a homomorphism from the cyclic order-n^2 source).  The images of the
+    characters' values are the closed-form powers ``heis_pow_arrays``, and
+    their commutator coordinates are summed over the pairs.  That sum is
+    cross-checked, image by image, against the bilinear criterion
+    sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for the induced pair of coordinate
+    functionals, computed without the power formula; any disagreement
+    raises ``TheoremViolationError``.
     """
     n = _char_pairs_check(pairs, field)
     if not exponent_divides_n2(n):
         raise TheoremViolationError("Heisenberg exponent does not divide n^2")
-    ok = True
-    for a, b, c in itertools.product(range(n), repeat=3):
-        img = HeisElem(n, a, b, c)
-        total = commutator_sum(pairs, img)
-        # Bilinear criterion: s_i(x) = c_i * a, s_i(y) = c_i * b, etc.
-        bilinear = sum(
-            (s.c * a) * (t.c * b) - (s.c * b) * (t.c * a) for s, t in pairs
-        ) % n
-        if total != bilinear:
-            raise TheoremViolationError("commutator sum disagrees with the bilinear criterion")
-        if total != 0:
-            ok = False
-    return ok
+    a, b, c = np.indices((n, n, n), dtype=np.int64).reshape(3, -1)
+    total = _commutator_sums(pairs, a, b, c, n)
+    # Bilinear criterion: s_i(x) = c_i * a, s_i(y) = c_i * b, etc.
+    bilinear = np.zeros_like(a)
+    for s, t in pairs:
+        sx, sy, tx, ty = (s.c * a) % n, (s.c * b) % n, (t.c * a) % n, (t.c * b) % n
+        bilinear += (sx * ty - sy * tx) % n
+    if not np.array_equal(total, bilinear % n):
+        raise TheoremViolationError("commutator sum disagrees with the bilinear criterion")
+    return not total.any()
+
+
+POINT_CHUNK_CELLS = 2**20  # (points x n) cells evaluated at once
 
 
 def pointwise_embedding_check(pairs, field: FqField) -> tuple[bool, int | None]:
     """For each x in K minus {0,1}: some solution of the (x, 1-x) problem kills
     the commutator sum.
 
-    The sum is independent of the central coordinate of the generator image,
-    so one solution works iff all do.  Returns (flag, first failing x).
+    The problem of x has target (dlog(x), dlog(1-x)) mod n and the n
+    solutions h(dx, dy; t) of ``_verified_solutions``, which is called once
+    per distinct target and checks their orders and targets.  The solutions
+    are laid out as a full (points x n) array, t running over every central
+    coordinate, and the commutator sum is computed at every cell.  The sum
+    is independent of t, so one solution works iff all do; a row where it
+    is not constant raises ``TheoremViolationError``.  Returns (flag,
+    smallest failing x).
     """
-    _char_pairs_check(pairs, field)
-    for x in field.elements():
-        if x in (0, 1):
-            continue
-        prob = EmbeddingProblem(field, x, field.one_minus(x))
-        sols = solve_embedding_cyclic(prob)
-        sums = {commutator_sum(pairs, s) for s in sols}
-        if len(sums) != 1:
+    n = _char_pairs_check(pairs, field)
+    dx, dy = (d % n for d in field.point_dlogs)
+    for g in np.unique(dx * n + dy):
+        _verified_solutions(n, *divmod(int(g), n))
+    central = np.arange(n, dtype=np.int64)
+    sums = np.zeros(dx.size, dtype=np.int64)
+    step = max(1, POINT_CHUNK_CELLS // n)
+    for lo in range(0, dx.size, step):
+        rows = slice(lo, lo + step)
+        a, b, c = np.broadcast_arrays(dx[rows, None], dy[rows, None], central)
+        block = _commutator_sums(pairs, a, b, c, n)
+        if (block != block[:, :1]).any():
             raise TheoremViolationError("commutator sum depends on the central coordinate")
-        if sums.pop() != 0:
-            return False, x
+        sums[rows] = block[:, 0]
+    fail = np.flatnonzero(sums)
+    if fail.size:
+        return False, min(field.table_points[i] for i in fail)
     return True, None

@@ -102,6 +102,42 @@ def _doubled_power_span(field: FqField, omega: RootOfUnity) -> modring.SubgroupZ
     return _psi_span_cache[key]
 
 
+COND6_CHUNK_CELLS = 2**20  # unit pairs evaluated at once by condition (6)
+FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
+
+
+def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
+    """Whether sum_i s_i(x) t_i(y) - t_i(x) s_i(y) = 0 mod n for all units x, y.
+
+    Scans every pair of units, in row chunks of about ``COND6_CHUNK_CELLS``
+    cells, so memory stays O(chunk + q) rather than O(q^2).  A chunk is one
+    float64 matrix product of the stacked character values at x (rows)
+    against those at y (columns).  The operands are reduced into [0, n), so
+    a product summing at most FLOAT_EXACT / (n-1)^2 terms is an exact
+    integer below FLOAT_EXACT, and its quotient by n is a whole number
+    exactly when n divides it.  Longer sums are reduced mod n between such
+    products.  The empty family is the empty sum, zero everywhere.
+    """
+    if not pairs:
+        return True
+    dl_units = np.concatenate(([0], field.point_dlogs[0]))  # dlog(1) = 0, then K minus {0, 1}
+    # -t(x) s(y) is written (-t)(x) s(y), so every operand lies in [0, n).
+    left = np.stack([(s.c * dl_units) % n for s, _ in pairs] + [(-t.c * dl_units) % n for _, t in pairs])
+    right = np.stack([(t.c * dl_units) % n for _, t in pairs] + [(s.c * dl_units) % n for s, _ in pairs])
+    left, right = np.ascontiguousarray(left.T, dtype=np.float64), right.astype(np.float64)
+    terms = (FLOAT_EXACT - 1) // (n - 1) ** 2  # >= 1: n - 1 < 2^26 since q <= FIELD_MAX
+    step = max(1, COND6_CHUNK_CELLS // dl_units.size)
+    for lo in range(0, dl_units.size, step):
+        rows = left[lo:lo + step]
+        block = rows[:, :terms] @ right[:terms]
+        for k in range(terms, rows.shape[1], terms):
+            block = block % n + (rows[:, k:k + terms] @ right[k:k + terms]) % n
+        quot = block / n
+        if (quot != np.rint(quot)).any():
+            return False
+    return True
+
+
 def relation_check(
     pairs: Sequence[tuple[KummerCharacter, KummerCharacter]],
     omega: RootOfUnity,
@@ -117,12 +153,13 @@ def relation_check(
             raise ModulusError("character modulus differs from omega's order")
 
     pts = field.table_points
-    dl_pts, dl_1m = field.point_dlogs
+    dl_pts, dl_1m = (d % n for d in field.point_dlogs)
 
     # (1): pointwise alternating sum over K minus {0, 1}.
     alt = np.zeros(len(pts), dtype=np.int64)
     for s, t in pairs:
-        alt += (s.c * dl_pts) * (t.c * dl_1m) - (s.c * dl_1m) * (t.c * dl_pts)
+        sx, sy, tx, ty = (s.c * dl_pts) % n, (s.c * dl_1m) % n, (t.c * dl_pts) % n, (t.c * dl_1m) % n
+        alt += (sx * ty - sy * tx) % n
     alt %= n
     fail = np.flatnonzero(alt)
     cond1 = fail.size == 0
@@ -159,13 +196,7 @@ def relation_check(
 
     # (6): alternating sum over all pairs of units (every cup product of unit
     # classes dies in the relevant cohomology, so the scan is unrestricted).
-    dl_units = np.array([field.dlog(x) for x in field.units()], dtype=np.int64)
-    m = np.zeros((dl_units.size, dl_units.size), dtype=np.int64)
-    for s, t in pairs:
-        sv, tv = s.c * dl_units, t.c * dl_units
-        m += np.outer(sv, tv) - np.outer(tv, sv)
-    m %= n
-    cond6 = not m.any()
+    cond6 = _unit_pairs_vanish(pairs, field, n)
 
     cond5 = cond7 = None
     if n <= ENUM_BOUND_N:

@@ -76,3 +76,28 @@ class TestReports:
         assert code == cli.EXIT_OK
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["ok"] is True
+
+
+class TestParserCache:
+    ARGVS = [
+        ["ffrak", "--p", "13", "--n", "4"],
+        ["field", "--p", "13", "--n", "3"],
+        ["verify", "--suite", "propA1", "--n", "3", "--rank", "2"],
+        ["heisenberg", "--n", "2"],
+        ["verify", "--suite", "ffrak", "--p", "7", "--n", "3"],
+        ["ffrak", "--p", "7", "--k", "2", "--n", "3", "--omega-index", "2"],
+        ["field", "--p", "7", "--n", "4"],
+    ]
+
+    def test_one_parser_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_back_to_back_commands_match_a_fresh_parser(self, capsys):
+        # Run every command on the shared parser first, then each again on a
+        # parser built for it alone; namespaces and outputs must agree.
+        shared = [run(argv, capsys) for argv in self.ARGVS]
+        for argv, got in zip(self.ARGVS, shared):
+            fresh = cli.build_parser.__wrapped__()
+            assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
+            cli.build_parser.cache_clear()
+            assert run(argv, capsys) == got

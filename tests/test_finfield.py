@@ -2,6 +2,7 @@
 
 import pytest
 
+from abelcentral import finfield
 from abelcentral.errors import DomainError, HypothesisError
 from abelcentral.finfield import (
     KummerCharacter,
@@ -76,6 +77,30 @@ class TestExtensionField:
         k = make_field(7, k=2, n=3)
         for x in k.elements():
             assert k.add(k.one_minus(x), x) == 1
+
+
+class TestPointDlogs:
+    @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (101, 1, 4), (7, 2, 3), (5, 2, 4), (3, 3, 2), (5, 3, 4)])
+    def test_table_lookup_matches_loop(self, p, deg, n):
+        k = make_field(p, k=deg, n=n)
+        dx, dy = k.point_dlogs
+        assert dx.tolist() == [k.dlog(x) for x in k.table_points]
+        assert dy.tolist() == [k.dlog(k.one_minus(x)) for x in k.table_points]
+
+    def test_read_only(self):
+        for dl in make_field(5, k=2, n=4).point_dlogs:
+            assert not dl.flags.writeable
+            with pytest.raises(ValueError):
+                dl[0] = 0
+
+    def test_fields_without_a_dlog_table(self, monkeypatch):
+        # Above DLOG_TABLE_MAX the values come from baby-step giant-step.
+        with_table = make_field(7, k=2, n=3)
+        monkeypatch.setattr(finfield, "DLOG_TABLE_MAX", 0)
+        without = make_field(7, k=2, n=3)
+        assert without._tables is None
+        for a, b in zip(without.point_dlogs, with_table.point_dlogs):
+            assert a.tolist() == b.tolist() and not a.flags.writeable
 
 
 class TestOmega:

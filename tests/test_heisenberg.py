@@ -1,11 +1,13 @@
 """The mod-n Heisenberg group: law, closed forms, embedding problems."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from abelcentral import heisenberg
-from abelcentral.errors import DomainError, ModulusError
+from abelcentral.errors import DomainError, ModulusError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field
 from abelcentral.heisenberg import (
     EmbeddingProblem,
@@ -14,6 +16,7 @@ from abelcentral.heisenberg import (
     enumerate_homs_check,
     heis_comm_pow,
     heis_mul,
+    heis_pow_arrays,
     identity,
     order_of,
     pointwise_embedding_check,
@@ -142,3 +145,123 @@ class TestHomEnumeration:
         img = HeisElem(4, 1, 2, 3)
         # Images of powers of one generator always commute.
         assert commutator_sum([(s, t), (t, s)], img) == 0
+
+
+# --- the scalar loops behind the array checks, kept here as oracles --------
+
+
+def enumerate_homs_oracle(pairs, field):
+    """One HeisElem per generator image, cross-checked like the library check."""
+    n = field.n
+    ok = True
+    for a, b, c in itertools.product(range(n), repeat=3):
+        total = commutator_sum(pairs, HeisElem(n, a, b, c))
+        bilinear = sum((s.c * a) * (t.c * b) - (s.c * b) * (t.c * a) for s, t in pairs) % n
+        if total != bilinear:
+            raise TheoremViolationError("commutator sum disagrees with the bilinear criterion")
+        if total != 0:
+            ok = False
+    return ok
+
+
+def pointwise_oracle(pairs, field):
+    """Every x in integer order, one embedding problem and its n solutions each."""
+    for x in field.elements():
+        if x in (0, 1):
+            continue
+        sols = solve_embedding_cyclic(EmbeddingProblem(field, x, field.one_minus(x)))
+        sums = {commutator_sum(pairs, s) for s in sols}
+        if len(sums) != 1:
+            raise TheoremViolationError("commutator sum depends on the central coordinate")
+        if sums.pop() != 0:
+            return False, x
+    return True, None
+
+
+def assert_matches_oracles(fam, k):
+    assert enumerate_homs_check(fam, k) == enumerate_homs_oracle(fam, k)
+    assert pointwise_embedding_check(fam, k) == pointwise_oracle(fam, k)
+
+
+def seeded_families(k, seed, count=25):
+    rng = random.Random(seed)
+    n = k.n
+    return [
+        [(KummerCharacter(k, n, rng.randrange(n)), KummerCharacter(k, n, rng.randrange(n)))
+         for _ in range(rng.randrange(0, 4))]
+        for _ in range(count)
+    ]
+
+
+def skewed_pow(n, a, b, c, m):
+    """A wrong power law whose images of one generator no longer commute:
+    the commutator of the m = s and m = t images is a*s*t*(t - s)."""
+    return (m * a) % n, (m * b + m * m) % n, c
+
+
+def central_pow(n, a, b, c, m):
+    """A wrong power law whose commutators depend on the central coordinate."""
+    return (m * a + c) % n, (m * b) % n, c
+
+
+def use_power_law(monkeypatch, law, n):
+    # exponent_divides_n2 is cached per n and uses **: fill it under the true law.
+    assert heisenberg.exponent_divides_n2(n)
+    monkeypatch.setattr(heisenberg, "heis_pow_arrays", law)
+    monkeypatch.setattr(HeisElem, "__pow__", lambda x, m: HeisElem(x.n, *law(x.n, x.a, x.b, x.c, m)))
+
+
+class TestArrayChecksAgainstOracles:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_power_helper_matches_repeated_product(self, n):
+        elems = [HeisElem(n, *t) for t in itertools.product(range(n), repeat=3)]
+        a, b, c = np.array([(x.a, x.b, x.c) for x in elems]).T
+        powers = [identity(n)] * len(elems)
+        for m in range(2 * n):
+            got = np.stack(heis_pow_arrays(n, a, b, c, m), axis=1)
+            assert got.tolist() == [[x.a, x.b, x.c] for x in powers]
+            powers = [heis_mul(x, g) for x, g in zip(powers, elems)]
+
+    @pytest.mark.parametrize("p,n", [(13, 3), (17, 4)])
+    def test_every_small_family(self, p, n):
+        # Every multiset of at most 3 pairs: the sums do not depend on order.
+        k = make_field(p, n=n)
+        chars = [KummerCharacter(k, n, c) for c in range(n)]
+        pairs = list(itertools.product(chars, repeat=2))
+        for size in range(4):
+            for fam in itertools.combinations_with_replacement(pairs, size):
+                assert_matches_oracles(list(fam), k)
+
+    @pytest.mark.parametrize("p,deg,n", [(29, 1, 7), (41, 1, 10), (7, 2, 8)])
+    def test_seeded_families(self, p, deg, n):
+        k = make_field(p, k=deg, n=n)
+        for fam in seeded_families(k, 31 * p + n):
+            assert_matches_oracles(fam, k)
+
+    @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (7, 2, 8)])
+    def test_failing_point_under_a_wrong_power_law(self, monkeypatch, p, deg, n):
+        # With the power law broken in both implementations, the array check
+        # must still report the oracle's smallest failing x (integer order,
+        # also where table_points are in dlog order), and the bilinear
+        # cross-check must catch the broken enumeration.
+        k = make_field(p, k=deg, n=n)
+        use_power_law(monkeypatch, skewed_pow, n)
+        fam = [(KummerCharacter(k, n, 1), KummerCharacter(k, n, 2))]
+        flag, x = pointwise_embedding_check(fam, k)
+        assert (flag, x) == pointwise_oracle(fam, k)
+        assert flag is False
+        if deg > 1:  # the first failing point in dlog order is another one
+            assert x != k.table_points[0] and k.dlog(k.table_points[0]) % n not in (0, n // 2)
+        with pytest.raises(TheoremViolationError, match="bilinear"):
+            enumerate_homs_check(fam, k)
+        with pytest.raises(TheoremViolationError, match="bilinear"):
+            enumerate_homs_oracle(fam, k)
+
+    def test_central_coordinate_dependence_raises(self, monkeypatch):
+        k = make_field(13, n=3)
+        use_power_law(monkeypatch, central_pow, 3)
+        fam = [(KummerCharacter(k, 3, 1), KummerCharacter(k, 3, 2))]
+        with pytest.raises(TheoremViolationError, match="central coordinate"):
+            pointwise_embedding_check(fam, k)
+        with pytest.raises(TheoremViolationError, match="central coordinate"):
+            pointwise_oracle(fam, k)

@@ -1,7 +1,9 @@
 """The relation-condition detector: all computed conditions must agree."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from abelcentral import relations
@@ -115,3 +117,47 @@ class TestConsistency:
                 witnesses_b=(),
                 first_failing_point=None,
             )
+
+
+def cond6_oracle(pairs, field, n):
+    """The full (q-1)^2 table of the alternating sum over pairs of units."""
+    dl_units = np.array([field.dlog(x) for x in field.units()], dtype=object)
+    m = np.zeros((dl_units.size, dl_units.size), dtype=object)
+    for s, t in pairs:
+        sv, tv = s.c * dl_units, t.c * dl_units
+        m += np.outer(sv, tv) - np.outer(tv, sv)
+    return not (m % n).any()
+
+
+class TestCondition6Scan:
+    @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (29, 1, 7), (7, 2, 8)])
+    def test_matches_full_table(self, monkeypatch, p, deg, n):
+        # Chunks of 7 rows and sums of 3 terms per float product force both
+        # the row loop and the reduction between products.
+        k = make_field(p, k=deg, n=n)
+        rng = random.Random(7 * p + n)
+        fams = [
+            [(KummerCharacter(k, n, rng.randrange(n)), KummerCharacter(k, n, rng.randrange(n)))
+             for _ in range(size)]
+            for size in (0, 1, 2, 3, 5)
+        ]
+        for small in (False, True):
+            if small:
+                monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", 7 * (k.q - 1))
+                monkeypatch.setattr(relations, "FLOAT_EXACT", 3 * (n - 1) ** 2 + 1)
+            for fam in fams:
+                assert relations._unit_pairs_vanish(fam, k, n) == cond6_oracle(fam, k, n)
+
+    def test_peak_memory_on_f2003(self):
+        # Condition 6 over F_2003 touches (q-1)^2 = 4 M unit pairs; the scan
+        # must stay chunked (the full int64 tables took about 92 MB).
+        k, w = field_and_omega(2003, 11)
+        fam = [(KummerCharacter(k, 11, s), KummerCharacter(k, 11, t)) for s, t in ((1, 2), (3, 5), (7, 10))]
+        tracemalloc.start()
+        try:
+            rep = relation_check(fam, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.cond6 and rep.holds
+        assert peak <= 32 * 2**20
