@@ -85,16 +85,24 @@ def _cmd_heisenberg(args) -> int:
     return EXIT_OK
 
 
-def _cmd_groupcoh(args) -> int:
-    with open(args.input) as fh:
+def _load_group(path: str) -> TableGroup:
+    """The TableGroup of a JSON file {table, labels?}, as ``heisenberg`` exports it."""
+    with open(path) as fh:
         doc = json.load(fh)
-    g = TableGroup(
+    return TableGroup(
         table=np.array(doc["table"], dtype=np.int64),
         labels=tuple(doc["labels"]) if "labels" in doc else None,
     )
+
+
+def _machinery(g: TableGroup, args) -> int:
     report = cohomology.verify_thm23_and_omegaR(g, args.n, seed=args.seed)
     emit_report(report.as_dict(), args.output)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+
+
+def _cmd_groupcoh(args) -> int:
+    return _machinery(_load_group(args.input), args)
 
 
 def _verify_heisenberg_laws(n: int) -> dict:
@@ -148,14 +156,8 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     if args.suite == "machinery":
-        g = elementary_group(args.n, args.rank) if args.input is None else None
-        if args.input is not None:
-            with open(args.input) as fh:
-                doc = json.load(fh)
-            g = TableGroup(table=np.array(doc["table"], dtype=np.int64))
-        report = cohomology.verify_thm23_and_omegaR(g, args.n, seed=args.seed)
-        emit_report(report.as_dict(), args.output)
-        return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
+        g = elementary_group(args.n, args.rank) if args.input is None else _load_group(args.input)
+        return _machinery(g, args)
     raise AssertionError("unreachable")
 
 

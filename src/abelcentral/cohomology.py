@@ -130,25 +130,27 @@ def inflate(xi: Cocycle2, proj: Sequence[int], group: TableGroup) -> Cocycle2:
     return Cocycle2(group, xi.n, xi.values[p[:, None], p[None, :]])
 
 
+def _coboundary_rows(G: TableGroup) -> np.ndarray:
+    """The N^2 x N matrix of d on 1-cochains: row a*N + b is e_a + e_b - e_ab.
+
+    Repeated columns (a = b, or ab equal to a or b) accumulate.
+    """
+    N = G.order
+    r = np.arange(N * N)
+    rows = np.zeros((N * N, N), dtype=np.int64)
+    np.add.at(rows, (r, r // N), 1)
+    np.add.at(rows, (r, r % N), 1)
+    np.add.at(rows, (r, G.table.ravel()), -1)
+    return rows
+
+
 def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
     """A cochain u with u(st) = u(s) + u(t) - xi(s, t), or None.
 
     None certifies that the class of xi is nontrivial.  For a normalized
     cocycle (xi(1,1) = 0) any solution has u(identity) = 0.
     """
-    g = xi.group
-    N = g.order
-    rows = np.zeros((N * N, N), dtype=np.int64)
-    rhs = np.zeros(N * N, dtype=np.int64)
-    t = g.table
-    for a in range(N):
-        for b in range(N):
-            r = a * N + b
-            rows[r, a] += 1
-            rows[r, b] += 1
-            rows[r, t[a, b]] -= 1
-            rhs[r] = xi.values[a, b]
-    return modring.solve_linear(ModMatrix(xi.n, rows), rhs)
+    return modring.solve_linear(ModMatrix(xi.n, _coboundary_rows(xi.group)), xi.values.ravel())
 
 
 # --- H^2 presentation and the pairing with S -------------------------------
@@ -300,7 +302,6 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     """
     G, n = cs.group, cs.n
     k, coords = _layer1_coords(cs)
-    g1 = elementary_group(n, k)
     pi = _std_index(coords, n, k)
 
     basis: list[Cocycle2] = []
@@ -313,16 +314,8 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     m = len(basis)
 
     N = G.order
-    rows = np.zeros((N * N, N + m), dtype=np.int64)
-    t = G.table
-    for a in range(N):
-        for b in range(N):
-            r = a * N + b
-            rows[r, a] += 1
-            rows[r, b] += 1
-            rows[r, t[a, b]] -= 1
-            for idx, xi in enumerate(basis):
-                rows[r, N + idx] = -xi.values[pi[a], pi[b]]
+    inflated = np.array([xi.values[pi[:, None], pi[None, :]].ravel() for xi in basis], dtype=np.int64)
+    rows = np.hstack([_coboundary_rows(G), -inflated.reshape(m, N * N).T])
     sols = modring.nullspace(ModMatrix(n, rows))  # rows of sols solve rows @ x = 0
     tails = sols.entries[:, N:]
     span = modring.canonicalize(ModMatrix(n, tails if tails.size else tails.reshape(0, m)))
@@ -334,22 +327,6 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
 
 
 # --- the main verification -------------------------------------------------
-
-
-def _subgroup_elements(gens: list[np.ndarray], n: int) -> set[tuple[int, ...]]:
-    """All Z/n-combinations of the generator vectors (small ambient only)."""
-    if not gens:
-        return {()}
-    seen = {tuple(np.zeros(len(gens[0]), dtype=np.int64))}
-    frontier = list(seen)
-    while frontier:
-        v = np.array(frontier.pop(), dtype=np.int64)
-        for g in gens:
-            w = tuple((v + g) % n)
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return seen
 
 
 @dataclass(frozen=True)
@@ -405,7 +382,6 @@ def _check_identities(
 ) -> int:
     """Count failures of the two evaluation identities over all layer pairs."""
     G, n = cs.group, cs.n
-    k, _ = _layer1_coords(cs)
     b2 = binom2(n).value
     # One lift per layer-1 class: first preimage in table order.
     lifts: dict[int, int] = {}
@@ -474,21 +450,25 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
             else:
                 alt_bad += bad
 
-    # The induced map: layer-2 element -> its function on R.
-    dec1 = cs.layer1.decomposition
+    # The induced map: layer-2 element -> its function on R.  The commutator
+    # element of (s, t) is bilinear in (s, t), so its pairings are
+    # sum_ij s_i t_j M[i, j], with M[i, j] the pairings of (e_i, e_j).
+    r = len(R)
+    M = np.array(
+        [[[int(pairing_S(special_elements(eye[i], eye[j], n)[0], eta)) for eta in R] for j in range(k)]
+         for i in range(k)],
+        dtype=np.int64,
+    ).reshape(k, k, r)
+    grid = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64).reshape(n ** k, k)
+    elems = [cs.layer1.decomposition.element(c) for c in grid]
     l2 = cs.layer2
     rng = random.Random(seed)
-    collected: dict[int, tuple[int, ...]] = {l2.group.identity: (0,) * len(R)}
+    collected: dict[int, tuple[int, ...]] = {l2.group.identity: (0,) * r}
     well_defined = True
-    for cs1 in itertools.product(range(n), repeat=k):
-        sv = np.array(cs1, dtype=np.int64)
-        s_idx = _elem_of_coords(dec1, cs1)
-        for ct in itertools.product(range(n), repeat=k):
-            tv = np.array(ct, dtype=np.int64)
-            t_idx = _elem_of_coords(dec1, ct)
-            comm, powr = layer_maps(cs, s_idx, t_idx, rng)
-            s_comm, _ = special_elements(sv, tv, n)
-            vec = tuple(int(pairing_S(s_comm, eta)) for eta in R)
+    for sv, s_idx in zip(grid, elems):
+        comm_vecs = ((grid @ np.tensordot(sv, M, axes=1)) % n).tolist()
+        for t_idx, vec in zip(elems, map(tuple, comm_vecs)):
+            comm, _ = layer_maps(cs, s_idx, t_idx, rng)
             if collected.setdefault(comm, vec) != vec:
                 well_defined = False
         _, s_pow = special_elements(sv, sv, n)
@@ -514,20 +494,19 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     total = len(collected) == l2.group.order
     injective = well_defined and len(set(collected.values())) == len(collected)
 
-    # Image of the compatible-pair space under restriction to R.
-    sr_gens = []
-    for i in range(k):
-        sr_gens.append(np.array(
-            [int(pairing_S(special_elements(eye[i], eye[i], n)[1], eta)) for eta in R],
-            dtype=np.int64,
-        ))
-        for j in range(i + 1, k):
-            sr_gens.append(np.array(
-                [int(pairing_S(special_elements(eye[i], eye[j], n)[0], eta)) for eta in R],
-                dtype=np.int64,
-            ))
-    sr = _subgroup_elements(sr_gens, n) if sr_gens else {(0,) * len(R)}
-    image_matches = well_defined and set(collected.values()) == {tuple(int(x) for x in v) for v in sr}
+    # Image of the compatible-pair space under restriction to R: spanned by
+    # the power elements of the e_i and the commutator elements of (e_i, e_j),
+    # i < j.  Once closed, the collected values form a subgroup, and two
+    # subgroups of (Z/n)^r are equal exactly when their Howell forms are
+    # (with R empty both forms have no rows).
+    powers = np.array(
+        [[int(pairing_S(special_elements(eye[i], eye[i], n)[1], eta)) for eta in R] for i in range(k)],
+        dtype=np.int64,
+    ).reshape(k, r)
+    sr_gens = np.vstack([powers, M[np.triu_indices(k, 1)]])
+    image_matches = well_defined and modring.howell_form(
+        ModMatrix(n, np.array(list(collected.values())))
+    ) == modring.howell_form(ModMatrix(n, sr_gens))
 
     return MachineryReport(
         group_order=G.order,
@@ -542,13 +521,6 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
         omega_image_matches=image_matches,
         seed=seed,
     )
-
-
-def _elem_of_coords(dec, cs1) -> int:
-    g = dec.group.identity
-    for gen, c in zip(dec.gens, cs1):
-        g = dec.group.mul(g, dec.group.power(gen, c))
-    return g
 
 
 # --- central extensions and embedding problems -----------------------------

@@ -274,11 +274,6 @@ class FqField:
 
     # --- misc ---------------------------------------------------------------
 
-    def element_label(self, x: int) -> str:
-        if self.k == 1:
-            return str(x)
-        return "+".join(f"{c}*X^{i}" for i, c in enumerate(self._decode(x)) if c) or "0"
-
     def descriptor(self) -> dict:
         poly = list(self.poly) if self.poly is not None else [(-1) % self.p, 1]
         return {"p": self.p, "k": self.k, "poly": poly, "n": self.n, "generator": self.generator}

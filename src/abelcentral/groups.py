@@ -189,13 +189,6 @@ def cyclic_group(m: int) -> TableGroup:
     return TableGroup(table=table, labels=tuple(str(i) for i in range(m)))
 
 
-def _mixed_radix_index(coords: Sequence[int], radices: Sequence[int]) -> int:
-    i = 0
-    for c, r in zip(coords, radices):
-        i = i * r + c % r
-    return i
-
-
 def elementary_group(n: int, k: int) -> TableGroup:
     """(Z/n)^k with index sum(c_l * n^(k-1-l)) for coordinates (c_0..c_{k-1})."""
     size = n ** k

@@ -175,16 +175,19 @@ def relation_check(
     for s, t in pairs:
         comm_sum = comm_sum + tables.phi(s, t, omega)
 
+    # Power tables of the family, shared by (2) and (3).
+    fam_psi = [(tables.psi(s, omega), tables.psi(t, omega)) for s, t in pairs]
+
     # (2): equality with the witness combination; the choice of half does not
     # matter since the halves differ by n/2 and n * psi(f) = 0.
     rhs = tables.zero_table(field, n)
-    for (s, t), a_sols, b_sols in zip(pairs, wit_a, wit_b):
+    for (psi_s, psi_t), a_sols, b_sols in zip(fam_psi, wit_a, wit_b):
         a, b = a_sols[0], b_sols[0]
-        rhs = rhs + tables.psi(s, omega).scale(2 * b) - tables.psi(t, omega).scale(2 * a)
+        rhs = rhs + psi_s.scale(2 * b) - psi_t.scale(2 * a)
     cond2 = comm_sum == rhs
 
     # (3): membership in the span of the family's own doubled power tables.
-    fam_rows = [tables.psi(f, omega).scale(2).flatten() for s, t in pairs for f in (s, t)]
+    fam_rows = [p.scale(2).flatten() for pair in fam_psi for p in pair]
     if fam_rows:
         fam_span = modring.canonicalize(ModMatrix(n, np.stack(fam_rows)))
         cond3 = modring.membership(fam_span, comm_sum.flatten())

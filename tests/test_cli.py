@@ -77,6 +77,23 @@ class TestReports:
         doc = json.loads((tmp_path / "rep.json").read_text())
         assert doc["ok"] is True
 
+    def test_groupcoh_and_machinery_suite_agree(self, capsys, tmp_path):
+        table = tmp_path / "heis3.json"
+        assert cli.main(["heisenberg", "--n", "3", "--output", str(table)]) == cli.EXIT_OK
+        coh = run(["groupcoh", "--input", str(table), "--n", "3", "--seed", "5"], capsys)
+        suite = run(["verify", "--suite", "machinery", "--input", str(table), "--n", "3", "--seed", "5"], capsys)
+        assert coh[0] == cli.EXIT_OK
+        assert coh == suite
+
+    @pytest.mark.parametrize("command", [["groupcoh"], ["verify", "--suite", "machinery"]])
+    def test_wrong_label_count_rejected(self, capsys, tmp_path, command):
+        doc = {"table": [[(i + j) % 4 for j in range(4)] for i in range(4)], "labels": ["0", "1", "2"]}
+        table = tmp_path / "c4.json"
+        table.write_text(json.dumps(doc))
+        code, out, err = run(command + ["--input", str(table), "--n", "2"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "label count" in err
+
 
 class TestParserCache:
     ARGVS = [

@@ -2,11 +2,13 @@
 layer-2 isomorphism, with brute-force cochain oracles."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
 
 from abelcentral import cohomology as coh
+from abelcentral import modring
 from abelcentral.cohomology import (
     CentralExtension,
     Cocycle2,
@@ -24,9 +26,9 @@ from abelcentral.cohomology import (
     zero_cocycle,
 )
 from abelcentral.errors import DomainError
-from abelcentral.groups import central_series, cyclic_group, elementary_group
+from abelcentral.groups import TableGroup, central_series, cyclic_group, elementary_group, layer_maps
 from abelcentral.heisenberg import to_table_group
-from abelcentral.modring import binom2
+from abelcentral.modring import ModMatrix, binom2
 
 
 def brute_force_coboundary(group, xi_values, n):
@@ -46,6 +48,194 @@ def brute_force_coboundary(group, xi_values, n):
         if ok:
             return u
     return None
+
+
+def coboundary_rows_oracle(group):
+    """Oracle: the literal double loop for row a*N + b = e_a + e_b - e_ab."""
+    N = group.order
+    rows = np.zeros((N * N, N), dtype=np.int64)
+    for a in range(N):
+        for b in range(N):
+            r = a * N + b
+            rows[r, a] += 1
+            rows[r, b] += 1
+            rows[r, group.table[a, b]] -= 1
+    return rows
+
+
+def subgroup_elements(gens, n):
+    """Oracle: all Z/n-combinations of the generator vectors, by closure."""
+    if not gens:
+        return {()}
+    seen = {tuple(np.zeros(len(gens[0]), dtype=np.int64))}
+    frontier = list(seen)
+    while frontier:
+        v = np.array(frontier.pop(), dtype=np.int64)
+        for g in gens:
+            w = tuple((v + g) % n)
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def kernel_oracle(cs):
+    """Oracle: kernel of inflation from the literal dense system, one cell at a time."""
+    G, n = cs.group, cs.n
+    k, coords = coh._layer1_coords(cs)
+    pi = coh._std_index(coords, n, k)
+    eye = np.eye(k, dtype=np.int64)
+    basis = [make_U_B(k, n, eye[i], eye[j])[0] for i in range(k) for j in range(i + 1, k)]
+    basis += [make_U_B(k, n, eye[j], eye[j])[1] for j in range(k)]
+    m, N = len(basis), G.order
+    rows = np.zeros((N * N, N + m), dtype=np.int64)
+    rows[:, :N] = coboundary_rows_oracle(G)
+    for a in range(N):
+        for b in range(N):
+            for idx, xi in enumerate(basis):
+                rows[a * N + b, N + idx] = -xi.values[pi[a], pi[b]]
+    tails = modring.nullspace(ModMatrix(n, rows)).entries[:, N:]
+    span = modring.canonicalize(ModMatrix(n, tails if tails.size else tails.reshape(0, m)))
+    return [H2Class.from_coeff_vector(k, n, row) for row in span.canonical.entries if row.any()]
+
+
+def machinery_oracle(G, n, seed):
+    """Oracle report: the dense coboundary system, one special element and
+    one pairing per layer-1 pair, and the closure comparison of images."""
+    cs = central_series(G, n)
+    k, coords = coh._layer1_coords(cs)
+    pi = coh._std_index(coords, n, k)
+    R = kernel_oracle(cs)
+    g1 = elementary_group(n, k)
+    eye = np.eye(k, dtype=np.int64)
+    bad = [0, 0]
+    for eta in R:
+        pairs, zs = eta.decomposition()
+        variants = [(pairs, zs), (pairs + [(eye[0], eye[0])], zs + [(-binom2(n).value * eye[0]) % n])]
+        for variant, (vp, vz) in enumerate(variants):
+            acc = zero_cocycle(g1, n)
+            for x, y in vp:
+                acc = acc + make_U_B(k, n, x, y)[0]
+            for z in vz:
+                acc = acc + make_U_B(k, n, z, z)[1]
+            xi = inflate(acc, pi, G)
+            u = modring.solve_linear(ModMatrix(n, coboundary_rows_oracle(G)), xi.values.ravel())
+            assert u is not None
+            bad[variant] += coh._check_identities(cs, coords, vp, vz, u)
+
+    dec1, l2 = cs.layer1.decomposition, cs.layer2
+    rng = random.Random(seed)
+    collected = {l2.group.identity: (0,) * len(R)}
+    well_defined = True
+
+    def elem(c):
+        g = dec1.group.identity
+        for gen, ci in zip(dec1.gens, c):
+            g = dec1.group.mul(g, dec1.group.power(gen, ci))
+        return g
+
+    for cs1 in itertools.product(range(n), repeat=k):
+        sv = np.array(cs1, dtype=np.int64)
+        for ct in itertools.product(range(n), repeat=k):
+            comm, _ = layer_maps(cs, elem(cs1), elem(ct), rng)
+            s_comm, _ = special_elements(sv, np.array(ct, dtype=np.int64), n)
+            vec = tuple(int(pairing_S(s_comm, eta)) for eta in R)
+            if collected.setdefault(comm, vec) != vec:
+                well_defined = False
+        _, s_pow = special_elements(sv, sv, n)
+        _, powr = layer_maps(cs, elem(cs1), elem(cs1), rng)
+        vec = tuple(int(pairing_S(s_pow, eta)) for eta in R)
+        if collected.setdefault(powr, vec) != vec:
+            well_defined = False
+    changed = True
+    while changed and well_defined:
+        changed = False
+        for (e1, v1), (e2, v2) in itertools.product(list(collected.items()), repeat=2):
+            e = l2.group.mul(e1, e2)
+            v = tuple((a + b) % n for a, b in zip(v1, v2))
+            if e not in collected:
+                collected[e] = v
+                changed = True
+            elif collected[e] != v:
+                well_defined = False
+                break
+
+    sr_gens = []
+    for i in range(k):
+        sr_gens.append(np.array([int(pairing_S(special_elements(eye[i], eye[i], n)[1], eta)) for eta in R]))
+        for j in range(i + 1, k):
+            sr_gens.append(np.array([int(pairing_S(special_elements(eye[i], eye[j], n)[0], eta)) for eta in R]))
+    sr = subgroup_elements(sr_gens, n) if sr_gens else {(0,) * len(R)}
+    return coh.MachineryReport(
+        group_order=G.order,
+        n=n,
+        rank=k,
+        kernel_size=len(R),
+        identity_violations=bad[0],
+        alternative_decomposition_violations=bad[1],
+        omega_well_defined=well_defined,
+        omega_total=len(collected) == l2.group.order,
+        omega_injective=well_defined and len(set(collected.values())) == len(collected),
+        omega_image_matches=well_defined and set(collected.values()) == {tuple(int(x) for x in v) for v in sr},
+        seed=seed,
+    ).as_dict()
+
+
+def z4_squared():
+    idx = np.arange(16)
+    a, b = idx // 4, idx % 4
+    return TableGroup(table=((a[:, None] + a[None, :]) % 4) * 4 + (b[:, None] + b[None, :]) % 4)
+
+
+ORACLE_GROUPS = [
+    ("heis2", lambda: to_table_group(2), 2),
+    ("heis3", lambda: to_table_group(3), 3),
+    ("C4", lambda: cyclic_group(4), 2),
+    ("C8", lambda: cyclic_group(8), 2),
+    ("C9", lambda: cyclic_group(9), 3),
+    ("C27", lambda: cyclic_group(27), 3),
+    ("Z4xZ4", z4_squared, 2),
+    *[(f"(Z/2)^{k}", lambda k=k: elementary_group(2, k), 2) for k in range(1, 5)],
+    *[(f"(Z/3)^{k}", lambda k=k: elementary_group(3, k), 3) for k in range(1, 4)],
+]
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_coboundary_rows(self, name, build, n):
+        g = build()
+        assert np.array_equal(coh._coboundary_rows(g), coboundary_rows_oracle(g))
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_kernel_of_inflation(self, name, build, n):
+        cs = central_series(build(), n)
+        got, want = kernel_of_inflation(cs), kernel_oracle(cs)
+        assert [c.coeff_vector().tolist() for c in got] == [c.coeff_vector().tolist() for c in want]
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_machinery_report(self, name, build, n, seed):
+        g = build()
+        assert verify_thm23_and_omegaR(g, n, seed=seed).as_dict() == machinery_oracle(g, n, seed)
+
+    def test_howell_equality_is_subgroup_equality(self):
+        # Two generator sets span the same subgroup of (Z/n)^w exactly when
+        # their Howell forms agree.  Half of the second sets are drawn inside
+        # the span of the first, so both outcomes occur.
+        rng = np.random.default_rng(7)
+        outcomes = []
+        for _ in range(200):
+            n, w = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            a = rng.integers(0, n, (int(rng.integers(1, 4)), w))
+            if rng.integers(2):
+                b = (rng.integers(0, n, (int(rng.integers(1, 5)), a.shape[0])) @ a) % n
+            else:
+                b = rng.integers(0, n, (int(rng.integers(1, 4)), w))
+            same_form = modring.howell_form(ModMatrix(n, a)) == modring.howell_form(ModMatrix(n, b))
+            same_set = subgroup_elements(list(a), n) == subgroup_elements(list(b), n)
+            assert same_form == same_set
+            outcomes.append(same_set)
+        assert 20 <= sum(outcomes) <= 180
 
 
 class TestCocycles:

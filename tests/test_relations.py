@@ -94,6 +94,23 @@ class TestConsistency:
             # Cyclic character space: every family satisfies the relation.
             assert rep.holds
 
+    def test_family_power_tables_computed_once(self, monkeypatch):
+        # Conditions (2) and (3) share one psi table per character of the
+        # family.  The first call fills the cached span of all power tables.
+        k, w = field_and_omega(13, 3)
+        fam = [(KummerCharacter(k, 3, a), KummerCharacter(k, 3, b)) for a, b in [(1, 2), (2, 2), (0, 1)]]
+        relation_check(fam, w)
+        calls = []
+        psi = relations.tables.psi
+
+        def counting_psi(f, om):
+            calls.append(f)
+            return psi(f, om)
+
+        monkeypatch.setattr(relations.tables, "psi", counting_psi)
+        relation_check(fam, w)
+        assert len(calls) == 2 * len(fam)
+
     def test_single_pair_cond3_equals_cond4(self):
         # On a single pair the family span sits inside the full span, and the
         # detector must still report equal flags.
