@@ -20,7 +20,15 @@ import numpy as np
 
 from . import modring
 from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
-from .groups import CentralSeriesData, TableGroup, central_series, elementary_group, layer_maps
+from .groups import (
+    CentralSeriesData,
+    TableGroup,
+    central_series,
+    elementary_coords,
+    elementary_group,
+    layer_maps,
+    row_blocks,
+)
 from .modring import ModMatrix, binom2
 
 
@@ -29,7 +37,22 @@ from .modring import ModMatrix, binom2
 
 @dataclass(frozen=True)
 class Cocycle2:
-    """A 2-cocycle on a TableGroup with values in Z/n (trivial action)."""
+    """A 2-cocycle on a TableGroup with values in Z/n (trivial action).
+
+    The identity xi(a,b) + xi(ab,c) = xi(b,c) + xi(a,bc) is checked exactly,
+    in O(N^2 |S|) for the generating set S of the group, by Light's test on
+    the extension E = Z/n x G with (x,a)(y,b) = (x + y + xi(a,b), ab): E is
+    associative exactly when xi is a cocycle.  The elements m of E with
+    (pm)q = p(mq) for all p, q are closed under products, so E is
+    associative once they contain a set that generates E.  The check is
+    that (0, s) is among them for each s in S, which is the identity with
+    b = s for all a, c.  Taking a = e, then c = e, in it shows that
+    xi(e, .) and xi(., e) are the constant xi(e, e), so every (x, e) is
+    among them too.  These elements generate E: left-bracketed products of
+    the (0, s) reach some (z, g) for every g, and
+    (x, e)(z, g) = (x + z + xi(e, e), g) reaches every x.  (With S empty, G
+    is trivial and every xi is a cocycle.)
+    """
 
     group: TableGroup
     n: int
@@ -42,11 +65,12 @@ class Cocycle2:
             raise DimensionError("cocycle table shape does not match the group")
         object.__setattr__(self, "values", v)
         t = self.group.table
-        for s in range(N):
-            lhs = v[s][:, None] + v[t[s]]
-            rhs = v + v[s][t]
-            if ((lhs - rhs) % self.n).any():
-                raise DomainError("cocycle identity fails")
+        for s in self.group.generators:
+            for a in row_blocks(N, N):
+                lhs = v[a, s][:, None] + v[t[a, s]]
+                rhs = v[s][None, :] + v[a][:, t[s]]
+                if ((lhs - rhs) % self.n).any():
+                    raise DomainError("cocycle identity fails")
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         if other.n != self.n or not np.array_equal(other.group.table, self.group.table):
@@ -61,28 +85,28 @@ def zero_cocycle(group: TableGroup, n: int) -> Cocycle2:
     return Cocycle2(group, n, np.zeros((group.order, group.order), dtype=np.int64))
 
 
-def _coords_table(n: int, k: int) -> np.ndarray:
-    """(n^k, k) coordinates matching the elementary_group element indexing."""
-    return np.array(np.unravel_index(np.arange(n ** k), (n,) * k)).T.astype(np.int64)
-
-
-def make_U_B(k: int, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[Cocycle2, Cocycle2]:
-    """(the cup cocycle U_{x,y}, the Bockstein cocycle B_x) on (Z/n)^k.
+def _U_B_values(coords: np.ndarray, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The value tables of U_{x,y} and B_x on elements with the given (Z/n)^k coordinates.
 
     U_{x,y}(s, t) = s(x) * t(y); B_x(s, t) = 1 exactly when the canonical
     representatives of s(x) and t(x) sum to at least n (the carry cocycle).
+    Rows of ``coords`` may repeat, which gives the inflated tables.
     """
-    g = elementary_group(n, k)
-    coords = _coords_table(n, k)
+    k = coords.shape[1]
     xv = np.asarray(x, dtype=np.int64) % n
     yv = np.asarray(y, dtype=np.int64) % n
     if xv.shape != (k,) or yv.shape != (k,):
         raise DimensionError("basis vectors must have length k")
     fx = (coords @ xv) % n  # canonical representative in [0, n)
     fy = (coords @ yv) % n
-    u = Cocycle2(g, n, np.outer(fx, fy))
-    b = Cocycle2(g, n, (fx[:, None] + fx[None, :] >= n).astype(np.int64))
-    return u, b
+    return np.outer(fx, fy), (fx[:, None] + fx[None, :] >= n).astype(np.int64)
+
+
+def make_U_B(k: int, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[Cocycle2, Cocycle2]:
+    """(the cup cocycle U_{x,y}, the Bockstein cocycle B_x) on (Z/n)^k."""
+    g = elementary_group(n, k)
+    u, b = _U_B_values(elementary_coords(n, k), n, x, y)
+    return Cocycle2(g, n, u), Cocycle2(g, n, b)
 
 
 def verify_propA1(k: int, n: int) -> int:
@@ -95,7 +119,7 @@ def verify_propA1(k: int, n: int) -> int:
       (4) sum over i of B(s^i, s) = s(x)
     """
     g = elementary_group(n, k)
-    coords = _coords_table(n, k)
+    coords = elementary_coords(n, k)
     b2 = binom2(n).value
     bad = 0
     for xi in range(k):
@@ -130,27 +154,67 @@ def inflate(xi: Cocycle2, proj: Sequence[int], group: TableGroup) -> Cocycle2:
     return Cocycle2(group, xi.n, xi.values[p[:, None], p[None, :]])
 
 
-def _coboundary_rows(G: TableGroup) -> np.ndarray:
-    """The N^2 x N matrix of d on 1-cochains: row a*N + b is e_a + e_b - e_ab.
+def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The equations du = sum_i c_i xi_i on (e, e) and on the pairs (g, s), s in S.
 
-    Repeated columns (a = b, or ab equal to a or b) accumulate.
+    S is the generating set of G and T = (e, *S).  ``xi_on[g, j, i]`` is
+    xi_i(g, T[j]) for m cocycles xi_i.  The unknowns are x = (u(e), u(s) for
+    s in S, c_1..c_m).  Returns (rows, cochain), both reduced mod n:
+    ``cochain[g] @ x`` is u(g), propagated along a BFS tree of the Cayley
+    graph by u(gs) = u(g) + u(s) - xi(g, s); the rows are u(e) - xi(e, e)
+    and, for every g and s in S, u(g) + u(s) - u(gs) - xi(g, s).
+
+    Exact: the first row gives du(e, e) = xi(e, e).  The b with
+    du(a, b) = xi(a, b) for all a are closed under products, since
+    du(a, bb') = du(ab, b') + du(a, b) - du(b, b') and xi satisfies the same
+    identity; the rows put S among them, so du = xi on all of G x G.  Every
+    solution u restricts to one x.
     """
-    N = G.order
-    r = np.arange(N * N)
-    rows = np.zeros((N * N, N), dtype=np.int64)
-    np.add.at(rows, (r, r // N), 1)
-    np.add.at(rows, (r, r % N), 1)
-    np.add.at(rows, (r, G.table.ravel()), -1)
-    return rows
+    t, T = G.table, [G.identity, *G.generators]
+    N, r, m = G.order, len(T), xi_on.shape[2]
+    cochain = np.zeros((N, r + m), dtype=np.int64)
+    cochain[T, np.arange(r)] = 1
+    done = np.zeros(N, dtype=bool)
+    frontier = np.array(T, dtype=np.int64)
+    done[frontier] = True
+    while frontier.size:
+        grown = [frontier[:0]]
+        for j in range(1, r):
+            h = t[frontier, T[j]]
+            new = ~done[h]
+            g, h = frontier[new], h[new]
+            cochain[h] = cochain[g]
+            cochain[h, j] += 1
+            cochain[h, r:] -= xi_on[g, j]
+            cochain[h] %= n
+            done[h] = True
+            grown.append(h)
+        frontier = np.concatenate(grown)
+    rows = cochain[:, None, :] - cochain[t[:, T]]
+    rows[:, np.arange(r), np.arange(r)] += 1
+    rows[:, :, r:] -= xi_on
+    rows = np.vstack([rows[G.identity, 0], rows[:, 1:].reshape(N * (r - 1), r + m)])
+    return rows % n, cochain
 
 
 def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
     """A cochain u with u(st) = u(s) + u(t) - xi(s, t), or None.
 
     None certifies that the class of xi is nontrivial.  For a normalized
-    cocycle (xi(1,1) = 0) any solution has u(identity) = 0.
+    cocycle (xi(1,1) = 0) any solution has u(identity) = 0.  A returned u is
+    re-verified on all N^2 pairs.
     """
-    return modring.solve_linear(ModMatrix(xi.n, _coboundary_rows(xi.group)), xi.values.ravel())
+    G, n = xi.group, xi.n
+    T = [G.identity, *G.generators]
+    rows, cochain = _coboundary_system(G, xi.values[:, T, None], n)
+    y = modring.solve_linear(ModMatrix(n, rows[:, :-1]), -rows[:, -1])
+    if y is None:
+        return None
+    u = modring._matvec(cochain, np.append(y, 1), n)
+    for a in row_blocks(G.order, G.order):
+        if ((u[a, None] + u[None, :] - u[G.table[a]] - xi.values[a]) % n).any():
+            raise TheoremViolationError("coboundary solution fails substitution")
+    return u
 
 
 # --- H^2 presentation and the pairing with S -------------------------------
@@ -199,18 +263,14 @@ class H2Class:
 
     def representative(self) -> Cocycle2:
         """The canonical cocycle: the matching combination of U's and B's."""
-        g = elementary_group(self.n, self.k)
-        acc = zero_cocycle(g, self.n)
+        coords = elementary_coords(self.n, self.k)
+        acc = np.zeros((self.n ** self.k,) * 2, dtype=np.int64)
         eye = np.eye(self.k, dtype=np.int64)
         for i in range(self.k):
             for j in range(i + 1, self.k):
-                if self.cup[i, j]:
-                    u, _ = make_U_B(self.k, self.n, eye[i], eye[j])
-                    acc = acc + u.scale(int(self.cup[i, j]))
-            if self.bockstein[i]:
-                _, b = make_U_B(self.k, self.n, eye[i], eye[i])
-                acc = acc + b.scale(int(self.bockstein[i]))
-        return acc
+                acc += int(self.cup[i, j]) * _U_B_values(coords, self.n, eye[i], eye[j])[0]
+            acc += int(self.bockstein[i]) * _U_B_values(coords, self.n, eye[i], eye[i])[1]
+        return Cocycle2(elementary_group(self.n, self.k), self.n, acc)
 
     def decomposition(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
         """One sum-of-cups-plus-Bocksteins decomposition (pairs, z vectors)."""
@@ -288,36 +348,31 @@ def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
     return k, coords
 
 
-def _std_index(coords: np.ndarray, n: int, k: int) -> np.ndarray:
-    weights = np.array([n ** (k - 1 - l) for l in range(k)], dtype=np.int64)
-    return coords @ weights
-
-
 def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     """Generators (canonical form) of the classes on layer 1 dying in G.
 
-    Solved as one linear system over Z/n in the unknowns (u on G, class
-    coefficients c): du = (inflation of the class with coefficients c); the
-    projection of the solution module onto the c-coordinates is the kernel.
+    Solved as one linear system over Z/n in the unknowns (u on e and the
+    generators of G, class coefficients c): du = (inflation of the class with
+    coefficients c); the projection of the solution module onto the
+    c-coordinates is the kernel.
     """
     G, n = cs.group, cs.n
     k, coords = _layer1_coords(cs)
-    pi = _std_index(coords, n, k)
+    T = [G.identity, *G.generators]
 
-    basis: list[Cocycle2] = []
     eye = np.eye(k, dtype=np.int64)
-    for i in range(k):
-        for j in range(i + 1, k):
-            basis.append(make_U_B(k, n, eye[i], eye[j])[0])
-    for j in range(k):
-        basis.append(make_U_B(k, n, eye[j], eye[j])[1])
+    basis = [(eye[i], eye[j], 0) for i in range(k) for j in range(i + 1, k)]
+    basis += [(eye[j], eye[j], 1) for j in range(k)]
     m = len(basis)
+    # Each inflated U or B is checked as a cocycle on G; only its values on
+    # the pairs (g, s), s in T, enter the system.
+    xi_on = np.zeros((G.order, len(T), m), dtype=np.int64)
+    for i, (x, y, which) in enumerate(basis):
+        xi_on[:, :, i] = Cocycle2(G, n, _U_B_values(coords, n, x, y)[which]).values[:, T]
 
-    N = G.order
-    inflated = np.array([xi.values[pi[:, None], pi[None, :]].ravel() for xi in basis], dtype=np.int64)
-    rows = np.hstack([_coboundary_rows(G), -inflated.reshape(m, N * N).T])
+    rows, _ = _coboundary_system(G, xi_on, n)
     sols = modring.nullspace(ModMatrix(n, rows))  # rows of sols solve rows @ x = 0
-    tails = sols.entries[:, N:]
+    tails = sols.entries[:, len(T):]
     span = modring.canonicalize(ModMatrix(n, tails if tails.size else tails.reshape(0, m)))
     return [
         H2Class.from_coeff_vector(k, n, row)
@@ -384,9 +439,7 @@ def _check_identities(
     G, n = cs.group, cs.n
     b2 = binom2(n).value
     # One lift per layer-1 class: first preimage in table order.
-    lifts: dict[int, int] = {}
-    for g in range(G.order):
-        lifts.setdefault(cs.layer1.project[g], g)
+    lifts = {cls: ls[0] for cls, ls in cs.layer1.lifts.items()}
     bad = 0
     for cls_s, ls in lifts.items():
         sv = coords[ls]
@@ -419,12 +472,10 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     """
     cs = central_series(G, n)
     k, coords = _layer1_coords(cs)
-    pi = _std_index(coords, n, k)
     R = kernel_of_inflation(cs)
 
     id_bad = 0
     alt_bad = 0
-    g1 = elementary_group(n, k)
     eye = np.eye(k, dtype=np.int64)
     for eta in R:
         pairs, zs = eta.decomposition()
@@ -435,13 +486,12 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
                 # Same class, shifted by the relation x cup x = C(n,2) beta x.
                 vp = pairs + [(eye[0], eye[0])]
                 vz = zs + [(-binom2(n).value * eye[0]) % n]
-            acc = zero_cocycle(g1, n)
+            acc = np.zeros((G.order, G.order), dtype=np.int64)
             for x, y in vp:
-                acc = acc + make_U_B(k, n, x, y)[0]
+                acc += _U_B_values(coords, n, x, y)[0]
             for z in vz:
-                acc = acc + make_U_B(k, n, z, z)[1]
-            xi = inflate(acc, pi, G)
-            u = solve_coboundary(xi)
+                acc += _U_B_values(coords, n, z, z)[1]
+            u = solve_coboundary(Cocycle2(G, n, acc))
             if u is None:
                 raise TheoremViolationError("kernel class fails to die after inflation")
             bad = _check_identities(cs, coords, vp, vz, u)
@@ -459,7 +509,7 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
          for i in range(k)],
         dtype=np.int64,
     ).reshape(k, k, r)
-    grid = np.array(list(itertools.product(range(n), repeat=k)), dtype=np.int64).reshape(n ** k, k)
+    grid = elementary_coords(n, k)
     elems = [cs.layer1.decomposition.element(c) for c in grid]
     l2 = cs.layer2
     rng = random.Random(seed)

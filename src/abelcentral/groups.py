@@ -1,9 +1,8 @@
 """Finite groups as multiplication tables, central series, and layer maps.
 
 A TableGroup is an order-N multiplication table of element indices.  The
-group axioms are verified at construction: identity and inverses always,
-associativity exhaustively up to ASSOC_EXHAUSTIVE_MAX and on a seeded random
-sample of triples above that.
+group axioms are verified at construction, exactly for every order:
+identity, inverses, and associativity by Light's test over a generating set.
 """
 
 from __future__ import annotations
@@ -19,9 +18,17 @@ import numpy as np
 from .errors import DimensionError, DomainError, TheoremViolationError
 
 TABLE_MAX = 10**4
-ASSOC_EXHAUSTIVE_MAX = 512
-ASSOC_SAMPLE = 20000
-ASSOC_SEED = 0
+BLOCK_CELLS = 2**20
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each of about BLOCK_CELLS / width rows.
+
+    Checks over N x N arrays run block by block, so that their temporaries
+    stay near BLOCK_CELLS cells at any order.
+    """
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -58,23 +65,53 @@ class TableGroup:
                 return e
         raise DomainError("table has no identity element")
 
+    def _closure_mask(self, gens: Sequence[int]) -> np.ndarray:
+        """Boolean mask of the products e*s1*...*sj (left-bracketed) of ``gens``."""
+        t = self.table
+        seen = np.zeros(self.order, dtype=bool)
+        seen[self.identity] = True
+        frontier = np.array([self.identity], dtype=np.int64)
+        gens = np.asarray(gens, dtype=np.int64)
+        while frontier.size:
+            new = np.zeros(self.order, dtype=bool)
+            new[t[frontier[:, None], gens]] = True
+            new &= ~seen
+            seen |= new
+            frontier = np.flatnonzero(new)
+        return seen
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily by closure and then made irredundant.
+
+        Each element added lies outside the subgroup generated so far, so the
+        subgroup at least doubles: at most log2(N) generators.
+        """
+        gens: list[int] = []
+        seen = self._closure_mask(gens)
+        while not seen.all():
+            gens.append(int(np.argmin(seen)))
+            seen = self._closure_mask(gens)
+        for s in gens[:-1]:  # the last one lies outside the closure of the others
+            rest = [g for g in gens if g != s]
+            if self._closure_mask(rest).all():
+                gens = rest
+        return tuple(gens)
+
     def _verify(self) -> None:
         t = self.table
-        n = self.order
         e = self.identity
-        # Inverses: every row must hit the identity.
-        if not all((t[i] == e).any() and (t[:, i] == e).any() for i in range(n)):
+        # Inverses: every row and every column must hit the identity.
+        if not ((t == e).any(axis=1).all() and (t == e).any(axis=0).all()):
             raise DomainError("table is missing inverses")
-        if n <= ASSOC_EXHAUSTIVE_MAX:
-            # Full associativity, one row of 'a' at a time to bound memory.
-            for a in range(n):
-                if not np.array_equal(t[t[a]], t[a][t]):
-                    raise DomainError("table is not associative")
-        else:
-            rng = random.Random(ASSOC_SEED)
-            for _ in range(ASSOC_SAMPLE):
-                a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-                if t[t[a, b], c] != t[a, t[b, c]]:
+        # Light's test.  The set T of b with (ab)c = a(bc) for all a, c holds
+        # the identity and is closed under products: for b, b' in T,
+        # (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c).  Every
+        # element is a product of generators, so T is everything once it
+        # holds the generators.
+        for s in self.generators:
+            for a in row_blocks(self.order, self.order):
+                if not np.array_equal(t[t[a, s]], t[a][:, t[s]]):
                     raise DomainError("table is not associative")
 
     # -- element arithmetic --
@@ -189,17 +226,27 @@ def cyclic_group(m: int) -> TableGroup:
     return TableGroup(table=table, labels=tuple(str(i) for i in range(m)))
 
 
+def elementary_coords(n: int, k: int) -> np.ndarray:
+    """(n^k, k) coordinates of the elements of ``elementary_group(n, k)``, in index order."""
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return (np.arange(n ** k, dtype=np.int64)[:, None] // weights) % n
+
+
 def elementary_group(n: int, k: int) -> TableGroup:
-    """(Z/n)^k with index sum(c_l * n^(k-1-l)) for coordinates (c_0..c_{k-1})."""
+    """(Z/n)^k with index sum(c_l * n^(k-1-l)) for coordinates (c_0..c_{k-1}).
+
+    k = 0 gives the trivial group.
+    """
+    if n < 1 or k < 0:
+        raise DomainError("elementary group needs n >= 1 and k >= 0")
     size = n ** k
     if size > TABLE_MAX:
         raise DomainError("group too large")
-    coords = np.array(np.unravel_index(np.arange(size), (n,) * k)).T  # (size, k)
+    coords = elementary_coords(n, k)
     table = np.zeros((size, size), dtype=np.int64)
-    weights = np.array([n ** (k - 1 - l) for l in range(k)], dtype=np.int64)
+    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for i in range(size):
-        summed = (coords[i] + coords) % n
-        table[i] = summed @ weights
+        table[i] = ((coords[i] + coords) % n) @ weights
     labels = tuple("(" + ",".join(map(str, c)) + ")" for c in coords)
     return TableGroup(table=table, labels=labels)
 
@@ -284,6 +331,14 @@ class LayerData:
     project: dict  # G^(i) element index in G -> layer element index
     decomposition: CyclicDecomposition
 
+    @cached_property
+    def lifts(self) -> dict[int, list[int]]:
+        """Layer element -> its preimages in G, in table order."""
+        out: dict[int, list[int]] = {}
+        for x, cls in self.project.items():
+            out.setdefault(cls, []).append(x)
+        return out
+
 
 @dataclass(frozen=True)
 class CentralSeriesData:
@@ -352,17 +407,14 @@ def layer_maps(cs: CentralSeriesData, s: int, t: int, rng: Optional[random.Rando
     random lifts and any disagreement is a hard failure.
     """
     g = cs.group
-    l1, l2 = cs.layer1, cs.layer2
-
-    def lifts_of(layer_elem: int) -> list[int]:
-        return [x for x, cls in l1.project.items() if cls == layer_elem]
+    l2 = cs.layer2
 
     def compute(ls: int, lt: int) -> tuple[int, int]:
         comm = g.commutator(ls, lt)
         powr = g.power(ls, cs.n)
         return l2.project[comm], l2.project[powr]
 
-    ls_all, lt_all = lifts_of(s), lifts_of(t)
+    ls_all, lt_all = cs.layer1.lifts[s], cs.layer1.lifts[t]
     result = compute(ls_all[0], lt_all[0])
     if rng is not None:
         alt = compute(rng.choice(ls_all), rng.choice(lt_all))

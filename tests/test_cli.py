@@ -41,6 +41,17 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         assert json.loads(out)["ok"]
 
+    def test_verify_machinery_rank_zero(self, capsys):
+        code, out, _ = run(["verify", "--suite", "machinery", "--n", "2", "--rank", "0"], capsys)
+        assert code == cli.EXIT_OK
+        doc = json.loads(out)
+        assert (doc["rank"], doc["kernel_size"], doc["ok"]) == (0, 0, True)
+
+    def test_verify_machinery_negative_rank(self, capsys):
+        code, _, err = run(["verify", "--suite", "machinery", "--n", "2", "--rank", "-1"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             ["relations", "--p", "13", "--n", "3", "--input", str(tmp_path / "nope.json")],

@@ -1,10 +1,13 @@
 """Multiplication-table groups, central series, and layer maps."""
 
+import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
+from abelcentral import groups
 from abelcentral.errors import DomainError
 from abelcentral.groups import (
     TableGroup,
@@ -28,11 +31,107 @@ def direct_product(a, b):
     return TableGroup(table=t)
 
 
+def is_group_oracle(t):
+    """Oracle: identity, inverses and associativity over every triple."""
+    n = t.shape[0]
+    idx = np.arange(n)
+    ids = [e for e in range(n) if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx)]
+    if not ids:
+        return False
+    if not ((t == ids[0]).any(axis=1).all() and (t == ids[0]).any(axis=0).all()):
+        return False
+    a, b, c = np.meshgrid(idx, idx, idx, indexing="ij")
+    return bool((t[t[a, b], c] == t[a, t[b, c]]).all())
+
+
+GENERATOR_GROUPS = [
+    ("trivial", lambda: elementary_group(2, 0)),
+    ("C12", lambda: cyclic_group(12)),
+    ("C600", lambda: cyclic_group(600)),
+    ("(Z/2)^5", lambda: elementary_group(2, 5)),
+    ("(Z/3)^3", lambda: elementary_group(3, 3)),
+    ("C4xC6", lambda: direct_product(cyclic_group(4), cyclic_group(6))),
+    *[(f"heis{n}", lambda n=n: to_table_group(n)) for n in (2, 3, 5)],
+]
+
+
 class TestConstruction:
     def test_rejects_non_associative(self):
         bad = np.array([[0, 1], [1, 1]])
         with pytest.raises(DomainError):
             TableGroup(table=bad)
+
+    @pytest.mark.parametrize("order", [200, 600])
+    def test_rejects_single_bad_product_at_any_order(self, order):
+        # Above 512 the seed checked only a random sample of triples and
+        # accepted this table; Light's test is exact for every order.
+        t = cyclic_group(order).table.copy()
+        t[5, 7] = 13
+        with pytest.raises(DomainError):
+            TableGroup(table=t)
+
+    @pytest.mark.parametrize("build", [lambda: cyclic_group(6), lambda: to_table_group(2), lambda: elementary_group(2, 3)])
+    def test_axioms_match_exhaustive_oracle(self, build):
+        # Every single-entry change of a group table: the constructor
+        # accepts exactly the tables the triple-by-triple oracle accepts.
+        base = build().table
+        n = base.shape[0]
+        assert is_group_oracle(base)
+        for a, b in itertools.product(range(n), repeat=2):
+            for v in range(n):
+                if v == base[a, b]:
+                    continue
+                t = base.copy()
+                t[a, b] = v
+                try:
+                    TableGroup(table=t)
+                    accepted = True
+                except DomainError:
+                    accepted = False
+                assert accepted == is_group_oracle(t)
+
+    def test_blocked_associativity_check(self, monkeypatch):
+        # With blocks of a few rows, a bad product in the last block is found.
+        monkeypatch.setattr(groups, "BLOCK_CELLS", 100)
+        assert [b.start for b in groups.row_blocks(24, 24)] == [0, 4, 8, 12, 16, 20]
+        TableGroup(table=cyclic_group(24).table)
+        t = cyclic_group(24).table.copy()
+        t[22, 7] = 13
+        with pytest.raises(DomainError):
+            TableGroup(table=t)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_rejects_twisted_products(self, k):
+        # Z/3 x (Z/3)^k with (x,a)(y,b) = (x + y + phi(a,b), ab), for phi
+        # pulled back from Z/3 along each coordinate: not associative, since
+        # phi is not a cocycle, though every product with the other
+        # coordinates in the middle associates.
+        base = elementary_group(3, k)
+        m = base.order
+        for coord in range(k):
+            c = (np.arange(m) // 3 ** (k - 1 - coord)) % 3
+            phi = ((c[:, None] == 1) & (c[None, :] == 1)).astype(np.int64)
+            x = np.arange(3 * m) // m
+            a = np.arange(3 * m) % m
+            t = ((x[:, None] + x[None, :] + phi[a[:, None], a[None, :]]) % 3) * m + base.table[a[:, None], a[None, :]]
+            assert not is_group_oracle(t)
+            with pytest.raises(DomainError):
+                TableGroup(table=t)
+
+    @pytest.mark.parametrize("name,build", GENERATOR_GROUPS, ids=[g[0] for g in GENERATOR_GROUPS])
+    def test_generators(self, name, build):
+        g = build()
+        gens = g.generators
+        assert len(gens) <= math.log2(g.order)
+        assert g.subgroup_closure(gens) == tuple(range(g.order))
+        for s in gens:  # irredundant
+            assert len(g.subgroup_closure([x for x in gens if x != s])) < g.order
+
+    def test_trivial_elementary_group(self):
+        g = elementary_group(3, 0)
+        assert g.order == 1 and g.generators == ()
+        with pytest.raises(DomainError):
+            elementary_group(2, -1)
 
     def test_rejects_no_identity(self):
         bad = np.array([[1, 1], [1, 1]])
@@ -161,6 +260,13 @@ class TestLayerMaps:
         for s in range(cs.layer1.group.order):
             comm, _ = layer_maps(cs, s, s)
             assert comm == cs.layer2.group.identity
+
+    def test_lift_index(self):
+        # Oracle: a scan of the projection for each class, in table order.
+        cs = central_series(to_table_group(3), 3)
+        for layer in (cs.layer1, cs.layer2):
+            for cls in range(layer.group.order):
+                assert layer.lifts[cls] == [x for x, c in layer.project.items() if c == cls]
 
     def test_lift_independence(self):
         # Random second lifts across several seeds must agree (checked
