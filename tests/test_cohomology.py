@@ -215,6 +215,32 @@ ORACLE_GROUPS = [
 
 class TestAgainstOracles:
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_coboundary_rows(self, name, build, n):
+        # The generator system is the dense one restricted to the pairs
+        # (e, e) and (g, s), s in S, with u substituted by the propagated
+        # cochain: each row is oracle_row(a, b) @ cochain - xi(a, b) @ c.
+        # Arbitrary values stand in for the cocycles; the identity does not
+        # use the cocycle condition.
+        g = build()
+        N, e, S = g.order, g.identity, list(g.generators)
+        T, m = [e, *S], 2
+        xi_on = np.random.default_rng(N).integers(0, n, (N, len(T), m))
+        rows, cochain = coh._coboundary_system(g, xi_on, n)
+        r = len(T)
+        assert np.array_equal(cochain[T, :r], np.eye(r, dtype=np.int64))
+        assert not cochain[T, r:].any()
+        pairs = [(e, 0)] + [(a, j) for a in range(N) for j in range(1, r)]
+        dense = coboundary_rows_oracle(g)[[a * N + T[j] for a, j in pairs]]
+        xi_part = np.zeros((len(pairs), r + m), dtype=np.int64)
+        xi_part[:, r:] = [xi_on[a, j] for a, j in pairs]
+        assert np.array_equal(rows, (dense @ cochain - xi_part) % n)
+        # The cochain is propagated along a spanning tree: every element
+        # outside T is reached by some edge (a, s) whose equation vanishes.
+        zero = ~rows.any(axis=1)
+        reached = {int(g.table[a, T[j]]) for (a, j), z in zip(pairs, zero) if z and j}
+        assert set(range(N)) - set(T) <= reached
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     def test_solve_coboundary(self, name, build, n):
         # Solvability agrees with a solve of the dense N^2 x N system, and a
         # returned u satisfies du = xi on every pair.  Cases: coboundaries of
