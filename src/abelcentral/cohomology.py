@@ -27,7 +27,6 @@ from .groups import (
     elementary_coords,
     elementary_group,
     layer_maps,
-    row_blocks,
 )
 from .modring import ModMatrix, binom2
 
@@ -66,47 +65,48 @@ class Cocycle2:
         object.__setattr__(self, "values", v)
         t = self.group.table
         for s in self.group.generators:
-            for a in row_blocks(N, N):
-                lhs = v[a, s][:, None] + v[t[a, s]]
-                rhs = v[s][None, :] + v[a][:, t[s]]
-                if ((lhs - rhs) % self.n).any():
-                    raise DomainError("cocycle identity fails")
+            lhs = v[:, s][:, None] + v[t[:, s]]
+            rhs = v[s][None, :] + v[:, t[s]]
+            if ((lhs - rhs) % self.n).any():
+                raise DomainError("cocycle identity fails")
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         if other.n != self.n or not np.array_equal(other.group.table, self.group.table):
             raise ModulusError("cocycles on different groups/moduli")
         return Cocycle2(self.group, self.n, self.values + other.values)
 
-    def scale(self, a: int) -> "Cocycle2":
-        return Cocycle2(self.group, self.n, a * self.values)
-
 
 def zero_cocycle(group: TableGroup, n: int) -> Cocycle2:
     return Cocycle2(group, n, np.zeros((group.order, group.order), dtype=np.int64))
 
 
-def _U_B_values(coords: np.ndarray, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The value tables of U_{x,y} and B_x on elements with the given (Z/n)^k coordinates.
+def _evaluate(coords: np.ndarray, n: int, x: Sequence[int]) -> np.ndarray:
+    """s(x) in [0, n) for each element s with the given (Z/n)^k coordinates.
 
-    U_{x,y}(s, t) = s(x) * t(y); B_x(s, t) = 1 exactly when the canonical
-    representatives of s(x) and t(x) sum to at least n (the carry cocycle).
-    Rows of ``coords`` may repeat, which gives the inflated tables.
+    Rows of ``coords`` may repeat, which gives the inflated value tables
+    below.
     """
-    k = coords.shape[1]
     xv = np.asarray(x, dtype=np.int64) % n
-    yv = np.asarray(y, dtype=np.int64) % n
-    if xv.shape != (k,) or yv.shape != (k,):
+    if xv.shape != (coords.shape[1],):
         raise DimensionError("basis vectors must have length k")
-    fx = (coords @ xv) % n  # canonical representative in [0, n)
-    fy = (coords @ yv) % n
-    return np.outer(fx, fy), (fx[:, None] + fx[None, :] >= n).astype(np.int64)
+    return (coords @ xv) % n
+
+
+def _U_values(coords: np.ndarray, n: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
+    """The value table of U_{x,y}: U_{x,y}(s, t) = s(x) * t(y)."""
+    return np.outer(_evaluate(coords, n, x), _evaluate(coords, n, y))
+
+
+def _B_values(coords: np.ndarray, n: int, x: Sequence[int]) -> np.ndarray:
+    """The value table of B_x: 1 exactly when s(x) + t(x) >= n (the carry cocycle)."""
+    fx = _evaluate(coords, n, x)
+    return (fx[:, None] + fx[None, :] >= n).astype(np.int64)
 
 
 def make_U_B(k: int, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[Cocycle2, Cocycle2]:
     """(the cup cocycle U_{x,y}, the Bockstein cocycle B_x) on (Z/n)^k."""
-    g = elementary_group(n, k)
-    u, b = _U_B_values(elementary_coords(n, k), n, x, y)
-    return Cocycle2(g, n, u), Cocycle2(g, n, b)
+    g, coords = elementary_group(n, k), elementary_coords(n, k)
+    return Cocycle2(g, n, _U_values(coords, n, x, y)), Cocycle2(g, n, _B_values(coords, n, x))
 
 
 def verify_propA1(k: int, n: int) -> int:
@@ -211,9 +211,8 @@ def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
     if y is None:
         return None
     u = modring._matvec(cochain, np.append(y, 1), n)
-    for a in row_blocks(G.order, G.order):
-        if ((u[a, None] + u[None, :] - u[G.table[a]] - xi.values[a]) % n).any():
-            raise TheoremViolationError("coboundary solution fails substitution")
+    if ((u[:, None] + u[None, :] - u[G.table] - xi.values) % n).any():
+        raise TheoremViolationError("coboundary solution fails substitution")
     return u
 
 
@@ -268,8 +267,8 @@ class H2Class:
         eye = np.eye(self.k, dtype=np.int64)
         for i in range(self.k):
             for j in range(i + 1, self.k):
-                acc += int(self.cup[i, j]) * _U_B_values(coords, self.n, eye[i], eye[j])[0]
-            acc += int(self.bockstein[i]) * _U_B_values(coords, self.n, eye[i], eye[i])[1]
+                acc += int(self.cup[i, j]) * _U_values(coords, self.n, eye[i], eye[j])
+            acc += int(self.bockstein[i]) * _B_values(coords, self.n, eye[i])
         return Cocycle2(elementary_group(self.n, self.k), self.n, acc)
 
     def decomposition(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
@@ -361,14 +360,16 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     T = [G.identity, *G.generators]
 
     eye = np.eye(k, dtype=np.int64)
-    basis = [(eye[i], eye[j], 0) for i in range(k) for j in range(i + 1, k)]
-    basis += [(eye[j], eye[j], 1) for j in range(k)]
-    m = len(basis)
+    basis = itertools.chain(
+        (_U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)),
+        (_B_values(coords, n, eye[j]) for j in range(k)),
+    )
+    m = k * (k + 1) // 2
     # Each inflated U or B is checked as a cocycle on G; only its values on
     # the pairs (g, s), s in T, enter the system.
     xi_on = np.zeros((G.order, len(T), m), dtype=np.int64)
-    for i, (x, y, which) in enumerate(basis):
-        xi_on[:, :, i] = Cocycle2(G, n, _U_B_values(coords, n, x, y)[which]).values[:, T]
+    for i, values in enumerate(basis):
+        xi_on[:, :, i] = Cocycle2(G, n, values).values[:, T]
 
     rows, _ = _coboundary_system(G, xi_on, n)
     sols = modring.nullspace(ModMatrix(n, rows))  # rows of sols solve rows @ x = 0
@@ -488,9 +489,9 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
                 vz = zs + [(-binom2(n).value * eye[0]) % n]
             acc = np.zeros((G.order, G.order), dtype=np.int64)
             for x, y in vp:
-                acc += _U_B_values(coords, n, x, y)[0]
+                acc += _U_values(coords, n, x, y)
             for z in vz:
-                acc += _U_B_values(coords, n, z, z)[1]
+                acc += _B_values(coords, n, z)
             u = solve_coboundary(Cocycle2(G, n, acc))
             if u is None:
                 raise TheoremViolationError("kernel class fails to die after inflation")

@@ -18,17 +18,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, TheoremViolationError
 
 TABLE_MAX = 10**4
-BLOCK_CELLS = 2**20
-
-
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices covering range(rows), each of about BLOCK_CELLS / width rows.
-
-    Checks over N x N arrays run block by block, so that their temporaries
-    stay near BLOCK_CELLS cells at any order.
-    """
-    step = max(1, BLOCK_CELLS // max(width, 1))
-    return [slice(i, i + step) for i in range(0, rows, step)]
 
 
 @dataclass(frozen=True)
@@ -110,9 +99,8 @@ class TableGroup:
         # element is a product of generators, so T is everything once it
         # holds the generators.
         for s in self.generators:
-            for a in row_blocks(self.order, self.order):
-                if not np.array_equal(t[t[a, s]], t[a][:, t[s]]):
-                    raise DomainError("table is not associative")
+            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
+                raise DomainError("table is not associative")
 
     # -- element arithmetic --
 
@@ -154,17 +142,7 @@ class TableGroup:
     # -- subgroups and quotients --
 
     def subgroup_closure(self, gens: Sequence[int]) -> tuple[int, ...]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            g = frontier.pop()
-            for s in gens:
-                h = self.mul(g, s)
-                if h not in seen:
-                    seen.add(h)
-                    frontier.append(h)
-        return tuple(sorted(seen))
+        return tuple(np.flatnonzero(self._closure_mask(gens)).tolist())
 
     def is_subgroup(self, elems: Sequence[int]) -> bool:
         s = set(elems)
@@ -226,10 +204,14 @@ def cyclic_group(m: int) -> TableGroup:
     return TableGroup(table=table, labels=tuple(str(i) for i in range(m)))
 
 
+def _elementary_weights(n: int, k: int) -> np.ndarray:
+    """Index weights n^(k-1-l): coordinates c of (Z/n)^k sit at index c @ weights."""
+    return n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+
+
 def elementary_coords(n: int, k: int) -> np.ndarray:
     """(n^k, k) coordinates of the elements of ``elementary_group(n, k)``, in index order."""
-    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return (np.arange(n ** k, dtype=np.int64)[:, None] // weights) % n
+    return (np.arange(n ** k, dtype=np.int64)[:, None] // _elementary_weights(n, k)) % n
 
 
 def elementary_group(n: int, k: int) -> TableGroup:
@@ -244,7 +226,7 @@ def elementary_group(n: int, k: int) -> TableGroup:
         raise DomainError("group too large")
     coords = elementary_coords(n, k)
     table = np.zeros((size, size), dtype=np.int64)
-    weights = n ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    weights = _elementary_weights(n, k)
     for i in range(size):
         table[i] = ((coords[i] + coords) % n) @ weights
     labels = tuple("(" + ",".join(map(str, c)) + ")" for c in coords)

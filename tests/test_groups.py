@@ -7,7 +7,6 @@ import random
 import numpy as np
 import pytest
 
-from abelcentral import groups
 from abelcentral.errors import DomainError
 from abelcentral.groups import (
     TableGroup,
@@ -89,16 +88,6 @@ class TestConstruction:
                 except DomainError:
                     accepted = False
                 assert accepted == is_group_oracle(t)
-
-    def test_blocked_associativity_check(self, monkeypatch):
-        # With blocks of a few rows, a bad product in the last block is found.
-        monkeypatch.setattr(groups, "BLOCK_CELLS", 100)
-        assert [b.start for b in groups.row_blocks(24, 24)] == [0, 4, 8, 12, 16, 20]
-        TableGroup(table=cyclic_group(24).table)
-        t = cyclic_group(24).table.copy()
-        t[22, 7] = 13
-        with pytest.raises(DomainError):
-            TableGroup(table=t)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rejects_twisted_products(self, k):
