@@ -340,11 +340,7 @@ def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
     dec = cs.layer1.decomposition
     if any(d != cs.n for d in dec.orders):
         raise DomainError("first layer is not elementary of exponent n")
-    k = len(dec.orders)
-    coords = np.zeros((cs.group.order, k), dtype=np.int64)
-    for g in range(cs.group.order):
-        coords[g] = dec.coords_of[cs.layer1.project[g]]
-    return k, coords
+    return len(dec.orders), dec.coords_of[cs.layer1.project]
 
 
 def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
@@ -440,15 +436,15 @@ def _check_identities(
     G, n = cs.group, cs.n
     b2 = binom2(n).value
     # One lift per layer-1 class: first preimage in table order.
-    lifts = {cls: ls[0] for cls, ls in cs.layer1.lifts.items()}
+    lifts = cs.layer1.lifts[:, 0].tolist()
     bad = 0
-    for cls_s, ls in lifts.items():
+    for ls in lifts:
         sv = coords[ls]
         rhs_pow = (b2 * sum(int((sv @ x) % n) * int((sv @ y) % n) for x, y in pairs)
                    + sum(int((sv @ z) % n) for z in zs)) % n
         if (-int(u[G.power(ls, n)]) - rhs_pow) % n:
             bad += 1
-        for cls_t, lt in lifts.items():
+        for lt in lifts:
             tv = coords[lt]
             rhs_comm = sum(
                 int((sv @ x) % n) * int((tv @ y) % n) - int((sv @ y) % n) * int((tv @ x) % n)
@@ -590,23 +586,19 @@ class CentralExtension:
         if p.shape != (self.total.order,):
             raise DimensionError("projection length differs from total order")
         object.__setattr__(self, "proj", p)
-        t = self.total
-        # Surjective homomorphism check.
-        if set(p.tolist()) != set(range(self.base.order)):
+        t = self.total.table
+        if not np.array_equal(np.unique(p), np.arange(self.base.order)):
             raise DomainError("projection is not surjective")
-        for a in range(t.order):
-            for b in range(t.order):
-                if p[t.mul(a, b)] != self.base.mul(int(p[a]), int(p[b])):
-                    raise DomainError("projection is not a homomorphism")
-        kernel = [a for a in range(t.order) if p[a] == self.base.identity]
-        for a in kernel:
-            for g in range(t.order):
-                if t.mul(a, g) != t.mul(g, a):
-                    raise DomainError("kernel is not central")
-        object.__setattr__(self, "_kernel", tuple(kernel))
+        if not np.array_equal(p[t], self.base.table[p[:, None], p[None, :]]):
+            raise DomainError("projection is not a homomorphism")
+        kernel = np.flatnonzero(p == self.base.identity)
+        if not np.array_equal(t[kernel], t[:, kernel].T):
+            raise DomainError("kernel is not central")
+        object.__setattr__(self, "_kernel", kernel)
 
     @property
-    def kernel(self) -> tuple[int, ...]:
+    def kernel(self) -> np.ndarray:
+        """Sorted index array of the kernel in ``total``."""
         return self._kernel
 
     def kernel_cyclic(self):
@@ -619,25 +611,22 @@ class CentralExtension:
         return sub, to_old, dec
 
     def classifying_cocycle(self) -> tuple[Cocycle2, np.ndarray, int]:
-        """(cocycle on the base with values in Z/m, section array, m)."""
+        """(cocycle on the base with values in Z/m, section array, m).
+
+        The section picks the smallest preimage of each base element, and
+        the total identity over the base identity.
+        """
         sub, to_old, dec = self.kernel_cyclic()
         m = dec.orders[0] if dec.orders else 1
         if m == 1:
             raise DomainError("trivial kernel carries no extension data")
-        coord_of = {to_old[new]: (dec.coords_of[new][0] if dec.orders else 0) for new in range(sub.order)}
-        section = np.zeros(self.base.order, dtype=np.int64)
-        for a in range(self.total.order - 1, -1, -1):
-            section[self.proj[a]] = a
+        coord_of = np.full(self.total.order, -1, dtype=np.int64)
+        coord_of[to_old] = dec.coords_of[:, 0]
+        _, section = np.unique(self.proj, return_index=True)
         section[self.base.identity] = self.total.identity
-        vals = np.zeros((self.base.order, self.base.order), dtype=np.int64)
-        for h1 in range(self.base.order):
-            for h2 in range(self.base.order):
-                defect = self.total.mul(
-                    self.total.mul(int(section[h1]), int(section[h2])),
-                    self.total.inv(int(section[self.base.mul(h1, h2)])),
-                )
-                vals[h1, h2] = coord_of[defect]
-        return Cocycle2(self.base, m, vals), section, m
+        t, inv = self.total.table, self.total._inverses
+        defect = t[t[section[:, None], section[None, :]], inv[section[self.base.table]]]
+        return Cocycle2(self.base, m, coord_of[defect]), section, m
 
 
 def embedding_solvable(
@@ -652,23 +641,18 @@ def embedding_solvable(
     p = np.asarray(phi, dtype=np.int64)
     if p.shape != (G.order,):
         raise DimensionError("phi length differs from group order")
-    for a in range(G.order):
-        for b in range(G.order):
-            if p[G.mul(a, b)] != ext.base.mul(int(p[a]), int(p[b])):
-                raise DomainError("phi is not a homomorphism")
+    if p.min() < 0 or p.max() >= ext.base.order:
+        raise DomainError("phi takes values outside the base group")
+    if not np.array_equal(p[G.table], ext.base.table[p[:, None], p[None, :]]):
+        raise DomainError("phi is not a homomorphism")
     xi, section, m = ext.classifying_cocycle()
     pulled = Cocycle2(G, m, xi.values[p[:, None], p[None, :]])
     u = solve_coboundary(pulled)
     if u is None:
         return False, None
     sub, to_old, dec = ext.kernel_cyclic()
-    gen_old = to_old[dec.gens[0]]
-    lift = np.zeros(G.order, dtype=np.int64)
-    for g in range(G.order):
-        corr = ext.total.power(gen_old, int((-u[g]) % m))
-        lift[g] = ext.total.mul(int(section[p[g]]), corr)
-    for a in range(G.order):
-        for b in range(G.order):
-            if lift[G.mul(a, b)] != ext.total.mul(int(lift[a]), int(lift[b])):
-                raise TheoremViolationError("assembled lift is not a homomorphism")
+    t = ext.total.table
+    lift = t[section[p], ext.total.powers(int(to_old[dec.gens[0]]), m)[(-u) % m]]
+    if not np.array_equal(lift[G.table], t[lift[:, None], lift[None, :]]):
+        raise TheoremViolationError("assembled lift is not a homomorphism")
     return True, lift

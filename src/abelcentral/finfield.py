@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 import numpy as np
 from sympy import isprime
 
+from . import modring
 from .errors import DomainError, HypothesisError, ModulusError
 
 DLOG_TABLE_MAX = 2**20
@@ -340,6 +341,17 @@ class RootOfUnity:
     field: FqField
     element: int
     order: int
+
+    @cached_property
+    def doubled_power_span(self):
+        """The span of the tables 2 * psi(f) over the character space, canonical.
+
+        Cached on the root, so it is freed with the root and its field.
+        """
+        from . import tables  # tables imports this module
+
+        rows = [tables.psi(f, self).scale(2).flatten() for f in characters(self.field)]
+        return modring.canonicalize(modring.ModMatrix(self.field.n, np.stack(rows)))
 
 
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:

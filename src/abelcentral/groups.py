@@ -3,13 +3,16 @@
 A TableGroup is an order-N multiplication table of element indices.  The
 group axioms are verified at construction, exactly for every order:
 identity, inverses, and associativity by Light's test over a generating set.
+
+A subset of a TableGroup is a sorted int64 index array or a length-N boolean
+mask, and a map on its elements a length-N int64 array, -1 outside its domain.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -49,10 +52,20 @@ class TableGroup:
     def identity(self) -> int:
         t = self.table
         idx = np.arange(self.order)
-        for e in range(self.order):
+        # Only an e with e*0 = 0 can be the identity: one candidate in a group.
+        for e in np.flatnonzero(t[:, 0] == 0).tolist():
             if np.array_equal(t[e], idx) and np.array_equal(t[:, e], idx):
                 return e
         raise DomainError("table has no identity element")
+
+    def _mask(self, elems: Sequence[int]) -> np.ndarray:
+        """Boolean mask of the element list ``elems``; DomainError outside [0, N)."""
+        idx = np.asarray(elems, dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.order):
+            raise DomainError(f"element index out of range [0, {self.order})")
+        mask = np.zeros(self.order, dtype=bool)
+        mask[idx] = True
+        return mask
 
     def _closure_mask(self, gens: Sequence[int]) -> np.ndarray:
         """Boolean mask of the products e*s1*...*sj (left-bracketed) of ``gens``."""
@@ -123,73 +136,75 @@ class TableGroup:
             acc = self.mul(acc, a)
         return acc
 
+    def powers(self, a: int, m: int) -> np.ndarray:
+        """The array (a^0, a^1, ..., a^(m-1)); each gather doubles its length."""
+        out = np.array([self.identity], dtype=np.int64)
+        while out.size < m:
+            out = np.concatenate([out, self.table[out, self.table[out[-1], a]]])
+        return out[:m]
+
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
-    def order_of(self, a: int) -> int:
-        acc, m = a, 1
-        while acc != self.identity:
-            acc = self.mul(acc, a)
+    @cached_property
+    def orders(self) -> np.ndarray:
+        """The order of every element, read-only: one gather per power."""
+        acc = idx = np.arange(self.order)
+        out, m = np.zeros(self.order, dtype=np.int64), 0
+        while not out.all():
             m += 1
-        return m
+            out[(acc == self.identity) & (out == 0)] = m
+            acc = self.table[acc, idx]
+        out.flags.writeable = False
+        return out
+
+    def order_of(self, a: int) -> int:
+        return int(self.orders[a])
 
     def exponent(self) -> int:
-        return math.lcm(*(self.order_of(a) for a in range(self.order)))
-
-    def label(self, a: int) -> str:
-        return self.labels[a] if self.labels else str(a)
+        return int(np.lcm.reduce(self.orders))
 
     # -- subgroups and quotients --
 
-    def subgroup_closure(self, gens: Sequence[int]) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self._closure_mask(gens)).tolist())
+    def subgroup_closure(self, gens: Sequence[int]) -> np.ndarray:
+        """Sorted index array of the subgroup generated by ``gens``."""
+        return np.flatnonzero(self._closure_mask(np.flatnonzero(self._mask(gens))))
 
     def is_subgroup(self, elems: Sequence[int]) -> bool:
-        s = set(elems)
-        return self.identity in s and all(self.mul(a, b) in s for a in s for b in s)
+        mask = self._mask(elems)
+        idx = np.flatnonzero(mask)
+        return bool(mask[self.identity] and mask[self.table[idx[:, None], idx]].all())
 
     def is_normal(self, elems: Sequence[int]) -> bool:
-        s = set(elems)
-        return all(
-            self.mul(self.mul(g, h), self.inv(g)) in s
-            for g in range(self.order)
-            for h in s
-        )
+        """Whether g H g^-1 lies in H for every g.  Checked for the generators
+        only: conjugation by each maps the finite set H onto H, so every
+        product of generators does too."""
+        mask = self._mask(elems)
+        s, t = np.asarray(self.generators, dtype=np.int64)[:, None], self.table
+        return bool(mask[t[t[s, np.flatnonzero(mask)], self._inverses[s]]].all())
 
     def quotient(self, normal: Sequence[int]) -> tuple["TableGroup", np.ndarray]:
-        """(G/N, projection array of length N mapping element -> coset index)."""
+        """(G/N, projection array of length N mapping element -> coset index);
+        cosets are numbered by their smallest elements, in ascending order."""
         if not self.is_subgroup(normal) or not self.is_normal(normal):
             raise DomainError("quotient requires a normal subgroup")
-        proj = np.full(self.order, -1, dtype=np.int64)
-        reps = []
-        for g in range(self.order):
-            if proj[g] >= 0:
-                continue
-            idx = len(reps)
-            reps.append(g)
-            for h in normal:
-                proj[self.mul(g, h)] = idx
-        m = len(reps)
-        qt = np.zeros((m, m), dtype=np.int64)
-        for i, a in enumerate(reps):
-            for j, b in enumerate(reps):
-                qt[i, j] = proj[self.mul(a, b)]
-        q_labels = tuple(self.label(r) for r in reps) if self.labels else None
-        return TableGroup(table=qt, labels=q_labels), proj
+        smallest = self.table[:, np.flatnonzero(self._mask(normal))].min(axis=1)
+        reps = np.flatnonzero(smallest == np.arange(self.order))
+        proj = np.searchsorted(reps, smallest)
+        q_labels = tuple(self.labels[r] for r in reps.tolist()) if self.labels else None
+        return TableGroup(table=proj[self.table[reps[:, None], reps]], labels=q_labels), proj
 
-    def subgroup_table(self, elems: Sequence[int]) -> tuple["TableGroup", tuple[int, ...]]:
-        """(the subgroup as its own TableGroup, tuple mapping new -> old index)."""
-        elems = tuple(sorted(set(elems)))
-        if not self.is_subgroup(elems):
+    def subgroup_table(self, elems: Sequence[int]) -> tuple["TableGroup", np.ndarray]:
+        """(the subgroup as its own TableGroup, sorted index array mapping new -> old index)."""
+        mask = self._mask(elems)
+        to_old = np.flatnonzero(mask)
+        pos = np.full(self.order, -1, dtype=np.int64)
+        pos[to_old] = np.arange(to_old.size)
+        t = pos[self.table[to_old[:, None], to_old]]
+        if not mask[self.identity] or (t < 0).any():
             raise DomainError("element set is not closed")
-        pos = {g: i for i, g in enumerate(elems)}
-        m = len(elems)
-        t = np.zeros((m, m), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                t[i, j] = pos[self.mul(a, b)]
-        labels = tuple(self.label(g) for g in elems) if self.labels else None
-        return TableGroup(table=t, labels=labels), elems
+        labels = tuple(self.labels[g] for g in to_old.tolist()) if self.labels else None
+        return TableGroup(table=t, labels=labels), to_old
 
     def as_dict(self) -> dict:
         out = {"order": self.order, "table": self.table.tolist()}
@@ -204,33 +219,28 @@ def cyclic_group(m: int) -> TableGroup:
     return TableGroup(table=table, labels=tuple(str(i) for i in range(m)))
 
 
-def _elementary_weights(n: int, k: int) -> np.ndarray:
-    """Index weights n^(k-1-l): coordinates c of (Z/n)^k sit at index c @ weights."""
-    return n ** np.arange(k - 1, -1, -1, dtype=np.int64)
-
-
 def elementary_coords(n: int, k: int) -> np.ndarray:
     """(n^k, k) coordinates of the elements of ``elementary_group(n, k)``, in index order."""
-    return (np.arange(n ** k, dtype=np.int64)[:, None] // _elementary_weights(n, k)) % n
+    return (np.arange(n ** k, dtype=np.int64)[:, None] // n ** np.arange(k - 1, -1, -1)) % n
 
 
 def elementary_group(n: int, k: int) -> TableGroup:
     """(Z/n)^k with index sum(c_l * n^(k-1-l)) for coordinates (c_0..c_{k-1}).
 
-    k = 0 gives the trivial group.
+    k = 0 gives the trivial group.  The table is a sum on a grid with one
+    axis per coordinate of each factor.
     """
     if n < 1 or k < 0:
         raise DomainError("elementary group needs n >= 1 and k >= 0")
     size = n ** k
     if size > TABLE_MAX:
         raise DomainError("group too large")
-    coords = elementary_coords(n, k)
-    table = np.zeros((size, size), dtype=np.int64)
-    weights = _elementary_weights(n, k)
-    for i in range(size):
-        table[i] = ((coords[i] + coords) % n) @ weights
-    labels = tuple("(" + ",".join(map(str, c)) + ")" for c in coords)
-    return TableGroup(table=table, labels=labels)
+    axes = np.ix_(*[np.arange(n)] * (2 * k))
+    table = np.zeros((1,) * (2 * k), dtype=np.int64)
+    for l in range(k):
+        table = table + (axes[l] + axes[k + l]) % n * n ** (k - 1 - l)
+    labels = tuple("(" + ",".join(map(str, c)) + ")" for c in elementary_coords(n, k).tolist())
+    return TableGroup(table=table.reshape(size, size), labels=labels)
 
 
 # --- abelian decomposition -------------------------------------------------
@@ -243,7 +253,7 @@ class CyclicDecomposition:
     group: TableGroup
     gens: tuple[int, ...]  # generator of each cyclic factor
     orders: tuple[int, ...]  # descending, each dividing the previous
-    coords_of: dict  # element index -> coordinate tuple
+    coords_of: np.ndarray  # (N, k): row e holds the coordinates of element e
 
     def element(self, coords: Sequence[int]) -> int:
         g = self.group.identity
@@ -252,46 +262,37 @@ class CyclicDecomposition:
         return g
 
 
-def _coords_map(a: TableGroup, gens: Sequence[int], orders: Sequence[int]) -> Optional[dict]:
-    """Element -> coordinates, or None when the factors are not direct."""
-    import itertools
+def _coords_map(a: TableGroup, gens: Sequence[int], orders: Sequence[int]) -> Optional[np.ndarray]:
+    """(N, k) element coordinates, or None when the factors are not direct.
 
-    coords_of: dict[int, tuple[int, ...]] = {}
-    if not gens:
-        coords_of[a.identity] = ()
-    for cs in itertools.product(*(range(d) for d in orders)):
-        g = a.identity
-        for gen, c in zip(gens, cs):
-            g = a.mul(g, a.power(gen, c))
-        if g in coords_of:
-            return None
-        coords_of[g] = cs
-    if len(coords_of) != a.order:
+    The products g_1^c_1 ... g_k^c_k are formed for every c, in
+    ``itertools.product`` order, with one gather per cyclic factor.
+    """
+    elems = np.array([a.identity], dtype=np.int64)
+    for gen, d in zip(gens, orders):
+        elems = a.table[elems[:, None], a.powers(gen, d)].ravel()
+    if elems.size != a.order or not np.bincount(elems, minlength=a.order).all():
         return None
-    return coords_of
+    coords = np.empty((a.order, len(orders)), dtype=np.int64)
+    coords[elems] = np.indices(orders).reshape(len(orders), -1).T
+    return coords
 
 
 def abelian_decomposition(a: TableGroup) -> CyclicDecomposition:
     """Decompose an abelian group into cyclic factors of descending order."""
-    import itertools
-
     if not np.array_equal(a.table, a.table.T):
         raise DomainError("decomposition requires an abelian group")
     if a.order == 1:
-        return CyclicDecomposition(group=a, gens=(), orders=(), coords_of={a.identity: ()})
+        return CyclicDecomposition(group=a, gens=(), orders=(), coords_of=np.zeros((1, 0), dtype=np.int64))
     exp = a.exponent()
-    g1 = next(i for i in range(a.order) if a.order_of(i) == exp)
-    sub = a.subgroup_closure([g1])
-    q, proj = a.quotient(sub)
-    if q.order == 1:
-        coords = _coords_map(a, (g1,), (exp,))
-        return CyclicDecomposition(group=a, gens=(g1,), orders=(exp,), coords_of=coords)
+    g1 = int(np.argmax(a.orders == exp))
+    q, proj = a.quotient(np.flatnonzero(a._closure_mask([g1])))
     qdec = abelian_decomposition(q)
     orders = (exp, *qdec.orders)
     # Lifts of the quotient generators keeping their orders; the directness
     # check below selects a combination that splits the extension.
     candidates = [
-        [h for h in range(a.order) if proj[h] == qgen and a.order_of(h) == qord]
+        np.flatnonzero((proj == qgen) & (a.orders == qord)).tolist()
         for qgen, qord in zip(qdec.gens, qdec.orders)
     ]
     for lifts in itertools.product(*candidates):
@@ -309,17 +310,16 @@ class LayerData:
     """One layer G^(i)/G^(i+1) of the series, as a group with projections."""
 
     group: TableGroup  # the quotient layer
-    members: tuple[int, ...]  # elements of G^(i) (indices in G)
-    project: dict  # G^(i) element index in G -> layer element index
+    members: np.ndarray  # sorted indices in G of the elements of G^(i)
+    project: np.ndarray  # length N: element of G^(i) -> layer element, -1 outside G^(i)
     decomposition: CyclicDecomposition
 
     @cached_property
-    def lifts(self) -> dict[int, list[int]]:
-        """Layer element -> its preimages in G, in table order."""
-        out: dict[int, list[int]] = {}
-        for x, cls in self.project.items():
-            out.setdefault(cls, []).append(x)
-        return out
+    def lifts(self) -> np.ndarray:
+        """(layer order, |G^(i+1)|) array: row c holds the preimages in G of
+        layer element c, ascending."""
+        order = np.argsort(self.project[self.members], kind="stable")
+        return self.members[order].reshape(self.group.order, -1)
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,7 @@ class CentralSeriesData:
 
     group: TableGroup
     n: int
-    subgroups: tuple[tuple[int, ...], ...]  # element-index sets, G^(1) first
+    subgroups: tuple[np.ndarray, ...]  # sorted element-index arrays, G^(1) first
     layer1: LayerData  # G^(1)/G^(2)
     layer2: LayerData  # G^(2)/G^(3)
 
@@ -337,48 +337,47 @@ class CentralSeriesData:
         return tuple(len(s) for s in self.subgroups)
 
 
-def _next_term(g: TableGroup, current: Sequence[int], n: int) -> tuple[int, ...]:
-    gens = set()
-    for s in current:
-        gens.add(g.power(s, n))
-        for a in range(g.order):
-            gens.add(g.commutator(a, s))
-    return g.subgroup_closure(sorted(gens))
+def _next_term(g: TableGroup, cur: np.ndarray, n: int) -> np.ndarray:
+    """G^(i+1) = <[G^(i), G], (G^(i))^n>, from the sorted index array ``cur`` of G^(i).
+
+    Computed as the subgroup K generated by [s, a] and s^n for s in G^(i) and
+    a in the generators of G, the lower exponent-p central series step of the
+    p-quotient algorithm.  G^(i) is normal, so K lies in G^(i+1), which lies
+    in G^(i).  For x in K and a generator a, a^-1 x a = x [x, a] lies in K, so
+    K is normal.  Modulo K every s in G^(i) commutes with every generator, so
+    it is central.  So [G^(i), G] and (G^(i))^n lie in K, and K = G^(i+1).
+    """
+    t, inv = g.table, g._inverses
+    a = np.asarray(g.generators, dtype=np.int64)
+    comms = t[t[inv[cur][:, None], inv[a]], t[cur[:, None], a]]
+    powers = np.full_like(cur, g.identity)
+    for _ in range(abs(n)):  # s^-n generates the same subgroup as s^n
+        powers = t[powers, cur]
+    return g.subgroup_closure(np.concatenate([comms.ravel(), powers]))
 
 
-def _layer(g: TableGroup, upper: Sequence[int], lower: Sequence[int]) -> LayerData:
-    sub, to_old = g.subgroup_table(upper)
-    pos = {old: new for new, old in enumerate(to_old)}
-    lower_in_sub = [pos[x] for x in lower]
-    quot, proj = sub.quotient(lower_in_sub)
-    project = {old: int(proj[new]) for new, old in enumerate(to_old)}
-    return LayerData(
-        group=quot,
-        members=tuple(to_old),
-        project=project,
-        decomposition=abelian_decomposition(quot),
-    )
+def _layer(g: TableGroup, sub: TableGroup, members: np.ndarray, lower: np.ndarray) -> LayerData:
+    """G^(i)/G^(i+1), with G^(i) the TableGroup ``sub`` on the sorted ``members`` of G."""
+    quot, proj = sub.quotient(np.searchsorted(members, lower))
+    project = np.full(g.order, -1, dtype=np.int64)
+    project[members] = proj
+    return LayerData(quot, members, project, abelian_decomposition(quot))
 
 
 def central_series(g: TableGroup, n: int, depth: int = 3) -> CentralSeriesData:
     """Compute G^(1) >= ... >= G^(depth+1) and the first two layer quotients."""
     if depth < 2:
         raise DomainError("depth must be at least 2")
-    chain = [tuple(range(g.order))]
+    chain = [np.arange(g.order)]
     for _ in range(depth):
         chain.append(_next_term(g, chain[-1], n))
     for upper, lower in zip(chain, chain[1:]):
-        if not set(lower) <= set(upper):
+        if not g._mask(upper)[lower].all():
             raise TheoremViolationError("series is not descending")
         if not g.is_normal(lower):
             raise TheoremViolationError("series term is not normal")
-    return CentralSeriesData(
-        group=g,
-        n=n,
-        subgroups=tuple(chain),
-        layer1=_layer(g, chain[0], chain[1]),
-        layer2=_layer(g, chain[1], chain[2]),
-    )
+    layers = (_layer(g, g, chain[0], chain[1]), _layer(g, *g.subgroup_table(chain[1]), chain[2]))
+    return CentralSeriesData(g, n, tuple(chain), *layers)
 
 
 def layer_maps(cs: CentralSeriesData, s: int, t: int, rng: Optional[random.Random] = None) -> tuple[int, int]:
@@ -394,10 +393,10 @@ def layer_maps(cs: CentralSeriesData, s: int, t: int, rng: Optional[random.Rando
     def compute(ls: int, lt: int) -> tuple[int, int]:
         comm = g.commutator(ls, lt)
         powr = g.power(ls, cs.n)
-        return l2.project[comm], l2.project[powr]
+        return l2.project.item(comm), l2.project.item(powr)
 
     ls_all, lt_all = cs.layer1.lifts[s], cs.layer1.lifts[t]
-    result = compute(ls_all[0], lt_all[0])
+    result = compute(ls_all.item(0), lt_all.item(0))
     if rng is not None:
         alt = compute(rng.choice(ls_all), rng.choice(lt_all))
         if alt != result:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
 from .finfield import FqField, KummerCharacter
+from .groups import TABLE_MAX, TableGroup
 from .modring import binom2
 
 
@@ -110,30 +111,22 @@ def exponent_divides_n2(n: int) -> bool:
     )
 
 
-TABLE_MAX = 10**4
-
-
-def elem_index(x: HeisElem) -> int:
-    return (x.a * x.n + x.b) * x.n + x.c
-
-
-def to_table_group(n: int):
+def to_table_group(n: int) -> TableGroup:
     """The order-n^3 Heisenberg group as a multiplication-table group.
 
-    Index of h(a, b; c) is (a*n + b)*n + c; labels are "h(a,b;c)".
+    Index of h(a, b; c) is (a*n + b)*n + c; labels are "h(a,b;c)".  The
+    table is the group law on coordinate arrays, one axis per coordinate of
+    each factor.
     """
-    from .groups import TableGroup
-
+    if n < 2:
+        raise ModulusError(f"modulus must be >= 2, got {n}")
     size = n ** 3
     if size > TABLE_MAX:
         raise DomainError(f"table of order {size} exceeds the bound {TABLE_MAX}")
-    elems = [HeisElem(n, a, b, c) for a, b, c in itertools.product(range(n), repeat=3)]
-    table = np.zeros((size, size), dtype=np.int64)
-    for i, x in enumerate(elems):
-        for j, y in enumerate(elems):
-            table[i, j] = elem_index(heis_mul(x, y))
-    labels = tuple(f"h({x.a},{x.b};{x.c})" for x in elems)
-    return TableGroup(table=table, labels=labels)
+    a1, b1, c1, a2, b2, c2 = np.ix_(*[np.arange(n)] * 6)
+    table = ((a1 + a2) % n * n + (b1 + b2) % n) * n + (c1 + c2 + a1 * b2) % n
+    labels = tuple(f"h({a},{b};{c})" for a, b, c in itertools.product(range(n), repeat=3))
+    return TableGroup(table=table.reshape(size, size), labels=labels)
 
 
 # --- embedding problems ----------------------------------------------------

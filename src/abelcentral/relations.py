@@ -31,7 +31,7 @@ import numpy as np
 
 from . import heisenberg, modring, tables
 from .errors import HypothesisError, ModulusError, TheoremViolationError
-from .finfield import FqField, KummerCharacter, RootOfUnity, characters
+from .finfield import FqField, KummerCharacter, RootOfUnity
 from .modring import ModMatrix
 
 ENUM_BOUND_N = 10  # n^3 generator images must stay enumerable
@@ -87,19 +87,6 @@ def _halves(w: int, n: int) -> tuple[int, ...]:
     if not sols:
         raise TheoremViolationError(f"2a = {w} has no solution mod {n} despite mu_2n in K")
     return sols
-
-
-_psi_span_cache: dict[tuple[int, int, int, int], modring.SubgroupZnk] = {}
-
-
-def _doubled_power_span(field: FqField, omega: RootOfUnity) -> modring.SubgroupZnk:
-    """Span of all tables 2 * psi(f) over the character space (cached)."""
-    key = (field.p, field.k, field.n, omega.element)
-    if key not in _psi_span_cache:
-        rows = [tables.psi(f, omega).scale(2).flatten() for f in characters(field)]
-        mat = ModMatrix(field.n, np.stack(rows))
-        _psi_span_cache[key] = modring.canonicalize(mat)
-    return _psi_span_cache[key]
 
 
 COND6_CHUNK_CELLS = 2**20  # unit pairs evaluated at once by condition (6)
@@ -195,7 +182,7 @@ def relation_check(
         cond3 = comm_sum.is_zero()
 
     # (4): membership in the span of all doubled power tables.
-    cond4 = modring.membership(_doubled_power_span(field, omega), comm_sum.flatten())
+    cond4 = modring.membership(omega.doubled_power_span, comm_sum.flatten())
 
     # (6): alternating sum over all pairs of units (every cup product of unit
     # classes dies in the relevant cohomology, so the scan is unrestricted).

@@ -52,6 +52,13 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert err
 
+    @pytest.mark.parametrize("n", ["1", "0", "-2"])
+    def test_heisenberg_modulus_below_two(self, capsys, n):
+        # n = -2 used to print numpy's "negative dimensions are not allowed".
+        code, out, err = run(["heisenberg", "--n", n], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and "modulus must be >= 2" in err
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run(
             ["relations", "--p", "13", "--n", "3", "--input", str(tmp_path / "nope.json")],

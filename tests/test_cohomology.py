@@ -590,3 +590,104 @@ class TestCentralExtensions:
         CentralExtension(total=h, base=quot, proj=proj)
         with pytest.raises(DomainError):
             CentralExtension(total=h, base=quot, proj=np.array([0] * 8))
+
+
+def oracle_classifying_cocycle(ext):
+    """(values, section, m) by the loops of the scalar implementation."""
+    sub, to_old, dec = ext.kernel_cyclic()
+    m = dec.orders[0]
+    coord_of = {int(to_old[new]): int(dec.coords_of[new][0]) for new in range(sub.order)}
+    section = np.zeros(ext.base.order, dtype=np.int64)
+    for a in range(ext.total.order - 1, -1, -1):
+        section[ext.proj[a]] = a
+    section[ext.base.identity] = ext.total.identity
+    vals = np.zeros((ext.base.order, ext.base.order), dtype=np.int64)
+    for h1 in range(ext.base.order):
+        for h2 in range(ext.base.order):
+            t = ext.total
+            defect = t.mul(t.mul(int(section[h1]), int(section[h2])), t.inv(int(section[ext.base.mul(h1, h2)])))
+            vals[h1, h2] = coord_of[defect]
+    return vals, section, m
+
+
+def oracle_lift(G, ext, phi, u):
+    """The lift g -> section(phi(g)) * z^(-u(g)) by the scalar loop."""
+    xi, section, m = ext.classifying_cocycle()
+    sub, to_old, dec = ext.kernel_cyclic()
+    gen_old = int(to_old[dec.gens[0]])
+    return [
+        ext.total.mul(int(section[phi[g]]), ext.total.power(gen_old, int((-u[g]) % m)))
+        for g in range(G.order)
+    ]
+
+
+def heis_over_center(n):
+    h = to_table_group(n)
+    cs = central_series(h, n)
+    quot, proj = h.quotient(cs.subgroups[1])
+    return CentralExtension(total=h, base=quot, proj=proj)
+
+
+def s3_sign():
+    """S3 on sorted permutations, (pq)(i) = p[q[i]], and its sign map onto C2."""
+    perms = sorted(itertools.permutations(range(3)))
+    pos = {p: i for i, p in enumerate(perms)}
+    t = np.array([[pos[tuple(p[i] for i in q)] for q in perms] for p in perms])
+    sign = [sum(p[i] > p[j] for i in range(3) for j in range(i + 1, 3)) % 2 for p in perms]
+    return TableGroup(table=t), np.array(sign)
+
+
+EXTENSIONS = [
+    ("C4->C2", lambda: CentralExtension(cyclic_group(4), cyclic_group(2), np.arange(4) % 2)),
+    ("C9->C3", lambda: CentralExtension(cyclic_group(9), cyclic_group(3), np.arange(9) % 3)),
+    ("V4->C2", lambda: CentralExtension(elementary_group(2, 2), cyclic_group(2), np.array([0, 0, 1, 1]))),
+    *[(f"heis{n}", lambda n=n: heis_over_center(n)) for n in (2, 3, 4)],
+]
+
+
+class TestCentralExtensionsAgainstOracles:
+    @pytest.mark.parametrize("name,build", EXTENSIONS, ids=[e[0] for e in EXTENSIONS])
+    def test_classifying_cocycle(self, name, build):
+        ext = build()
+        assert ext.kernel.tolist() == [a for a in range(ext.total.order) if ext.proj[a] == ext.base.identity]
+        xi, section, m = ext.classifying_cocycle()
+        vals, osection, om = oracle_classifying_cocycle(ext)
+        assert m == om
+        assert section.tolist() == osection.tolist()
+        assert np.array_equal(xi.values, vals % m)
+
+    @pytest.mark.parametrize("name,build", EXTENSIONS, ids=[e[0] for e in EXTENSIONS])
+    def test_lifts(self, name, build):
+        # Every homomorphism from a cyclic group onto the base's cyclic
+        # subgroups: phi(i) = x^i for x in the base with x^m = e.
+        ext = build()
+        base = ext.base
+        for m in (2, 3, 4):
+            G = cyclic_group(m)
+            for x in range(base.order):
+                if base.power(x, m) != base.identity:
+                    continue
+                phi = np.array([base.power(x, i) for i in range(m)])
+                ok, lift = embedding_solvable(G, ext, phi)
+                xi, _, mod = ext.classifying_cocycle()
+                u = solve_coboundary(Cocycle2(G, mod, xi.values[phi[:, None], phi[None, :]]))
+                assert ok == (u is not None)
+                if ok:
+                    assert lift.tolist() == oracle_lift(G, ext, phi, u)
+
+    def test_rejections(self):
+        with pytest.raises(DomainError, match="not surjective"):
+            CentralExtension(cyclic_group(4), cyclic_group(2), np.zeros(4, dtype=np.int64))
+        with pytest.raises(DomainError, match="not surjective"):
+            CentralExtension(cyclic_group(4), cyclic_group(2), np.array([0, 1, 2, 1]))
+        with pytest.raises(DomainError, match="not a homomorphism"):
+            CentralExtension(cyclic_group(4), cyclic_group(2), np.array([0, 1, 1, 0]))
+        s3, sign = s3_sign()
+        with pytest.raises(DomainError, match="not central"):
+            CentralExtension(s3, cyclic_group(2), sign)
+        ext = EXTENSIONS[0][1]()
+        with pytest.raises(DomainError, match="not a homomorphism"):
+            embedding_solvable(cyclic_group(3), ext, np.array([0, 1, 1]))
+        for bad in ([0, 2], [0, -1]):
+            with pytest.raises(DomainError, match="outside the base"):
+                embedding_solvable(cyclic_group(2), ext, np.array(bad))

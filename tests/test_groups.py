@@ -10,6 +10,7 @@ import pytest
 from abelcentral.errors import DomainError
 from abelcentral.groups import (
     TableGroup,
+    _coords_map,
     abelian_decomposition,
     central_series,
     cyclic_group,
@@ -112,7 +113,7 @@ class TestConstruction:
         g = build()
         gens = g.generators
         assert len(gens) <= math.log2(g.order)
-        assert g.subgroup_closure(gens) == tuple(range(g.order))
+        assert g.subgroup_closure(gens).tolist() == list(range(g.order))
         for s in gens:  # irredundant
             assert len(g.subgroup_closure([x for x in gens if x != s])) < g.order
 
@@ -152,8 +153,8 @@ class TestConstruction:
 class TestSubgroupsQuotients:
     def test_closure(self):
         g = cyclic_group(12)
-        assert g.subgroup_closure([4]) == (0, 4, 8)
-        assert g.subgroup_closure([3, 4]) == tuple(range(12))
+        assert g.subgroup_closure([4]).tolist() == [0, 4, 8]
+        assert g.subgroup_closure([3, 4]).tolist() == list(range(12))
 
     def test_quotient_sizes(self):
         g = cyclic_group(12)
@@ -172,7 +173,7 @@ class TestSubgroupsQuotients:
         g = cyclic_group(8)
         sub, to_old = g.subgroup_table([0, 2, 4, 6])
         assert sub.order == 4
-        assert to_old == (0, 2, 4, 6)
+        assert to_old.tolist() == [0, 2, 4, 6]
         assert sub.exponent() == 4
 
 
@@ -197,7 +198,7 @@ class TestDecomposition:
     def test_coords_roundtrip(self):
         g = direct_product(cyclic_group(4), cyclic_group(2))
         dec = abelian_decomposition(g)
-        for e, cs in dec.coords_of.items():
+        for e, cs in enumerate(dec.coords_of):
             assert dec.element(cs) == e
 
     def test_nonabelian_rejected(self):
@@ -255,7 +256,7 @@ class TestLayerMaps:
         cs = central_series(to_table_group(3), 3)
         for layer in (cs.layer1, cs.layer2):
             for cls in range(layer.group.order):
-                assert layer.lifts[cls] == [x for x, c in layer.project.items() if c == cls]
+                assert layer.lifts[cls].tolist() == [x for x, c in enumerate(layer.project) if c == cls]
 
     def test_lift_independence(self):
         # Random second lifts across several seeds must agree (checked
@@ -266,3 +267,264 @@ class TestLayerMaps:
             for s in range(cs.layer1.group.order):
                 for t in range(cs.layer1.group.order):
                     layer_maps(cs, s, t, rng)
+
+
+# --- oracles: the scalar loops the array code replaced ---------------------
+
+
+def oracle_closure(g, gens):
+    """Products of ``gens`` until nothing new appears, as a sorted tuple."""
+    seen = {g.identity}
+    frontier = [g.identity]
+    while frontier:
+        new = {g.mul(x, s) for x in frontier for s in gens} - seen
+        seen |= new
+        frontier = list(new)
+    return tuple(sorted(seen))
+
+
+def oracle_is_subgroup(g, elems):
+    s = set(elems)
+    return g.identity in s and all(g.mul(a, b) in s for a in s for b in s)
+
+
+def oracle_is_normal(g, elems):
+    s = set(elems)
+    return all(g.mul(g.mul(x, h), g.inv(x)) in s for x in range(g.order) for h in s)
+
+
+def oracle_quotient(g, normal):
+    proj = np.full(g.order, -1, dtype=np.int64)
+    reps = []
+    for x in range(g.order):
+        if proj[x] >= 0:
+            continue
+        idx = len(reps)
+        reps.append(x)
+        for h in normal:
+            proj[g.mul(x, h)] = idx
+    m = len(reps)
+    qt = np.zeros((m, m), dtype=np.int64)
+    for i, a in enumerate(reps):
+        for j, b in enumerate(reps):
+            qt[i, j] = proj[g.mul(a, b)]
+    labels = tuple(g.labels[r] for r in reps) if g.labels else None
+    return TableGroup(table=qt, labels=labels), proj
+
+
+def oracle_subgroup_table(g, elems):
+    elems = tuple(sorted(set(elems)))
+    pos = {x: i for i, x in enumerate(elems)}
+    m = len(elems)
+    t = np.zeros((m, m), dtype=np.int64)
+    for i, a in enumerate(elems):
+        for j, b in enumerate(elems):
+            t[i, j] = pos[g.mul(a, b)]
+    labels = tuple(g.labels[x] for x in elems) if g.labels else None
+    return TableGroup(table=t, labels=labels), elems
+
+
+def oracle_next_term(g, current, n):
+    gens = set()
+    for s in current:
+        gens.add(g.power(s, n))
+        for a in range(g.order):
+            gens.add(g.commutator(a, s))
+    return oracle_closure(g, sorted(gens))
+
+
+def oracle_order_of(g, a):
+    acc, m = a, 1
+    while acc != g.identity:
+        acc = g.mul(acc, a)
+        m += 1
+    return m
+
+
+def oracle_coords_map(a, gens, orders):
+    coords_of = {}
+    for cs in itertools.product(*(range(d) for d in orders)):
+        x = a.identity
+        for gen, c in zip(gens, cs):
+            x = a.mul(x, a.power(gen, c))
+        if x in coords_of:
+            return None
+        coords_of[x] = cs
+    return coords_of if len(coords_of) == a.order else None
+
+
+def oracle_decomposition(a):
+    """(gens, orders, coords dict) by the loops of the scalar implementation."""
+    if a.order == 1:
+        return (), (), {a.identity: ()}
+    orders_all = [oracle_order_of(a, x) for x in range(a.order)]
+    exp = math.lcm(*orders_all)
+    g1 = orders_all.index(exp)
+    q, proj = oracle_quotient(a, oracle_closure(a, [g1]))
+    if q.order == 1:
+        return (g1,), (exp,), oracle_coords_map(a, (g1,), (exp,))
+    qgens, qorders, _ = oracle_decomposition(q)
+    orders = (exp, *qorders)
+    candidates = [
+        [h for h in range(a.order) if proj[h] == qgen and orders_all[h] == qord]
+        for qgen, qord in zip(qgens, qorders)
+    ]
+    for lifts in itertools.product(*candidates):
+        coords = oracle_coords_map(a, (g1, *lifts), orders)
+        if coords is not None:
+            return (g1, *lifts), orders, coords
+    raise AssertionError("no direct system of generators found")
+
+
+def oracle_central_series(g, n, depth=3):
+    chain = [tuple(range(g.order))]
+    for _ in range(depth):
+        chain.append(oracle_next_term(g, chain[-1], n))
+    layers = []
+    for upper, lower in zip(chain[:2], chain[1:3]):
+        sub, to_old = oracle_subgroup_table(g, upper)
+        pos = {old: new for new, old in enumerate(to_old)}
+        quot, proj = oracle_quotient(sub, [pos[x] for x in lower])
+        project = {old: int(proj[new]) for new, old in enumerate(to_old)}
+        layers.append((to_old, project, quot, oracle_decomposition(quot)))
+    return chain, layers
+
+
+def perm_group(gens):
+    """The permutation group generated by ``gens``, elements sorted, (pq)(i) = p[q[i]]."""
+    ident = tuple(range(len(gens[0])))
+    elems = {ident}
+    frontier = [ident]
+    while frontier:
+        new = {tuple(p[i] for i in s) for p in frontier for s in gens} - elems
+        elems |= new
+        frontier = list(new)
+    elems = sorted(elems)
+    pos = {p: i for i, p in enumerate(elems)}
+    t = np.array([[pos[tuple(p[i] for i in q)] for q in elems] for p in elems])
+    return TableGroup(table=t)
+
+
+S3 = lambda: perm_group([(1, 0, 2), (1, 2, 0)])  # noqa: E731
+D4 = lambda: perm_group([(1, 2, 3, 0), (0, 3, 2, 1)])  # noqa: E731
+S4 = lambda: perm_group([(1, 0, 2, 3), (1, 2, 3, 0)])  # noqa: E731
+
+ORACLE_GROUPS = [
+    *[(f"heis{n}", lambda n=n: to_table_group(n), n) for n in range(2, 8)],
+    ("C4", lambda: cyclic_group(4), 2),
+    ("C8", lambda: cyclic_group(8), 2),
+    ("C9", lambda: cyclic_group(9), 3),
+    ("C27", lambda: cyclic_group(27), 3),
+    ("C12", lambda: cyclic_group(12), 2),
+    ("C36", lambda: cyclic_group(36), 6),
+    *[(f"(Z/2)^{k}", lambda k=k: elementary_group(2, k), 2) for k in range(1, 8)],
+    ("(Z/3)^3", lambda: elementary_group(3, 3), 3),
+    ("(Z/4)^2,n=2", lambda: elementary_group(4, 2), 2),
+    ("(Z/4)^2,n=4", lambda: elementary_group(4, 2), 4),
+    ("S3,n=2", S3, 2),
+    ("S3,n=3", S3, 3),
+    ("D4,n=2", D4, 2),
+    ("S4,n=2", S4, 2),
+    ("S4,n=6", S4, 6),
+]
+
+SMALL_ORACLE_GROUPS = [c for c in ORACLE_GROUPS if c[0] not in {"heis5", "heis6", "heis7", "(Z/2)^7"}]  # order <= 64
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[c[0] for c in ORACLE_GROUPS])
+    def test_central_series(self, name, build, n):
+        g = build()
+        cs = central_series(g, n)
+        chain, layers = oracle_central_series(g, n)
+        assert [s.tolist() for s in cs.subgroups] == [list(c) for c in chain]
+        for layer, (to_old, project, quot, (gens, orders, coords)) in zip((cs.layer1, cs.layer2), layers):
+            assert layer.members.tolist() == list(to_old)
+            expected = np.full(g.order, -1)
+            expected[list(project)] = list(project.values())
+            assert layer.project.tolist() == expected.tolist()
+            assert np.array_equal(layer.group.table, quot.table)
+            assert layer.group.labels == quot.labels
+            dec = layer.decomposition
+            assert (dec.gens, dec.orders) == (gens, orders)
+            assert {e: tuple(c) for e, c in enumerate(dec.coords_of.tolist())} == coords
+
+    @pytest.mark.parametrize("name,build,n", SMALL_ORACLE_GROUPS, ids=[c[0] for c in SMALL_ORACLE_GROUPS])
+    def test_subsets(self, name, build, n):
+        # Every cyclic subgroup (closed, and normal or not) and seeded random
+        # subsets (mostly not closed).
+        g = build()
+        rng = random.Random(g.order)
+        subsets = [oracle_closure(g, [x]) for x in range(g.order)]
+        subsets += [rng.sample(range(g.order), rng.randint(1, g.order)) for _ in range(20)]
+        for elems in subsets:
+            closed = oracle_is_subgroup(g, elems)
+            normal = oracle_is_normal(g, elems)
+            assert g.is_subgroup(elems) == closed
+            assert g.is_normal(elems) == normal
+            if closed:
+                sub, to_old = g.subgroup_table(elems)
+                osub, oto_old = oracle_subgroup_table(g, elems)
+                assert to_old.tolist() == list(oto_old)
+                assert np.array_equal(sub.table, osub.table)
+            else:
+                with pytest.raises(DomainError, match="not closed"):
+                    g.subgroup_table(elems)
+            if closed and normal:
+                q, proj = g.quotient(elems)
+                oq, oproj = oracle_quotient(g, elems)
+                assert proj.tolist() == oproj.tolist()
+                assert np.array_equal(q.table, oq.table)
+                assert q.labels == oq.labels
+            else:
+                with pytest.raises(DomainError):
+                    g.quotient(elems)
+
+    @pytest.mark.parametrize("build", [
+        lambda: direct_product(cyclic_group(4), cyclic_group(2)),
+        lambda: elementary_group(4, 2),
+        lambda: cyclic_group(12),
+        lambda: elementary_group(2, 3),
+    ])
+    def test_coords_map(self, build):
+        a = build()
+        for x, y in itertools.product(range(a.order), repeat=2):
+            orders = (a.order_of(x), a.order_of(y))
+            got = _coords_map(a, (x, y), orders)
+            expected = oracle_coords_map(a, (x, y), orders)
+            if expected is None:
+                assert got is None
+            else:
+                assert {e: tuple(c) for e, c in enumerate(got.tolist())} == expected
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS[:12], ids=[c[0] for c in ORACLE_GROUPS[:12]])
+    def test_orders(self, name, build, n):
+        g = build()
+        assert g.orders.tolist() == [oracle_order_of(g, a) for a in range(g.order)]
+        assert g.exponent() == math.lcm(*g.orders.tolist())
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize("bad", [-1, 4])
+    @pytest.mark.parametrize("call", [
+        lambda g, x: g.subgroup_closure([x]),
+        lambda g, x: g.is_subgroup([0, 2, x]),
+        lambda g, x: g.is_normal([0, 2, x]),
+        lambda g, x: g.quotient([0, 2, x]),
+        lambda g, x: g.subgroup_table([0, x]),
+    ], ids=["subgroup_closure", "is_subgroup", "is_normal", "quotient", "subgroup_table"])
+    def test_out_of_range(self, call, bad):
+        # Negative indices used to wrap around: is_subgroup([0, 2, -2]) on C4
+        # was True and subgroup_closure([-1]) all of C4.
+        with pytest.raises(DomainError):
+            call(cyclic_group(4), bad)
+
+    def test_closed_but_not_normal(self):
+        h = to_table_group(3)
+        sub = [h.labels.index(f"h({a},0;0)") for a in range(3)]
+        assert sub == [0, 9, 18]
+        assert h.subgroup_closure([9]).tolist() == sub
+        assert h.is_subgroup(sub)
+        assert not h.is_normal(sub)
+        with pytest.raises(DomainError):
+            h.quotient(sub)

@@ -76,7 +76,7 @@ class TestClosedForms:
 
 
 class TestTableExport:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_table_matches_law(self, n):
         g = to_table_group(n)
         assert g.order == n ** 3
@@ -85,9 +85,20 @@ class TestTableExport:
             for j, v in enumerate(elems):
                 w = heis_mul(u, v)
                 assert g.table[i, j] == (w.a * n + w.b) * n + w.c
+        assert g.labels == tuple(f"h({u.a},{u.b};{u.c})" for u in elems)
 
     def test_exponent_three_for_n3(self):
         assert to_table_group(3).exponent() == 3
+
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_modulus_below_two(self, n):
+        with pytest.raises(ModulusError):
+            to_table_group(n)
+
+    def test_size_bound(self):
+        # 22^3 = 10648 exceeds groups.TABLE_MAX.
+        with pytest.raises(DomainError):
+            to_table_group(22)
 
     def test_labels(self):
         g = to_table_group(2)

@@ -1,7 +1,9 @@
 """The relation-condition detector: all computed conditions must agree."""
 
+import gc
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -110,6 +112,21 @@ class TestConsistency:
         monkeypatch.setattr(relations.tables, "psi", counting_psi)
         relation_check(fam, w)
         assert len(calls) == 2 * len(fam)
+
+    def test_power_span_freed_with_field(self):
+        # The span of all doubled power tables is cached on the root of
+        # unity, not in a process-wide dict, so it dies with the root and
+        # its field.
+        k, w = field_and_omega(13, 3)
+        s = KummerCharacter(k, 3, 1)
+        relation_check([(s, s)], w)
+        span = w.doubled_power_span
+        relation_check([(s, s)], w)
+        assert w.doubled_power_span is span
+        refs = [weakref.ref(x) for x in (k, w, span)]
+        del k, w, s, span
+        gc.collect()
+        assert [r() for r in refs] == [None, None, None]
 
     def test_single_pair_cond3_equals_cond4(self):
         # On a single pair the family span sits inside the full span, and the
