@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -409,51 +409,56 @@ class MachineryReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "n": self.n,
-            "rank": self.rank,
-            "kernel_size": self.kernel_size,
-            "identity_violations": self.identity_violations,
-            "alternative_decomposition_violations": self.alternative_decomposition_violations,
-            "omega_well_defined": self.omega_well_defined,
-            "omega_total": self.omega_total,
-            "omega_injective": self.omega_injective,
-            "omega_image_matches": self.omega_image_matches,
-            "seed": self.seed,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def _check_identities(
     cs: CentralSeriesData,
-    coords: np.ndarray,
+    comm: np.ndarray,
+    powr: np.ndarray,
     pairs: list[tuple[np.ndarray, np.ndarray]],
     zs: list[np.ndarray],
     u: np.ndarray,
 ) -> int:
-    """Count failures of the two evaluation identities over all layer pairs."""
-    G, n = cs.group, cs.n
-    b2 = binom2(n).value
-    # One lift per layer-1 class: first preimage in table order.
-    lifts = cs.layer1.lifts[:, 0].tolist()
-    bad = 0
-    for ls in lifts:
-        sv = coords[ls]
-        rhs_pow = (b2 * sum(int((sv @ x) % n) * int((sv @ y) % n) for x, y in pairs)
-                   + sum(int((sv @ z) % n) for z in zs)) % n
-        if (-int(u[G.power(ls, n)]) - rhs_pow) % n:
-            bad += 1
-        for lt in lifts:
-            tv = coords[lt]
-            rhs_comm = sum(
-                int((sv @ x) % n) * int((tv @ y) % n) - int((sv @ y) % n) * int((tv @ x) % n)
-                for x, y in pairs
-            ) % n
-            comm = G.mul(G.mul(G.inv(ls), G.inv(lt)), G.mul(ls, lt))
-            if (-int(u[comm]) - rhs_comm) % n:
-                bad += 1
-    return bad
+    """Count failures of the two evaluation identities over all layer pairs.
+
+    With SX, SY, SZ the values s(x), s(y), s(z) of every layer-1 element s
+    (one column per pair or z), -u(comm[s, t]) = (SX SY^T - SY SX^T)[s, t]
+    and -u(powr[s]) = C(n,2) sum SX*SY + sum SZ, mod n.
+    """
+    n, C = cs.n, cs.layer1.decomposition.coords_of
+    SX, SY, SZ = (
+        (C @ np.array(vs, dtype=np.int64).reshape(-1, C.shape[1]).T) % n
+        for vs in ([x for x, _ in pairs], [y for _, y in pairs], zs)
+    )
+    rhs_comm = SX @ SY.T - SY @ SX.T
+    rhs_pow = binom2(n).value * (SX * SY).sum(axis=1) + SZ.sum(axis=1)
+    return int(np.count_nonzero((u[comm] + rhs_comm) % n) + np.count_nonzero((u[powr] + rhs_pow) % n))
+
+
+def _additive_extension(
+    group: TableGroup, gens: np.ndarray, gen_values: np.ndarray, n: int
+) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(additive, reached, values): extend gens -> gen_values additively over ``group``.
+
+    A breadth-first search from the identity (value 0) sets v(x*g) = v(x) +
+    v(g) mod n on each Cayley-graph edge and checks every edge against the
+    value its head already has.  ``reached`` is the span of the generators,
+    ``values`` holds v on it.  Exact: if every edge is additive, induction on
+    the length of a word w in the generators gives v(x*w) = v(x) + v(w), so v
+    is a homomorphism on the span extending the assignment; a homomorphism
+    extending it is additive on every edge.
+    """
+    values = np.zeros((group.order, gen_values.shape[1]), dtype=np.int64)
+    reached = np.arange(group.order) == group.identity
+    frontier, additive = np.flatnonzero(reached), True
+    while frontier.size:
+        heads, want = group.table[frontier[:, None], gens], (values[frontier, None] + gen_values) % n
+        new = ~reached[heads]
+        values[heads[new]], reached[heads] = want[new], True
+        additive &= np.array_equal(values[heads], want)
+        frontier = np.unique(heads[new])
+    return additive, reached, values
 
 
 def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryReport:
@@ -466,23 +471,26 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     assemble the map from layer 2 to functions on the kernel generators out
     of the special elements and verify it is a bijection onto the restricted
     image of the compatible-pair space.
+
+    Omega is well defined when each layer-2 class of a commutator or n-th
+    power gets one value vector and these extend additively from identity 0;
+    on a group satisfying the theorem it always is.  ``omega_total`` says the
+    classes generate layer 2, ``omega_injective`` that its elements get
+    distinct values, ``omega_image_matches`` that the values span the
+    restricted image; the last two are False when Omega is not well defined.
     """
     cs = central_series(G, n)
     k, coords = _layer1_coords(cs)
     R = kernel_of_inflation(cs)
+    comm, powr = layer_maps(cs, random.Random(seed))
 
-    id_bad = 0
-    alt_bad = 0
+    bad = [0, 0]  # identity violations, alternative-decomposition violations
     eye = np.eye(k, dtype=np.int64)
     for eta in R:
         pairs, zs = eta.decomposition()
-        for variant in (0, 1):
-            if variant == 0:
-                vp, vz = pairs, zs
-            else:
-                # Same class, shifted by the relation x cup x = C(n,2) beta x.
-                vp = pairs + [(eye[0], eye[0])]
-                vz = zs + [(-binom2(n).value * eye[0]) % n]
+        # The alternative is the same class, shifted by the relation x cup x = C(n,2) beta x.
+        variants = [(pairs, zs), (pairs + [(eye[0], eye[0])], zs + [(-binom2(n).value * eye[0]) % n])]
+        for variant, (vp, vz) in enumerate(variants):
             acc = np.zeros((G.order, G.order), dtype=np.int64)
             for x, y in vp:
                 acc += _U_values(coords, n, x, y)
@@ -491,77 +499,54 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
             u = solve_coboundary(Cocycle2(G, n, acc))
             if u is None:
                 raise TheoremViolationError("kernel class fails to die after inflation")
-            bad = _check_identities(cs, coords, vp, vz, u)
-            if variant == 0:
-                id_bad += bad
-            else:
-                alt_bad += bad
+            bad[variant] += _check_identities(cs, comm, powr, vp, vz, u)
 
     # The induced map: layer-2 element -> its function on R.  The commutator
     # element of (s, t) is bilinear in (s, t), so its pairings are
-    # sum_ij s_i t_j M[i, j], with M[i, j] the pairings of (e_i, e_j).
+    # sum_ij s_i t_j M[i, j], with M[i, j] the pairings of (e_i, e_j).  The
+    # power element of s pairs to sum_i s_i powers[i] + C(n,2) sum_{i<j}
+    # s_i s_j M[i, j], with powers[i] the pairings of the power element of e_i.
     r = len(R)
     M = np.array(
         [[[int(pairing_S(special_elements(eye[i], eye[j], n)[0], eta)) for eta in R] for j in range(k)]
          for i in range(k)],
         dtype=np.int64,
     ).reshape(k, k, r)
-    grid = elementary_coords(n, k)
-    elems = [cs.layer1.decomposition.element(c) for c in grid]
-    l2 = cs.layer2
-    rng = random.Random(seed)
-    collected: dict[int, tuple[int, ...]] = {l2.group.identity: (0,) * r}
-    well_defined = True
-    for sv, s_idx in zip(grid, elems):
-        comm_vecs = ((grid @ np.tensordot(sv, M, axes=1)) % n).tolist()
-        for t_idx, vec in zip(elems, map(tuple, comm_vecs)):
-            comm, _ = layer_maps(cs, s_idx, t_idx, rng)
-            if collected.setdefault(comm, vec) != vec:
-                well_defined = False
-        _, s_pow = special_elements(sv, sv, n)
-        _, powr = layer_maps(cs, s_idx, s_idx, rng)
-        vec = tuple(int(pairing_S(s_pow, eta)) for eta in R)
-        if collected.setdefault(powr, vec) != vec:
-            well_defined = False
-
-    # Additive closure over the generated assignments.
-    changed = True
-    while changed and well_defined:
-        changed = False
-        for (e1, v1), (e2, v2) in itertools.product(list(collected.items()), repeat=2):
-            e = l2.group.mul(e1, e2)
-            v = tuple((a + b) % n for a, b in zip(v1, v2))
-            if e not in collected:
-                collected[e] = v
-                changed = True
-            elif collected[e] != v:
-                well_defined = False
-                break
-
-    total = len(collected) == l2.group.order
-    injective = well_defined and len(set(collected.values())) == len(collected)
-
-    # Image of the compatible-pair space under restriction to R: spanned by
-    # the power elements of the e_i and the commutator elements of (e_i, e_j),
-    # i < j.  Once closed, the collected values form a subgroup, and two
-    # subgroups of (Z/n)^r are equal exactly when their Howell forms are
-    # (with R empty both forms have no rows).
     powers = np.array(
         [[int(pairing_S(special_elements(eye[i], eye[i], n)[1], eta)) for eta in R] for i in range(k)],
         dtype=np.int64,
     ).reshape(k, r)
-    sr_gens = np.vstack([powers, M[np.triu_indices(k, 1)]])
-    image_matches = well_defined and modring.howell_form(
-        ModMatrix(n, np.array(list(collected.values())))
-    ) == modring.howell_form(ModMatrix(n, sr_gens))
+    C, l2 = cs.layer1.decomposition.coords_of, cs.layer2
+    iu = np.triu_indices(k, 1)
+    keys = np.concatenate([l2.project[comm].ravel(), l2.project[powr]])
+    vecs = np.concatenate([
+        np.einsum("si,ijr,tj->str", C, M, C).reshape(len(C) ** 2, r),
+        C @ powers + binom2(n).value * (C[:, iu[0]] * C[:, iu[1]]) @ M[iu],
+    ]) % n
+    gens, first, where = np.unique(keys, return_index=True, return_inverse=True)
+    additive, reached, values = _additive_extension(l2.group, gens, vecs[first], n)
+    well_defined = bool(additive and np.array_equal(vecs, vecs[first][where]))
+    omega = values[reached]
+    total = bool(reached.all())
+    injective = well_defined and len(np.unique(omega, axis=0)) == len(omega)
+
+    # Image of the compatible-pair space under restriction to R: spanned by
+    # the power elements of the e_i and the commutator elements of (e_i, e_j),
+    # i < j.  The values of Omega form a subgroup, and two subgroups of
+    # (Z/n)^r are equal exactly when their Howell forms are (with R empty
+    # both forms have no rows).
+    sr_gens = np.vstack([powers, M[iu]])
+    image_matches = well_defined and modring.howell_form(ModMatrix(n, omega)) == modring.howell_form(
+        ModMatrix(n, sr_gens)
+    )
 
     return MachineryReport(
         group_order=G.order,
         n=n,
         rank=k,
         kernel_size=len(R),
-        identity_violations=id_bad,
-        alternative_decomposition_violations=alt_bad,
+        identity_violations=bad[0],
+        alternative_decomposition_violations=bad[1],
         omega_well_defined=well_defined,
         omega_total=total,
         omega_injective=injective,

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, TheoremViolationError
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
 
 TABLE_MAX = 10**4
 
@@ -250,16 +250,9 @@ def elementary_group(n: int, k: int) -> TableGroup:
 class CyclicDecomposition:
     """A direct decomposition of an abelian TableGroup into cyclic factors."""
 
-    group: TableGroup
     gens: tuple[int, ...]  # generator of each cyclic factor
     orders: tuple[int, ...]  # descending, each dividing the previous
     coords_of: np.ndarray  # (N, k): row e holds the coordinates of element e
-
-    def element(self, coords: Sequence[int]) -> int:
-        g = self.group.identity
-        for gen, c, d in zip(self.gens, coords, self.orders):
-            g = self.group.mul(g, self.group.power(gen, c % d))
-        return g
 
 
 def _coords_map(a: TableGroup, gens: Sequence[int], orders: Sequence[int]) -> Optional[np.ndarray]:
@@ -283,7 +276,7 @@ def abelian_decomposition(a: TableGroup) -> CyclicDecomposition:
     if not np.array_equal(a.table, a.table.T):
         raise DomainError("decomposition requires an abelian group")
     if a.order == 1:
-        return CyclicDecomposition(group=a, gens=(), orders=(), coords_of=np.zeros((1, 0), dtype=np.int64))
+        return CyclicDecomposition(gens=(), orders=(), coords_of=np.zeros((1, 0), dtype=np.int64))
     exp = a.exponent()
     g1 = int(np.argmax(a.orders == exp))
     q, proj = a.quotient(np.flatnonzero(a._closure_mask([g1])))
@@ -298,7 +291,7 @@ def abelian_decomposition(a: TableGroup) -> CyclicDecomposition:
     for lifts in itertools.product(*candidates):
         coords = _coords_map(a, (g1, *lifts), orders)
         if coords is not None:
-            return CyclicDecomposition(group=a, gens=(g1, *lifts), orders=orders, coords_of=coords)
+            return CyclicDecomposition(gens=(g1, *lifts), orders=orders, coords_of=coords)
     raise TheoremViolationError("no direct system of generators found")
 
 
@@ -337,6 +330,17 @@ class CentralSeriesData:
         return tuple(len(s) for s in self.subgroups)
 
 
+def _nth_powers(g: TableGroup, elems: np.ndarray, m: int) -> np.ndarray:
+    """The m-th power of each entry of the index array ``elems`` (m >= 0), by repeated squaring."""
+    t = g.table
+    acc = np.full_like(elems, g.identity)
+    while m:
+        if m & 1:
+            acc = t[acc, elems]
+        elems, m = t[elems, elems], m >> 1
+    return acc
+
+
 def _next_term(g: TableGroup, cur: np.ndarray, n: int) -> np.ndarray:
     """G^(i+1) = <[G^(i), G], (G^(i))^n>, from the sorted index array ``cur`` of G^(i).
 
@@ -350,10 +354,7 @@ def _next_term(g: TableGroup, cur: np.ndarray, n: int) -> np.ndarray:
     t, inv = g.table, g._inverses
     a = np.asarray(g.generators, dtype=np.int64)
     comms = t[t[inv[cur][:, None], inv[a]], t[cur[:, None], a]]
-    powers = np.full_like(cur, g.identity)
-    for _ in range(abs(n)):  # s^-n generates the same subgroup as s^n
-        powers = t[powers, cur]
-    return g.subgroup_closure(np.concatenate([comms.ravel(), powers]))
+    return g.subgroup_closure(np.concatenate([comms.ravel(), _nth_powers(g, cur, n)]))
 
 
 def _layer(g: TableGroup, sub: TableGroup, members: np.ndarray, lower: np.ndarray) -> LayerData:
@@ -366,6 +367,8 @@ def _layer(g: TableGroup, sub: TableGroup, members: np.ndarray, lower: np.ndarra
 
 def central_series(g: TableGroup, n: int, depth: int = 3) -> CentralSeriesData:
     """Compute G^(1) >= ... >= G^(depth+1) and the first two layer quotients."""
+    if n < 2:
+        raise ModulusError("modulus must be >= 2")
     if depth < 2:
         raise DomainError("depth must be at least 2")
     chain = [np.arange(g.order)]
@@ -380,25 +383,30 @@ def central_series(g: TableGroup, n: int, depth: int = 3) -> CentralSeriesData:
     return CentralSeriesData(g, n, tuple(chain), *layers)
 
 
-def layer_maps(cs: CentralSeriesData, s: int, t: int, rng: Optional[random.Random] = None) -> tuple[int, int]:
-    """([s,t], s^(power map)) in the second layer, for s, t in the first layer.
-
-    Inputs and outputs are layer element indices.  Lifts are the first table
-    preimages; when ``rng`` is supplied the computation is repeated with
-    random lifts and any disagreement is a hard failure.
+def layer_maps(cs: CentralSeriesData, rng: Optional[random.Random] = None) -> tuple[np.ndarray, np.ndarray]:
+    """(comm, powr): G-index arrays of [ls, lt] and ls^n for the first lifts ls, lt
+    of every pair of layer-1 elements s, t; their layer-2 projections are the
+    classes of [s, t] and s^n.  With ``rng``, both are formed again from one
+    random lift of each element for every pair and every power, and any
+    disagreement in layer 2 is a hard failure.
     """
-    g = cs.group
-    l2 = cs.layer2
+    g, lifts, project = cs.group, cs.layer1.lifts, cs.layer2.project
+    t, inv = g.table, g._inverses
 
-    def compute(ls: int, lt: int) -> tuple[int, int]:
-        comm = g.commutator(ls, lt)
-        powr = g.power(ls, cs.n)
-        return l2.project.item(comm), l2.project.item(powr)
+    def compute(ls: np.ndarray, lt: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return t[t[inv[ls], inv[lt]], t[ls, lt]], _nth_powers(g, lp, cs.n)
 
-    ls_all, lt_all = cs.layer1.lifts[s], cs.layer1.lifts[t]
-    result = compute(ls_all.item(0), lt_all.item(0))
+    first = lifts[:, 0]
+    comm, powr = compute(first[:, None], first[None, :], first)
     if rng is not None:
-        alt = compute(rng.choice(ls_all), rng.choice(lt_all))
-        if alt != result:
+        (L, m), cls = lifts.shape, np.arange(len(lifts))
+
+        def draw(rows: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+            """A random lift of each class in ``rows``, uniform up to a bias below m / 2^64."""
+            bits = np.frombuffer(rng.randbytes(8 * int(np.prod(shape))), dtype=np.uint64).reshape(shape)
+            return lifts[rows, bits % m]
+
+        alt = compute(draw(cls[:, None], (L, L)), draw(cls, (L, L)), draw(cls, (L,)))
+        if not all(np.array_equal(project[a], project[b]) for a, b in zip(alt, (comm, powr))):
             raise TheoremViolationError("layer maps depend on the choice of lifts")
-    return result
+    return comm, powr

@@ -103,6 +103,39 @@ class TestReports:
         assert coh[0] == cli.EXIT_OK
         assert coh == suite
 
+    def test_negative_seed(self, capsys, tmp_path):
+        # A negative seed draws the random lifts as its absolute value does;
+        # the report echoes the seed as given.
+        table = tmp_path / "heis3.json"
+        assert cli.main(["heisenberg", "--n", "3", "--output", str(table)]) == cli.EXIT_OK
+        capsys.readouterr()
+        code, out, err = run(["groupcoh", "--input", str(table), "--n", "3", "--seed", "-3"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out) == {
+            "alternative_decomposition_violations": 0,
+            "group_order": 27,
+            "identity_violations": 0,
+            "kernel_size": 1,
+            "n": 3,
+            "ok": True,
+            "omega_image_matches": True,
+            "omega_injective": True,
+            "omega_total": True,
+            "omega_well_defined": True,
+            "rank": 2,
+            "seed": -3,
+        }
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_groupcoh_modulus_below_two(self, capsys, tmp_path, n):
+        # Both used to report "first layer is not elementary of exponent n".
+        table = tmp_path / "heis3.json"
+        assert cli.main(["heisenberg", "--n", "3", "--output", str(table)]) == cli.EXIT_OK
+        capsys.readouterr()
+        code, out, err = run(["groupcoh", "--input", str(table), "--n", n], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and "modulus must be >= 2" in err
+
     @pytest.mark.parametrize("command", [["groupcoh"], ["verify", "--suite", "machinery"]])
     def test_wrong_label_count_rejected(self, capsys, tmp_path, command):
         doc = {"table": [[(i + j) % 4 for j in range(4)] for i in range(4)], "labels": ["0", "1", "2"]}

@@ -2,6 +2,7 @@
 layer-2 isomorphism, with brute-force cochain oracles."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -27,7 +28,14 @@ from abelcentral.cohomology import (
     zero_cocycle,
 )
 from abelcentral.errors import DomainError, TheoremViolationError
-from abelcentral.groups import TableGroup, central_series, cyclic_group, elementary_group, layer_maps
+from abelcentral.groups import (
+    TableGroup,
+    abelian_decomposition,
+    central_series,
+    cyclic_group,
+    elementary_group,
+    layer_maps,
+)
 from abelcentral.heisenberg import to_table_group
 from abelcentral.modring import ModMatrix, binom2
 
@@ -111,6 +119,69 @@ def kernel_oracle(cs):
     return [H2Class.from_coeff_vector(k, n, row) for row in span.canonical.entries if row.any()]
 
 
+def oracle_layer_maps(cs, s, t, rng=None):
+    """([s,t], s^n) in layer 2 for layer-1 elements s, t, one pair at a time:
+    first lifts, then random lifts from ``rng`` that must agree."""
+    g = cs.group
+    l2 = cs.layer2
+
+    def compute(ls, lt):
+        comm = g.commutator(ls, lt)
+        powr = g.power(ls, cs.n)
+        return l2.project.item(comm), l2.project.item(powr)
+
+    ls_all, lt_all = cs.layer1.lifts[s], cs.layer1.lifts[t]
+    result = compute(ls_all.item(0), lt_all.item(0))
+    if rng is not None:
+        alt = compute(rng.choice(ls_all), rng.choice(lt_all))
+        if alt != result:
+            raise TheoremViolationError("layer maps depend on the choice of lifts")
+    return result
+
+
+def oracle_check_identities(cs, coords, pairs, zs, u):
+    """Failures of the two evaluation identities, one layer pair at a time."""
+    G, n = cs.group, cs.n
+    b2 = binom2(n).value
+    lifts = cs.layer1.lifts[:, 0].tolist()
+    bad = 0
+    for ls in lifts:
+        sv = coords[ls]
+        rhs_pow = (b2 * sum(int((sv @ x) % n) * int((sv @ y) % n) for x, y in pairs)
+                   + sum(int((sv @ z) % n) for z in zs)) % n
+        if (-int(u[G.power(ls, n)]) - rhs_pow) % n:
+            bad += 1
+        for lt in lifts:
+            tv = coords[lt]
+            rhs_comm = sum(
+                int((sv @ x) % n) * int((tv @ y) % n) - int((sv @ y) % n) * int((tv @ x) % n)
+                for x, y in pairs
+            ) % n
+            comm = G.mul(G.mul(G.inv(ls), G.inv(lt)), G.mul(ls, lt))
+            if (-int(u[comm]) - rhs_comm) % n:
+                bad += 1
+    return bad
+
+
+def oracle_closure_extend(group, collected, n):
+    """(well_defined, collected): close a {element: value tuple} assignment
+    under products, comparing every pair of entries each round."""
+    collected = dict(collected)
+    changed, well_defined = True, True
+    while changed and well_defined:
+        changed = False
+        for (e1, v1), (e2, v2) in itertools.product(list(collected.items()), repeat=2):
+            e = group.mul(e1, e2)
+            v = tuple((a + b) % n for a, b in zip(v1, v2))
+            if e not in collected:
+                collected[e] = v
+                changed = True
+            elif collected[e] != v:
+                well_defined = False
+                break
+    return well_defined, collected
+
+
 def machinery_oracle(G, n, seed):
     """Oracle report: the dense coboundary system, one special element and
     one pairing per layer-1 pair, and the closure comparison of images."""
@@ -133,7 +204,7 @@ def machinery_oracle(G, n, seed):
             xi = inflate(acc, pi, G)
             u = modring.solve_linear(ModMatrix(n, coboundary_rows_oracle(G)), xi.values.ravel())
             assert u is not None
-            bad[variant] += coh._check_identities(cs, coords, vp, vz, u)
+            bad[variant] += oracle_check_identities(cs, coords, vp, vz, u)
 
     dec1, l2 = cs.layer1.decomposition, cs.layer2
     rng = random.Random(seed)
@@ -141,36 +212,26 @@ def machinery_oracle(G, n, seed):
     well_defined = True
 
     def elem(c):
-        g = dec1.group.identity
+        g = cs.layer1.group.identity
         for gen, ci in zip(dec1.gens, c):
-            g = dec1.group.mul(g, dec1.group.power(gen, ci))
+            g = cs.layer1.group.mul(g, cs.layer1.group.power(gen, ci))
         return g
 
     for cs1 in itertools.product(range(n), repeat=k):
         sv = np.array(cs1, dtype=np.int64)
         for ct in itertools.product(range(n), repeat=k):
-            comm, _ = layer_maps(cs, elem(cs1), elem(ct), rng)
+            comm, _ = oracle_layer_maps(cs, elem(cs1), elem(ct), rng)
             s_comm, _ = special_elements(sv, np.array(ct, dtype=np.int64), n)
             vec = tuple(int(pairing_S(s_comm, eta)) for eta in R)
             if collected.setdefault(comm, vec) != vec:
                 well_defined = False
         _, s_pow = special_elements(sv, sv, n)
-        _, powr = layer_maps(cs, elem(cs1), elem(cs1), rng)
+        _, powr = oracle_layer_maps(cs, elem(cs1), elem(cs1), rng)
         vec = tuple(int(pairing_S(s_pow, eta)) for eta in R)
         if collected.setdefault(powr, vec) != vec:
             well_defined = False
-    changed = True
-    while changed and well_defined:
-        changed = False
-        for (e1, v1), (e2, v2) in itertools.product(list(collected.items()), repeat=2):
-            e = l2.group.mul(e1, e2)
-            v = tuple((a + b) % n for a, b in zip(v1, v2))
-            if e not in collected:
-                collected[e] = v
-                changed = True
-            elif collected[e] != v:
-                well_defined = False
-                break
+    if well_defined:
+        well_defined, collected = oracle_closure_extend(l2.group, collected, n)
 
     sr_gens = []
     for i in range(k):
@@ -279,6 +340,46 @@ class TestAgainstOracles:
     def test_machinery_report(self, name, build, n, seed):
         g = build()
         assert verify_thm23_and_omegaR(g, n, seed=seed).as_dict() == machinery_oracle(g, n, seed)
+
+    @pytest.mark.parametrize("name,build,n", [
+        ("C3", lambda: cyclic_group(3), 2),
+        ("C4", lambda: cyclic_group(4), 2),
+        ("C6", lambda: cyclic_group(6), 3),
+        ("C9", lambda: cyclic_group(9), 3),
+        ("(Z/2)^3", lambda: elementary_group(2, 3), 2),
+        ("Z4xZ4", z4_squared, 4),
+    ])
+    def test_additive_extension(self, name, build, n):
+        # The generator BFS decides what the pairwise closure decides, on
+        # homomorphisms restricted to random generator sets (consistent) and
+        # on random values (mostly inconsistent); when consistent, both give
+        # the same elements and values.
+        g = build()
+        dec = abelian_decomposition(g)
+        rng = np.random.default_rng(g.order + n)
+        outcomes = set()
+        for trial in range(40):
+            r = int(rng.integers(1, 3))
+            gens = np.unique(rng.integers(0, g.order, int(rng.integers(1, 6))))
+            if trial % 2:
+                steps = np.array([n // math.gcd(n, d) for d in dec.orders], dtype=np.int64)
+                hom = (dec.coords_of @ (steps[:, None] * rng.integers(0, n, (len(steps), r)))) % n
+                vals = hom[gens]
+            else:
+                vals = rng.integers(0, n, (len(gens), r))
+            vals[gens == g.identity] = 0
+            additive, reached, values = coh._additive_extension(g, gens, vals, n)
+            start = {g.identity: (0,) * r}
+            start.update({int(e): tuple(int(x) for x in v) for e, v in zip(gens, vals)})
+            want, collected = oracle_closure_extend(g, start, n)
+            assert additive == want
+            if trial % 2:
+                assert additive
+            if want:
+                assert np.flatnonzero(reached).tolist() == sorted(collected)
+                assert {e: tuple(values[e].tolist()) for e in collected} == collected
+            outcomes.add(want)
+        assert outcomes == {True, False}
 
     def test_howell_equality_is_subgroup_equality(self):
         # Two generator sets span the same subgroup of (Z/n)^w exactly when
@@ -529,6 +630,21 @@ class TestMachinery:
         assert (rep.rank, rep.kernel_size, rep.ok) == (0, 0, True)
         rep = verify_thm23_and_omegaR(elementary_group(2, 0), 2)
         assert (rep.group_order, rep.rank, rep.kernel_size, rep.ok) == (1, 0, 0, True)
+
+    def test_ill_defined_omega(self, monkeypatch):
+        # Give [t, s] the stored commutator of [s, t] for one pair of
+        # Heisenberg mod 3: its class then gets the value vectors v and -v.
+        def tampered(cs, rng=None):
+            comm, powr = layer_maps(cs, rng)
+            s, t = np.argwhere(cs.layer2.project[comm] != cs.layer2.group.identity)[0]
+            comm[t, s] = comm[s, t]
+            return comm, powr
+
+        monkeypatch.setattr(coh, "layer_maps", tampered)
+        rep = verify_thm23_and_omegaR(to_table_group(3), 3)
+        assert (rep.omega_well_defined, rep.omega_total, rep.omega_injective, rep.omega_image_matches) == (
+            False, True, False, False
+        )
 
     def test_memory_heisenberg_mod_5(self):
         # The dense N^2 x N system peaked at 77 MB here.

@@ -1,13 +1,15 @@
 """Multiplication-table groups, central series, and layer maps."""
 
+import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from abelcentral.errors import DomainError
+from abelcentral.errors import DomainError, ModulusError, TheoremViolationError
 from abelcentral.groups import (
     TableGroup,
     _coords_map,
@@ -196,10 +198,15 @@ class TestDecomposition:
         assert len(dec.coords_of) == g.order
 
     def test_coords_roundtrip(self):
+        # Oracle: the product of the generator powers, one multiplication at a time.
         g = direct_product(cyclic_group(4), cyclic_group(2))
         dec = abelian_decomposition(g)
         for e, cs in enumerate(dec.coords_of):
-            assert dec.element(cs) == e
+            x = g.identity
+            for gen, c in zip(dec.gens, cs):
+                for _ in range(c):
+                    x = g.mul(x, gen)
+            assert x == e
 
     def test_nonabelian_rejected(self):
         with pytest.raises(DomainError):
@@ -232,24 +239,23 @@ class TestLayerMaps:
     def test_heis3_commutator(self):
         h = to_table_group(3)
         cs = central_series(h, 3)
-        rng = random.Random(0)
         s = cs.layer1.project[h.labels.index("h(1,0;0)")]
         t = cs.layer1.project[h.labels.index("h(0,1;0)")]
-        comm, _ = layer_maps(cs, s, t, rng)
-        assert comm == cs.layer2.project[h.labels.index("h(0,0;1)")]
+        comm, _ = layer_maps(cs, random.Random(0))
+        assert cs.layer2.project[comm[s, t]] == cs.layer2.project[h.labels.index("h(0,0;1)")]
 
     def test_heis2_power(self):
         h = to_table_group(2)
         cs = central_series(h, 2)
         s = cs.layer1.project[h.labels.index("h(1,1;0)")]
-        _, powr = layer_maps(cs, s, s)
-        assert powr == cs.layer2.project[h.labels.index("h(0,0;1)")]
+        _, powr = layer_maps(cs)
+        assert cs.layer2.project[powr[s]] == cs.layer2.project[h.labels.index("h(0,0;1)")]
 
     def test_diagonal_commutator_trivial(self):
         cs = central_series(to_table_group(3), 3)
+        comm, _ = layer_maps(cs)
         for s in range(cs.layer1.group.order):
-            comm, _ = layer_maps(cs, s, s)
-            assert comm == cs.layer2.group.identity
+            assert cs.layer2.project[comm[s, s]] == cs.layer2.group.identity
 
     def test_lift_index(self):
         # Oracle: a scan of the projection for each class, in table order.
@@ -263,10 +269,38 @@ class TestLayerMaps:
         # internally; disagreement raises).
         cs = central_series(to_table_group(3), 3)
         for seed in range(5):
-            rng = random.Random(seed)
-            for s in range(cs.layer1.group.order):
-                for t in range(cs.layer1.group.order):
-                    layer_maps(cs, s, t, rng)
+            layer_maps(cs, random.Random(seed))
+
+    def test_mixed_lifts_rejected(self):
+        # Swap the last lifts of two classes: the rows of ``lifts`` then mix
+        # classes with different commutators, which the random lifts find.
+        cs = central_series(to_table_group(3), 3)
+        l1 = cs.layer1
+        x, y = l1.lifts[1, -1], l1.lifts[2, -1]
+        project = l1.project.copy()
+        project[[x, y]] = project[[y, x]]
+        mixed = dataclasses.replace(cs, layer1=dataclasses.replace(l1, project=project))
+        assert y in mixed.layer1.lifts[1] and x in mixed.layer1.lifts[2]
+        for seed in range(5):
+            with pytest.raises(TheoremViolationError, match="choice of lifts"):
+                layer_maps(mixed, random.Random(seed))
+
+    def test_memory_elementary_rank_10(self):
+        # L = 1024 layer-1 elements: (L, L) int64 arrays of 8 MB each.
+        cs = central_series(elementary_group(2, 10), 2)
+        tracemalloc.start()
+        try:
+            comm, powr = layer_maps(cs, random.Random(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert comm.shape == (1024, 1024) and powr.shape == (1024,)
+        assert peak <= 64 * 2**20
+
+    def test_modulus_below_two(self):
+        for n in (1, 0, -3):
+            with pytest.raises(ModulusError, match="modulus must be >= 2"):
+                central_series(to_table_group(3), n)
 
 
 # --- oracles: the scalar loops the array code replaced ---------------------
@@ -496,6 +530,16 @@ class TestAgainstOracles:
                 assert got is None
             else:
                 assert {e: tuple(c) for e, c in enumerate(got.tolist())} == expected
+
+    @pytest.mark.parametrize("name,build,n", SMALL_ORACLE_GROUPS, ids=[c[0] for c in SMALL_ORACLE_GROUPS])
+    def test_layer_maps(self, name, build, n):
+        # Oracle: the scalar commutator and power of the first lifts, pair by pair.
+        g = build()
+        cs = central_series(g, n)
+        comm, powr = layer_maps(cs, random.Random(g.order))
+        first = cs.layer1.lifts[:, 0].tolist()
+        assert comm.tolist() == [[g.commutator(s, t) for t in first] for s in first]
+        assert powr.tolist() == [g.power(s, n) for s in first]
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS[:12], ids=[c[0] for c in ORACLE_GROUPS[:12]])
     def test_orders(self, name, build, n):
