@@ -412,28 +412,21 @@ class MachineryReport:
         return {**asdict(self), "ok": self.ok}
 
 
-def _check_identities(
-    cs: CentralSeriesData,
-    comm: np.ndarray,
-    powr: np.ndarray,
-    pairs: list[tuple[np.ndarray, np.ndarray]],
-    zs: list[np.ndarray],
-    u: np.ndarray,
-) -> int:
-    """Count failures of the two evaluation identities over all layer pairs.
+def _evaluations(
+    C: np.ndarray, n: int, P: np.ndarray, zs: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(on_comm, on_pow): the values the evaluation identities give [s, t] and s^n.
 
-    With SX, SY, SZ the values s(x), s(y), s(z) of every layer-1 element s
-    (one column per pair or z), -u(comm[s, t]) = (SX SY^T - SY SX^T)[s, t]
-    and -u(powr[s]) = C(n,2) sum SX*SY + sum SZ, mod n.
+    ``C`` holds the (Z/n)^k coordinates of the L layer-1 elements, ``P`` is
+    sum x y^T over the cup pairs (x, y) of a decomposition and ``zs`` its
+    Bockstein vectors.  With X = C P C^T, mod n,
+    -u([s, t]) = sum s(x)t(y) - s(y)t(x) = (X - X^T)[s, t] (on_comm, L x L) and
+    -u(s^n) = C(n,2) sum s(x)s(y) + sum s(z) = C(n,2) X[s, s] + (C sum z)[s]
+    (on_pow, L).
     """
-    n, C = cs.n, cs.layer1.decomposition.coords_of
-    SX, SY, SZ = (
-        (C @ np.array(vs, dtype=np.int64).reshape(-1, C.shape[1]).T) % n
-        for vs in ([x for x, _ in pairs], [y for _, y in pairs], zs)
-    )
-    rhs_comm = SX @ SY.T - SY @ SX.T
-    rhs_pow = binom2(n).value * (SX * SY).sum(axis=1) + SZ.sum(axis=1)
-    return int(np.count_nonzero((u[comm] + rhs_comm) % n) + np.count_nonzero((u[powr] + rhs_pow) % n))
+    X = C @ (P % n) @ C.T % n
+    z = sum(zs, np.zeros(C.shape[1], dtype=np.int64))
+    return (X - X.T) % n, (binom2(n).value * np.diag(X) + C @ z) % n
 
 
 def _additive_extension(
@@ -468,9 +461,9 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     chosen decomposition, solve for the cochain u, and check the commutator
     and power evaluation identities for all pairs of layer-1 elements; repeat
     with an alternative decomposition differing by the relation class.  Then
-    assemble the map from layer 2 to functions on the kernel generators out
-    of the special elements and verify it is a bijection onto the restricted
-    image of the compatible-pair space.
+    read the map from layer 2 to functions on the kernel generators off the
+    values the identities give, and verify it is a bijection onto the
+    restricted image of the compatible-pair space.
 
     Omega is well defined when each layer-2 class of a commutator or n-th
     power gets one value vector and these extend additively from identity 0;
@@ -481,48 +474,37 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     """
     cs = central_series(G, n)
     k, coords = _layer1_coords(cs)
+    C, l2 = cs.layer1.decomposition.coords_of, cs.layer2
     R = kernel_of_inflation(cs)
     comm, powr = layer_maps(cs, random.Random(seed))
 
     bad = [0, 0]  # identity violations, alternative-decomposition violations
-    eye = np.eye(k, dtype=np.int64)
+    columns = []  # Omega's value vector of each commutator and power, one per eta
     for eta in R:
         pairs, zs = eta.decomposition()
+        P = sum((np.outer(x, y) for x, y in pairs), np.zeros((k, k), dtype=np.int64))
         # The alternative is the same class, shifted by the relation x cup x = C(n,2) beta x.
-        variants = [(pairs, zs), (pairs + [(eye[0], eye[0])], zs + [(-binom2(n).value * eye[0]) % n])]
-        for variant, (vp, vz) in enumerate(variants):
-            acc = np.zeros((G.order, G.order), dtype=np.int64)
-            for x, y in vp:
-                acc += _U_values(coords, n, x, y)
-            for z in vz:
-                acc += _B_values(coords, n, z)
+        e0 = np.eye(k, dtype=np.int64)[0]
+        variants = [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n).value * e0) % n])]
+        for variant, (vP, vz) in enumerate(variants):
+            acc = coords @ vP @ coords.T + sum(_B_values(coords, n, z) for z in vz)
             u = solve_coboundary(Cocycle2(G, n, acc))
             if u is None:
                 raise TheoremViolationError("kernel class fails to die after inflation")
-            bad[variant] += _check_identities(cs, comm, powr, vp, vz, u)
+            on_comm, on_pow = _evaluations(C, n, vP, vz)
+            bad[variant] += int(np.count_nonzero((u[comm] + on_comm) % n))
+            bad[variant] += int(np.count_nonzero((u[powr] + on_pow) % n))
+            if variant == 0:
+                columns.append(np.concatenate([on_comm.ravel(), on_pow]))
 
-    # The induced map: layer-2 element -> its function on R.  The commutator
-    # element of (s, t) is bilinear in (s, t), so its pairings are
-    # sum_ij s_i t_j M[i, j], with M[i, j] the pairings of (e_i, e_j).  The
-    # power element of s pairs to sum_i s_i powers[i] + C(n,2) sum_{i<j}
-    # s_i s_j M[i, j], with powers[i] the pairings of the power element of e_i.
-    r = len(R)
-    M = np.array(
-        [[[int(pairing_S(special_elements(eye[i], eye[j], n)[0], eta)) for eta in R] for j in range(k)]
-         for i in range(k)],
-        dtype=np.int64,
-    ).reshape(k, k, r)
-    powers = np.array(
-        [[int(pairing_S(special_elements(eye[i], eye[i], n)[1], eta)) for eta in R] for i in range(k)],
-        dtype=np.int64,
-    ).reshape(k, r)
-    C, l2 = cs.layer1.decomposition.coords_of, cs.layer2
-    iu = np.triu_indices(k, 1)
+    # The induced map: layer-2 element -> its function on R.  For eta in
+    # normal form the commutator element of (s, t) pairs to
+    # sum_{i<j} cup_ij (s_i t_j - s_j t_i) = (C cup C^T - C cup^T C^T)[s, t],
+    # and the power element of s to C(n,2) sum_{i<j} cup_ij s_i s_j +
+    # sum_i bock_i s_i: the values on_comm and on_pow of eta's own
+    # decomposition, which the identities above pin to -u.
     keys = np.concatenate([l2.project[comm].ravel(), l2.project[powr]])
-    vecs = np.concatenate([
-        np.einsum("si,ijr,tj->str", C, M, C).reshape(len(C) ** 2, r),
-        C @ powers + binom2(n).value * (C[:, iu[0]] * C[:, iu[1]]) @ M[iu],
-    ]) % n
+    vecs = np.array(columns, dtype=np.int64).reshape(len(R), len(keys)).T
     gens, first, where = np.unique(keys, return_index=True, return_inverse=True)
     additive, reached, values = _additive_extension(l2.group, gens, vecs[first], n)
     well_defined = bool(additive and np.array_equal(vecs, vecs[first][where]))
@@ -531,11 +513,13 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     injective = well_defined and len(np.unique(omega, axis=0)) == len(omega)
 
     # Image of the compatible-pair space under restriction to R: spanned by
-    # the power elements of the e_i and the commutator elements of (e_i, e_j),
-    # i < j.  The values of Omega form a subgroup, and two subgroups of
-    # (Z/n)^r are equal exactly when their Howell forms are (with R empty
+    # the pairings of the power elements of the e_i and the commutator
+    # elements of (e_i, e_j), i < j, which are eta's Bockstein and cup
+    # coefficients.  The values of Omega form a subgroup, and two subgroups
+    # of (Z/n)^r are equal exactly when their Howell forms are (with R empty
     # both forms have no rows).
-    sr_gens = np.vstack([powers, M[iu]])
+    m = k * (k + 1) // 2
+    sr_gens = np.array([eta.coeff_vector() for eta in R], dtype=np.int64).reshape(len(R), m).T
     image_matches = well_defined and modring.howell_form(ModMatrix(n, omega)) == modring.howell_form(
         ModMatrix(n, sr_gens)
     )

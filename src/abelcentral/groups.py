@@ -148,13 +148,15 @@ class TableGroup:
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """The order of every element, read-only: one gather per power."""
-        acc = idx = np.arange(self.order)
-        out, m = np.zeros(self.order, dtype=np.int64), 0
-        while not out.all():
-            m += 1
-            out[(acc == self.identity) & (out == 0)] = m
-            acc = self.table[acc, idx]
+        """The order of every element, read-only.  By Lagrange the order of a
+        is the least divisor d of N with a^d = e: one power per divisor,
+        ascending, until every order is set."""
+        N, idx = self.order, np.arange(self.order)
+        out = np.zeros(N, dtype=np.int64)
+        for d in np.flatnonzero(N % np.arange(1, N + 1) == 0) + 1:
+            out[(out == 0) & (_nth_powers(self, idx, int(d)) == self.identity)] = d
+            if out.all():
+                break
         out.flags.writeable = False
         return out
 
@@ -305,7 +307,11 @@ class LayerData:
     group: TableGroup  # the quotient layer
     members: np.ndarray  # sorted indices in G of the elements of G^(i)
     project: np.ndarray  # length N: element of G^(i) -> layer element, -1 outside G^(i)
-    decomposition: CyclicDecomposition
+
+    @cached_property
+    def decomposition(self) -> CyclicDecomposition:
+        """The cyclic decomposition of the layer group, computed on first use."""
+        return abelian_decomposition(self.group)
 
     @cached_property
     def lifts(self) -> np.ndarray:
@@ -362,7 +368,7 @@ def _layer(g: TableGroup, sub: TableGroup, members: np.ndarray, lower: np.ndarra
     quot, proj = sub.quotient(np.searchsorted(members, lower))
     project = np.full(g.order, -1, dtype=np.int64)
     project[members] = proj
-    return LayerData(quot, members, project, abelian_decomposition(quot))
+    return LayerData(quot, members, project)
 
 
 def central_series(g: TableGroup, n: int, depth: int = 3) -> CentralSeriesData:

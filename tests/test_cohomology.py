@@ -38,6 +38,7 @@ from abelcentral.groups import (
 )
 from abelcentral.heisenberg import to_table_group
 from abelcentral.modring import ModMatrix, binom2
+from test_groups import D4, S3, perm_group
 
 
 def brute_force_coboundary(group, xi_values, n):
@@ -206,30 +207,8 @@ def machinery_oracle(G, n, seed):
             assert u is not None
             bad[variant] += oracle_check_identities(cs, coords, vp, vz, u)
 
-    dec1, l2 = cs.layer1.decomposition, cs.layer2
-    rng = random.Random(seed)
-    collected = {l2.group.identity: (0,) * len(R)}
-    well_defined = True
-
-    def elem(c):
-        g = cs.layer1.group.identity
-        for gen, ci in zip(dec1.gens, c):
-            g = cs.layer1.group.mul(g, cs.layer1.group.power(gen, ci))
-        return g
-
-    for cs1 in itertools.product(range(n), repeat=k):
-        sv = np.array(cs1, dtype=np.int64)
-        for ct in itertools.product(range(n), repeat=k):
-            comm, _ = oracle_layer_maps(cs, elem(cs1), elem(ct), rng)
-            s_comm, _ = special_elements(sv, np.array(ct, dtype=np.int64), n)
-            vec = tuple(int(pairing_S(s_comm, eta)) for eta in R)
-            if collected.setdefault(comm, vec) != vec:
-                well_defined = False
-        _, s_pow = special_elements(sv, sv, n)
-        _, powr = oracle_layer_maps(cs, elem(cs1), elem(cs1), rng)
-        vec = tuple(int(pairing_S(s_pow, eta)) for eta in R)
-        if collected.setdefault(powr, vec) != vec:
-            well_defined = False
+    l2 = cs.layer2
+    well_defined, collected = oracle_omega_values(cs, R, seed)
     if well_defined:
         well_defined, collected = oracle_closure_extend(l2.group, collected, n)
 
@@ -254,11 +233,49 @@ def machinery_oracle(G, n, seed):
     ).as_dict()
 
 
+def oracle_omega_values(cs, R, seed):
+    """(well_defined, collected): the definitional value of Omega on every
+    commutator and n-th power class of layer 2, one special element and one
+    pairing per layer-1 pair; ``collected`` maps the class to its pairings
+    with R and holds the identity with value 0."""
+    n, k = cs.n, len(cs.layer1.decomposition.orders)
+    dec1, l2 = cs.layer1.decomposition, cs.layer2
+    rng = random.Random(seed)
+    collected = {l2.group.identity: (0,) * len(R)}
+    well_defined = True
+
+    def elem(c):
+        g = cs.layer1.group.identity
+        for gen, ci in zip(dec1.gens, c):
+            g = cs.layer1.group.mul(g, cs.layer1.group.power(gen, ci))
+        return g
+
+    for cs1 in itertools.product(range(n), repeat=k):
+        sv = np.array(cs1, dtype=np.int64)
+        for ct in itertools.product(range(n), repeat=k):
+            comm, _ = oracle_layer_maps(cs, elem(cs1), elem(ct), rng)
+            s_comm, _ = special_elements(sv, np.array(ct, dtype=np.int64), n)
+            vec = tuple(int(pairing_S(s_comm, eta)) for eta in R)
+            if collected.setdefault(comm, vec) != vec:
+                well_defined = False
+        _, s_pow = special_elements(sv, sv, n)
+        _, powr = oracle_layer_maps(cs, elem(cs1), elem(cs1), rng)
+        vec = tuple(int(pairing_S(s_pow, eta)) for eta in R)
+        if collected.setdefault(powr, vec) != vec:
+            well_defined = False
+    return well_defined, collected
+
+
 def z4_squared():
     idx = np.arange(16)
     a, b = idx // 4, idx % 4
     return TableGroup(table=((a[:, None] + a[None, :]) % 4) * 4 + (b[:, None] + b[None, :]) % 4)
 
+
+# Q8 = {1, -1, i, -i, j, -j, k, -k} in that order, acting on itself by left
+# multiplication by i and by j.
+Q8 = lambda: perm_group([(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)])  # noqa: E731
+A4 = lambda: perm_group([(1, 2, 0, 3), (1, 0, 3, 2)])  # noqa: E731
 
 ORACLE_GROUPS = [
     ("heis2", lambda: to_table_group(2), 2),
@@ -270,6 +287,14 @@ ORACLE_GROUPS = [
     ("Z4xZ4", z4_squared, 2),
     *[(f"(Z/2)^{k}", lambda k=k: elementary_group(2, k), 2) for k in range(1, 5)],
     *[(f"(Z/3)^{k}", lambda k=k: elementary_group(3, k), 3) for k in range(1, 4)],
+    # Kernel classes no group above has: Q8 mixes a cup with both
+    # Bocksteins, C12 at n = 6 has Bockstein coefficient 3 at composite n.
+    ("Q8", Q8, 2),
+    ("C12,n=6", lambda: cyclic_group(12), 6),
+    ("D4", D4, 2),
+    ("C16,n=4", lambda: cyclic_group(16), 4),
+    ("S3", S3, 2),
+    ("A4,n=3", A4, 3),
 ]
 
 
@@ -340,6 +365,25 @@ class TestAgainstOracles:
     def test_machinery_report(self, name, build, n, seed):
         g = build()
         assert verify_thm23_and_omegaR(g, n, seed=seed).as_dict() == machinery_oracle(g, n, seed)
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_omega_values(self, name, build, n, monkeypatch):
+        # Omega's value on each commutator and power class of layer 2 is the
+        # pairing of its special element with the kernel classes.  The report
+        # flags alone do not pin the values: Omega -> -Omega keeps them all.
+        given = {}
+        extend = coh._additive_extension
+
+        def spy(group, gens, gen_values, n):
+            given.update({int(e): tuple(int(x) for x in v) for e, v in zip(gens, gen_values)})
+            return extend(group, gens, gen_values, n)
+
+        monkeypatch.setattr(coh, "_additive_extension", spy)
+        g = build()
+        assert verify_thm23_and_omegaR(g, n).omega_well_defined
+        cs = central_series(g, n)
+        well_defined, want = oracle_omega_values(cs, kernel_oracle(cs), 0)
+        assert well_defined and given == want
 
     @pytest.mark.parametrize("name,build,n", [
         ("C3", lambda: cyclic_group(3), 2),

@@ -547,6 +547,13 @@ class TestAgainstOracles:
         assert g.orders.tolist() == [oracle_order_of(g, a) for a in range(g.order)]
         assert g.exponent() == math.lcm(*g.orders.tolist())
 
+    def test_orders_cyclic_3000(self):
+        # 3000 has 32 divisors: one power per divisor, not one per exponent.
+        m = 3000
+        orders = cyclic_group(m).orders
+        assert orders.tolist() == [m // math.gcd(a, m) for a in range(m)]
+        assert not orders.flags.writeable
+
 
 class TestIndexValidation:
     @pytest.mark.parametrize("bad", [-1, 4])
