@@ -244,9 +244,6 @@ class H2Class:
         object.__setattr__(self, "cup", folded)
         object.__setattr__(self, "bockstein", bock)
 
-    def is_zero(self) -> bool:
-        return not self.cup.any() and not self.bockstein.any()
-
     def coeff_vector(self) -> np.ndarray:
         """Concatenated (cups for i<j in row order, bocksteins)."""
         iu = np.triu_indices(self.k, 1)

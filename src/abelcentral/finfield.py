@@ -2,8 +2,8 @@
 
 Elements of F_{p^k} are encoded as integers in [0, q): the encoding of
 sum c_i X^i is sum c_i p^i, so prime-field elements are just themselves.
-Discrete logs are precomputed as a full table for q <= 2^20 and computed
-by baby-step giant-step above that.
+Every field holds full exp/dlog tables, so a discrete log is one lookup;
+irreducibility of defining polynomials is decided by sympy.
 """
 
 from __future__ import annotations
@@ -14,13 +14,13 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import isprime
+from sympy import ZZ, isprime
+from sympy.polys.galoistools import gf_irreducible_p
 
 from . import modring
 from .errors import DomainError, HypothesisError, ModulusError
 
-DLOG_TABLE_MAX = 2**20
-FIELD_MAX = 2**26  # hard cap; generator search enumerates all elements
+FIELD_MAX = 2**20  # every field holds its full exp/dlog tables
 
 
 def _factor(m: int) -> dict[int, int]:
@@ -53,64 +53,9 @@ def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod_poly: Sequence[int], p:
     return prod[:k] + [0] * max(0, k - len(prod))
 
 
-def _poly_powmod(base: Sequence[int], e: int, mod_poly: Sequence[int], p: int) -> list[int]:
-    k = len(mod_poly) - 1
-    result = [1] + [0] * (k - 1)
-    base = list(base[:k]) + [0] * max(0, k - len(base))
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, base, mod_poly, p)
-        base = _poly_mulmod(base, base, mod_poly, p)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    def deg(f):
-        for i in range(len(f) - 1, -1, -1):
-            if f[i]:
-                return i
-        return -1
-
-    while deg(b) >= 0:
-        da, db = deg(a), deg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[deg(b)], -1, p)
-        while deg(a) >= deg(b):
-            shift = deg(a) - deg(b)
-            c = (a[deg(a)] * inv) % p
-            for i in range(deg(b) + 1):
-                a[i + shift] = (a[i + shift] - c * b[i]) % p
-        a, b = b, a
-    return a
-
-
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic polynomial over F_p."""
-    k = len(poly) - 1
-    if k < 1 or poly[-1] != 1:
-        return False
-    if k == 1:
-        return True
-    mod_poly = list(poly)
-    x = [0, 1] + [0] * (k - 2)
-    frob = x
-    for _ in range(k):
-        frob = _poly_powmod(frob, p, mod_poly, p)
-    if frob != x:
-        return False
-    for r in _factor(k):
-        frob_r = x
-        for _ in range(k // r):
-            frob_r = _poly_powmod(frob_r, p, mod_poly, p)
-        diff = [(a - b) % p for a, b in zip(frob_r, x)]
-        g = _poly_gcd(list(mod_poly), diff, p)
-        deg_g = max((i for i, c in enumerate(g) if c), default=-1)
-        if deg_g != 0:
-            return False
-    return True
+    """Whether a monic polynomial over F_p (constant term first) is irreducible."""
+    return len(poly) > 1 and poly[-1] == 1 and gf_irreducible_p([c % p for c in reversed(poly)], p, ZZ)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,9 +134,7 @@ class FqField:
     # --- discrete logarithms ------------------------------------------------
 
     @cached_property
-    def _tables(self):
-        if self.q > DLOG_TABLE_MAX:
-            return None
+    def _tables(self) -> tuple[np.ndarray, np.ndarray]:
         exp = np.zeros(self.q - 1, dtype=np.int64)
         dlog = np.full(self.q, -1, dtype=np.int64)
         acc = 1
@@ -205,10 +148,7 @@ class FqField:
 
     def exp(self, i: int) -> int:
         """generator**i."""
-        i %= self.q - 1
-        if self._tables is not None:
-            return int(self._tables[0][i])
-        return self.pow(self.generator, i)
+        return int(self._tables[0][i % (self.q - 1)])
 
     def dlog(self, x: int) -> int:
         """i in [0, q-1) with generator**i == x; x must be nonzero."""
@@ -216,24 +156,7 @@ class FqField:
             raise DomainError("dlog of 0 is undefined")
         if not 0 < x < self.q:
             raise DomainError(f"element {x} outside field of order {self.q}")
-        if self._tables is not None:
-            return int(self._tables[1][x])
-        return self._dlog_bsgs(x)
-
-    def _dlog_bsgs(self, x: int) -> int:
-        m = math.isqrt(self.q - 2) + 1
-        baby = {}
-        acc = x
-        for j in range(m):
-            baby[acc] = j
-            acc = self.mul(acc, self.generator)
-        giant = self.pow(self.generator, m)
-        acc = 1
-        for i in range(m + 1):
-            if acc in baby:
-                return (i * m - baby[acc]) % (self.q - 1)
-            acc = self.mul(acc, giant)
-        raise RuntimeError("baby-step giant-step failed; generator invalid?")
+        return int(self._tables[1][x])
 
     # --- the points of function tables ---------------------------------------
 
@@ -245,31 +168,23 @@ class FqField:
         discrete-log order (the integer encodings of extension elements carry
         no arithmetic meaning).
         """
-        pts = [x for x in self.elements() if x not in (0, 1)]
-        if self.k > 1:
-            pts.sort(key=self.dlog)
-        return tuple(pts)
+        if self.k == 1:
+            return tuple(range(2, self.q))
+        return tuple(self._tables[0][1:].tolist())  # exp[0] = 1; dlog order
 
     @cached_property
     def point_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
         """dlog(x) and dlog(1 - x) for x in ``table_points``, unreduced and read-only.
 
-        Read from the dlog table when the field has one; 1 - x is formed
-        digit-wise in base p (negate every coefficient, add 1 to the constant
-        one).  Fields above ``DLOG_TABLE_MAX`` fall back to one ``dlog`` call
-        per value.
+        Read from the dlog table; 1 - x is formed digit-wise in base p (negate
+        every coefficient, add 1 to the constant one).
         """
-        pts = self.table_points
-        if self._tables is None:
-            dx = np.array([self.dlog(x) for x in pts], dtype=np.int64)
-            dy = np.array([self.dlog(self.one_minus(x)) for x in pts], dtype=np.int64)
-        else:
-            x = np.array(pts, dtype=np.int64)
-            place = self.p ** np.arange(self.k, dtype=np.int64)
-            digits = (-(x[:, None] // place)) % self.p
-            digits[:, 0] = (digits[:, 0] + 1) % self.p
-            dlog = self._tables[1]
-            dx, dy = dlog[x], dlog[digits @ place]
+        x = np.array(self.table_points, dtype=np.int64)
+        place = self.p ** np.arange(self.k, dtype=np.int64)
+        digits = (-(x[:, None] // place)) % self.p
+        digits[:, 0] = (digits[:, 0] + 1) % self.p
+        dlog = self._tables[1]
+        dx, dy = dlog[x], dlog[digits @ place]
         dx.flags.writeable = dy.flags.writeable = False
         return dx, dy
 
@@ -330,7 +245,7 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
     if gen is None:
         raise RuntimeError("no multiplicative generator found")
     field = FqField(p=p, k=k, n=n, poly=poly_t, generator=gen)
-    field._tables  # build and verify the dlog table eagerly at desk scale
+    field._tables  # build and verify the dlog table eagerly
     return field
 
 

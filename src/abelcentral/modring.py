@@ -23,7 +23,7 @@ import numpy as np
 from sympy import Matrix
 from sympy.matrices.normalforms import smith_normal_form
 
-from .errors import DimensionError, ModulusError
+from .errors import DimensionError, ModulusError, TheoremViolationError
 
 MAX_MODULUS = 2**31 - 1
 
@@ -317,7 +317,8 @@ def structure(s: SubgroupZnk) -> AbelianStructure:
 def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
     """Some x with a @ x = b mod n, or None when no solution exists.
 
-    Any returned solution is re-verified by substitution.
+    Any returned solution is re-verified by substitution; a solution that
+    fails it raises ``TheoremViolationError`` rather than reading as None.
     """
     vec = np.asarray(b, dtype=np.int64) % a.modulus
     if vec.shape != (a.rows,):
@@ -348,7 +349,7 @@ def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
         return None
     x = (-v[a.rows:]) % n
     if not np.array_equal(_matvec(a.entries, x, n), vec):
-        return None
+        raise TheoremViolationError("solution fails substitution")
     return x
 
 

@@ -112,7 +112,7 @@ def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
     left = np.stack([(s.c * dl_units) % n for s, _ in pairs] + [(-t.c * dl_units) % n for _, t in pairs])
     right = np.stack([(t.c * dl_units) % n for _, t in pairs] + [(s.c * dl_units) % n for s, _ in pairs])
     left, right = np.ascontiguousarray(left.T, dtype=np.float64), right.astype(np.float64)
-    terms = (FLOAT_EXACT - 1) // (n - 1) ** 2  # >= 1: n - 1 < 2^26 since q <= FIELD_MAX
+    terms = (FLOAT_EXACT - 1) // (n - 1) ** 2  # >= 1: n - 1 < 2^20 since q <= FIELD_MAX
     step = max(1, COND6_CHUNK_CELLS // dl_units.size)
     for lo in range(0, dl_units.size, step):
         rows = left[lo:lo + step]

@@ -318,11 +318,9 @@ def kernel_class_span(field: FqField, omega: RootOfUnity) -> SubgroupZnk:
     n = omega.order
     b2 = binom2(n).value
     dw = field.dlog(omega.element) % n
-    coeffs = set()
-    for x in table_points(field):
-        dx = field.dlog(x) % n
-        dy = field.dlog(field.one_minus(x)) % n
-        coeffs.add((b2 * dx * dy) % n)  # x-class cup (1-x)-class
-        coeffs.add((b2 * dx * dw + dx) % n)  # x-class cup omega-class + Bockstein
-    rows = [[c] for c in sorted(coeffs)]
-    return modring.canonicalize(ModMatrix.from_rows(rows, n, cols=1))
+    dx, dy = (d % n for d in field.point_dlogs)
+    b2dx = (b2 * dx) % n
+    cups = (b2dx * dy) % n  # x-class cup (1-x)-class
+    bocks = ((b2dx * dw) % n + dx) % n  # x-class cup omega-class + Bockstein
+    coeffs = np.unique(np.concatenate([cups, bocks]))
+    return modring.canonicalize(ModMatrix(n, coeffs[:, None]))

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,37 @@ class TestExitCodes:
             capsys,
         )
         assert code == cli.EXIT_USAGE
+
+    def test_field_above_the_bound(self, capsys):
+        # 1048583 is the least prime above FIELD_MAX = 2^20.
+        code, out, err = run(["field", "--p", "1048583", "--n", "2"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and "exceeds the supported bound" in err
+
+
+def readme_cli_lines():
+    """The lines of the fenced ``sh`` block under ``## CLI`` in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.strip() and not line.startswith("#")]
+
+
+class TestReadmeExamples:
+    def test_every_example_exits_zero(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        ran = 0
+        for line in readme_cli_lines():
+            words = shlex.split(line)
+            if words[0] == "echo":
+                assert words[2] == ">", line
+                Path(words[3]).write_text(words[1] + "\n")
+                continue
+            assert words[0] == "abelcentral", line
+            code, _, err = run(words[1:], capsys)
+            assert code == cli.EXIT_OK, (line, err)
+            ran += 1
+        assert ran == 9
 
 
 class TestReports:

@@ -1,5 +1,7 @@
 """Finite field arithmetic, discrete logs, characters, and embeddings."""
 
+import itertools
+
 import pytest
 
 from abelcentral import finfield
@@ -24,9 +26,31 @@ class TestIrreducibility:
         ((2, 0, 1), 5, True),     # x^2 + 2 over F_5
         ((1, 0, 1), 7, True),     # x^2 + 1 over F_7
         ((6, 0, 1), 7, False),    # x^2 - 1
+        ((1, 2), 5, False),       # 2x + 1 is not monic
+        ((1,), 5, False),         # constants are not irreducible
     ])
     def test_known(self, poly, p, expected):
         assert is_irreducible(poly, p) == expected
+
+    @pytest.mark.parametrize("p,d", [(2, d) for d in range(1, 9)] + [
+        (3, 2), (3, 3), (3, 4), (5, 2), (5, 3), (7, 2), (7, 3), (11, 2),
+    ])
+    def test_gauss_count(self, p, d):
+        # Monic irreducibles of degree d over F_p: (1/d) sum_{e | d} mu(e) p^(d/e).
+        def mobius(e):
+            out, m, r = 1, e, 2
+            while r * r <= m:
+                if m % r == 0:
+                    m //= r
+                    if m % r == 0:
+                        return 0
+                    out = -out
+                r += 1
+            return -out if m > 1 else out
+
+        expected = sum(mobius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+        found = sum(is_irreducible(list(low) + [1], p) for low in itertools.product(range(p), repeat=d))
+        assert found == expected
 
 
 class TestPrimeField:
@@ -93,14 +117,34 @@ class TestPointDlogs:
             with pytest.raises(ValueError):
                 dl[0] = 0
 
-    def test_fields_without_a_dlog_table(self, monkeypatch):
-        # Above DLOG_TABLE_MAX the values come from baby-step giant-step.
-        with_table = make_field(7, k=2, n=3)
-        monkeypatch.setattr(finfield, "DLOG_TABLE_MAX", 0)
-        without = make_field(7, k=2, n=3)
-        assert without._tables is None
-        for a, b in zip(without.point_dlogs, with_table.point_dlogs):
-            assert a.tolist() == b.tolist() and not a.flags.writeable
+
+class TestDlogTable:
+    @pytest.mark.parametrize("p,deg,n", [(101, 1, 4), (7, 2, 3), (13, 2, 4), (3, 5, 2), (2, 8, 3)])
+    def test_against_the_scalar_law(self, p, deg, n):
+        k = make_field(p, k=deg, n=n)
+        exp, dlog = k._tables
+        g = k.generator
+        for i in range(k.q - 2):
+            assert exp[i + 1] == k.mul(int(exp[i]), g)
+        assert k.mul(int(exp[-1]), g) == 1
+        for i, x in enumerate(exp.tolist()):
+            assert dlog[x] == i
+        # Oracle: the definition of the point order, all x outside {0, 1}
+        # ascending, re-sorted by discrete log in an extension field.
+        pts = [x for x in k.elements() if x not in (0, 1)]
+        if deg > 1:
+            pts.sort(key=k.dlog)
+        assert k.table_points == tuple(pts)
+
+    def test_order_above_the_bound(self):
+        # 1048583 is the least prime above 2^20 = FIELD_MAX.
+        assert finfield.FIELD_MAX == 2**20
+        with pytest.raises(DomainError, match="exceeds the supported bound"):
+            make_field(1048583, n=2)
+
+    def test_largest_prime_below_the_bound(self):
+        k = make_field(1048573, n=2)
+        assert k.dlog(k.exp(12345)) == 12345
 
 
 class TestOmega:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcentral import modring
-from abelcentral.errors import DimensionError, ModulusError
+from abelcentral.errors import DimensionError, ModulusError, TheoremViolationError
 from abelcentral.modring import ModMatrix, Residue, binom2
 
 
@@ -191,3 +191,12 @@ class TestSolveLinear:
         x = modring.solve_linear(ModMatrix(n, np.array(a, dtype=np.int64)), b)
         assert x is not None
         assert apply(x) == b
+
+    def test_failed_substitution_raises(self, monkeypatch):
+        # A solution that fails its own re-verification is a fault, not "no solution".
+        a = ModMatrix(5, np.array([[1, 2], [0, 3]]))
+        b = [4, 1]
+        assert modring.solve_linear(a, b) is not None
+        monkeypatch.setattr(modring, "_matvec", lambda mat, x, n: (mat @ x + 1) % n)
+        with pytest.raises(TheoremViolationError, match="fails substitution"):
+            modring.solve_linear(a, b)
