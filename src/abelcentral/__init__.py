@@ -28,7 +28,7 @@ from .groups import (
     layer_maps,
 )
 from .heisenberg import HeisElem, heis_comm_pow, heis_mul, to_table_group
-from .modring import AbelianStructure, ModMatrix, Residue, SubgroupZnk, binom2
+from .modring import AbelianStructure, ModMatrix, SubgroupZnk, binom2
 from .relations import RelationReport, relation_check
 from .tables import (
     FfrakGroup,
@@ -59,7 +59,6 @@ __all__ = [
     "ModMatrix",
     "ModulusError",
     "RelationReport",
-    "Residue",
     "RootOfUnity",
     "SubgroupZnk",
     "TableGroup",

@@ -120,7 +120,7 @@ def verify_propA1(k: int, n: int) -> int:
     """
     g = elementary_group(n, k)
     coords = elementary_coords(n, k)
-    b2 = binom2(n).value
+    b2 = binom2(n)
     bad = 0
     for xi in range(k):
         x = np.eye(k, dtype=np.int64)[xi]
@@ -238,7 +238,7 @@ class H2Class:
         bock = np.asarray(self.bockstein, dtype=np.int64) % self.n
         if cup.shape != (self.k, self.k) or bock.shape != (self.k,):
             raise DimensionError("coefficient shapes do not match the rank")
-        b2 = binom2(self.n).value
+        b2 = binom2(self.n)
         bock = (bock + b2 * np.diag(cup)) % self.n
         folded = (np.triu(cup, 1) - np.tril(cup, -1).T) % self.n
         object.__setattr__(self, "cup", folded)
@@ -299,7 +299,7 @@ class SElement:
         g = np.asarray(self.g, dtype=np.int64) % self.n
         if F.shape != (self.k, self.k) or g.shape != (self.k,):
             raise DimensionError("form shapes do not match the rank")
-        b2 = binom2(self.n).value
+        b2 = binom2(self.n)
         if ((np.diag(F) - b2 * g) % self.n).any():
             raise DomainError("diagonal law F[i][i] = C(n,2) g[i] fails")
         if ((F + F.T - 2 * np.diag(np.diag(F))) % self.n).any():
@@ -316,17 +316,16 @@ def special_elements(s: Sequence[int], t: Sequence[int], n: int) -> tuple[SEleme
         raise DimensionError("mismatched coordinate vectors")
     k = sv.size
     comm = SElement(k, n, np.outer(sv, tv) - np.outer(tv, sv), np.zeros(k, dtype=np.int64))
-    powr = SElement(k, n, binom2(n).value * np.outer(sv, sv), sv)
+    powr = SElement(k, n, binom2(n) * np.outer(sv, sv), sv)
     return comm, powr
 
 
-def pairing_S(s: SElement, c: H2Class) -> modring.Residue:
+def pairing_S(s: SElement, c: H2Class) -> int:
     """((F,g), class) = sum of cup[i][j] F[i][j] (i<j) plus bockstein . g."""
     if s.k != c.k or s.n != c.n:
         raise DimensionError("rank or modulus mismatch")
     iu = np.triu_indices(s.k, 1)
-    total = int((c.cup[iu] * s.F[iu]).sum() + (c.bockstein * s.g).sum())
-    return modring.Residue(total, s.n)
+    return int((c.cup[iu] * s.F[iu]).sum() + (c.bockstein * s.g).sum()) % s.n
 
 
 # --- layer-1 identification and kernel of inflation ------------------------
@@ -423,7 +422,7 @@ def _evaluations(
     """
     X = C @ (P % n) @ C.T % n
     z = sum(zs, np.zeros(C.shape[1], dtype=np.int64))
-    return (X - X.T) % n, (binom2(n).value * np.diag(X) + C @ z) % n
+    return (X - X.T) % n, (binom2(n) * np.diag(X) + C @ z) % n
 
 
 def _additive_extension(
@@ -482,7 +481,7 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
         P = sum((np.outer(x, y) for x, y in pairs), np.zeros((k, k), dtype=np.int64))
         # The alternative is the same class, shifted by the relation x cup x = C(n,2) beta x.
         e0 = np.eye(k, dtype=np.int64)[0]
-        variants = [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n).value * e0) % n])]
+        variants = [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n) * e0) % n])]
         for variant, (vP, vz) in enumerate(variants):
             acc = coords @ vP @ coords.T + sum(_B_values(coords, n, z) for z in vz)
             u = solve_coboundary(Cocycle2(G, n, acc))

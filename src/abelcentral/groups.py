@@ -323,7 +323,7 @@ class LayerData:
 
 @dataclass(frozen=True)
 class CentralSeriesData:
-    """The descending chain G = G^(1) >= G^(2) >= ... with its first layers."""
+    """The descending chain G = G^(1) >= G^(2) >= G^(3) with its two layers."""
 
     group: TableGroup
     n: int
@@ -371,14 +371,12 @@ def _layer(g: TableGroup, sub: TableGroup, members: np.ndarray, lower: np.ndarra
     return LayerData(quot, members, project)
 
 
-def central_series(g: TableGroup, n: int, depth: int = 3) -> CentralSeriesData:
-    """Compute G^(1) >= ... >= G^(depth+1) and the first two layer quotients."""
+def central_series(g: TableGroup, n: int) -> CentralSeriesData:
+    """Compute G^(1) >= G^(2) >= G^(3) and the two layer quotients between them."""
     if n < 2:
         raise ModulusError("modulus must be >= 2")
-    if depth < 2:
-        raise DomainError("depth must be at least 2")
     chain = [np.arange(g.order)]
-    for _ in range(depth):
+    for _ in range(2):
         chain.append(_next_term(g, chain[-1], n))
     for upper, lower in zip(chain, chain[1:]):
         if not g._mask(upper)[lower].all():

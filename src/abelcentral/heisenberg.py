@@ -79,7 +79,7 @@ def heis_comm_pow(u: HeisElem, v: HeisElem) -> tuple[int, int]:
     u._check(v)
     n = u.n
     comm = (u.a * v.b - v.a * u.b) % n
-    powr = (binom2(n).value * u.a * u.b) % n
+    powr = (binom2(n) * u.a * u.b) % n
     literal_comm = heis_mul(heis_mul(u.inv(), v.inv()), heis_mul(u, v))
     literal_pow = identity(n)
     for _ in range(n):

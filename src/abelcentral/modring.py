@@ -20,59 +20,20 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import Matrix
-from sympy.matrices.normalforms import smith_normal_form
+from sympy import ZZ
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.normalforms import invariant_factors
 
 from .errors import DimensionError, ModulusError, TheoremViolationError
 
 MAX_MODULUS = 2**31 - 1
 
 
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z/n, kept reduced into [0, n)."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2 or self.modulus > MAX_MODULUS:
-            raise ModulusError(f"modulus must be in [2, 2^31-1], got {self.modulus}")
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "Residue":
-        if isinstance(other, int):
-            return Residue(other, self.modulus)
-        if isinstance(other, Residue):
-            if other.modulus != self.modulus:
-                raise ModulusError("mixed moduli")
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Residue(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return Residue(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return Residue(self.value * other.value, self.modulus)
-
-    def __neg__(self):
-        return Residue(-self.value, self.modulus)
-
-    def __int__(self):
-        return self.value
-
-
-def binom2(n: int) -> Residue:
+def binom2(n: int) -> int:
     """n*(n-1)/2 reduced mod n (the coefficient in the power formulas)."""
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
-    return Residue(n * (n - 1) // 2, n)
+    return n * (n - 1) // 2 % n
 
 
 @dataclass(frozen=True)
@@ -117,11 +78,10 @@ class ModMatrix:
 
 @dataclass(frozen=True)
 class SubgroupZnk:
-    """A subgroup of (Z/n)^k given by generators and a Howell canonical form."""
+    """A subgroup of (Z/n)^k given by its Howell canonical form."""
 
     modulus: int
     ambient_rank: int
-    generators: ModMatrix
     canonical: ModMatrix
 
 
@@ -217,57 +177,45 @@ def _howell_basis(rows, n: int) -> dict[int, np.ndarray]:
     return basis
 
 
-def _normalize_basis(basis: dict[int, np.ndarray], n: int) -> list[np.ndarray]:
+def _howell(entries: np.ndarray, n: int) -> np.ndarray:
+    """The normalized Howell rows of ``entries`` mod n as one (r, cols) array.
+
+    Each row is scaled by a unit so that its pivot divides n, the entries
+    above each pivot d are reduced into [0, d), and rows are sorted by pivot
+    column.
+    """
+    basis = _howell_basis(entries, n)
     pivots = sorted(basis)
-    rows = []
-    for j in pivots:
-        d, u = _unit_scale(int(basis[j][j]), n)
-        rows.append((u * basis[j]) % n)
-    # Reduce entries above each pivot into [0, pivot).
-    for bi, j in enumerate(pivots):
-        d = int(rows[bi][j])
-        for ai in range(bi):
-            q = int(rows[ai][j]) // d
-            if q:
-                rows[ai] = (rows[ai] - q * rows[bi]) % n
-    return rows
+    h = np.zeros((len(pivots), entries.shape[1]), dtype=np.int64)
+    for i, j in enumerate(pivots):
+        _, u = _unit_scale(int(basis[j][j]), n)
+        h[i] = (u * basis[j]) % n
+    for i, j in enumerate(pivots):
+        h[:i] = (h[:i] - (h[:i, j] // h[i, j])[:, None] * h[i]) % n
+    return h
 
 
 def howell_form(mat: ModMatrix) -> ModMatrix:
     """Canonical Howell row form spanning the same row module as ``mat``."""
-    rows = _normalize_basis(_howell_basis(list(mat.entries), mat.modulus), mat.modulus)
-    if not rows:
-        return ModMatrix(mat.modulus, np.zeros((0, mat.cols), dtype=np.int64))
-    return ModMatrix(mat.modulus, np.stack(rows))
+    return ModMatrix(mat.modulus, _howell(mat.entries, mat.modulus))
 
 
 def canonicalize(gens: ModMatrix) -> SubgroupZnk:
     """Subgroup of (Z/n)^k spanned by the rows of ``gens``."""
-    return SubgroupZnk(
-        modulus=gens.modulus,
-        ambient_rank=gens.cols,
-        generators=gens,
-        canonical=howell_form(gens),
-    )
+    return SubgroupZnk(modulus=gens.modulus, ambient_rank=gens.cols, canonical=howell_form(gens))
 
 
-def _reduce_against(canonical: np.ndarray, v: np.ndarray, n: int):
-    """Reduce v by canonical Howell rows; returns (remainder, coefficients)."""
-    coeffs = np.zeros(canonical.shape[0], dtype=np.int64)
-    v = v.copy() % n
-    for i in range(canonical.shape[0]):
-        row = canonical[i]
+def _reduce_against(canonical: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The remainder of v reduced by canonical Howell rows; zero iff v is in their span."""
+    v = v % n
+    for row in canonical:
         j = _first_nonzero(row)
-        d = int(row[j])
-        val = int(v[j])
-        if val == 0:
-            continue
-        if val % d != 0:
-            return v, None
-        q = val // d
-        v = (v - q * row) % n
-        coeffs[i] = q
-    return v, coeffs
+        d, val = int(row[j]), int(v[j])
+        if val % d:
+            return v
+        if val:
+            v = (v - (val // d) * row) % n
+    return v
 
 
 def membership(s: SubgroupZnk, v: Sequence[int]) -> bool:
@@ -275,25 +223,18 @@ def membership(s: SubgroupZnk, v: Sequence[int]) -> bool:
     vec = np.asarray(v, dtype=np.int64)
     if vec.shape != (s.ambient_rank,):
         raise DimensionError(f"vector length {vec.shape} != ambient rank {s.ambient_rank}")
-    rem, _ = _reduce_against(s.canonical.entries, vec, s.modulus)
-    return not rem.any()
+    return not _reduce_against(s.canonical.entries, vec, s.modulus).any()
 
 
 def _left_kernel(mat: np.ndarray, n: int) -> np.ndarray:
     """Rows x with x @ mat = 0 mod n, as a Howell basis (shape (*, mat.rows))."""
-    m = mat.shape[0]
-    aug = np.hstack([mat % n, np.eye(m, dtype=np.int64)])
-    h = _normalize_basis(_howell_basis(list(aug), n), n)
-    kernel = [row[mat.shape[1]:] for row in h if not row[: mat.shape[1]].any()]
-    if not kernel:
-        return np.zeros((0, m), dtype=np.int64)
-    return np.stack(kernel)
+    h = _howell(np.hstack([mat, np.eye(mat.shape[0], dtype=np.int64)]), n)
+    return h[~h[:, : mat.shape[1]].any(axis=1), mat.shape[1]:]
 
 
 def nullspace(mat: ModMatrix) -> ModMatrix:
     """Howell basis of {x : mat @ x = 0 mod n} (rows are kernel vectors)."""
-    ker = _left_kernel(mat.entries.T, mat.modulus)
-    return ModMatrix(mat.modulus, ker)
+    return ModMatrix(mat.modulus, _left_kernel(mat.entries.T, mat.modulus))
 
 
 def structure(s: SubgroupZnk) -> AbelianStructure:
@@ -303,15 +244,9 @@ def structure(s: SubgroupZnk) -> AbelianStructure:
     the canonical generators, which contains n*Z^r.
     """
     basis = s.canonical.entries
-    r = basis.shape[0]
-    if r == 0:
-        return AbelianStructure(())
-    rel_mod = _left_kernel(basis, s.modulus)
-    rel = np.vstack([rel_mod, s.modulus * np.eye(r, dtype=np.int64)])
-    snf = smith_normal_form(Matrix(rel.tolist()))
-    diag = [abs(int(snf[i, i])) for i in range(min(snf.shape))]
-    factors = tuple(d for d in diag if d > 1)
-    return AbelianStructure(factors)
+    rel = np.vstack([_left_kernel(basis, s.modulus), s.modulus * np.eye(basis.shape[0], dtype=np.int64)])
+    factors = invariant_factors(DomainMatrix.from_list(rel.tolist(), ZZ))
+    return AbelianStructure(tuple(d for d in factors if d > 1))
 
 
 def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
@@ -323,31 +258,15 @@ def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
     vec = np.asarray(b, dtype=np.int64) % a.modulus
     if vec.shape != (a.rows,):
         raise DimensionError(f"rhs length {vec.shape} != row count {a.rows}")
-    n = a.modulus
-    m = a.cols  # unknowns
-    if m == 0:
-        return np.zeros(0, dtype=np.int64) if not vec.any() else None
-    # b is in the column span of a iff b^T is in the row span of a^T; track
-    # the combination coefficients through the augmented Howell form.
-    aug = np.hstack([a.entries.T % n, np.eye(m, dtype=np.int64)])
-    h = _normalize_basis(_howell_basis(list(aug), n), n)
-    span_rows = [row for row in h if row[: a.rows].any()]
-    if not span_rows:
-        return np.zeros(m, dtype=np.int64) if not vec.any() else None
-    # Reduce the augmented vector; the right block accumulates -x.
-    v = np.concatenate([vec, np.zeros(m, dtype=np.int64)])
-    for row in span_rows:
-        j = _first_nonzero(row[: a.rows])
-        if j < 0:
-            continue
-        d = int(row[j])
-        val = int(v[j])
-        if val == 0 or val % d != 0:
-            continue
-        v = (v - (val // d) * row) % n
-    if v[: a.rows].any():
+    n, r = a.modulus, a.rows
+    # b is in the column span of a iff b^T is in the row span of a^T; the
+    # right block of the augmented Howell form tracks the combination, so
+    # reducing (b, 0) by the rows that reach the left block leaves (0, -x).
+    h = _howell(np.hstack([a.entries.T, np.eye(a.cols, dtype=np.int64)]), n)
+    v = _reduce_against(h[h[:, :r].any(axis=1)], np.concatenate([vec, np.zeros(a.cols, dtype=np.int64)]), n)
+    if v[:r].any():
         return None
-    x = (-v[a.rows:]) % n
+    x = (-v[r:]) % n
     if not np.array_equal(_matvec(a.entries, x, n), vec):
         raise TheoremViolationError("solution fails substitution")
     return x

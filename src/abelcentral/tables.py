@@ -118,7 +118,7 @@ def psi(f: KummerCharacter, omega: RootOfUnity) -> FnTable:
     """The table x -> (C(n,2) f(x)f(1-x), C(n,2) f(x)f(omega) + f(x))."""
     _check_inputs(omega, f)
     field, n = omega.field, omega.order
-    b2 = binom2(n).value
+    b2 = binom2(n)
     dx, dy = _reduced_dlogs(field, n)
     fx, fy = (f.c * dx) % n, (f.c * dy) % n
     fw = (f.c * (field.dlog(omega.element) % n)) % n
@@ -174,7 +174,7 @@ def ffrak_generate(field: FqField, omega: RootOfUnity) -> FfrakGroup:
     order = n // math.gcd(n, int(np.gcd.reduce(pair.ravel())))
     multiples = (np.arange(order)[:, None, None] * pair) % n
 
-    b2 = binom2(n).value
+    b2 = binom2(n)
     dx, dy = _reduced_dlogs(field, n)
     dw = field.dlog(omega.element) % n
     bdx = (b2 * dx) % n
@@ -313,14 +313,11 @@ def kernel_class_span(field: FqField, omega: RootOfUnity) -> SubgroupZnk:
     For a finite field the character group of K^x mod n is cyclic, so H^2 of
     it is cyclic of order n with the Bockstein of the dual generator as basis.
     The two class families attached to each x in K \\ {0,1} reduce, in that
-    basis, to the coefficients below; the span should be everything.
+    basis, to the two columns of psi(chi, omega) for the generating character
+    chi: C(n,2) chi(x) chi(1-x) for the x-class cup the (1-x)-class, and
+    C(n,2) chi(x) chi(omega) + chi(x) for the x-class cup the omega-class plus
+    the Bockstein of the x-class.  The span should be everything.
     """
     n = omega.order
-    b2 = binom2(n).value
-    dw = field.dlog(omega.element) % n
-    dx, dy = (d % n for d in field.point_dlogs)
-    b2dx = (b2 * dx) % n
-    cups = (b2dx * dy) % n  # x-class cup (1-x)-class
-    bocks = ((b2dx * dw) % n + dx) % n  # x-class cup omega-class + Bockstein
-    coeffs = np.unique(np.concatenate([cups, bocks]))
+    coeffs = np.unique(psi(KummerCharacter(field, n, 1), omega).values)
     return modring.canonicalize(ModMatrix(n, coeffs[:, None]))

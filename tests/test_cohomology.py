@@ -143,7 +143,7 @@ def oracle_layer_maps(cs, s, t, rng=None):
 def oracle_check_identities(cs, coords, pairs, zs, u):
     """Failures of the two evaluation identities, one layer pair at a time."""
     G, n = cs.group, cs.n
-    b2 = binom2(n).value
+    b2 = binom2(n)
     lifts = cs.layer1.lifts[:, 0].tolist()
     bad = 0
     for ls in lifts:
@@ -195,7 +195,7 @@ def machinery_oracle(G, n, seed):
     bad = [0, 0]
     for eta in R:
         pairs, zs = eta.decomposition()
-        variants = [(pairs, zs), (pairs + [(eye[0], eye[0])], zs + [(-binom2(n).value * eye[0]) % n])]
+        variants = [(pairs, zs), (pairs + [(eye[0], eye[0])], zs + [(-binom2(n) * eye[0]) % n])]
         for variant, (vp, vz) in enumerate(variants):
             acc = zero_cocycle(g1, n)
             for x, y in vp:
@@ -635,7 +635,7 @@ class TestSElements:
             bx = H2Class(k=1, n=n, cup=np.array([[0]]), bockstein=np.array([1]))
             for c in range(n):
                 _, s = special_elements([c], [c], n)
-                assert int(pairing_S(s, xx)) == (binom2(n).value * int(pairing_S(s, bx))) % n
+                assert int(pairing_S(s, xx)) == (binom2(n) * int(pairing_S(s, bx))) % n
 
 
 class TestKernelOfInflation:

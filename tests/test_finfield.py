@@ -1,12 +1,14 @@
 """Finite field arithmetic, discrete logs, characters, and embeddings."""
 
 import itertools
+import math
 
 import pytest
 
 from abelcentral import finfield
 from abelcentral.errors import DomainError, HypothesisError
 from abelcentral.finfield import (
+    FieldEmbedding,
     KummerCharacter,
     char_eval,
     characters,
@@ -192,7 +194,27 @@ class TestCharacters:
             assert f.scale(4)(x) == (4 * f(x)) % 6
 
 
+def oracle_embed_exponent(sub, sup):
+    """Oracle: the exponent of the smallest unit u whose map is additive on all q_K^2 pairs."""
+    e = (sup.q - 1) // (sub.q - 1)
+    for u in range(1, sub.q):
+        if math.gcd(u, sub.q - 1) != 1:
+            continue
+        emb = FieldEmbedding(sub=sub, sup=sup, exponent=e * u)
+        if all(emb(sub.add(a, b)) == sup.add(emb(a), emb(b)) for a in sub.elements() for b in sub.elements()):
+            return e * u
+    raise AssertionError("no additive embedding")
+
+
 class TestEmbedding:
+    @pytest.mark.parametrize("p,k_sub,k_sup,n", [
+        (5, 1, 2, 2), (7, 1, 2, 3), (13, 1, 2, 4), (101, 1, 2, 2), (3, 1, 6, 2),
+        (2, 2, 4, 3), (2, 2, 6, 3), (2, 3, 6, 7), (3, 2, 4, 2), (5, 2, 4, 2),
+    ])
+    def test_exponent_against_pairwise_oracle(self, p, k_sub, k_sup, n):
+        sub, sup = make_field(p, k=k_sub, n=n), make_field(p, k=k_sup, n=n)
+        assert embed_field(sub, sup).exponent == oracle_embed_exponent(sub, sup)
+
     @pytest.mark.parametrize("p,n", [(7, 3), (5, 2), (13, 4)])
     def test_additive_and_multiplicative(self, p, n):
         sub = make_field(p, n=n)

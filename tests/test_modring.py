@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from abelcentral import modring
 from abelcentral.errors import DimensionError, ModulusError, TheoremViolationError
-from abelcentral.modring import ModMatrix, Residue, binom2
+from abelcentral.modring import ModMatrix, binom2
 
 
 def closure_of(rows, n, width=None):
@@ -29,31 +29,32 @@ def closure_of(rows, n, width=None):
     return seen
 
 
-class TestResidue:
-    def test_reduction(self):
-        assert Residue(7, 5).value == 2
-        assert Residue(-1, 5).value == 4
-
-    def test_arithmetic(self):
-        a, b = Residue(3, 7), Residue(5, 7)
-        assert (a + b).value == 1
-        assert (a - b).value == 5
-        assert (a * b).value == 1
-        assert (-a).value == 4
-        assert int(a + 4) == 0
-
-    def test_mixed_moduli_rejected(self):
-        with pytest.raises(ModulusError):
-            Residue(1, 5) + Residue(1, 7)
-
-    def test_bad_modulus(self):
-        with pytest.raises(ModulusError):
-            Residue(0, 1)
+def rank_mod_p(rows, p):
+    """Oracle: the rank of a matrix over F_p, by elimination in Python integers."""
+    m = [[v % p for v in row] for row in rows]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        for i in range(len(m)):
+            if i != rank and m[i][c]:
+                f = m[i][c] * inv % p
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
 
 
 @pytest.mark.parametrize("n,expected", [(2, 1), (3, 0), (4, 2), (5, 0), (6, 3), (7, 0), (8, 4)])
 def test_binom2(n, expected):
-    assert binom2(n).value == expected
+    assert binom2(n) == expected
+
+
+def test_binom2_bad_modulus():
+    with pytest.raises(ModulusError):
+        binom2(1)
 
 
 class TestHowell:
@@ -191,6 +192,46 @@ class TestSolveLinear:
         x = modring.solve_linear(ModMatrix(n, np.array(a, dtype=np.int64)), b)
         assert x is not None
         assert apply(x) == b
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_large_moduli_forms_against_python_ints(self, data):
+        # Howell form, membership, nullspace and structure at moduli where
+        # sums of products overflow int64; the oracle takes every product in
+        # Python integers.  a = B C has drawn rank at most k, and its last column is
+        # chosen so that the planted x0 (last entry a unit) is a kernel vector.
+        n = data.draw(st.sampled_from([2**31 - 1, 65537, 2**16]), label="n")
+        rows = data.draw(st.integers(1, 8), label="rows")
+        cols = data.draw(st.integers(1, 8), label="cols")
+        k = data.draw(st.integers(1, max(rows, cols)), label="k")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        left = [[rng.randrange(n) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randrange(n) for _ in range(cols)] for _ in range(k)]
+        a = [[sum(x * y for x, y in zip(row, col)) % n for col in zip(*right)] for row in left]
+        x0 = [rng.randrange(n) for _ in range(cols - 1)]
+        unit = 2 * rng.randrange(n // 2) + 1  # odd, so a unit mod 2^16 and mod the odd primes
+        for row in a:
+            row[-1] = -sum(x * y for x, y in zip(row, x0)) * pow(unit, -1, n) % n
+        x0.append(unit)
+
+        def apply(x):
+            return [sum(ai * int(xi) for ai, xi in zip(row, x)) % n for row in a]
+
+        mat = ModMatrix(n, np.array(a, dtype=np.int64))
+        h = modring.howell_form(mat)
+        assert modring.howell_form(h) == h
+        sub = modring.canonicalize(mat)
+        assert all(modring.membership(sub, row) for row in a)
+        coeffs = [rng.randrange(n) for _ in range(rows)]
+        assert modring.membership(sub, [sum(c * row[j] for c, row in zip(coeffs, a)) % n for j in range(cols)])
+
+        ker = modring.nullspace(mat)
+        assert all(apply(row) == [0] * rows for row in ker.entries)
+        assert apply(x0) == [0] * rows
+        assert modring.membership(modring.canonicalize(ker), x0)
+
+        if n != 2**16:  # the prime moduli: Z/n is a field
+            assert modring.structure(sub).invariant_factors == (n,) * rank_mod_p(a, n)
 
     def test_failed_substitution_raises(self, monkeypatch):
         # A solution that fails its own re-verification is a fault, not "no solution".

@@ -129,7 +129,7 @@ class TestPsi:
 
     def test_pointwise_formula(self):
         k, w = field_and_omega(17, 4)
-        b2 = modring.binom2(4).value
+        b2 = modring.binom2(4)
         f = KummerCharacter(k, 4, 3)
         t = tables.psi(f, w)
         for i, x in enumerate(t.points):
