@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import cohomology, heisenberg, modring, relations, tables
+from . import cohomology, heisenberg, relations, tables
 from .errors import TheoremViolationError
 from .finfield import KummerCharacter, make_field, omega as make_omega
 from .groups import TableGroup, central_series, elementary_group

@@ -2,8 +2,9 @@
 
 Elements of F_{p^k} are encoded as integers in [0, q): the encoding of
 sum c_i X^i is sum c_i p^i, so prime-field elements are just themselves.
-Every field holds full exp/dlog tables, so a discrete log is one lookup;
-irreducibility of defining polynomials is decided by sympy.
+Every field holds full exp/dlog tables, so a product, a power, an inverse
+and a discrete log are each a lookup; sums are formed digit by digit.
+Irreducibility of defining polynomials is decided by sympy.
 """
 
 from __future__ import annotations
@@ -15,12 +16,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 from sympy import ZZ, isprime
-from sympy.polys.galoistools import gf_irreducible_p
+from sympy.ntheory import primitive_root
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from . import modring
 from .errors import DomainError, HypothesisError, ModulusError
 
 FIELD_MAX = 2**20  # every field holds its full exp/dlog tables
+
+Elements = int | np.ndarray  # one field element or an array of them
 
 
 def _factor(m: int) -> dict[int, int]:
@@ -34,23 +38,6 @@ def _factor(m: int) -> dict[int, int]:
     if m > 1:
         out[m] = out.get(m, 0) + 1
     return out
-
-
-def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod_poly: Sequence[int], p: int) -> list[int]:
-    k = len(mod_poly) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-    # reduce modulo the monic mod_poly
-    for i in range(len(prod) - 1, k - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(k):
-                prod[i - k + j] = (prod[i - k + j] - c * mod_poly[j]) % p
-    return prod[:k] + [0] * max(0, k - len(prod))
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -74,56 +61,43 @@ class FqField:
 
     # --- element arithmetic -------------------------------------------------
 
-    def _decode(self, x: int) -> list[int]:
-        coeffs = []
-        for _ in range(self.k):
-            coeffs.append(x % self.p)
-            x //= self.p
-        return coeffs
+    @cached_property
+    def _place(self) -> np.ndarray:
+        return self.p ** np.arange(self.k, dtype=np.int64)
 
-    def _encode(self, coeffs: Sequence[int]) -> int:
-        x = 0
-        for c in reversed(list(coeffs)):
-            x = x * self.p + (c % self.p)
-        return x
+    def _digitwise(self, a: Elements, b: Elements, sign: int) -> Elements:
+        """a + sign * b, digit by digit in base p; a and b are ints or integer arrays."""
+        place = self._place
+        da, db = (np.asarray(x, dtype=np.int64)[..., None] // place for x in (a, b))
+        out = ((da + sign * db) % self.p) @ place
+        return int(out) if np.ndim(out) == 0 else out
 
-    def add(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a + b) % self.p
-        ca, cb = self._decode(a), self._decode(b)
-        return self._encode([(x + y) % self.p for x, y in zip(ca, cb)])
+    def add(self, a: Elements, b: Elements) -> Elements:
+        return self._digitwise(a, b, 1)
 
-    def neg(self, a: int) -> int:
-        if self.k == 1:
-            return (-a) % self.p
-        return self._encode([(-c) % self.p for c in self._decode(a)])
+    def neg(self, a: Elements) -> Elements:
+        return self._digitwise(0, a, -1)
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+    def sub(self, a: Elements, b: Elements) -> Elements:
+        return self._digitwise(a, b, -1)
+
+    def one_minus(self, x: Elements) -> Elements:
+        return self._digitwise(1, x, -1)
 
     def mul(self, a: int, b: int) -> int:
-        if self.k == 1:
-            return (a * b) % self.p
-        return self._encode(_poly_mulmod(self._decode(a), self._decode(b), list(self.poly), self.p))
+        if a == 0 or b == 0:
+            return 0
+        return self.exp(self.dlog(a) + self.dlog(b))
 
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if a == 0:
+            if e < 0:
+                raise DomainError("0 is not invertible")
+            return 0 if e else 1
+        return self.exp(self.dlog(a) * e)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise DomainError("0 is not invertible")
-        return self.exp((self.q - 1 - self.dlog(a)) % (self.q - 1))
-
-    def one_minus(self, x: int) -> int:
-        return self.sub(1, x)
+        return self.pow(a, -1)
 
     def elements(self):
         return range(self.q)
@@ -135,14 +109,38 @@ class FqField:
 
     @cached_property
     def _tables(self) -> tuple[np.ndarray, np.ndarray]:
-        exp = np.zeros(self.q - 1, dtype=np.int64)
-        dlog = np.full(self.q, -1, dtype=np.int64)
-        acc = 1
-        for i in range(self.q - 1):
-            exp[i] = acc
-            dlog[acc] = i
-            acc = self.mul(acc, self.generator)
-        if acc != 1:
+        """exp[i] = generator**i and its inverse dlog, with dlog[0] = -1.
+
+        Built by doubling, exp[m:2m] = exp[0:m] * g^m, on coefficient rows.
+        The k rows after exp[0:m] hold the matrix M of "times g^m" (row j is
+        X^j g^m), so one product per round, [exp[0:m]; M] @ M, writes
+        exp[m:2m] and M^2 right after it (numpy gives overlapping operands
+        the result of separate ones).  The rows have the smallest signed type
+        that holds k (p-1)^2, the largest sum a product forms before it is
+        reduced mod p, and their number is rounded up to a power of two.  The
+        table must be a bijection onto the units, i.e. g has order q - 1.
+        """
+        p, q, k = self.p, self.q, self.k
+        dtype = np.min_scalar_type(-k * (p - 1) ** 2 - 1)
+        buf = np.zeros(((1 << (q - 2).bit_length()) + k, k), dtype=dtype)
+        buf[0, 0] = 1
+        buf[1] = self.generator // self._place % p
+        for j in range(2, k + 1):  # X times the row above, with X^k = -(poly without X^k)
+            buf[j, 1:] = buf[j - 1, :-1]
+            buf[j] = (buf[j] - buf[j - 1, -1] * np.array(self.poly[:-1])) % p
+        m = 1
+        while m < q - 1:
+            out = buf[m : 2 * m + k]
+            np.matmul(buf[: m + k], buf[m : m + k], out=out)
+            out %= p
+            m *= 2
+        exp = buf[: q - 1, k - 1].astype(np.int64)
+        for c in range(k - 2, -1, -1):  # the rows in base p, by Horner's rule
+            exp *= p
+            exp += buf[: q - 1, c]
+        dlog = np.full(q, -1, dtype=np.int64)
+        dlog[exp] = np.arange(q - 1)
+        if np.count_nonzero(dlog < 0) != 1:  # exp missed a unit, not just 0
             raise RuntimeError("generator order verification failed")
         return exp, dlog
 
@@ -176,15 +174,11 @@ class FqField:
     def point_dlogs(self) -> tuple[np.ndarray, np.ndarray]:
         """dlog(x) and dlog(1 - x) for x in ``table_points``, unreduced and read-only.
 
-        Read from the dlog table; 1 - x is formed digit-wise in base p (negate
-        every coefficient, add 1 to the constant one).
+        Read from the dlog table.
         """
         x = np.array(self.table_points, dtype=np.int64)
-        place = self.p ** np.arange(self.k, dtype=np.int64)
-        digits = (-(x[:, None] // place)) % self.p
-        digits[:, 0] = (digits[:, 0] + 1) % self.p
         dlog = self._tables[1]
-        dx, dy = dlog[x], dlog[digits @ place]
+        dx, dy = dlog[x], dlog[self.one_minus(x)]
         dx.flags.writeable = dy.flags.writeable = False
         return dx, dy
 
@@ -193,6 +187,20 @@ class FqField:
     def descriptor(self) -> dict:
         poly = list(self.poly) if self.poly is not None else [(-1) % self.p, 1]
         return {"p": self.p, "k": self.k, "poly": poly, "n": self.n, "generator": self.generator}
+
+
+def _generator(p: int, k: int, poly: Optional[tuple[int, ...]]) -> int:
+    """The smallest element of order q - 1: no g^((q-1)/r) is 1, r a prime factor of q - 1."""
+    if k == 1:
+        return primitive_root(p)  # sympy's smallest primitive root
+    q = p**k
+    modulus = list(reversed(poly))  # galoistools lists run from the top coefficient
+    factors = _factor(q - 1)
+    for g in range(2, q):
+        g_poly = gf_strip([g // p**i % p for i in reversed(range(k))])
+        if all(gf_pow_mod(g_poly, (q - 1) // r, modulus, p, ZZ) != [1] for r in factors):
+            return g
+    raise RuntimeError("no multiplicative generator found")
 
 
 def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int = 2) -> FqField:
@@ -235,15 +243,7 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
             if poly_t is None:
                 raise RuntimeError("no irreducible polynomial found")
 
-    probe = FqField(p=p, k=k, n=n, poly=poly_t, generator=1)
-    factors = _factor(q - 1)
-    gen = None
-    for g in range(2, q):
-        if all(probe.pow(g, (q - 1) // r) != 1 for r in factors):
-            gen = g
-            break
-    if gen is None:
-        raise RuntimeError("no multiplicative generator found")
+    gen = _generator(p, k, poly_t)
     field = FqField(p=p, k=k, n=n, poly=poly_t, generator=gen)
     field._tables  # build and verify the dlog table eagerly
     return field
@@ -369,10 +369,6 @@ def embed_field(sub: FqField, sup: FqField) -> FieldEmbedding:
         raise DomainError(f"F_{sub.q} does not embed into F_{sup.q}")
     e = (sup.q - 1) // (sub.q - 1)
     order = sub.q - 1
-    p = sub.p
-
-    def one_plus(x: np.ndarray) -> np.ndarray:
-        return x - x % p + (x % p + 1) % p
 
     x = np.arange(sub.q, dtype=np.int64)
     dlog_x, (exp_l, _) = sub._tables[1][1:], sup._tables
@@ -381,7 +377,7 @@ def embed_field(sub: FqField, sup: FqField) -> FieldEmbedding:
             continue
         f = np.zeros(sub.q, dtype=np.int64)
         f[1:] = exp_l[(e * u * dlog_x) % (sup.q - 1)]
-        if np.array_equal(f[one_plus(x)], one_plus(f)):
+        if np.array_equal(f[sub.add(x, 1)], sup.add(f, 1)):
             return FieldEmbedding(sub=sub, sup=sup, exponent=e * u)
     raise RuntimeError("no additive embedding found; field construction is broken")
 

@@ -21,8 +21,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
-from .finfield import FqField, KummerCharacter
+from .errors import DomainError, ModulusError, TheoremViolationError
+from .finfield import FqField
 from .groups import TABLE_MAX, TableGroup
 from .modring import binom2
 

@@ -20,6 +20,13 @@ through an independent code path and raises if they ever disagree.
 
 Conditions (5) and (7) are decided by finite enumeration and are only
 computed when n is within the enumeration bound.
+
+Over a finite field every family satisfies all seven conditions.  K^x/K^xn
+is cyclic, so every character is a multiple a * chi of one character chi,
+and with s_i = a_i chi, t_i = b_i chi the alternating sum
+sum s_i(x) t_i(y) - t_i(x) s_i(y) = sum (a_i b_i - b_i a_i) chi(x) chi(y)
+is identically 0.  So the seven-way agreement cannot catch a condition that
+is stuck at True.
 """
 
 from __future__ import annotations

@@ -15,14 +15,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import modring
-from .errors import DomainError, HypothesisError, ModulusError
+from .errors import HypothesisError, ModulusError
 from .finfield import (
     FieldEmbedding,
     FqField,
     KummerCharacter,
     RootOfUnity,
     embed_field,
-    omega as make_omega,
     restrict_character,
 )
 from .modring import AbelianStructure, ModMatrix, SubgroupZnk, binom2

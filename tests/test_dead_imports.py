@@ -1,0 +1,31 @@
+"""Every name a library module imports at module level is read somewhere in it."""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abelcentral"
+MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that no expression in it loads."""
+    tree = ast.parse(source)
+    imported = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [name for name in imported if name not in read]
+
+
+def test_finds_an_unread_import():
+    assert unread_imports("import os\nfrom . import a, b as c\nprint(a)\n") == ["os", "c"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_unread_imports(path):
+    assert unread_imports(path.read_text()) == []

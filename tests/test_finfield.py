@@ -2,8 +2,11 @@
 
 import itertools
 import math
+import random
+from typing import Sequence
 
 import pytest
+import sympy
 
 from abelcentral import finfield
 from abelcentral.errors import DomainError, HypothesisError
@@ -18,6 +21,58 @@ from abelcentral.finfield import (
     omega,
     restrict_character,
 )
+
+
+def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod_poly: Sequence[int], p: int) -> list[int]:
+    k = len(mod_poly) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+    # reduce modulo the monic mod_poly
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i]
+        if c:
+            prod[i] = 0
+            for j in range(k):
+                prod[i - k + j] = (prod[i - k + j] - c * mod_poly[j]) % p
+    return prod[:k] + [0] * max(0, k - len(prod))
+
+
+def oracle_mul(field, a, b):
+    """Oracle: a * b by the schoolbook product of coefficient lists, reduced by the defining polynomial."""
+    p, k = field.p, field.k
+    digits = [[x // p**i % p for i in range(k)] for x in (a, b)]
+    # A prime field multiplies constants, which no monic linear modulus reduces.
+    coeffs = _poly_mulmod(*digits, list(field.poly) if field.poly else [0, 1], p)
+    return sum(c * p**i for i, c in enumerate(coeffs))
+
+
+def oracle_add(field, a, b, sign=1):
+    """Oracle: a + sign * b, coefficient by coefficient in Python integers."""
+    p = field.p
+    return sum((a // p**i + sign * (b // p**i)) % p * p**i for i in range(field.k))
+
+
+def oracle_order(field, x):
+    """Oracle: the multiplicative order of the unit x, by repeated oracle products."""
+    acc, order = x, 1
+    while acc != 1:
+        acc, order = oracle_mul(field, acc, x), order + 1
+    return order
+
+
+def fields_up_to(bound):
+    """F_q for every prime power 3 <= q <= bound, with n the least prime factor of q - 1."""
+    out = []
+    for p in sympy.primerange(2, bound + 1):
+        q, deg = p, 1
+        while q <= bound:
+            if q >= 3:
+                out.append(make_field(int(p), k=deg, n=min(sympy.primefactors(q - 1))))
+            q, deg = q * p, deg + 1
+    return out
 
 
 class TestIrreducibility:
@@ -92,7 +147,7 @@ class TestExtensionField:
         q = k.q
         for a in k.units():
             for b in k.units():
-                assert (k.dlog(a) + k.dlog(b)) % (q - 1) == k.dlog(k.mul(a, b))
+                assert (k.dlog(a) + k.dlog(b)) % (q - 1) == k.dlog(oracle_mul(k, a, b))
 
     def test_exp_dlog_roundtrip(self):
         k = make_field(3, k=3, n=2)
@@ -104,6 +159,31 @@ class TestExtensionField:
         for x in k.elements():
             assert k.add(k.one_minus(x), x) == 1
 
+    def test_table_arithmetic_against_the_oracle(self):
+        k = make_field(5, k=2, n=2)
+        for a in k.elements():
+            for b in k.elements():
+                assert k.mul(a, b) == oracle_mul(k, a, b)
+            acc = 1
+            for e in range(6):
+                assert k.pow(a, e) == acc  # pow(0, 0) == 1
+                acc = oracle_mul(k, acc, a)
+            if a:
+                assert oracle_mul(k, k.inv(a), a) == 1
+                assert k.pow(a, -2) == k.inv(oracle_mul(k, a, a))
+        for bad in (lambda: k.inv(0), lambda: k.pow(0, -1)):
+            with pytest.raises(DomainError):
+                bad()
+
+    def test_additive_law(self):
+        k = make_field(7, k=2, n=3)
+        for a in k.elements():
+            assert k.one_minus(a) == oracle_add(k, 1, a, -1)
+            assert k.neg(a) == oracle_add(k, 0, a, -1)
+            for b in k.elements():
+                assert k.add(a, b) == oracle_add(k, a, b)
+                assert k.sub(a, b) == oracle_add(k, a, b, -1)
+
 
 class TestPointDlogs:
     @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (101, 1, 4), (7, 2, 3), (5, 2, 4), (3, 3, 2), (5, 3, 4)])
@@ -111,7 +191,7 @@ class TestPointDlogs:
         k = make_field(p, k=deg, n=n)
         dx, dy = k.point_dlogs
         assert dx.tolist() == [k.dlog(x) for x in k.table_points]
-        assert dy.tolist() == [k.dlog(k.one_minus(x)) for x in k.table_points]
+        assert dy.tolist() == [k.dlog(oracle_add(k, 1, x, -1)) for x in k.table_points]
 
     def test_read_only(self):
         for dl in make_field(5, k=2, n=4).point_dlogs:
@@ -121,14 +201,16 @@ class TestPointDlogs:
 
 
 class TestDlogTable:
-    @pytest.mark.parametrize("p,deg,n", [(101, 1, 4), (7, 2, 3), (13, 2, 4), (3, 5, 2), (2, 8, 3)])
+    @pytest.mark.parametrize("p,deg,n", [
+        (101, 1, 4), (7, 2, 3), (13, 2, 4), (3, 5, 2), (2, 8, 3), (2, 12, 3), (3, 7, 2),
+    ])
     def test_against_the_scalar_law(self, p, deg, n):
         k = make_field(p, k=deg, n=n)
         exp, dlog = k._tables
         g = k.generator
         for i in range(k.q - 2):
-            assert exp[i + 1] == k.mul(int(exp[i]), g)
-        assert k.mul(int(exp[-1]), g) == 1
+            assert exp[i + 1] == oracle_mul(k, int(exp[i]), g)
+        assert oracle_mul(k, int(exp[-1]), g) == 1
         for i, x in enumerate(exp.tolist()):
             assert dlog[x] == i
         # Oracle: the definition of the point order, all x outside {0, 1}
@@ -137,6 +219,18 @@ class TestDlogTable:
         if deg > 1:
             pts.sort(key=k.dlog)
         assert k.table_points == tuple(pts)
+
+    def test_generator_is_the_least_element_of_full_order(self):
+        for k in fields_up_to(1024):
+            full = next(x for x in k.units() if oracle_order(k, x) == k.q - 1)
+            assert k.generator == full, (k.p, k.k)
+
+    def test_two_to_the_twenty(self):
+        k = make_field(2, k=20, n=3)
+        exp, _ = k._tables
+        for i in random.Random(20).sample(range(k.q - 1), 1000):
+            assert k.dlog(k.exp(i)) == i
+            assert k.exp(i + 1) == oracle_mul(k, int(exp[i]), k.generator)
 
     def test_order_above_the_bound(self):
         # 1048583 is the least prime above 2^20 = FIELD_MAX.
@@ -158,9 +252,9 @@ class TestOmega:
     def test_primitivity(self):
         k = make_field(13, n=6)
         w = omega(k, 6)
-        orders = {k.pow(w.element, i) for i in range(1, 6)}
+        orders = {pow(w.element, i, 13) for i in range(1, 6)}
         assert 1 not in orders
-        assert k.pow(w.element, 6) == 1
+        assert pow(w.element, 6, 13) == 1
 
     def test_index_must_be_unit(self):
         k = make_field(13, n=4)
@@ -178,7 +272,7 @@ class TestCharacters:
         for f in characters(k):
             for a in k.units():
                 for b in k.units():
-                    assert (f(a) + f(b)) % 4 == f(k.mul(a, b))
+                    assert (f(a) + f(b)) % 4 == f(a * b % 13)
 
     def test_zero_rejected(self):
         k = make_field(5, n=2)
@@ -223,7 +317,7 @@ class TestEmbedding:
         for a in range(p):
             for b in range(p):
                 assert emb(sub.add(a, b)) == sup.add(emb(a), emb(b))
-                assert emb(sub.mul(a, b)) == sup.mul(emb(a), emb(b))
+                assert emb(oracle_mul(sub, a, b)) == oracle_mul(sup, emb(a), emb(b))
 
     def test_fixes_prime_subfield(self):
         sub = make_field(7, n=3)
