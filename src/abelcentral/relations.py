@@ -96,38 +96,37 @@ def _halves(w: int, n: int) -> tuple[int, ...]:
     return sols
 
 
-COND6_CHUNK_CELLS = 2**20  # unit pairs evaluated at once by condition (6)
-FLOAT_EXACT = 2**53  # float64 holds every integer below this exactly
+COND6_CHUNK_CELLS = 2**20  # grid cells evaluated at once by condition (6)
 
 
 def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
     """Whether sum_i s_i(x) t_i(y) - t_i(x) s_i(y) = 0 mod n for all units x, y.
 
-    Scans every pair of units, in row chunks of about ``COND6_CHUNK_CELLS``
-    cells, so memory stays O(chunk + q) rather than O(q^2).  A chunk is one
-    float64 matrix product of the stacked character values at x (rows)
-    against those at y (columns).  The operands are reduced into [0, n), so
-    a product summing at most FLOAT_EXACT / (n-1)^2 terms is an exact
-    integer below FLOAT_EXACT, and its quotient by n is a whole number
-    exactly when n divides it.  Longer sums are reduced mod n between such
-    products.  The empty family is the empty sum, zero everywhere.
+    s(x) = c dlog(x) mod n = c (dlog(x) mod n) mod n, so the sum at (x, y) depends
+    only on dlog x and dlog y mod n, the classes of x and y in K^x/K^xn.  dlog is a
+    bijection from the units onto [0, q-1) and n | q-1, so every class is hit, and
+    the grid of classes decides exactly the statement about all pairs of units.
     """
-    if not pairs:
-        return True
-    dl_units = np.concatenate(([0], field.point_dlogs[0]))  # dlog(1) = 0, then K minus {0, 1}
+    classes = np.unique(np.concatenate(([0], field.point_dlogs[0])) % n)  # dlog(1) = 0
     # -t(x) s(y) is written (-t)(x) s(y), so every operand lies in [0, n).
-    left = np.stack([(s.c * dl_units) % n for s, _ in pairs] + [(-t.c * dl_units) % n for _, t in pairs])
-    right = np.stack([(t.c * dl_units) % n for _, t in pairs] + [(s.c * dl_units) % n for s, _ in pairs])
-    left, right = np.ascontiguousarray(left.T, dtype=np.float64), right.astype(np.float64)
-    terms = (FLOAT_EXACT - 1) // (n - 1) ** 2  # >= 1: n - 1 < 2^20 since q <= FIELD_MAX
-    step = max(1, COND6_CHUNK_CELLS // dl_units.size)
-    for lo in range(0, dl_units.size, step):
-        rows = left[lo:lo + step]
-        block = rows[:, :terms] @ right[:terms]
-        for k in range(terms, rows.shape[1], terms):
-            block = block % n + (rows[:, k:k + terms] @ right[k:k + terms]) % n
-        quot = block / n
-        if (quot != np.rint(quot)).any():
+    left = np.array([s.c for s, _ in pairs] + [-t.c for _, t in pairs], dtype=np.int64)[:, None] * classes % n
+    right = np.array([t.c for _, t in pairs] + [s.c for s, _ in pairs], dtype=np.int64)[:, None] * classes % n
+    return _grid_vanishes(left, right, n)
+
+
+def _grid_vanishes(left: np.ndarray, right: np.ndarray, n: int) -> bool:
+    """Whether sum_k left[k, x] right[k, y] = 0 mod n at every cell (x, y); True for no terms.
+
+    Scans row chunks of about ``COND6_CHUNK_CELLS`` cells.  The operands lie in [0, n)
+    and n < 2^20 (q <= FIELD_MAX), so reducing after every term keeps int64 exact.
+    """
+    step = max(1, COND6_CHUNK_CELLS // right.shape[1])
+    for lo in range(0, left.shape[1], step):
+        block = np.zeros((min(step, left.shape[1] - lo), right.shape[1]), dtype=np.int64)
+        for lv, rv in zip(left[:, lo:lo + step], right):
+            block += lv[:, None] * rv
+            block %= n
+        if block.any():
             return False
     return True
 

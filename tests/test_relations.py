@@ -164,10 +164,14 @@ def cond6_oracle(pairs, field, n):
 
 
 class TestCondition6Scan:
-    @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (29, 1, 7), (7, 2, 8)])
+    # F_211 with n = 105 and 35 and F_81 with n = 40 put n close to q, where
+    # each class of K^x/K^xn holds only two to six units.
+    CASES = [(13, 1, 3), (29, 1, 7), (7, 2, 8), (211, 1, 105), (211, 1, 35), (3, 4, 40)]
+
+    @pytest.mark.parametrize("p,deg,n", CASES)
     def test_matches_full_table(self, monkeypatch, p, deg, n):
-        # Chunks of 7 rows and sums of 3 terms per float product force both
-        # the row loop and the reduction between products.
+        # Chunks of 7 rows force the row loop, with a short last chunk
+        # whenever 7 does not divide n.
         k = make_field(p, k=deg, n=n)
         rng = random.Random(7 * p + n)
         fams = [
@@ -177,14 +181,37 @@ class TestCondition6Scan:
         ]
         for small in (False, True):
             if small:
-                monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", 7 * (k.q - 1))
-                monkeypatch.setattr(relations, "FLOAT_EXACT", 3 * (n - 1) ** 2 + 1)
+                monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", 7 * n)
             for fam in fams:
                 assert relations._unit_pairs_vanish(fam, k, n) == cond6_oracle(fam, k, n)
 
+    @pytest.mark.parametrize("p,deg,n", CASES)
+    def test_unit_dlogs_hit_every_class(self, p, deg, n):
+        # The premise of the class grid: K^x -> Z/n, x -> dlog x mod n, is onto.
+        k = make_field(p, k=deg, n=n)
+        assert {k.dlog(x) % n for x in k.units()} == set(range(n))
+
+    @pytest.mark.parametrize("row,col", [(-1, -1), (0, -1), (-1, 0), (12, 5)])
+    def test_planted_cell_fails(self, monkeypatch, row, col):
+        # Every family over a finite field sums to 0, so no real input reaches
+        # the False branch.  Add one term to the values of a 3-pair family
+        # that is nonzero at a single cell; a scan that skips a row chunk or a
+        # column misses it.  n = 40 in chunks of 7 rows ends on a chunk of 5.
+        k, n = make_field(3, k=4, n=40), 40
+        monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", 7 * n)
+        fam = [(KummerCharacter(k, n, s), KummerCharacter(k, n, t)) for s, t in ((1, 2), (3, 5), (7, 39))]
+        grid, seen = relations._grid_vanishes, []
+        monkeypatch.setattr(relations, "_grid_vanishes", lambda *a: seen.append(a[:2]) or grid(*a))
+        assert relations._unit_pairs_vanish(fam, k, n)
+        (left, right), = seen
+        assert left.shape == right.shape == (6, n)
+        e_row, e_col = np.zeros((2, n), dtype=np.int64)
+        e_row[row], e_col[col] = 1, n - 1
+        assert not grid(np.vstack((left, e_row)), np.vstack((right, e_col)), n)
+
     def test_peak_memory_on_f2003(self):
-        # Condition 6 over F_2003 touches (q-1)^2 = 4 M unit pairs; the scan
-        # must stay chunked (the full int64 tables took about 92 MB).
+        # Condition 6 over F_2003 covers (q-1)^2 = 4 M unit pairs through the
+        # 11 x 11 grid of classes, so no step holds a (q-1)^2 array.
         k, w = field_and_omega(2003, 11)
         fam = [(KummerCharacter(k, 11, s), KummerCharacter(k, 11, t)) for s, t in ((1, 2), (3, 5), (7, 10))]
         tracemalloc.start()
@@ -194,4 +221,15 @@ class TestCondition6Scan:
         finally:
             tracemalloc.stop()
         assert rep.cond6 and rep.holds
-        assert peak <= 32 * 2**20
+        assert peak <= 4 * 2**20
+
+    def test_f65537(self):
+        # (q-1)^2 = 4.3e9 unit pairs, out of reach of a scan over units; the
+        # grid of classes is 16 x 16.
+        k, w = field_and_omega(65537, 16)
+        rng = random.Random(65537)
+        fam = [(KummerCharacter(k, 16, rng.randrange(16)), KummerCharacter(k, 16, rng.randrange(16)))
+               for _ in range(3)]
+        rep = relation_check(fam, w)
+        assert rep.cond1 and rep.cond2 and rep.cond3 and rep.cond4 and rep.cond6
+        assert rep.cond5 is None and rep.cond7 is None
