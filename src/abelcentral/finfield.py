@@ -261,12 +261,17 @@ class RootOfUnity:
     def doubled_power_span(self):
         """The span of the tables 2 * psi(f) over the character space, canonical.
 
-        Cached on the root, so it is freed with the root and its field.
+        Cached on the root, so it is freed with the root and its field.  The
+        rows are stacked inline, so their list is freed before the Howell form
+        runs.
         """
         from . import tables  # tables imports this module
 
-        rows = [tables.psi(f, self).scale(2).flatten() for f in characters(self.field)]
-        return modring.canonicalize(modring.ModMatrix(self.field.n, np.stack(rows)))
+        return modring.canonicalize(
+            modring.ModMatrix(
+                self.field.n, np.stack([tables.psi(f, self).scale(2).flatten() for f in characters(self.field)])
+            )
+        )
 
 
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:

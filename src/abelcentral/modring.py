@@ -3,7 +3,8 @@
 The canonical form used throughout is the Howell row form, which (unlike
 plain echelon form over a non-field ring) supports exact span membership:
 every element of the row module whose leading nonzero entry sits in column
->= j lies in the span of the canonical rows with pivot column >= j.
+>= j lies in the span of the canonical rows with pivot column >= j.  It is
+computed a column at a time (Howell 1986; Storjohann and Mulders 1998).
 
 Conventions making canonical forms byte-comparable:
 
@@ -27,6 +28,7 @@ from sympy.polys.matrices.normalforms import invariant_factors
 from .errors import DimensionError, ModulusError, TheoremViolationError
 
 MAX_MODULUS = 2**31 - 1
+HOWELL_CHUNK_CELLS = 1 << 14  # cells per block of a Howell step's one subtraction
 
 
 def binom2(n: int) -> int:
@@ -106,93 +108,90 @@ class AbelianStructure:
 
 
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
-    """g, s, t with s*a + t*b = g = gcd(a, b), computed over Z."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    """g, s, t with s*a + t*b = g = gcd(a, b), for positive a and b."""
+    g = math.gcd(a, b)
+    s = pow(a // g, -1, b // g)
+    return g, s, (g - s * a) // b
 
 
-def _unit_scale(a: int, n: int) -> tuple[int, int]:
-    """(d, u) with d = gcd(a, n) and u a unit mod n such that u*a = d mod n."""
-    a %= n
+def _unit_scale(a: int, n: int) -> int:
+    """A unit u mod n with u*a = gcd(a, n) mod n, for a in [1, n)."""
     d = math.gcd(a, n)
-    if a == d:
-        return d, 1
-    e, f = a // d, n // d
-    # gcd(e, f) = 1, so e is invertible mod f; lift the inverse to a unit mod n.
-    u0 = pow(e, -1, f)
-    u = u0
+    # a/d is invertible mod n/d; lift its inverse to a unit mod n.
+    u = pow(a // d, -1, n // d)
     while math.gcd(u, n) != 1:
-        u += f
-    return d, u % n
-
-
-def _first_nonzero(v: np.ndarray) -> int:
-    nz = np.flatnonzero(v)
-    return int(nz[0]) if nz.size else -1
-
-
-def _howell_basis(rows, n: int) -> dict[int, np.ndarray]:
-    """Howell basis as a map pivot column -> row, not yet normalized."""
-    basis: dict[int, np.ndarray] = {}
-    stack = [np.asarray(r, dtype=np.int64) % n for r in rows]
-    stack = [r for r in stack if r.any()]
-
-    def push_annihilator(row: np.ndarray, j: int) -> None:
-        a = n // math.gcd(int(row[j]), n)
-        if a % n:
-            ann = (a * row) % n
-            if ann.any():
-                stack.append(ann)
-
-    while stack:
-        v = stack.pop()
-        while True:
-            j = _first_nonzero(v)
-            if j < 0:
-                break
-            if j not in basis:
-                basis[j] = v
-                push_annihilator(v, j)
-                break
-            w = basis[j]
-            a, b = int(w[j]), int(v[j])
-            g, s, t = _gcdex(a, b)
-            u, vv = -(b // g), a // g
-            new_w = (s * w + t * v) % n
-            new_v = (u * w + vv * v) % n
-            if int(new_w[j]) != a:
-                # Pivot ideal grew; its annihilator row may be new.
-                push_annihilator(new_w, j)
-            basis[j] = new_w
-            v = new_v
-    return basis
+        u += n // d
+    return u % n
 
 
 def _howell(entries: np.ndarray, n: int) -> np.ndarray:
-    """The normalized Howell rows of ``entries`` mod n as one (r, cols) array.
+    """The normalized Howell rows of ``entries`` mod n, sorted by pivot column.
 
-    Each row is scaled by a unit so that its pivot divides n, the entries
-    above each pivot d are reduced into [0, d), and rows are sorted by pivot
-    column.
+    Rows [0, top) are done.  Each step takes the leftmost column j nonzero
+    below them and d = gcd(column j, n).  A row whose entry c has
+    gcd(c, n) = d, else unimodular gcd steps along rows until the gcd reaches
+    d, and a unit give a pivot row p with p[j] = d, moved to row top.  Every
+    other row x loses (x[j] // d) * p mod n: column j becomes zero below p
+    and falls into [0, d) above it.  If d > 1, (n/d) * p joins the rows below.
+
+    Exactness: the rows still span the module M.  An x in M that is zero in
+    column j is k*p plus a combination of the rows below, with k*d = 0 mod n,
+    so k*p is a multiple of (n/d) * p.  The rows below p therefore span the
+    x in M that are zero up to column j, which is the Howell property; with
+    pivots dividing n and the entries above them reduced, the form is unique.
     """
-    basis = _howell_basis(entries, n)
-    pivots = sorted(basis)
-    h = np.zeros((len(pivots), entries.shape[1]), dtype=np.int64)
-    for i, j in enumerate(pivots):
-        _, u = _unit_scale(int(basis[j][j]), n)
-        h[i] = (u * basis[j]) % n
-    for i, j in enumerate(pivots):
-        h[:i] = (h[:i] - (h[:i, j] // h[i, j])[:, None] * h[i]) % n
-    return h
+    a = np.asarray(entries, dtype=np.int64) % n
+    (end, cols), top, j = a.shape, 0, 0
+    while top < end and j < cols:
+        vals = a[top:end, j].tolist()
+        if not any(vals):
+            live = np.flatnonzero(a[top:end, j:].any(axis=0))
+            if not live.size:
+                break
+            j += int(live[0])
+            vals = a[top:end, j].tolist()
+        d, ideals = math.gcd(n, *vals), [math.gcd(c, n) for c in vals]
+        src = top + ideals.index(min(ideals))
+        c, pivot = vals[src - top], a[src, j:]
+        for i, b in enumerate(vals, top):
+            if math.gcd(c, n) == d:
+                break
+            if math.gcd(c, b, n) < math.gcd(c, n):
+                g, s, t = _gcdex(c, b)
+                row = a[i, j:]
+                pivot[:], row[:] = (s % n * pivot + t % n * row) % n, ((c // g) * row - (b // g) * pivot) % n
+                c = g
+        pivot = _unit_scale(c, n) * pivot % n
+        a[src, j:] = a[top, j:]
+        a[top, j:] = pivot
+        pivot, q = a[top, j:], a[:end, j] // d
+        q[top] = 0
+        step = max(1, HOWELL_CHUNK_CELLS // (cols - j))
+        for lo in range(0, end, step):
+            if step >= end or q[lo : lo + step].any():
+                block = a[lo : min(lo + step, end), j:]
+                block -= q[lo : lo + step, None] * pivot
+                block %= n
+        if d > 1 and (ann := (n // d) * pivot % n).any():
+            if end == a.shape[0]:
+                a, end = _free_row(a, top + 1, end, j)
+            a[end, j:] = ann
+            end += 1
+        top, j = top + 1, j + 1
+    return a[:top]
+
+
+def _free_row(a: np.ndarray, lo: int, end: int, j: int) -> tuple[np.ndarray, int]:
+    """Room for a row at ``end``: the zero rows of a[lo:end] give way, else a grows by half."""
+    live = a[lo:end, j + 1 :].any(axis=1)
+    keep = lo + int(live.sum())
+    if keep == end:
+        grown = np.zeros((end + end // 2 + 1, a.shape[1]), dtype=np.int64)
+        grown[:end] = a
+        return grown, end
+    a[np.flatnonzero(~live[: keep - lo]) + lo] = a[np.flatnonzero(live[keep - lo :]) + keep]
+    a[keep:end] = 0
+    return a, keep
 
 
 def howell_form(mat: ModMatrix) -> ModMatrix:
@@ -209,7 +208,7 @@ def _reduce_against(canonical: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """The remainder of v reduced by canonical Howell rows; zero iff v is in their span."""
     v = v % n
     for row in canonical:
-        j = _first_nonzero(row)
+        j = int(np.flatnonzero(row)[0])
         d, val = int(row[j]), int(v[j])
         if val % d:
             return v

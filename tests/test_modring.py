@@ -1,6 +1,7 @@
 """Linear algebra over Z/n, validated against brute-force closure oracles."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abelcentral import modring
+from abelcentral.groups import elementary_group
+from abelcentral.heisenberg import to_table_group
 from abelcentral.errors import DimensionError, ModulusError, TheoremViolationError
 from abelcentral.modring import ModMatrix, binom2
 
@@ -27,6 +30,97 @@ def closure_of(rows, n, width=None):
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def _ref_gcdex(a, b):
+    """Oracle helper: extended Euclid over Z."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        old_r, old_s, old_t = -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def _ref_unit_scale(a, n):
+    """Oracle helper: (d, u) with d = gcd(a, n) and u a unit with u*a = d mod n."""
+    a %= n
+    d = math.gcd(a, n)
+    if a == d:
+        return d, 1
+    e, f = a // d, n // d
+    u0 = pow(e, -1, f)
+    u = u0
+    while math.gcd(u, n) != 1:
+        u += f
+    return d, u % n
+
+
+def _ref_first_nonzero(v):
+    nz = np.flatnonzero(v)
+    return int(nz[0]) if nz.size else -1
+
+
+def _ref_howell_basis(rows, n):
+    """Oracle: the row-wise Howell basis, one row against one pivot at a time."""
+    basis = {}
+    stack = [np.asarray(r, dtype=np.int64) % n for r in rows]
+    stack = [r for r in stack if r.any()]
+
+    def push_annihilator(row, j):
+        a = n // math.gcd(int(row[j]), n)
+        if a % n:
+            ann = (a * row) % n
+            if ann.any():
+                stack.append(ann)
+
+    while stack:
+        v = stack.pop()
+        while True:
+            j = _ref_first_nonzero(v)
+            if j < 0:
+                break
+            if j not in basis:
+                basis[j] = v
+                push_annihilator(v, j)
+                break
+            w = basis[j]
+            a, b = int(w[j]), int(v[j])
+            g, s, t = _ref_gcdex(a, b)
+            u, vv = -(b // g), a // g
+            new_w = (s * w + t * v) % n
+            new_v = (u * w + vv * v) % n
+            if int(new_w[j]) != a:
+                # Pivot ideal grew; its annihilator row may be new.
+                push_annihilator(new_w, j)
+            basis[j] = new_w
+            v = new_v
+    return basis
+
+
+def ref_howell(entries, n):
+    """Oracle: the row-wise Howell basis, unit-scaled, reduced above each pivot, sorted."""
+    basis = _ref_howell_basis(entries, n)
+    pivots = sorted(basis)
+    h = np.zeros((len(pivots), entries.shape[1]), dtype=np.int64)
+    for i, j in enumerate(pivots):
+        _, u = _ref_unit_scale(int(basis[j][j]), n)
+        h[i] = (u * basis[j]) % n
+    for i, j in enumerate(pivots):
+        h[:i] = (h[:i] - (h[:i, j] // h[i, j])[:, None] * h[i]) % n
+    return h
+
+
+def assert_same_howell(entries, n):
+    """modring._howell against the row-wise oracle, byte for byte."""
+    got, want = modring._howell(entries, n), ref_howell(entries, n)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def rank_mod_p(rows, p):
@@ -82,6 +176,94 @@ class TestHowell:
         a = modring.howell_form(ModMatrix.from_rows([[2, 0], [0, 2]], 4))
         b = modring.howell_form(ModMatrix.from_rows([[2, 2], [0, 2]], 4))
         assert a == b
+
+
+class TestHowellOracle:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_row_wise_oracle(self, data):
+        n = data.draw(st.sampled_from([2, 4, 6, 12, 16, 30, 360, 65537, 2**16, 2**31 - 1]), label="n")
+        rows = data.draw(st.integers(0, 12), label="rows")
+        cols = data.draw(st.integers(0, 12), label="cols")
+        kind = data.draw(st.sampled_from(["uniform", "sparse", "low rank"]), label="kind")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        if kind == "uniform":
+            a = [[rng.randrange(n) for _ in range(cols)] for _ in range(rows)]
+        elif kind == "sparse":
+            a = [[rng.randrange(n) if rng.random() < 0.2 else 0 for _ in range(cols)] for _ in range(rows)]
+        else:  # a = B C of rank at most k, products in Python integers
+            k = rng.randrange(1, 4)
+            left = [[rng.randrange(n) for _ in range(k)] for _ in range(rows)]
+            right = [[rng.randrange(n) for _ in range(cols)] for _ in range(k)]
+            a = [[sum(x * y for x, y in zip(row, col)) % n for col in zip(*right)] for row in left]
+        assert_same_howell(np.array(a, dtype=np.int64).reshape(rows, cols), n)
+
+    def test_chunked_subtraction(self, monkeypatch):
+        # One row per block of the elimination, as on very wide matrices.
+        monkeypatch.setattr(modring, "HOWELL_CHUNK_CELLS", 1)
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.choice([4, 6, 12, 360, 2**31 - 1])
+            r, c = rng.randrange(0, 9), rng.randrange(0, 9)
+            assert_same_howell(np.array([[rng.randrange(n) for _ in range(c)] for _ in range(r)]).reshape(r, c), n)
+
+    def test_ffrak_generators_f191(self):
+        from abelcentral import finfield, tables
+
+        k = finfield.make_field(191, n=190)
+        g = tables.ffrak_generate(k, finfield.omega(k, 190))
+        flat = np.stack([t.flatten() for t in g.generators])
+        assert flat.shape == (189, 378)
+        assert_same_howell(flat, 190)
+
+    @pytest.mark.parametrize("build,n", [
+        (lambda: elementary_group(2, 4), 2),
+        (lambda: to_table_group(3), 3),
+    ], ids=["(Z/2)^4", "heis3"])
+    def test_coboundary_systems(self, build, n, monkeypatch):
+        # Every coboundary system of the machinery, and every matrix whose
+        # Howell form it takes on the way.
+        from abelcentral import cohomology
+
+        systems, inputs = [], []
+        system, howell = cohomology._coboundary_system, modring._howell
+        monkeypatch.setattr(cohomology, "_coboundary_system", lambda *a: systems.append(system(*a)) or systems[-1])
+        monkeypatch.setattr(modring, "_howell", lambda e, m: inputs.append((e, m)) or howell(e, m))
+        assert cohomology.verify_thm23_and_omegaR(build(), n).ok
+        monkeypatch.undo()
+        assert systems and inputs
+        for rows, _ in systems:
+            assert_same_howell(rows, n)
+        for entries, m in inputs:
+            assert_same_howell(entries, m)
+
+    def test_doubled_powers_f65537(self):
+        from abelcentral import finfield, tables
+
+        k = finfield.make_field(65537, n=16)
+        w = finfield.omega(k, 16)
+        mat = np.stack([tables.psi(f, w).scale(2).flatten() for f in finfield.characters(k)])
+        assert mat.shape == (16, 131070)
+        assert_same_howell(mat, 16)
+
+
+class TestEmptyShapes:
+    # verify_thm23_and_omegaR compares Howell forms of (L, 0) and (m, 0)
+    # matrices on every elementary group, where the kernel is empty.
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 4), (0, 0)])
+    @pytest.mark.parametrize("n", [6, 2**31 - 1])
+    def test_every_operation(self, shape, n):
+        rows, cols = shape
+        mat = ModMatrix(n, np.zeros(shape, dtype=np.int64))
+        assert modring.howell_form(mat).entries.shape == (0, cols)
+        sub = modring.canonicalize(mat)
+        assert modring.structure(sub).invariant_factors == ()
+        assert modring.membership(sub, [0] * cols)
+        assert modring.membership(sub, [1] * cols) == (cols == 0)
+        assert modring.nullspace(mat).entries.tolist() == np.eye(cols, dtype=np.int64).tolist()
+        assert modring.solve_linear(mat, [0] * rows).tolist() == [0] * cols
+        x = modring.solve_linear(mat, [1] * rows)
+        assert (x is None) == (rows > 0)
 
 
 class TestMembership:

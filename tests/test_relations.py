@@ -128,6 +128,21 @@ class TestConsistency:
         gc.collect()
         assert [r() for r in refs] == [None, None, None]
 
+    def test_power_span_memory_f65537(self):
+        # The 16 x 131070 int64 matrix takes 16 MB; once as the reduced
+        # ModMatrix and once as the Howell working copy is the floor.  Its
+        # per-character rows, kept alive across the Howell form, and a
+        # row-wise Howell form peaked at 53.5 MB here.
+        k, w = field_and_omega(65537, 16)
+        tracemalloc.start()
+        try:
+            span = w.doubled_power_span
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert span.canonical.rows >= 1
+        assert peak <= 40 * 2**20
+
     def test_single_pair_cond3_equals_cond4(self):
         # On a single pair the family span sits inside the full span, and the
         # detector must still report equal flags.
