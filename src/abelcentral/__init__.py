@@ -27,7 +27,7 @@ from .groups import (
     elementary_group,
     layer_maps,
 )
-from .heisenberg import HeisElem, heis_comm_pow, heis_mul, to_table_group
+from .heisenberg import to_table_group
 from .modring import AbelianStructure, ModMatrix, SubgroupZnk, binom2
 from .relations import RelationReport, relation_check
 from .tables import (
@@ -53,7 +53,6 @@ __all__ = [
     "FnTable",
     "FormalWord",
     "FqField",
-    "HeisElem",
     "HypothesisError",
     "KummerCharacter",
     "ModMatrix",
@@ -71,8 +70,6 @@ __all__ = [
     "elementary_group",
     "embed_field",
     "ffrak_generate",
-    "heis_comm_pow",
-    "heis_mul",
     "layer_maps",
     "make_field",
     "omega",

@@ -17,7 +17,7 @@ import numpy as np
 from . import cohomology, heisenberg, relations, tables
 from .errors import TheoremViolationError
 from .finfield import KummerCharacter, make_field, omega as make_omega
-from .groups import TableGroup, central_series, elementary_group
+from .groups import TableGroup, elementary_group
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -105,44 +105,13 @@ def _cmd_groupcoh(args) -> int:
     return _machinery(_load_group(args.input), args)
 
 
-def _verify_heisenberg_laws(n: int) -> dict:
-    import itertools
-
-    checked = 0
-    for a, b, c in itertools.product(range(n), repeat=3):
-        for a2, b2, c2 in itertools.product(range(n), repeat=3):
-            heisenberg.heis_comm_pow(
-                heisenberg.HeisElem(n, a, b, c), heisenberg.HeisElem(n, a2, b2, c2)
-            )
-            checked += 1
-    g = heisenberg.to_table_group(n)
-    cs = central_series(g, n)
-    sizes_ok = cs.sizes[:3] == (n ** 3, n, 1)
-    # The extension cocycle extracted through the section h(a,b;0) must be
-    # the cup cocycle of the two coordinate functionals.
-    vals = np.zeros((n * n, n * n), dtype=np.int64)
-    for a, b in itertools.product(range(n), repeat=2):
-        for a2, b2 in itertools.product(range(n), repeat=2):
-            prod = g.mul((a * n + b) * n, (a2 * n + b2) * n)
-            vals[a * n + b, a2 * n + b2] = prod % n
-    cup, _ = cohomology.make_U_B(2, n, [1, 0], [0, 1])
-    cocycle_ok = bool(np.array_equal(vals % n, cup.values))
-    return {
-        "n": n,
-        "pairs_checked": checked,
-        "series_sizes_ok": sizes_ok,
-        "extension_cocycle_ok": cocycle_ok,
-        "ok": sizes_ok and cocycle_ok,
-    }
-
-
 def _cmd_verify(args) -> int:
     if args.suite == "propA1":
         bad = cohomology.verify_propA1(args.rank, args.n)
         emit_report({"suite": "propA1", "n": args.n, "rank": args.rank, "violations": bad}, args.output)
         return EXIT_OK if bad == 0 else EXIT_COUNTEREXAMPLE
     if args.suite == "heisenberg":
-        doc = _verify_heisenberg_laws(args.n)
+        doc = heisenberg.verify_laws(args.n)
         emit_report({"suite": "heisenberg", **doc}, args.output)
         return EXIT_OK if doc["ok"] else EXIT_COUNTEREXAMPLE
     if args.suite == "ffrak":

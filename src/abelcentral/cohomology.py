@@ -146,14 +146,6 @@ def verify_propA1(k: int, n: int) -> int:
     return bad
 
 
-def inflate(xi: Cocycle2, proj: Sequence[int], group: TableGroup) -> Cocycle2:
-    """Pull a cocycle on a quotient back to ``group`` along the projection."""
-    p = np.asarray(proj, dtype=np.int64)
-    if p.shape != (group.order,):
-        raise DimensionError("projection length differs from group order")
-    return Cocycle2(group, xi.n, xi.values[p[:, None], p[None, :]])
-
-
 def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The equations du = sum_i c_i xi_i on (e, e) and on the pairs (g, s), s in S.
 
@@ -256,17 +248,6 @@ class H2Class:
         cup = np.zeros((k, k), dtype=np.int64)
         cup[np.triu_indices(k, 1)] = v[:m]
         return cls(k=k, n=n, cup=cup, bockstein=v[m:])
-
-    def representative(self) -> Cocycle2:
-        """The canonical cocycle: the matching combination of U's and B's."""
-        coords = elementary_coords(self.n, self.k)
-        acc = np.zeros((self.n ** self.k,) * 2, dtype=np.int64)
-        eye = np.eye(self.k, dtype=np.int64)
-        for i in range(self.k):
-            for j in range(i + 1, self.k):
-                acc += int(self.cup[i, j]) * _U_values(coords, self.n, eye[i], eye[j])
-            acc += int(self.bockstein[i]) * _B_values(coords, self.n, eye[i])
-        return Cocycle2(elementary_group(self.n, self.k), self.n, acc)
 
     def decomposition(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
         """One sum-of-cups-plus-Bocksteins decomposition (pairs, z vectors)."""

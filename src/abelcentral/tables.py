@@ -27,11 +27,6 @@ from .finfield import (
 from .modring import AbelianStructure, ModMatrix, SubgroupZnk, binom2
 
 
-def table_points(field: FqField) -> tuple[int, ...]:
-    """The elements of K \\ {0,1} in canonical order (``FqField.table_points``)."""
-    return field.table_points
-
-
 @dataclass(frozen=True, eq=False)
 class FnTable:
     """An element of Fun(K \\ {0,1}, (Z/n)^2) as a dense table."""
@@ -291,9 +286,9 @@ def restriction_check(
     elif omega_k.element != derived.element or omega_k.order != derived.order:
         raise HypothesisError("omega of the subfield is not the preimage of omega of the big field")
 
-    pts_l = table_points(sup)
+    pts_l = sup.table_points
     index_l = {x: i for i, x in enumerate(pts_l)}
-    pts_k = table_points(sub)
+    pts_k = sub.table_points
     for word in words:
         big = omega_eval(word, omega_l)
         small = omega_eval(word.restrict(emb), omega_k)

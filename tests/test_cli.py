@@ -43,6 +43,31 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         assert json.loads(out)["ok"]
 
+    @pytest.mark.parametrize("n,pairs", [(2, 64), (3, 729), (4, 4096), (5, 15625), (6, 46656)])
+    def test_verify_heisenberg_report_pinned(self, capsys, n, pairs):
+        code, out, err = run(["verify", "--suite", "heisenberg", "--n", str(n)], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert out == (
+            "{\n"
+            '  "extension_cocycle_ok": true,\n'
+            f'  "n": {n},\n'
+            '  "ok": true,\n'
+            f'  "pairs_checked": {pairs},\n'
+            '  "series_sizes_ok": true,\n'
+            '  "suite": "heisenberg"\n'
+            "}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "n,message",
+        [("1", "modulus must be >= 2"), ("-2", "modulus must be >= 2"), ("22", "exceeds the bound")],
+    )
+    def test_verify_heisenberg_out_of_range(self, capsys, n, message):
+        # 22^3 exceeds the table bound: refused before any pair is checked.
+        code, out, err = run(["verify", "--suite", "heisenberg", "--n", n], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and message in err
+
     def test_verify_machinery_rank_zero(self, capsys):
         code, out, _ = run(["verify", "--suite", "machinery", "--n", "2", "--rank", "0"], capsys)
         assert code == cli.EXIT_OK

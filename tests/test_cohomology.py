@@ -17,7 +17,6 @@ from abelcentral.cohomology import (
     H2Class,
     SElement,
     embedding_solvable,
-    inflate,
     kernel_of_inflation,
     make_U_B,
     pairing_S,
@@ -38,6 +37,7 @@ from abelcentral.groups import (
 )
 from abelcentral.heisenberg import to_table_group
 from abelcentral.modring import ModMatrix, binom2
+from cohomology_oracle import inflate, representative
 from test_groups import D4, S3, perm_group
 
 
@@ -341,7 +341,7 @@ class TestAgainstOracles:
         cs = central_series(g, n)
         k, coords = coh._layer1_coords(cs)
         pi = std_index(coords, n)
-        cases += [inflate(eta.representative(), pi, g).values for eta in kernel_oracle(cs)]
+        cases += [inflate(representative(eta), pi, g).values for eta in kernel_oracle(cs)]
         eye = np.eye(k, dtype=np.int64)
         basis = [inflate(make_U_B(k, n, eye[i], eye[j])[0], pi, g).values for i in range(k) for j in range(i + 1, k)]
         basis += [inflate(make_U_B(k, n, eye[j], eye[j])[1], pi, g).values for j in range(k)]
@@ -583,7 +583,7 @@ class TestSolveCoboundary:
                         + cs.layer1.decomposition.coords_of[cs.layer1.project[x]][1]
                         for x in range(8)
                     ]
-                    cases.append(inflate(eta.representative(), pi, g).values)
+                    cases.append(inflate(representative(eta), pi, g).values)
             for vals in cases:
                 got = solve_coboundary(Cocycle2(g, 2, vals))
                 oracle = brute_force_coboundary(g, vals, 2)

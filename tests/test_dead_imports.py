@@ -1,9 +1,12 @@
-"""Every name a library module imports at module level is read somewhere in it."""
+"""Every name a library module imports at module level is read somewhere in
+it, and every name the package exports exists and is exported once."""
 
 import ast
 import pathlib
 
 import pytest
+
+import abelcentral
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abelcentral"
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -29,3 +32,9 @@ def test_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+def test_exports_resolve_once():
+    names = abelcentral.__all__
+    assert sorted(set(names)) == sorted(names)
+    assert [name for name in names if not hasattr(abelcentral, name)] == []

@@ -1,4 +1,5 @@
-"""The mod-n Heisenberg group: law, closed forms, embedding problems."""
+"""The mod-n Heisenberg group: law, closed forms, relation checks, all against
+the literal one-element-at-a-time law of ``heisenberg_oracle``."""
 
 import itertools
 import random
@@ -10,18 +11,21 @@ from abelcentral import heisenberg
 from abelcentral.errors import DomainError, ModulusError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field
 from abelcentral.heisenberg import (
+    enumerate_homs_check,
+    heis_pow_arrays,
+    pointwise_embedding_check,
+    to_table_group,
+    verify_laws,
+)
+from heisenberg_oracle import (
     EmbeddingProblem,
     HeisElem,
     commutator_sum,
-    enumerate_homs_check,
     heis_comm_pow,
     heis_mul,
-    heis_pow_arrays,
     identity,
     order_of,
-    pointwise_embedding_check,
     solve_embedding_cyclic,
-    to_table_group,
 )
 
 
@@ -29,6 +33,8 @@ class TestGroupLaw:
     def test_displayed_law(self):
         assert heis_mul(HeisElem(3, 1, 0, 0), HeisElem(3, 0, 1, 0)) == HeisElem(3, 1, 1, 1)
         assert heis_mul(HeisElem(3, 0, 1, 0), HeisElem(3, 1, 0, 0)) == HeisElem(3, 1, 1, 0)
+        assert heisenberg._mul(3, (1, 0, 0), (0, 1, 0)) == (1, 1, 1)
+        assert heisenberg._mul(3, (0, 1, 0), (1, 0, 0)) == (1, 1, 0)
 
     def test_identity_and_inverse(self):
         for n in (2, 3, 4, 5):
@@ -38,6 +44,7 @@ class TestGroupLaw:
                 assert heis_mul(u, e) == u
                 assert heis_mul(e, u) == u
                 assert heis_mul(u, u.inv()).is_identity()
+                assert heisenberg._inv(n, (a, b, c)) == (u.inv().a, u.inv().b, u.inv().c)
 
     def test_associativity_exhaustive_small(self):
         for n in (2, 3):
@@ -57,22 +64,83 @@ class TestClosedForms:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_all_pairs(self, n):
         # heis_comm_pow cross-checks against the literal law internally and
-        # raises on any disagreement; this exercises every pair.
-        for t1 in itertools.product(range(n), repeat=3):
-            for t2 in itertools.product(range(n), repeat=3):
-                heis_comm_pow(HeisElem(n, *t1), HeisElem(n, *t2))
+        # raises on any disagreement; this exercises every pair, and the
+        # library's closed forms must give the same central coordinates.
+        elems = list(itertools.product(range(n), repeat=3))
+        oracle = [[heis_comm_pow(HeisElem(n, *t1), HeisElem(n, *t2)) for t2 in elems] for t1 in elems]
+        u = tuple(np.array(elems).T[:, :, None])
+        v = tuple(np.array(elems).T[:, None, :])
+        assert heisenberg._comm(n, u, v).tolist() == [[c for c, _ in row] for row in oracle]
+        powers = heis_pow_arrays(n, *u, n)[2][:, 0].tolist()
+        assert powers == [row[0][1] for row in oracle]
+        assert verify_laws(n)["pairs_checked"] == len(elems) ** 2
 
     def test_known_values(self):
         assert heis_comm_pow(HeisElem(3, 1, 0, 0), HeisElem(3, 0, 1, 0)) == (1, 0)
         assert heis_comm_pow(HeisElem(2, 1, 1, 0), HeisElem(2, 0, 0, 0))[1] == 1
         assert heis_comm_pow(HeisElem(3, 1, 1, 0), HeisElem(3, 0, 0, 0))[1] == 0
+        assert heisenberg._comm(3, (1, 0, 0), (0, 1, 0)) == 1
+        assert heis_pow_arrays(2, 1, 1, 0, 2)[2] == 1
+        assert heis_pow_arrays(3, 1, 1, 0, 3)[2] == 0
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_exponent_divides_n_squared(self, n):
         assert heisenberg.exponent_divides_n2(n)
 
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_exponent_check_sees_a_wrong_law(self, monkeypatch, n):
+        # The central coordinate taken mod n + 1: h(0, 0; 1)^(n^2) = h(0, 0; 1).
+        def wrong_mul(n, u, v):
+            (a, b, c), (a2, b2, c2) = u, v
+            return (a + a2) % n, (b + b2) % n, (c + c2 + a * b2) % (n + 1)
+
+        monkeypatch.setattr(heisenberg, "_mul", wrong_mul)
+        assert heisenberg.exponent_divides_n2.__wrapped__(n) is False
+
     def test_order_four_element(self):
         assert order_of(HeisElem(2, 1, 1, 0)) == 4
+        assert to_table_group(2).order_of((1 * 2 + 1) * 2) == 4
+
+
+def flipped_comm(n, u, v):
+    """The closed-form commutator with the wrong sign, a'*b - a*b'."""
+    return (v[0] * u[1] - u[0] * v[1]) % n
+
+
+def halving_dropped_pow(n, a, b, c, m):
+    """The closed-form power with m*(m - 1) in place of C(m, 2)."""
+    return (m * a) % n, (m * b) % n, (m * c + m * (m - 1) * a * b) % n
+
+
+class TestVerifyLaws:
+    def test_report(self):
+        assert verify_laws(3) == {
+            "n": 3,
+            "pairs_checked": 729,
+            "series_sizes_ok": True,
+            "extension_cocycle_ok": True,
+            "ok": True,
+        }
+
+    def test_sign_flipped_commutator_raises(self, monkeypatch):
+        monkeypatch.setattr(heisenberg, "_comm", flipped_comm)
+        with pytest.raises(TheoremViolationError, match="commutator"):
+            verify_laws(3)
+
+    def test_wrong_power_coefficient_raises(self, monkeypatch):
+        # C(4, 2) = 6 and 4 * 3 = 12 differ mod 4.
+        monkeypatch.setattr(heisenberg, "heis_pow_arrays", halving_dropped_pow)
+        with pytest.raises(TheoremViolationError, match="n-th power"):
+            verify_laws(4)
+
+    @pytest.mark.parametrize("n,error", [(1, ModulusError), (0, ModulusError), (-2, ModulusError), (22, DomainError)])
+    def test_typed_errors_before_any_work(self, monkeypatch, n, error):
+        def no_work(n):
+            raise AssertionError("verify_laws enumerated elements before checking n")
+
+        monkeypatch.setattr(heisenberg, "_elements", no_work)
+        with pytest.raises(error):
+            verify_laws(n)
 
 
 class TestTableExport:
@@ -156,6 +224,7 @@ class TestHomEnumeration:
         img = HeisElem(4, 1, 2, 3)
         # Images of powers of one generator always commute.
         assert commutator_sum([(s, t), (t, s)], img) == 0
+        assert heisenberg._comm_sums([(s, t), (t, s)], 1, 2, 3, 4) == 0
 
 
 # --- the scalar loops behind the array checks, kept here as oracles --------
@@ -215,9 +284,7 @@ def central_pow(n, a, b, c, m):
     return (m * a + c) % n, (m * b) % n, c
 
 
-def use_power_law(monkeypatch, law, n):
-    # exponent_divides_n2 is cached per n and uses **: fill it under the true law.
-    assert heisenberg.exponent_divides_n2(n)
+def use_power_law(monkeypatch, law):
     monkeypatch.setattr(heisenberg, "heis_pow_arrays", law)
     monkeypatch.setattr(HeisElem, "__pow__", lambda x, m: HeisElem(x.n, *law(x.n, x.a, x.b, x.c, m)))
 
@@ -256,7 +323,7 @@ class TestArrayChecksAgainstOracles:
         # also where table_points are in dlog order), and the bilinear
         # cross-check must catch the broken enumeration.
         k = make_field(p, k=deg, n=n)
-        use_power_law(monkeypatch, skewed_pow, n)
+        use_power_law(monkeypatch, skewed_pow)
         fam = [(KummerCharacter(k, n, 1), KummerCharacter(k, n, 2))]
         flag, x = pointwise_embedding_check(fam, k)
         assert (flag, x) == pointwise_oracle(fam, k)
@@ -270,7 +337,7 @@ class TestArrayChecksAgainstOracles:
 
     def test_central_coordinate_dependence_raises(self, monkeypatch):
         k = make_field(13, n=3)
-        use_power_law(monkeypatch, central_pow, 3)
+        use_power_law(monkeypatch, central_pow)
         fam = [(KummerCharacter(k, 3, 1), KummerCharacter(k, 3, 2))]
         with pytest.raises(TheoremViolationError, match="central coordinate"):
             pointwise_embedding_check(fam, k)
