@@ -4,7 +4,9 @@ Elements of F_{p^k} are encoded as integers in [0, q): the encoding of
 sum c_i X^i is sum c_i p^i, so prime-field elements are just themselves.
 Every field holds full exp/dlog tables, so a product, a power, an inverse
 and a discrete log are each a lookup; sums are formed digit by digit.
-Irreducibility of defining polynomials is decided by sympy.
+Prime fields need nothing but Python ints: p is tested by trial division and
+the generator by ``pow``.  Extension fields import sympy on first use, which
+decides irreducibility of defining polynomials and forms generator powers.
 """
 
 from __future__ import annotations
@@ -15,9 +17,6 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import ZZ, isprime
-from sympy.ntheory import primitive_root
-from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 
 from . import modring
 from .errors import DomainError, HypothesisError, ModulusError
@@ -42,6 +41,9 @@ def _factor(m: int) -> dict[int, int]:
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
     """Whether a monic polynomial over F_p (constant term first) is irreducible."""
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
     return len(poly) > 1 and poly[-1] == 1 and gf_irreducible_p([c % p for c in reversed(poly)], p, ZZ)
 
 
@@ -191,11 +193,14 @@ class FqField:
 
 def _generator(p: int, k: int, poly: Optional[tuple[int, ...]]) -> int:
     """The smallest element of order q - 1: no g^((q-1)/r) is 1, r a prime factor of q - 1."""
-    if k == 1:
-        return primitive_root(p)  # sympy's smallest primitive root
     q = p**k
-    modulus = list(reversed(poly))  # galoistools lists run from the top coefficient
     factors = _factor(q - 1)
+    if k == 1:
+        return next(g for g in range(1, q) if all(pow(g, (q - 1) // r, q) != 1 for r in factors))
+    from sympy import ZZ
+    from sympy.polys.galoistools import gf_pow_mod, gf_strip
+
+    modulus = list(reversed(poly))  # galoistools lists run from the top coefficient
     for g in range(2, q):
         g_poly = gf_strip([g // p**i % p for i in reversed(range(k))])
         if all(gf_pow_mod(g_poly, (q - 1) // r, modulus, p, ZZ) != [1] for r in factors):
@@ -207,10 +212,13 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
     """Construct F_{p^k} with a verified generator and Kummer hypothesis n | q-1."""
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
-    if not isprime(p):
+    if p < 2 or (p <= FIELD_MAX and _factor(p) != {p: 1}):
         raise DomainError(f"{p} is not prime")
     if k < 1:
         raise DomainError("degree must be >= 1")
+    if p > FIELD_MAX or k >= FIELD_MAX.bit_length():  # before p**k is formed
+        order = p if k == 1 else f"{p}^{k}"
+        raise DomainError(f"field of order {order} exceeds the supported bound {FIELD_MAX}")
     q = p**k
     if q > FIELD_MAX:
         raise DomainError(f"field of order {q} exceeds the supported bound {FIELD_MAX}")

@@ -12,6 +12,9 @@ Conventions making canonical forms byte-comparable:
   i.e. a divisor of n;
 * entries above a pivot d are reduced into [0, d);
 * rows are sorted by pivot column ascending.
+
+Everything here is numpy except ``structure``, whose invariant factors come
+from sympy's Smith normal form; sympy is imported on its first call.
 """
 
 from __future__ import annotations
@@ -21,9 +24,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from sympy import ZZ
-from sympy.polys.matrices import DomainMatrix
-from sympy.polys.matrices.normalforms import invariant_factors
 
 from .errors import DimensionError, ModulusError, TheoremViolationError
 
@@ -242,6 +242,10 @@ def structure(s: SubgroupZnk) -> AbelianStructure:
     Computed from the Smith normal form (over Z) of the relation lattice of
     the canonical generators, which contains n*Z^r.
     """
+    from sympy import ZZ
+    from sympy.polys.matrices import DomainMatrix
+    from sympy.polys.matrices.normalforms import invariant_factors
+
     basis = s.canonical.entries
     rel = np.vstack([_left_kernel(basis, s.modulus), s.modulus * np.eye(basis.shape[0], dtype=np.int64)])
     factors = invariant_factors(DomainMatrix.from_list(rel.tolist(), ZZ))

@@ -1,12 +1,20 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
+import sympy
+from test_finfield import oracle_primes
 
 from abelcentral import cli
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(argv, capsys):
@@ -96,6 +104,12 @@ class TestExitCodes:
     def test_field_above_the_bound(self, capsys):
         # 1048583 is the least prime above FIELD_MAX = 2^20.
         code, out, err = run(["field", "--p", "1048583", "--n", "2"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and "exceeds the supported bound" in err
+
+    def test_field_degree_above_the_bound(self, capsys):
+        # Refused before 2**(10**8) is formed, so no message formats it.
+        code, out, err = run(["field", "--p", "2", "--k", "100000000", "--n", "3"], capsys)
         assert code == cli.EXIT_USAGE
         assert not out and "exceeds the supported bound" in err
 
@@ -227,3 +241,67 @@ class TestParserCache:
             assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv))
             cli.build_parser.cache_clear()
             assert run(argv, capsys) == got
+
+
+def fresh_interpreter(args, cwd):
+    """Run ``python *args`` in a new process on the package in ``src/``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+class TestStartup:
+    def test_prime_fields_and_groups_run_without_sympy(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+
+            import abelcentral
+            from abelcentral import cli
+
+            assert "sympy" not in sys.modules
+            with open("fam.json", "w") as fh:
+                fh.write('{"pairs": [{"sigma": 1, "tau": 2}]}')
+            for argv in [
+                ["heisenberg", "--n", "2", "--output", "heis2.json"],
+                ["groupcoh", "--input", "heis2.json", "--n", "2"],
+                ["verify", "--suite", "heisenberg", "--n", "3"],
+                ["verify", "--suite", "propA1", "--n", "4", "--rank", "2"],
+                ["verify", "--suite", "machinery", "--n", "2", "--rank", "2"],
+                ["field", "--p", "13", "--n", "3"],
+                ["relations", "--p", "13", "--n", "3", "--input", "fam.json"],
+            ]:
+                assert cli.main(argv) == 0, argv
+            print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"), file=sys.stderr)
+            """
+        )
+        result = fresh_interpreter(["-c", script], tmp_path)
+        assert result.returncode == 0, result.stderr
+        assert result.stderr == "[]\n"
+
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            (
+                ["verify", "--suite", "ffrak", "--p", "13", "--n", "4"],
+                {"invariant_factors": [4], "n": 4, "ok": True, "p": 13, "suite": "ffrak"},
+            ),
+            (["field", "--p", "5", "--k", "2", "--n", "3"], {"generator": 6, "k": 2, "n": 3, "p": 5, "poly": [2, 0, 1]}),
+        ],
+    )
+    def test_sympy_paths_under_python_m(self, tmp_path, argv, expected):
+        result = fresh_interpreter(["-m", "abelcentral", *argv], tmp_path)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+    def test_prime_field_reports(self, capsys):
+        # The descriptor with sympy's primitive_root as the generator: every
+        # odd prime below 5000, with n the least prime factor of p - 1, and
+        # every 30th prime of the sample up to 2^20.
+        primes = oracle_primes()
+        small = [p for p in primes if p < 5000]
+        for p in small[1:] + primes[len(small) :: 30]:
+            n = min(sympy.primefactors(p - 1))
+            code, out, err = run(["field", "--p", str(p), "--n", str(n)], capsys)
+            doc = {"generator": sympy.primitive_root(p), "k": 1, "n": n, "p": p, "poly": [p - 1, 1]}
+            assert (code, err) == (cli.EXIT_OK, "")
+            assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n", p

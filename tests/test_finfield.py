@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 from typing import Sequence
 
 import pytest
@@ -110,7 +111,51 @@ class TestIrreducibility:
         assert found == expected
 
 
+def oracle_primes():
+    """Every prime below 5000 and a fixed sample of 300 primes up to 2^20 (sympy's sieve)."""
+    large = list(sympy.primerange(5000, 2**20 + 1))
+    return [int(p) for p in sympy.primerange(2, 5000)] + sorted(random.Random(20).sample(large, 300))
+
+
+def reads_as_prime(p):
+    """Whether make_field accepts p as a characteristic; n = max(p, 2) stops it before any table."""
+    try:
+        make_field(p, n=max(p, 2))
+    except HypothesisError:
+        return True
+    except DomainError as exc:
+        if "is not prime" in str(exc):
+            return False
+        raise
+    raise AssertionError("n = p must fail the Kummer hypothesis")
+
+
 class TestPrimeField:
+    def test_generator_is_sympys_primitive_root(self):
+        # sympy is the oracle only; the library finds the generator with pow.
+        for p in oracle_primes():
+            assert finfield._generator(p, 1, None) == sympy.primitive_root(p), p
+
+    def test_primality_agrees_with_sympy(self):
+        for p in itertools.chain(range(-5, 10**4 + 1), range(2**20 - 500, 2**20 + 1)):
+            assert reads_as_prime(p) == sympy.isprime(p), p
+
+    @pytest.mark.parametrize("p", [-3, 0, 1, 4, 91, 2**20 - 1, 2**20])
+    def test_not_prime(self, p):
+        with pytest.raises(DomainError, match="is not prime"):
+            make_field(p, n=3)
+
+    @pytest.mark.parametrize("p,k", [(2, 10**9), (10**18 + 9, 1), (2**21, 1), (2, 21), (1048573, 2)])
+    def test_bounds_before_any_arithmetic(self, p, k):
+        # p and k are bounded before p**k is formed or p is factored.
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match="exceeds the supported bound"):
+                make_field(p, k=k, n=3)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.01
+
     def test_generator_and_dlogs(self):
         k = make_field(7, n=3)
         assert k.generator == 3
