@@ -5,8 +5,9 @@ sum c_i X^i is sum c_i p^i, so prime-field elements are just themselves.
 Every field holds full exp/dlog tables, so a product, a power, an inverse
 and a discrete log are each a lookup; sums are formed digit by digit.
 Prime fields need nothing but Python ints: p is tested by trial division and
-the generator by ``pow``.  Extension fields import sympy on first use, which
-decides irreducibility of defining polynomials and forms generator powers.
+the generator by ``pow``.  Extension fields compute on the k x k "times a"
+matrices over F_p that also build the tables: Rabin's irreducibility test on
+the Frobenius matrix, and generator orders by matrix powers.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import modring
-from .errors import DomainError, HypothesisError, ModulusError
+from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
 
 FIELD_MAX = 2**20  # every field holds its full exp/dlog tables
 
@@ -39,12 +40,58 @@ def _factor(m: int) -> dict[int, int]:
     return out
 
 
-def is_irreducible(poly: Sequence[int], p: int) -> bool:
-    """Whether a monic polynomial over F_p (constant term first) is irreducible."""
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_irreducible_p
+def _times(a: np.ndarray, poly: Optional[Sequence[int]], p: int) -> np.ndarray:
+    """The matrices of "times a" on coefficient rows: row j of the (..., k, k)
+    result is X^j a mod poly, for a batch a of (..., k) coefficient rows.
 
-    return len(poly) > 1 and poly[-1] == 1 and gf_irreducible_p([c % p for c in reversed(poly)], p, ZZ)
+    The entries have the smallest signed type that holds k (p-1)^2, the
+    largest sum a product of two such matrices forms before it is reduced.
+    """
+    k = a.shape[-1]
+    out = np.zeros(a.shape[:-1] + (k, k), dtype=np.min_scalar_type(-k * (p - 1) ** 2 - 1))
+    out[..., 0, :] = a
+    for j in range(1, k):  # X times the row above, with X^k = -(poly without X^k)
+        out[..., j, 1:] = out[..., j - 1, :-1]
+        out[..., j, :] = (out[..., j, :] - out[..., j - 1, -1:] * np.array(poly[:-1])) % p
+    return out
+
+
+def _mat_pow(m: np.ndarray, e: int, p: int) -> np.ndarray:
+    """m^e mod p for a batch m of (..., k, k) matrices, by square and multiply."""
+    out = np.broadcast_to(np.eye(m.shape[-1], dtype=m.dtype), m.shape).copy()
+    while e:
+        if e & 1:
+            out = out @ m % p
+        m, e = m @ m % p, e >> 1
+    return out
+
+
+def is_irreducible(poly: Sequence[int], p: int) -> bool:
+    """Whether a monic polynomial f over F_p (constant term first) is irreducible.
+
+    Rabin's test for f of degree k on the Frobenius matrix, the matrix of
+    a -> a^p on F_p[X]/(f), whose row j is X^(jp): f is irreducible iff
+    X^(p^k) = X mod f and, for each prime r dividing k, X^(p^(k/r)) - X is a
+    unit mod f, i.e. its "times" matrix has full rank over the field F_p.
+    """
+    if len(poly) < 2 or poly[-1] != 1:
+        return False
+    k, poly = len(poly) - 1, [c % p for c in poly]
+    if k == 1:
+        return True
+    if p > modring.MAX_MODULUS:  # the rank test reduces mod p in int64
+        raise ModulusError(f"characteristic {p} exceeds {modring.MAX_MODULUS}")
+    x = np.eye(k, dtype=np.int64)[1]
+    times_xp = _times(_mat_pow(_times(x, poly, p), p, p)[0], poly, p)  # row 0 of (times X)^p is X^p
+    frob = np.eye(k, dtype=times_xp.dtype)
+    for j in range(1, k):
+        frob[j] = frob[j - 1] @ times_xp % p
+    powers = [x]  # X^(p^i) for i = 0..k
+    for _ in range(k):
+        powers.append(powers[-1] @ frob % p)
+    return np.array_equal(powers[k], x) and all(
+        len(modring._howell(_times((powers[k // r] - x) % p, poly, p), p)) == k for r in _factor(k)
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,19 +164,15 @@ class FqField:
         The k rows after exp[0:m] hold the matrix M of "times g^m" (row j is
         X^j g^m), so one product per round, [exp[0:m]; M] @ M, writes
         exp[m:2m] and M^2 right after it (numpy gives overlapping operands
-        the result of separate ones).  The rows have the smallest signed type
-        that holds k (p-1)^2, the largest sum a product forms before it is
-        reduced mod p, and their number is rounded up to a power of two.  The
-        table must be a bijection onto the units, i.e. g has order q - 1.
+        the result of separate ones).  The rows have the type of ``_times``
+        and their number is rounded up to a power of two.  The table must be
+        a bijection onto the units, i.e. g has order q - 1.
         """
         p, q, k = self.p, self.q, self.k
-        dtype = np.min_scalar_type(-k * (p - 1) ** 2 - 1)
-        buf = np.zeros(((1 << (q - 2).bit_length()) + k, k), dtype=dtype)
+        times_g = _times(self.generator // self._place % p, self.poly, p)
+        buf = np.zeros(((1 << (q - 2).bit_length()) + k, k), dtype=times_g.dtype)
         buf[0, 0] = 1
-        buf[1] = self.generator // self._place % p
-        for j in range(2, k + 1):  # X times the row above, with X^k = -(poly without X^k)
-            buf[j, 1:] = buf[j - 1, :-1]
-            buf[j] = (buf[j] - buf[j - 1, -1] * np.array(self.poly[:-1])) % p
+        buf[1 : k + 1] = times_g
         m = 1
         while m < q - 1:
             out = buf[m : 2 * m + k]
@@ -143,7 +186,7 @@ class FqField:
         dlog = np.full(q, -1, dtype=np.int64)
         dlog[exp] = np.arange(q - 1)
         if np.count_nonzero(dlog < 0) != 1:  # exp missed a unit, not just 0
-            raise RuntimeError("generator order verification failed")
+            raise TheoremViolationError("generator order verification failed")
         return exp, dlog
 
     def exp(self, i: int) -> int:
@@ -192,20 +235,26 @@ class FqField:
 
 
 def _generator(p: int, k: int, poly: Optional[tuple[int, ...]]) -> int:
-    """The smallest element of order q - 1: no g^((q-1)/r) is 1, r a prime factor of q - 1."""
+    """The smallest element of order q - 1: no g^((q-1)/r) is 1, r a prime factor of q - 1.
+
+    An extension field tests a chunk of candidates at a time, on their
+    "times g" matrices; the chunk starts at one candidate and doubles.
+    """
     q = p**k
     factors = _factor(q - 1)
     if k == 1:
         return next(g for g in range(1, q) if all(pow(g, (q - 1) // r, q) != 1 for r in factors))
-    from sympy import ZZ
-    from sympy.polys.galoistools import gf_pow_mod, gf_strip
-
-    modulus = list(reversed(poly))  # galoistools lists run from the top coefficient
-    for g in range(2, q):
-        g_poly = gf_strip([g // p**i % p for i in reversed(range(k))])
-        if all(gf_pow_mod(g_poly, (q - 1) // r, modulus, p, ZZ) != [1] for r in factors):
-            return g
-    raise RuntimeError("no multiplicative generator found")
+    one, lo, size = np.eye(k, dtype=np.int64)[0], 2, 1
+    while lo < q:
+        g = np.arange(lo, min(lo + size, q))
+        times_g = _times(g[:, None] // p ** np.arange(k) % p, poly, p)
+        full = np.ones(len(g), dtype=bool)
+        for r in factors:
+            full &= (_mat_pow(times_g, (q - 1) // r, p)[:, 0] != one).any(axis=1)
+        if full.any():
+            return int(g[full.argmax()])
+        lo, size = lo + size, 2 * size
+    raise TheoremViolationError("no multiplicative generator found")
 
 
 def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int = 2) -> FqField:
@@ -249,7 +298,7 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
                     poly_t = tuple(cand)
                     break
             if poly_t is None:
-                raise RuntimeError("no irreducible polynomial found")
+                raise TheoremViolationError("no irreducible polynomial found")
 
     gen = _generator(p, k, poly_t)
     field = FqField(p=p, k=k, n=n, poly=poly_t, generator=gen)
@@ -292,9 +341,9 @@ def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:
     elt = field.exp((index * (q - 1) // n) % (q - 1))
     for r in _factor(n):
         if field.pow(elt, n // r) == 1:
-            raise RuntimeError("root of unity is not primitive")
+            raise TheoremViolationError("root of unity is not primitive")
     if field.pow(elt, n) != 1:
-        raise RuntimeError("root of unity has wrong order")
+        raise TheoremViolationError("root of unity has wrong order")
     return RootOfUnity(field=field, element=elt, order=n)
 
 
@@ -392,7 +441,7 @@ def embed_field(sub: FqField, sup: FqField) -> FieldEmbedding:
         f[1:] = exp_l[(e * u * dlog_x) % (sup.q - 1)]
         if np.array_equal(f[sub.add(x, 1)], sup.add(f, 1)):
             return FieldEmbedding(sub=sub, sup=sup, exponent=e * u)
-    raise RuntimeError("no additive embedding found; field construction is broken")
+    raise TheoremViolationError("no additive embedding found; field construction is broken")
 
 
 def restrict_character(emb: FieldEmbedding, f: KummerCharacter) -> KummerCharacter:

@@ -13,19 +13,21 @@ Conventions making canonical forms byte-comparable:
 * entries above a pivot d are reduced into [0, d);
 * rows are sorted by pivot column ascending.
 
-Everything here is numpy except ``structure``, whose invariant factors come
-from sympy's Smith normal form; sympy is imported on its first call.
+Everything is numpy on int64 entries and rests on the one Howell routine;
+``structure`` too reads its invariant factors off Howell forms, of the rows
+and the columns in turn.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ModulusError, TheoremViolationError
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
 
 MAX_MODULUS = 2**31 - 1
 HOWELL_CHUNK_CELLS = 1 << 14  # cells per block of a Howell step's one subtraction
@@ -97,9 +99,9 @@ class AbelianStructure:
         facs = tuple(int(d) for d in self.invariant_factors)
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
-                raise ValueError(f"invariant factors must form a divisibility chain: {facs}")
+                raise DomainError(f"invariant factors must form a divisibility chain: {facs}")
         if any(d < 2 for d in facs):
-            raise ValueError(f"invariant factors must be >= 2: {facs}")
+            raise DomainError(f"invariant factors must be >= 2: {facs}")
         object.__setattr__(self, "invariant_factors", facs)
 
     @property
@@ -239,16 +241,31 @@ def nullspace(mat: ModMatrix) -> ModMatrix:
 def structure(s: SubgroupZnk) -> AbelianStructure:
     """Invariant factors of the subgroup as a finite abelian group.
 
-    Computed from the Smith normal form (over Z) of the relation lattice of
-    the canonical generators, which contains n*Z^r.
+    The canonical rows are replaced by the Howell rows of their transpose
+    until every row and every column has at most one nonzero entry d; each
+    such row spans a cyclic factor of order n / gcd(d, n).  Exactness: a
+    Howell step keeps the row module, and the row and column modules of a
+    matrix over Z/n are isomorphic (both are those of its Smith form).  Ending:
+    the first pivot d of a Howell form is the only nonzero entry of its
+    column, so the transposed form's first pivot is the gcd of d's row.  Either
+    that ideal is larger, or d divides its row, which is then cleared along
+    with d's column, and the rounds go on in the rows and columns after it.
+    Z/n has finitely many ideals, so the rounds end.  The factors are then
+    put into a divisibility chain by pairwise gcd/lcm, and their product
+    must be the order of the subgroup, the product of n / pivot.
     """
-    from sympy import ZZ
-    from sympy.polys.matrices import DomainMatrix
-    from sympy.polys.matrices.normalforms import invariant_factors
-
-    basis = s.canonical.entries
-    rel = np.vstack([_left_kernel(basis, s.modulus), s.modulus * np.eye(basis.shape[0], dtype=np.int64)])
-    factors = invariant_factors(DomainMatrix.from_list(rel.tolist(), ZZ))
+    n, a = s.modulus, s.canonical.entries
+    order = math.prod(n // int(row[row != 0][0]) for row in a)
+    nonzero = a != 0
+    while (nonzero.sum(axis=0) > 1).any() or (nonzero.sum(axis=1) > 1).any():
+        a = _howell(a.T, n)
+        nonzero = a != 0
+    factors = sorted(n // math.gcd(int(d), n) for d in a[nonzero])
+    for i, j in itertools.combinations(range(len(factors)), 2):
+        g = math.gcd(factors[i], factors[j])
+        factors[i], factors[j] = g, factors[i] * factors[j] // g
+    if math.prod(factors) != order:
+        raise TheoremViolationError(f"invariant factors {factors} do not multiply to the order {order}")
     return AbelianStructure(tuple(d for d in factors if d > 1))
 
 

@@ -12,7 +12,7 @@ import pytest
 import sympy
 from test_finfield import oracle_primes
 
-from abelcentral import cli
+from abelcentral import cli, finfield
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -29,6 +29,13 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["invariant_factors"] == [3]
+
+    def test_failed_table_check_is_a_counterexample(self, capsys, monkeypatch):
+        # 4 = 2^2 is a square in F_13, so it cannot generate F_13^x.
+        monkeypatch.setattr(finfield, "_generator", lambda p, k, poly: 4)
+        code, out, err = run(["field", "--p", "13", "--n", "3"], capsys)
+        assert (code, out) == (cli.EXIT_COUNTEREXAMPLE, "")
+        assert err == "counterexample: generator order verification failed\n"
 
     def test_field_missing_roots_of_unity(self, capsys):
         # mu_4 is not contained in F_7.
@@ -250,15 +257,15 @@ def fresh_interpreter(args, cwd):
 
 
 class TestStartup:
-    def test_prime_fields_and_groups_run_without_sympy(self, tmp_path):
+    def test_no_command_loads_sympy(self, tmp_path):
+        # Every command and every verify suite, prime and extension fields,
+        # in one fresh process: the library computes without sympy.
         script = textwrap.dedent(
             """
             import sys
 
-            import abelcentral
             from abelcentral import cli
 
-            assert "sympy" not in sys.modules
             with open("fam.json", "w") as fh:
                 fh.write('{"pairs": [{"sigma": 1, "tau": 2}]}')
             for argv in [
@@ -267,8 +274,14 @@ class TestStartup:
                 ["verify", "--suite", "heisenberg", "--n", "3"],
                 ["verify", "--suite", "propA1", "--n", "4", "--rank", "2"],
                 ["verify", "--suite", "machinery", "--n", "2", "--rank", "2"],
+                ["verify", "--suite", "ffrak", "--p", "13", "--n", "4"],
+                ["verify", "--suite", "ffrak", "--p", "3", "--k", "2", "--n", "4"],
                 ["field", "--p", "13", "--n", "3"],
+                ["field", "--p", "5", "--k", "2", "--n", "3"],
+                ["ffrak", "--p", "7", "--n", "3"],
+                ["ffrak", "--p", "2", "--k", "4", "--n", "3"],
                 ["relations", "--p", "13", "--n", "3", "--input", "fam.json"],
+                ["relations", "--p", "3", "--k", "2", "--n", "4", "--input", "fam.json"],
             ]:
                 assert cli.main(argv) == 0, argv
             print(sorted(name for name in sys.modules if name.split(".")[0] == "sympy"), file=sys.stderr)
@@ -288,7 +301,7 @@ class TestStartup:
             (["field", "--p", "5", "--k", "2", "--n", "3"], {"generator": 6, "k": 2, "n": 3, "p": 5, "poly": [2, 0, 1]}),
         ],
     )
-    def test_sympy_paths_under_python_m(self, tmp_path, argv, expected):
+    def test_reports_under_python_m(self, tmp_path, argv, expected):
         result = fresh_interpreter(["-m", "abelcentral", *argv], tmp_path)
         assert (result.returncode, result.stderr) == (0, "")
         assert result.stdout == json.dumps(expected, sort_keys=True, indent=2) + "\n"

@@ -1,5 +1,6 @@
 """Every name a library module imports at module level is read somewhere in
-it, and every name the package exports exists and is exported once."""
+it, no library module imports sympy, and every name the package exports
+exists and is exported once."""
 
 import ast
 import pathlib
@@ -32,6 +33,26 @@ def test_finds_an_unread_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unread_imports(path):
     assert unread_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> list[str]:
+    """Every module an import statement names, at any depth of the module."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.append(node.module)
+    return names
+
+
+def test_finds_a_nested_import():
+    assert imported_modules("def f():\n    from sympy.polys import gf\n    import os.path\n") == ["sympy.polys", "os.path"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_sympy_import(path):
+    assert [name for name in imported_modules(path.read_text()) if name.split(".")[0] == "sympy"] == []
 
 
 def test_exports_resolve_once():

@@ -10,7 +10,7 @@ import pytest
 import sympy
 
 from abelcentral import finfield
-from abelcentral.errors import DomainError, HypothesisError
+from abelcentral.errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
 from abelcentral.finfield import (
     FieldEmbedding,
     KummerCharacter,
@@ -22,6 +22,8 @@ from abelcentral.finfield import (
     omega,
     restrict_character,
 )
+
+import sympy_oracle
 
 
 def _poly_mulmod(a: Sequence[int], b: Sequence[int], mod_poly: Sequence[int], p: int) -> list[int]:
@@ -62,6 +64,11 @@ def oracle_order(field, x):
     while acc != 1:
         acc, order = oracle_mul(field, acc, x), order + 1
     return order
+
+
+def extension_degrees(bound):
+    """(p, k) for every extension field F_{p^k}, k >= 2, of order at most bound."""
+    return [(int(p), k) for p in sympy.primerange(2, math.isqrt(bound) + 1) for k in range(2, bound.bit_length()) if p**k <= bound]
 
 
 def fields_up_to(bound):
@@ -109,6 +116,27 @@ class TestIrreducibility:
         expected = sum(mobius(e) * p ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
         found = sum(is_irreducible(list(low) + [1], p) for low in itertools.product(range(p), repeat=d))
         assert found == expected
+
+    def test_against_the_sympy_oracle(self):
+        # 32 seeded monic candidates for each of the 93 extension fields of
+        # order at most 2^16, and the first irreducible of each degree.
+        rng = random.Random(16)
+        degrees = extension_degrees(2**16)
+        assert len(degrees) == 93
+        for p, k in degrees:
+            for _ in range(32):
+                cand = [rng.randrange(p) for _ in range(k)] + [1]
+                assert is_irreducible(cand, p) == sympy_oracle.is_irreducible(cand, p), (cand, p)
+
+    def test_characteristic_at_the_int64_bound(self):
+        # Products of residues mod 2^31 - 1 overflow int64 once k of them are
+        # summed; above 2^31 - 1 the Howell rank test cannot reduce at all.
+        p = 2**31 - 1
+        for cand in [(1, 0, 1), (p - 1, 0, 1), (7, 0, 0, 1), (p - 8, 0, 0, 1), (2, 5, 0, 1), (1, 1, 0, 0, 1)]:
+            assert is_irreducible(cand, p) == sympy_oracle.is_irreducible(cand, p), cand
+        assert is_irreducible((5, 1), 2**31 + 11)
+        with pytest.raises(ModulusError):
+            is_irreducible((1, 0, 1), 2**31 + 11)
 
 
 def oracle_primes():
@@ -186,6 +214,14 @@ class TestExtensionField:
     def test_canonical_poly(self):
         k = make_field(5, k=2, n=2)
         assert k.poly == (2, 0, 1)
+
+    def test_descriptors_against_the_sympy_oracle(self):
+        # Every extension field of order at most 2^16: its polynomial is the
+        # first irreducible and its generator the first of order q - 1.
+        for p, k in extension_degrees(2**16):
+            field = make_field(p, k=k, n=min(sympy.primefactors(p**k - 1)))
+            poly = sympy_oracle.first_irreducible(p, k)
+            assert (field.poly, field.generator) == (poly, sympy_oracle.generator(p, k, poly)), (p, k)
 
     def test_dlog_homomorphism(self):
         k = make_field(5, k=2, n=2)
@@ -276,6 +312,14 @@ class TestDlogTable:
         for i in random.Random(20).sample(range(k.q - 1), 1000):
             assert k.dlog(k.exp(i)) == i
             assert k.exp(i + 1) == oracle_mul(k, int(exp[i]), k.generator)
+
+    @pytest.mark.parametrize("p,deg", [(13, 1), (5, 2), (2, 8)])
+    def test_non_generator_fails_the_table_check(self, p, deg, monkeypatch):
+        # 4 has order below q - 1 in each field: a square in F_13, -1 in F_25,
+        # and X^2 in F_256, where X has order 51.
+        monkeypatch.setattr(finfield, "_generator", lambda p, k, poly: 4)
+        with pytest.raises(TheoremViolationError, match="generator order verification failed"):
+            make_field(p, k=deg, n=3 if p != 5 else 2)
 
     def test_order_above_the_bound(self):
         # 1048583 is the least prime above 2^20 = FIELD_MAX.

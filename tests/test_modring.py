@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from abelcentral import modring
 from abelcentral.groups import elementary_group
 from abelcentral.heisenberg import to_table_group
-from abelcentral.errors import DimensionError, ModulusError, TheoremViolationError
-from abelcentral.modring import ModMatrix, binom2
+from abelcentral.errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from abelcentral.modring import ModMatrix, SubgroupZnk, binom2
+
+import sympy_oracle
 
 
 def closure_of(rows, n, width=None):
@@ -309,6 +311,45 @@ class TestStructure:
         sub = modring.canonicalize(ModMatrix.from_rows([[0, 0]], 6))
         assert modring.structure(sub).invariant_factors == ()
         assert modring.structure(sub).order == 1
+
+    def test_against_the_sympy_oracle(self):
+        # About 2000 subgroups, up to 10 x 10 and with more rows than columns
+        # as often as not; half of them are built from divisors of n, which
+        # gives pivots that are not units.
+        rng = random.Random(16)
+        for _ in range(2000):
+            n = rng.choice([2, 6, 12, 36, 60, 720, 2**16, 65537, 2**31 - 1])
+            rows, cols = rng.randrange(11), rng.randrange(1, 11)
+            divisors = [d for d in (1, 2, 3, 4, 5, 6, 8, 9, 12, 2**8, 2**15) if n % d == 0]
+            scale = rng.choice(divisors) if rng.random() < 0.5 else 1
+            entries = np.array(
+                [[scale * rng.randrange(n) % n for _ in range(cols)] for _ in range(rows)], dtype=np.int64
+            ).reshape(rows, cols)
+            sub = modring.canonicalize(ModMatrix(n, entries))
+            assert modring.structure(sub).invariant_factors == sympy_oracle.structure(sub), (n, entries.tolist())
+
+    def test_three_rounds(self, monkeypatch):
+        # Howell rows [[4, 2], [0, 3]] mod 60, order 15 * 20: the columns,
+        # the rows and the columns again before each line has one entry.
+        rounds = []
+        howell = modring._howell
+        monkeypatch.setattr(modring, "_howell", lambda a, n: rounds.append(a.shape) or howell(a, n))
+        sub = SubgroupZnk(60, 2, ModMatrix.from_rows([[4, 2], [0, 3]], 60))
+        assert modring.structure(sub).invariant_factors == (5, 60)
+        assert len(rounds) == 3
+        assert sympy_oracle.structure(sub) == (5, 60)
+
+    def test_wrong_order_raises(self, monkeypatch):
+        # A round that returns Z/60 + Z/15 for the subgroup Z/5 + Z/60.
+        monkeypatch.setattr(modring, "_howell", lambda a, n: np.array([[1, 0], [0, 4]]))
+        sub = SubgroupZnk(60, 2, ModMatrix.from_rows([[4, 2], [0, 3]], 60))
+        with pytest.raises(TheoremViolationError, match="multiply to the order"):
+            modring.structure(sub)
+
+    def test_chain_violations_are_domain_errors(self):
+        for facs in [(4, 6), (1, 2)]:
+            with pytest.raises(DomainError):
+                modring.AbelianStructure(facs)
 
 
 class TestNullspace:
