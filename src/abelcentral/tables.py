@@ -8,14 +8,14 @@ commutator/power words into that subgroup.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from . import modring
-from .errors import HypothesisError, ModulusError
+from .errors import DomainError, HypothesisError, ModulusError
 from .finfield import (
     FieldEmbedding,
     FqField,
@@ -25,6 +25,9 @@ from .finfield import (
     restrict_character,
 )
 from .modring import AbelianStructure, ModMatrix, SubgroupZnk, binom2
+
+
+GENERATOR_CELLS_MAX = 2**24  # cells of FfrakGroup.generators (128 MiB as int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,73 +127,67 @@ def psi(f: KummerCharacter, omega: RootOfUnity) -> FnTable:
 
 @dataclass(frozen=True)
 class FfrakGroup:
-    """The subgroup generated by all pair tables and power tables."""
+    """The subgroup generated by all pair tables and power tables.
+
+    ``power`` is psi(chi, omega) for the generating character chi, which
+    spans the group (see ``ffrak_generate``).
+    """
 
     field: FqField
     omega: RootOfUnity
-    generators: tuple[FnTable, ...]  # the distinct generator tables
+    power: FnTable
     subgroup: SubgroupZnk  # flattened, ambient rank 2(q-2)
     structure: AbelianStructure
+
+    @functools.cached_property
+    def generators(self) -> tuple[FnTable, ...]:
+        """The distinct non-zero tables of the all-pairs loop, in the order it meets them.
+
+        These are c psi(chi) for c = 1, ..., ord - 1, where ord, the order of
+        the cyclic group, is the additive order n / gcd(n, entries) of
+        psi(chi), or the zero table alone when ord = 1.  Raises
+        ``DomainError`` before allocating when the list would hold more than
+        ``GENERATOR_CELLS_MAX`` cells.
+        """
+        order = self.structure.order
+        cells = (order - 1) * self.power.values.size
+        if cells > GENERATOR_CELLS_MAX:
+            raise DomainError(
+                f"the {order - 1} generator tables hold {cells} cells ({8 * cells} bytes as int64), "
+                f"above the bound GENERATOR_CELLS_MAX = {GENERATOR_CELLS_MAX}"
+            )
+        return tuple(self.power.scale(c) for c in range(1, order)) or (self.power,)
 
 
 def ffrak_generate(field: FqField, omega: RootOfUnity) -> FfrakGroup:
     """Span of the n^2 pair tables and n power tables over all characters.
 
-    The characters of K^x mod n are the multiples c*chi of the generating
-    character chi (value 1 on the field's generator), so no table is built
-    one character at a time:
+    The characters of K^x mod n are the multiples c chi of the generating
+    character chi (value 1 on the field's generator), and the span is that of
+    the one table psi(chi):
 
-    * phi is bilinear, so phi(a chi, b chi) = ab phi(chi, chi);
-    * psi is quadratic, psi(c chi) = c^2 A + c B with
+    * phi is bilinear and alternating, so phi(a chi, b chi) = ab phi(chi, chi)
+      = 0: every pair table vanishes over a finite field;
+    * psi is quadratic, psi(c chi) = c^2 A + c B = c psi(chi) + (c^2 - c) A with
       A(x) = (C(n,2) chi(x) chi(1-x), C(n,2) chi(x) chi(omega)) and
-      B(x) = (0, chi(x)).
+      B(x) = (0, chi(x));
+    * c^2 - c is even, and 2A = 0 because n divides 2 C(n,2) = n(n-1).
 
-    ``generators`` are the distinct non-zero tables in the order in which
-    the all-pairs loop (phi(f, g) for f, g = 0, chi, ..., (n-1) chi, then
-    psi(f) for f = 0, chi, ..., (n-1) chi) first meets them.  The rows f = 0
-    and f = chi of that loop already meet every pair table, as
-    k phi(chi, chi) for k = 0, 1, ..., n-1 in this order; these are distinct
-    exactly for k below the additive order n / gcd(n, entries) of
-    phi(chi, chi) and repeat after it.  So the candidates below are those
-    multiples followed by psi(c chi) for c = 0, 1, ..., n-1, and keeping each
-    first occurrence gives the loop's list.  phi is also alternating, so
-    phi(chi, chi) = 0 and its order is 1: every pair table vanishes over a
-    finite field.  Every product is reduced mod n before the next one, so
-    intermediates stay below 2n^2.
+    So every table is a multiple of psi(chi), and the subgroup is the Howell
+    form of its one flattened row.  The all-pairs loop (phi(f, g) for f, g =
+    0, chi, ..., (n-1) chi, then psi(f) for f = 0, chi, ..., (n-1) chi) meets
+    the distinct non-zero tables c psi(chi) for c = 1, ..., ord - 1 in this
+    order, where ord = n / gcd(n, entries of psi(chi)) is the additive order;
+    ``FfrakGroup.generators`` builds that list on first read.
     """
     if omega.field is not field:
         raise ModulusError("root of unity belongs to a different field")
     n = omega.order
     if (field.q - 1) % n != 0:
         raise HypothesisError(f"mu_{n} not contained in F_{field.q}")
-    chi = KummerCharacter(field, field.n, 1)
-    pair = phi(chi, chi, omega).values
-    order = n // math.gcd(n, int(np.gcd.reduce(pair.ravel())))
-    multiples = (np.arange(order)[:, None, None] * pair) % n
-
-    b2 = binom2(n)
-    dx, dy = _reduced_dlogs(field, n)
-    dw = field.dlog(omega.element) % n
-    bdx = (b2 * dx) % n
-    quad = np.stack([(bdx * dy) % n, (bdx * dw) % n], axis=1)
-    c = np.arange(n)[:, None]
-    powers = ((c * c) % n)[..., None] * quad
-    powers[..., 1] += c * dx
-    powers %= n
-
-    distinct: dict[bytes, np.ndarray] = {}
-    for t in (*multiples, *powers):
-        distinct.setdefault(t.tobytes(), t)
-    gens = tuple(FnTable(field, n, t) for t in distinct.values() if t.any()) or (zero_table(field, n),)
-    flat = np.stack([t.flatten() for t in gens])
-    sub = modring.canonicalize(ModMatrix(n, flat))
-    return FfrakGroup(
-        field=field,
-        omega=omega,
-        generators=gens,
-        subgroup=sub,
-        structure=modring.structure(sub),
-    )
+    power = psi(KummerCharacter(field, field.n, 1), omega)
+    sub = modring.canonicalize(ModMatrix(n, power.flatten()[None, :]))
+    return FfrakGroup(field=field, omega=omega, power=power, subgroup=sub, structure=modring.structure(sub))
 
 
 # --- formal words ----------------------------------------------------------

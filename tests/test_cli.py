@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON output, determinism."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -29,6 +30,24 @@ class TestExitCodes:
         assert code == cli.EXIT_OK
         doc = json.loads(out)
         assert doc["invariant_factors"] == [3]
+
+    def test_ffrak_f191_report_pinned(self, capsys):
+        # sha256 of the report of the route over all n power tables.
+        code, out, _ = run(["ffrak", "--p", "191", "--n", "190"], capsys)
+        assert code == cli.EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "ab29f8031661e79f266ad6de0c11a2bfa35ad8bcc439f674115e9054ec0eabc1"
+
+    def test_verify_ffrak_f65537_full_order(self, capsys):
+        # The route over all n power tables needed a 64 GiB array here.
+        code, out, err = run(["verify", "--suite", "ffrak", "--p", "65537", "--n", "65536"], capsys)
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert json.loads(out)["invariant_factors"] == [65536]
+
+    def test_ffrak_generator_list_above_the_bound(self, capsys):
+        code, out, err = run(["ffrak", "--p", "65537", "--n", "65536"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and err.startswith("error: ") and "8589672450 cells" in err
 
     def test_failed_table_check_is_a_counterexample(self, capsys, monkeypatch):
         # 4 = 2^2 is a square in F_13, so it cannot generate F_13^x.

@@ -3,13 +3,15 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import tables_oracle
 
 from abelcentral import cli, modring, tables
-from abelcentral.errors import HypothesisError, ModulusError
+from abelcentral.errors import DomainError, HypothesisError, ModulusError
 from abelcentral.finfield import KummerCharacter, characters, make_field, omega
 from abelcentral.modring import ModMatrix
 from abelcentral.tables import CommTerm, FormalWord, PowTerm
@@ -41,10 +43,10 @@ def ffrak_oracle(field, w):
     return gens, list(modring.structure(sub).invariant_factors)
 
 
-def oracle_cases():
-    """(p, k, n, omega index): every n | p - 1 for primes p < 50, every unit
-    index for n <= 12, and the five degree-2 fields of the benchmark."""
-    primes = [p for p in range(3, 50) if all(p % d for d in range(2, p))]
+def oracle_cases(bound=50):
+    """(p, k, n, omega index): every n | p - 1 for primes p < bound, every
+    unit index for n <= 12, and the five degree-2 fields of the benchmark."""
+    primes = [p for p in range(3, bound) if all(p % d for d in range(2, p))]
     cases = []
     for p in primes:
         for n in range(2, p):
@@ -193,6 +195,46 @@ class TestFfrak:
             assert cli.main(argv) == cli.EXIT_OK
             doc = {"p": p, "k": k, "n": n, "omega": w.element, "generators": gens, "invariant_factors": factors}
             assert capsys.readouterr().out == json.dumps(doc, sort_keys=True, indent=2) + "\n", argv
+
+    def test_matches_array_oracle(self):
+        # The span of psi(chi) against the route that built every multiple of
+        # phi(chi, chi) and all n power tables: all criterion pairs (p < 200).
+        for p, k, n, index in oracle_cases(200):
+            field, w = field_and_omega(p, n, k=k, index=index)
+            g = tables.ffrak_generate(field, w)
+            assert "generators" not in vars(g)
+            gens, sub, structure = tables_oracle.ffrak_arrays(field, w)
+            case = (p, k, n, index)
+            assert np.array_equal(g.subgroup.canonical.entries, sub.canonical.entries), case
+            assert g.structure == structure, case
+            assert [t.values.tolist() for t in g.generators] == [t.values.tolist() for t in gens], case
+
+    @pytest.mark.parametrize("n", [256, 65536])
+    def test_peak_memory_f65537(self, n):
+        # The route over all n power tables held n x 2(q-2) int64 cells:
+        # 1.5 GiB at n = 256, and 64 GiB at n = 65536.
+        field, w = field_and_omega(65537, n)
+        tracemalloc.start()
+        try:
+            g = tables.ffrak_generate(field, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.structure.invariant_factors == (n,)
+        assert peak <= 32 * 2**20
+
+    def test_generator_list_bound(self):
+        # 65535 tables of 131070 cells: refused before any of them is built.
+        field, w = field_and_omega(65537, 65536)
+        g = tables.ffrak_generate(field, w)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match="8589672450 cells"):
+                g.generators
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_modulus_mismatch(self):
         # The characters have the field's modulus, which must be omega's order.
