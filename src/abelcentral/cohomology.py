@@ -11,7 +11,6 @@ second layer onto the restricted image of S.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -50,7 +49,9 @@ class Cocycle2:
     among them too.  These elements generate E: left-bracketed products of
     the (0, s) reach some (z, g) for every g, and
     (x, e)(z, g) = (x + z + xi(e, e), g) reaches every x.  (With S empty, G
-    is trivial and every xi is a cocycle.)
+    is trivial and every xi is a cocycle.)  The machinery's inflated tables
+    skip this check once their layer-1 coordinates are checked to be a
+    homomorphism; ``_inflated_cocycle`` gives the argument.
     """
 
     group: TableGroup
@@ -58,17 +59,21 @@ class Cocycle2:
     values: np.ndarray  # shape (N, N)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64) % self.n
-        N = self.group.order
-        if v.shape != (N, N):
-            raise DimensionError("cocycle table shape does not match the group")
-        object.__setattr__(self, "values", v)
-        t = self.group.table
+        self._reduce()
+        v, t = self.values, self.group.table
         for s in self.group.generators:
             lhs = v[:, s][:, None] + v[t[:, s]]
             rhs = v[s][None, :] + v[:, t[s]]
             if ((lhs - rhs) % self.n).any():
                 raise DomainError("cocycle identity fails")
+
+    def _reduce(self) -> None:
+        """Store the values reduced mod n after checking their shape."""
+        v = np.asarray(self.values, dtype=np.int64) % self.n
+        N = self.group.order
+        if v.shape != (N, N):
+            raise DimensionError("cocycle table shape does not match the group")
+        object.__setattr__(self, "values", v)
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         if other.n != self.n or not np.array_equal(other.group.table, self.group.table):
@@ -152,9 +157,12 @@ def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.nda
     S is the generating set of G and T = (e, *S).  ``xi_on[g, j, i]`` is
     xi_i(g, T[j]) for m cocycles xi_i.  The unknowns are x = (u(e), u(s) for
     s in S, c_1..c_m).  Returns (rows, cochain), both reduced mod n:
-    ``cochain[g] @ x`` is u(g), propagated along a BFS tree of the Cayley
-    graph by u(gs) = u(g) + u(s) - xi(g, s); the rows are u(e) - xi(e, e)
-    and, for every g and s in S, u(g) + u(s) - u(gs) - xi(g, s).
+    ``cochain[g] @ x`` is u(g), propagated along the group's BFS tree of the
+    Cayley graph (``TableGroup._cayley_tree``) by u(gs) = u(g) + u(s) -
+    xi(g, s).  Its u-columns are the tree's letter counts, shared by every
+    call on G; only the xi-columns are built here, one gather per level.
+    The rows are u(e) - xi(e, e) and, for every g and s in S,
+    u(g) + u(s) - u(gs) - xi(g, s).
 
     Exact: the first row gives du(e, e) = xi(e, e).  The b with
     du(a, b) = xi(a, b) for all a are closed under products, since
@@ -164,24 +172,11 @@ def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.nda
     """
     t, T = G.table, [G.identity, *G.generators]
     N, r, m = G.order, len(T), xi_on.shape[2]
-    cochain = np.zeros((N, r + m), dtype=np.int64)
-    cochain[T, np.arange(r)] = 1
-    done = np.zeros(N, dtype=bool)
-    frontier = np.array(T, dtype=np.int64)
-    done[frontier] = True
-    while frontier.size:
-        grown = [frontier[:0]]
-        for j in range(1, r):
-            h = t[frontier, T[j]]
-            new = ~done[h]
-            g, h = frontier[new], h[new]
-            cochain[h] = cochain[g]
-            cochain[h, j] += 1
-            cochain[h, r:] -= xi_on[g, j]
-            cochain[h] %= n
-            done[h] = True
-            grown.append(h)
-        frontier = np.concatenate(grown)
+    letters, levels = G._cayley_tree
+    along = np.zeros((N, m), dtype=np.int64)
+    for parents, children, steps in levels:
+        along[children] = (along[parents] - xi_on[parents, steps]) % n
+    cochain = np.hstack([letters % n, along])
     rows = cochain[:, None, :] - cochain[t[:, T]]
     rows[:, np.arange(r), np.arange(r)] += 1
     rows[:, :, r:] -= xi_on
@@ -313,11 +308,42 @@ def pairing_S(s: SElement, c: H2Class) -> int:
 
 
 def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
-    """(rank k, per-G-element coordinate row in (Z/n)^k) for elementary layer 1."""
+    """(rank k, per-G-element coordinate row in (Z/n)^k) for elementary layer 1.
+
+    The coordinate map pi: G -> (Z/n)^k is checked to be a homomorphism:
+    pi(g s) = pi(g) + pi(s) for every g in G and every generator s, N |S|
+    comparisons, else ``TheoremViolationError``.  That suffices: by
+    induction on the length of a word w in the generators,
+    pi(g w) = pi(g) + pi(w), and every element is such a word.  So every
+    table xi(pi(a), pi(b)) with xi a cocycle on (Z/n)^k is a cocycle on G
+    (see ``_inflated_cocycle``).
+    """
     dec = cs.layer1.decomposition
     if any(d != cs.n for d in dec.orders):
         raise DomainError("first layer is not elementary of exponent n")
-    return len(dec.orders), dec.coords_of[cs.layer1.project]
+    G, coords = cs.group, dec.coords_of[cs.layer1.project]
+    S = np.asarray(G.generators, dtype=np.int64)
+    if ((coords[G.table[:, S]] - coords[:, None, :] - coords[S]) % cs.n).any():
+        raise TheoremViolationError("layer-1 coordinates are not a homomorphism")
+    return len(dec.orders), coords
+
+
+def _inflated_cocycle(G: TableGroup, n: int, coords: np.ndarray, P: np.ndarray, zs: Sequence[np.ndarray]) -> Cocycle2:
+    """The cocycle xi(pi(a), pi(b)) on G, xi = sum of x^T P y and of the B_z.
+
+    ``coords`` are the coordinates pi of ``_layer1_coords``, which checks
+    that pi is a homomorphism, so the table is built without Light's test.
+    It is a cocycle: (x, y) -> x^T P y is bilinear, B_z is the carry of
+    x(z) + y(z) past n, whose cocycle identity says that both ways of
+    adding three values in [0, n) carry the same total, sums of cocycles
+    are cocycles, and so is a cocycle pulled back along a homomorphism.
+    """
+    xi = object.__new__(Cocycle2)
+    object.__setattr__(xi, "group", G)
+    object.__setattr__(xi, "n", n)
+    object.__setattr__(xi, "values", coords @ P @ coords.T + sum(_B_values(coords, n, z) for z in zs))
+    xi._reduce()
+    return xi
 
 
 def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
@@ -326,23 +352,18 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     Solved as one linear system over Z/n in the unknowns (u on e and the
     generators of G, class coefficients c): du = (inflation of the class with
     coefficients c); the projection of the solution module onto the
-    c-coordinates is the kernel.
+    c-coordinates is the kernel.  The basis U_{e_i, e_j} (i < j) and B_{e_j}
+    enters through its values on the pairs (g, s), s in T, read off the
+    layer-1 coordinates; ``_layer1_coords`` checks that they are a
+    homomorphism, which makes every inflated table a cocycle.
     """
     G, n = cs.group, cs.n
     k, coords = _layer1_coords(cs)
     T = [G.identity, *G.generators]
-
-    eye = np.eye(k, dtype=np.int64)
-    basis = itertools.chain(
-        (_U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)),
-        (_B_values(coords, n, eye[j]) for j in range(k)),
-    )
+    cg, ct = coords[:, None, :], coords[T][None, :, :]
+    iu, ju = np.triu_indices(k, 1)
+    xi_on = np.concatenate([cg[:, :, iu] * ct[:, :, ju] % n, (cg + ct >= n).astype(np.int64)], axis=2)
     m = k * (k + 1) // 2
-    # Each inflated U or B is checked as a cocycle on G; only its values on
-    # the pairs (g, s), s in T, enter the system.
-    xi_on = np.zeros((G.order, len(T), m), dtype=np.int64)
-    for i, values in enumerate(basis):
-        xi_on[:, :, i] = Cocycle2(G, n, values).values[:, T]
 
     rows, _ = _coboundary_system(G, xi_on, n)
     sols = modring.nullspace(ModMatrix(n, rows))  # rows of sols solve rows @ x = 0
@@ -464,8 +485,7 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
         e0 = np.eye(k, dtype=np.int64)[0]
         variants = [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n) * e0) % n])]
         for variant, (vP, vz) in enumerate(variants):
-            acc = coords @ vP @ coords.T + sum(_B_values(coords, n, z) for z in vz)
-            u = solve_coboundary(Cocycle2(G, n, acc))
+            u = solve_coboundary(_inflated_cocycle(G, n, coords, vP, vz))
             if u is None:
                 raise TheoremViolationError("kernel class fails to die after inflation")
             on_comm, on_pow = _evaluations(C, n, vP, vz)

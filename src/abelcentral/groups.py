@@ -21,6 +21,8 @@ import numpy as np
 from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
 
 TABLE_MAX = 10**4
+CHECK_CHUNK_CELLS = 1 << 18  # cells per row block of Light's test
+LAYER_MAPS_BYTES_MAX = 1 << 28  # largest working set layer_maps may allocate
 
 
 @dataclass(frozen=True)
@@ -31,6 +33,11 @@ class TableGroup:
     labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self):
+        self._check_table()
+        self._verify()
+
+    def _check_table(self) -> None:
+        """Store the table as int64 after checking its shape, range and labels."""
         t = np.asarray(self.table, dtype=np.int64)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError("multiplication table must be square")
@@ -42,7 +49,6 @@ class TableGroup:
         object.__setattr__(self, "table", t)
         if self.labels is not None and len(self.labels) != n:
             raise DimensionError("label count differs from group order")
-        self._verify()
 
     @property
     def order(self) -> int:
@@ -67,14 +73,21 @@ class TableGroup:
         mask[idx] = True
         return mask
 
-    def _closure_mask(self, gens: Sequence[int]) -> np.ndarray:
-        """Boolean mask of the products e*s1*...*sj (left-bracketed) of ``gens``."""
+    def _closure_mask(self, gens: Sequence[int], start: Optional[np.ndarray] = None) -> np.ndarray:
+        """Boolean mask of the products e*s1*...*sj (left-bracketed) of ``gens``.
+
+        ``start``, the mask of such products of some of ``gens``, saves the
+        rounds that reach it again: the search grows from all of it.
+        """
         t = self.table
-        seen = np.zeros(self.order, dtype=bool)
-        seen[self.identity] = True
-        frontier = np.array([self.identity], dtype=np.int64)
+        if start is None:
+            seen = np.zeros(self.order, dtype=bool)
+            seen[self.identity] = True
+        else:
+            seen = start.copy()
+        frontier = np.flatnonzero(seen)
         gens = np.asarray(gens, dtype=np.int64)
-        while frontier.size:
+        while frontier.size and gens.size:
             new = np.zeros(self.order, dtype=bool)
             new[t[frontier[:, None], gens]] = True
             new &= ~seen
@@ -93,7 +106,7 @@ class TableGroup:
         seen = self._closure_mask(gens)
         while not seen.all():
             gens.append(int(np.argmin(seen)))
-            seen = self._closure_mask(gens)
+            seen = self._closure_mask(gens, seen)
         for s in gens[:-1]:  # the last one lies outside the closure of the others
             rest = [g for g in gens if g != s]
             if self._closure_mask(rest).all():
@@ -110,10 +123,52 @@ class TableGroup:
         # the identity and is closed under products: for b, b' in T,
         # (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c)) = a((bb')c).  Every
         # element is a product of generators, so T is everything once it
-        # holds the generators.
+        # holds the generators.  Compared in row blocks of a, so that no
+        # N x N temporary is formed.
+        step = max(1, CHECK_CHUNK_CELLS // self.order)
         for s in self.generators:
-            if not np.array_equal(t[t[:, s]], t[:, t[s]]):
-                raise DomainError("table is not associative")
+            for lo in range(0, self.order, step):
+                if not np.array_equal(t[t[lo : lo + step, s]], t[lo : lo + step, t[s]]):
+                    raise DomainError("table is not associative")
+
+    @cached_property
+    def _cayley_tree(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
+        """(letters, levels): a breadth-first spanning tree of the Cayley graph
+        from the roots T = (e, *S), S the generators, read-only.
+
+        Each element outside T is the child g * T[j] (1 <= j < |T|) of one
+        edge from an element g of the round before; within a round the edges
+        of T[1] are taken first, then those of T[2], and so on.  ``levels``
+        holds one (parents, children, steps) triple of index arrays per
+        round, steps being the j.  ``letters[g, j]`` counts T[j] on the tree
+        path to g: the root it starts from and the edges labelled T[j].
+        """
+        t, T = self.table, [self.identity, *self.generators]
+        r = len(T)
+        letters = np.zeros((self.order, r), dtype=np.int64)
+        letters[T, np.arange(r)] = 1
+        done = np.zeros(self.order, dtype=bool)
+        frontier = np.array(T, dtype=np.int64)
+        done[frontier] = True
+        levels = []
+        while frontier.size:
+            edges = [(frontier[:0],) * 3]
+            for j in range(1, r):
+                h = t[frontier, T[j]]
+                new = ~done[h]
+                g, h = frontier[new], h[new]
+                letters[h] = letters[g]
+                letters[h, j] += 1
+                done[h] = True
+                edges.append((g, h, np.full(h.size, j)))
+            level = tuple(np.concatenate(part) for part in zip(*edges))
+            for part in level:
+                part.flags.writeable = False
+            if level[1].size:
+                levels.append(level)
+            frontier = level[1]
+        letters.flags.writeable = False
+        return letters, tuple(levels)
 
     # -- element arithmetic --
 
@@ -194,7 +249,7 @@ class TableGroup:
         reps = np.flatnonzero(smallest == np.arange(self.order))
         proj = np.searchsorted(reps, smallest)
         q_labels = tuple(self.labels[r] for r in reps.tolist()) if self.labels else None
-        return TableGroup(table=proj[self.table[reps[:, None], reps]], labels=q_labels), proj
+        return _generated_group(proj[self.table[reps[:, None], reps]], q_labels, proj[list(self.generators)]), proj
 
     def subgroup_table(self, elems: Sequence[int]) -> tuple["TableGroup", np.ndarray]:
         """(the subgroup as its own TableGroup, sorted index array mapping new -> old index)."""
@@ -215,10 +270,38 @@ class TableGroup:
         return out
 
 
+def _generated_group(table: np.ndarray, labels: Optional[tuple[str, ...]], candidates: Sequence[int]) -> TableGroup:
+    """The TableGroup of ``table``, with generators drawn from ``candidates``.
+
+    For constructions that know a generating set: the standard generators
+    of a cyclic, elementary or Heisenberg group, or the images of a parent
+    group's generators in a quotient.  Each candidate outside the closure of
+    those kept so far is kept, and the kept set must generate the table,
+    else ``TheoremViolationError``.  This replaces only the greedy search of
+    ``TableGroup.generators``: the range, identity, inverse and Light's
+    tests run as in the public constructor, on the kept set.
+    """
+    g = object.__new__(TableGroup)
+    object.__setattr__(g, "table", table)
+    object.__setattr__(g, "labels", labels)
+    g._check_table()
+    cand = np.asarray(candidates, dtype=np.int64)
+    kept: list[int] = []
+    seen = g._closure_mask(kept)
+    while (rest := cand[~seen[cand]]).size:
+        kept.append(int(rest[0]))
+        seen = g._closure_mask(kept, seen)
+    if not seen.all():
+        raise TheoremViolationError("the supplied elements do not generate the table")
+    g.__dict__["generators"] = tuple(kept)
+    g._verify()
+    return g
+
+
 def cyclic_group(m: int) -> TableGroup:
     idx = np.arange(m)
     table = (idx[:, None] + idx[None, :]) % m
-    return TableGroup(table=table, labels=tuple(str(i) for i in range(m)))
+    return _generated_group(table, tuple(str(i) for i in range(m)), [1] if m > 1 else [])
 
 
 def elementary_coords(n: int, k: int) -> np.ndarray:
@@ -242,7 +325,7 @@ def elementary_group(n: int, k: int) -> TableGroup:
     for l in range(k):
         table = table + (axes[l] + axes[k + l]) % n * n ** (k - 1 - l)
     labels = tuple("(" + ",".join(map(str, c)) + ")" for c in elementary_coords(n, k).tolist())
-    return TableGroup(table=table.reshape(size, size), labels=labels)
+    return _generated_group(table.reshape(size, size), labels, n ** np.arange(k) % size)
 
 
 # --- abelian decomposition -------------------------------------------------
@@ -393,7 +476,17 @@ def layer_maps(cs: CentralSeriesData, rng: Optional[random.Random] = None) -> tu
     classes of [s, t] and s^n.  With ``rng``, both are formed again from one
     random lift of each element for every pair and every power, and any
     disagreement in layer 2 is a hard failure.
+
+    For L layer-1 elements the work holds up to six L x L int64 arrays at
+    once with ``rng`` and three without; an estimate above
+    ``LAYER_MAPS_BYTES_MAX`` raises ``DomainError`` before any is allocated.
     """
+    L = cs.layer1.group.order
+    need = (6 if rng is not None else 3) * 8 * L * L
+    if need > LAYER_MAPS_BYTES_MAX:
+        raise DomainError(
+            f"layer maps on {L} layer-1 elements need about {need} bytes, above the bound {LAYER_MAPS_BYTES_MAX}"
+        )
     g, lifts, project = cs.group, cs.layer1.lifts, cs.layer2.project
     t, inv = g.table, g._inverses
 

@@ -24,7 +24,7 @@ import numpy as np
 from .cohomology import make_U_B
 from .errors import DomainError, ModulusError, TheoremViolationError
 from .finfield import FqField
-from .groups import TABLE_MAX, TableGroup, central_series
+from .groups import TABLE_MAX, TableGroup, _generated_group, central_series
 
 
 def _mul(n: int, u, v):
@@ -95,15 +95,19 @@ def to_table_group(n: int) -> TableGroup:
     """The order-n^3 Heisenberg group as a multiplication-table group.
 
     Index of h(a, b; c) is (a*n + b)*n + c; labels are "h(a,b;c)".  The
-    table is ``_mul`` on coordinate arrays, one axis per coordinate of each
-    factor.
+    table is ``_mul`` on coordinate arrays, filled one (a, b) block of n
+    rows at a time, so the temporaries hold n^4 cells beside the table.
+    The group is generated by h(0, 1; 0) and h(1, 0; 0), whose commutator
+    is h(0, 0; 1).
     """
     size = _order(n)
-    grid = np.ix_(*[np.arange(n)] * 6)
-    a, b, c = _mul(n, grid[:3], grid[3:])
-    table = (a * n + b) * n + c
+    v = _elements(n)
+    table = np.empty((size, size), dtype=np.int64)
+    for a, b in itertools.product(range(n), repeat=2):
+        pa, pb, pc = _mul(n, (a, b, np.arange(n, dtype=np.int64)[:, None]), v)
+        table[(a * n + b) * n : (a * n + b + 1) * n] = (pa * n + pb) * n + pc
     labels = tuple(f"h({a},{b};{c})" for a, b, c in itertools.product(range(n), repeat=3))
-    return TableGroup(table=table.reshape(size, size), labels=labels)
+    return _generated_group(table, labels, [n, n * n])
 
 
 def verify_laws(n: int) -> dict:

@@ -135,6 +135,10 @@ def _howell(entries: np.ndarray, n: int) -> np.ndarray:
     d, and a unit give a pivot row p with p[j] = d, moved to row top.  Every
     other row x loses (x[j] // d) * p mod n: column j becomes zero below p
     and falls into [0, d) above it.  If d > 1, (n/d) * p joins the rows below.
+    The subtraction runs over row blocks of about ``HOWELL_CHUNK_CELLS``
+    cells.  On a wide matrix, with more than four times as many columns left
+    as rows, where under a quarter of the rows have x[j] // d nonzero (the
+    [A^T | I] of ``nullspace`` and ``solve_linear``), it gathers just those.
 
     Exactness: the rows still span the module M.  An x in M that is zero in
     column j is k*p plus a combination of the rows below, with k*d = 0 mod n,
@@ -169,11 +173,17 @@ def _howell(entries: np.ndarray, n: int) -> np.ndarray:
         pivot, q = a[top, j:], a[:end, j] // d
         q[top] = 0
         step = max(1, HOWELL_CHUNK_CELLS // (cols - j))
-        for lo in range(0, end, step):
-            if step >= end or q[lo : lo + step].any():
-                block = a[lo : min(lo + step, end), j:]
-                block -= q[lo : lo + step, None] * pivot
-                block %= n
+        if cols - j > 4 * end and 4 * np.count_nonzero(q) < end:
+            changed = np.flatnonzero(q)
+            for lo in range(0, changed.size, step):
+                rows = changed[lo : lo + step]
+                a[rows, j:] = (a[rows, j:] - q[rows, None] * pivot) % n
+        else:
+            for lo in range(0, end, step):
+                if step >= end or q[lo : lo + step].any():
+                    block = a[lo : min(lo + step, end), j:]
+                    block -= q[lo : lo + step, None] * pivot
+                    block %= n
         if d > 1 and (ann := (n // d) * pivot % n).any():
             if end == a.shape[0]:
                 a, end = _free_row(a, top + 1, end, j)

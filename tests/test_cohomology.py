@@ -1,6 +1,7 @@
 """Explicit cocycles, coboundary solving, kernel of inflation, and the
 layer-2 isomorphism, with brute-force cochain oracles."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -443,6 +444,80 @@ class TestAgainstOracles:
             assert same_form == same_set
             outcomes.append(same_set)
         assert 20 <= sum(outcomes) <= 180
+
+
+def oracle_is_homomorphism(g, coords, n):
+    """Oracle: coords[ab] = coords[a] + coords[b] mod n on every pair (a, b)."""
+    return not ((coords[g.table] - coords[:, None, :] - coords[None, :, :]) % n).any()
+
+
+class TestHomomorphismShortcut:
+    # The machinery checks once that the layer-1 coordinates pi are a
+    # homomorphism and then builds its inflated tables xi o (pi x pi)
+    # without Light's test.  The full test must accept every such table.
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_shortcut_agrees_with_light(self, name, build, n, monkeypatch):
+        g = build()
+        cs = central_series(g, n)
+        k, coords = coh._layer1_coords(cs)
+        assert oracle_is_homomorphism(g, coords, n)
+        T = [g.identity, *g.generators]
+        eye = np.eye(k, dtype=np.int64)
+        basis = [coh._U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
+        basis += [coh._B_values(coords, n, eye[j]) for j in range(k)]
+        full = [Cocycle2(g, n, values).values for values in basis]  # Light's test on each
+        if g.order <= 16:
+            assert all(all_triples_cocycle(g.table, v, n) for v in full)
+
+        systems, built = [], []
+        system, inflated = coh._coboundary_system, coh._inflated_cocycle
+        monkeypatch.setattr(coh, "_coboundary_system", lambda *a: systems.append(a[1]) or system(*a))
+        monkeypatch.setattr(coh, "_inflated_cocycle", lambda *a: built.append(inflated(*a)) or built[-1])
+        report = verify_thm23_and_omegaR(g, n)
+        # The basis values kernel_of_inflation reads off the coordinates are
+        # those of the checked tables on (g, T).
+        assert np.array_equal(systems[0], np.stack([v[:, T] for v in full], axis=2))
+        assert len(built) == 2 * report.kernel_size
+        for xi in built:
+            assert np.array_equal(Cocycle2(g, n, xi.values).values, xi.values)
+            if g.order <= 16:
+                assert all_triples_cocycle(g.table, xi.values, n)
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_corrupted_coordinates_raise(self, name, build, n, monkeypatch):
+        # Mutations of the layer-1 decomposition: the identity moved off 0,
+        # two rows swapped, one entry changed.  The N |S| check refuses
+        # exactly the coordinates the all-pairs oracle refuses, in
+        # kernel_of_inflation and in verify_thm23_and_omegaR.
+        g = build()
+        rng = np.random.default_rng(g.order * n)
+        refused = 0
+        for trial in range(8):
+            cs = central_series(g, n)
+            dec = cs.layer1.decomposition
+            bad = dec.coords_of.copy()
+            L = len(bad)
+            if trial == 0:
+                bad[cs.layer1.group.identity, 0] = 1
+            elif trial % 2:
+                a, b = rng.choice(L, 2, replace=False)
+                bad[[a, b]] = bad[[b, a]]
+            else:
+                bad[rng.integers(L), rng.integers(bad.shape[1])] += rng.integers(1, n)
+            bad %= n
+            cs.layer1.__dict__["decomposition"] = dataclasses.replace(dec, coords_of=bad)
+            if oracle_is_homomorphism(g, bad[cs.layer1.project], n):
+                coh._layer1_coords(cs)
+                continue
+            refused += 1
+            with pytest.raises(TheoremViolationError, match="not a homomorphism"):
+                kernel_of_inflation(cs)
+            monkeypatch.setattr(coh, "central_series", lambda G, n: cs)
+            with pytest.raises(TheoremViolationError, match="not a homomorphism"):
+                verify_thm23_and_omegaR(g, n)
+            monkeypatch.undo()
+        assert refused >= 1
 
 
 class TestCocycles:

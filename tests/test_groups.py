@@ -9,10 +9,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from abelcentral import groups
 from abelcentral.errors import DomainError, ModulusError, TheoremViolationError
 from abelcentral.groups import (
     TableGroup,
     _coords_map,
+    _generated_group,
     abelian_decomposition,
     central_series,
     cyclic_group,
@@ -44,6 +46,19 @@ def is_group_oracle(t):
         return False
     a, b, c = np.meshgrid(idx, idx, idx, indexing="ij")
     return bool((t[t[a, b], c] == t[a, t[b, c]]).all())
+
+
+def twisted_products(k):
+    """Z/3 x (Z/3)^k with (x,a)(y,b) = (x + y + phi(a,b), ab), for phi pulled
+    back from Z/3 along each coordinate in turn: phi is not a cocycle, so no
+    table is associative.  Index x * 3^k + a."""
+    base = elementary_group(3, k)
+    m = base.order
+    x, a = np.arange(3 * m) // m, np.arange(3 * m) % m
+    for coord in range(k):
+        c = (np.arange(m) // 3 ** (k - 1 - coord)) % 3
+        phi = ((c[:, None] == 1) & (c[None, :] == 1)).astype(np.int64)
+        yield ((x[:, None] + x[None, :] + phi[a[:, None], a[None, :]]) % 3) * m + base.table[a[:, None], a[None, :]]
 
 
 GENERATOR_GROUPS = [
@@ -94,20 +109,18 @@ class TestConstruction:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_rejects_twisted_products(self, k):
-        # Z/3 x (Z/3)^k with (x,a)(y,b) = (x + y + phi(a,b), ab), for phi
-        # pulled back from Z/3 along each coordinate: not associative, since
-        # phi is not a cocycle, though every product with the other
-        # coordinates in the middle associates.
-        base = elementary_group(3, k)
-        m = base.order
-        for coord in range(k):
-            c = (np.arange(m) // 3 ** (k - 1 - coord)) % 3
-            phi = ((c[:, None] == 1) & (c[None, :] == 1)).astype(np.int64)
-            x = np.arange(3 * m) // m
-            a = np.arange(3 * m) % m
-            t = ((x[:, None] + x[None, :] + phi[a[:, None], a[None, :]]) % 3) * m + base.table[a[:, None], a[None, :]]
+        # Not associative, though every product with the other coordinates
+        # in the middle associates.
+        for t in twisted_products(k):
             assert not is_group_oracle(t)
             with pytest.raises(DomainError):
+                TableGroup(table=t)
+
+    def test_rejects_twisted_products_in_row_blocks(self, monkeypatch):
+        # Light's test with one row per block still finds them.
+        monkeypatch.setattr(groups, "CHECK_CHUNK_CELLS", 1)
+        for t in twisted_products(2):
+            with pytest.raises(DomainError, match="not associative"):
                 TableGroup(table=t)
 
     @pytest.mark.parametrize("name,build", GENERATOR_GROUPS, ids=[g[0] for g in GENERATOR_GROUPS])
@@ -150,6 +163,85 @@ class TestConstruction:
         for a in range(4):
             for b in range(4):
                 assert g.commutator(a, b) == g.identity
+
+
+class TestSuppliedGenerators:
+    @pytest.mark.parametrize("name,build", GENERATOR_GROUPS, ids=[g[0] for g in GENERATOR_GROUPS])
+    def test_standard_generators_match_the_greedy_search(self, name, build):
+        g = build()
+        assert g.generators == TableGroup(table=g.table).generators
+
+    def test_non_generating_set_raises(self):
+        g = elementary_group(2, 3)
+        with pytest.raises(TheoremViolationError, match="do not generate"):
+            _generated_group(g.table, None, [1, 2, 3])
+        with pytest.raises(TheoremViolationError, match="do not generate"):
+            _generated_group(to_table_group(3).table, None, [1, 3])  # the centre and h(0,1;0)
+
+    @pytest.mark.parametrize("build,gens", [
+        (lambda: cyclic_group(6), [1]),
+        (lambda: to_table_group(2), [2, 4]),
+        (lambda: elementary_group(2, 3), [1, 2, 4]),
+    ], ids=["C6", "heis2", "(Z/2)^3"])
+    def test_every_single_entry_change_raises(self, build, gens):
+        # No table one entry away from a group table is a group; with the
+        # standard generators supplied each one must still be refused.
+        base = build().table
+        n = base.shape[0]
+        for a, b in itertools.product(range(n), repeat=2):
+            for v in range(n):
+                if v == base[a, b]:
+                    continue
+                t = base.copy()
+                t[a, b] = v
+                assert not is_group_oracle(t)
+                with pytest.raises((DomainError, TheoremViolationError)):
+                    _generated_group(t, None, gens)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_non_associative_table_raises(self, k):
+        # The twisted products, with the generators of the twisted
+        # coordinate and of (Z/3)^k supplied.
+        m = 3 ** k
+        for t in twisted_products(k):
+            with pytest.raises(DomainError, match="not associative"):
+                _generated_group(t, None, [m, *(3 ** np.arange(k))])
+
+
+class TestCayleyTree:
+    @pytest.mark.parametrize("name,build", GENERATOR_GROUPS, ids=[g[0] for g in GENERATOR_GROUPS])
+    def test_breadth_first_spanning_tree(self, name, build):
+        # Oracle: the same search one element at a time, edges of T[1] first.
+        g = build()
+        T = [g.identity, *g.generators]
+        letters, levels = g._cayley_tree
+        parent, step, frontier = {x: None for x in T}, {}, list(dict.fromkeys(T))
+        want = []
+        while frontier:
+            level = []
+            for j in range(1, len(T)):
+                for x in frontier:
+                    y = g.mul(x, T[j])
+                    if y not in parent:
+                        parent[y], step[y] = x, j
+                        level.append((x, y, j))
+            if level:
+                want.append(level)
+            frontier = [y for _, y, _ in level]
+        assert [list(zip(*(part.tolist() for part in level))) for level in levels] == want
+        for y in range(g.order):
+            count, x = np.zeros(len(T), dtype=np.int64), y
+            while parent[x] is not None:
+                count[step[x]] += 1
+                x = parent[x]
+            count[T.index(x)] += 1
+            assert letters[y].tolist() == count.tolist()
+        assert not letters.flags.writeable
+        assert all(not part.flags.writeable for level in levels for part in level)
+
+    def test_built_once(self):
+        g = to_table_group(3)
+        assert g._cayley_tree is g._cayley_tree
 
 
 class TestSubgroupsQuotients:
@@ -297,6 +389,18 @@ class TestLayerMaps:
         for n in (1, 0, -3):
             with pytest.raises(ModulusError, match="modulus must be >= 2"):
                 central_series(to_table_group(3), n)
+
+    def test_memory_bound(self, monkeypatch):
+        # L = 64 layer-1 elements: six 64 x 64 int64 arrays with random
+        # lifts, three without.  Above the bound nothing is allocated.
+        cs = central_series(elementary_group(2, 6), 2)
+        monkeypatch.setattr(groups, "LAYER_MAPS_BYTES_MAX", 6 * 8 * 64 * 64 - 1)
+        with pytest.raises(DomainError, match=f"64 layer-1 elements need about {6 * 8 * 64 * 64} bytes"):
+            layer_maps(cs, random.Random(0))
+        assert layer_maps(cs)[0].shape == (64, 64)
+        monkeypatch.setattr(groups, "LAYER_MAPS_BYTES_MAX", 3 * 8 * 64 * 64 - 1)
+        with pytest.raises(DomainError, match=f"about {3 * 8 * 64 * 64} bytes"):
+            layer_maps(cs)
 
 
 # --- oracles: the scalar loops the array code replaced ---------------------
@@ -509,6 +613,19 @@ class TestAgainstOracles:
             else:
                 with pytest.raises(DomainError):
                     g.quotient(elems)
+
+    @pytest.mark.parametrize("name,build,n", SMALL_ORACLE_GROUPS, ids=[c[0] for c in SMALL_ORACLE_GROUPS])
+    def test_quotient_keeps_images_of_the_parent_generators(self, name, build, n):
+        # Each kept image lies outside the closure of those before it, and
+        # together they generate the quotient.
+        g = build()
+        for normal in central_series(g, n).subgroups[1:]:
+            q, proj = g.quotient(normal)
+            kept = list(q.generators)
+            assert set(kept) <= set(proj[list(g.generators)].tolist())
+            for i, s in enumerate(kept):
+                assert s not in oracle_closure(q, kept[:i])
+            assert oracle_closure(q, kept) == tuple(range(q.order))
 
     @pytest.mark.parametrize("build", [
         lambda: direct_product(cyclic_group(4), cyclic_group(2)),

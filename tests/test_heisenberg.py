@@ -3,6 +3,7 @@ the literal one-element-at-a-time law of ``heisenberg_oracle``."""
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +158,17 @@ class TestTableExport:
 
     def test_exponent_three_for_n3(self):
         assert to_table_group(3).exponent() == 3
+
+    def test_table_memory_n12(self):
+        # Filled one (a, b) block at a time, with the group checks in row
+        # blocks: the peak stays near the 22.8 MiB table.
+        tracemalloc.start()
+        try:
+            g = to_table_group(12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * g.table.nbytes
 
     @pytest.mark.parametrize("n", [1, 0, -2])
     def test_modulus_below_two(self, n):

@@ -209,6 +209,21 @@ class TestHowellOracle:
             r, c = rng.randrange(0, 9), rng.randrange(0, 9)
             assert_same_howell(np.array([[rng.randrange(n) for _ in range(c)] for _ in range(r)]).reshape(r, c), n)
 
+    @pytest.mark.parametrize("chunk", [1, 3, None])
+    def test_wide_sparse_rows(self, chunk, monkeypatch):
+        # [A^T | I] for sparse A with many more columns than rows, as
+        # nullspace and solve_linear build them: most steps change under a
+        # quarter of the rows, which are then gathered (in chunks of one or
+        # three rows when the chunk bound is lowered).
+        if chunk is not None:
+            monkeypatch.setattr(modring, "HOWELL_CHUNK_CELLS", chunk * 200)
+        rng = random.Random(11 if chunk is None else chunk)
+        for _ in range(60):
+            n = rng.choice([2, 3, 4, 6, 12, 2**16, 2**31 - 1])
+            r, c = rng.randrange(4, 12), rng.randrange(60, 120)
+            a = np.array([[rng.randrange(n) if rng.random() < 0.05 else 0 for _ in range(r)] for _ in range(c)])
+            assert_same_howell(np.hstack([a.T, np.eye(r, dtype=np.int64)]), n)
+
     def test_ffrak_generators_f191(self):
         from abelcentral import finfield, tables
 

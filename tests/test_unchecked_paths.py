@@ -1,0 +1,95 @@
+"""The constructions that skip a check stay where their argument holds.
+
+``object.__new__`` builds a TableGroup or Cocycle2 without running its
+``__post_init__``.  In the library that happens in exactly two private
+helpers: ``groups._generated_group``, which takes the generating set from
+its caller and then runs every group check on it, and
+``cohomology._inflated_cocycle``, which skips Light's test on a pullback
+along the layer-1 coordinates.  That pullback is a cocycle only once
+``_layer1_coords`` has checked the coordinates to be a homomorphism, so
+every function calling ``_inflated_cocycle`` must call ``_layer1_coords``
+too.
+"""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abelcentral"
+
+ALLOWED = {
+    ("groups.py", "_generated_group", "TableGroup"),
+    ("cohomology.py", "_inflated_cocycle", "Cocycle2"),
+}
+
+
+def _innermost(tree):
+    """Map from each node to the name of the innermost function around it (None at module level)."""
+    owner = {}
+
+    def visit(node, name):
+        for child in ast.iter_child_nodes(node):
+            owner[child] = name
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else name)
+
+    visit(tree, None)
+    return owner
+
+
+def new_calls(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, class) of every ``X.__new__(...)`` call; X is
+    the first argument when the call is ``object.__new__(X)``."""
+    tree = ast.parse(source)
+    owner = _innermost(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "__new__":
+            target = node.func.value
+            if isinstance(target, ast.Name) and target.id == "object" and node.args:
+                target = node.args[0]
+            found.append((owner[node], ast.unparse(target)))
+    return found
+
+
+def calls_of(source: str, name: str) -> list[str]:
+    """The enclosing function of every call of ``name`` (a bare name or an attribute)."""
+    tree = ast.parse(source)
+    owner = _innermost(tree)
+    return [
+        owner[node]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+def test_finds_new_calls():
+    source = (
+        "def f():\n    g = object.__new__(TableGroup)\n"
+        "class A:\n    def m(self):\n        return Cocycle2.__new__(Cocycle2)\n"
+        "x = object.__new__(Other)\n"
+    )
+    assert set(new_calls(source)) == {("f", "TableGroup"), ("m", "Cocycle2"), (None, "Other")}
+
+
+def test_finds_calls_of_a_helper():
+    source = "def f():\n    h()\n    mod.h()\ndef g():\n    def inner():\n        h()\n"
+    assert sorted(calls_of(source, "h")) == ["f", "f", "inner"]
+
+
+def test_unchecked_constructions_only_in_the_named_helpers():
+    found = {
+        (path.name, func, cls)
+        for path in sorted(SRC.glob("*.py"))
+        for func, cls in new_calls(path.read_text())
+    }
+    assert found == ALLOWED
+
+
+def test_inflated_cocycles_only_after_the_homomorphism_check():
+    source = (SRC / "cohomology.py").read_text()
+    callers = set(calls_of(source, "_inflated_cocycle"))
+    assert callers == {"verify_thm23_and_omegaR"}
+    assert callers <= set(calls_of(source, "_layer1_coords"))
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "cohomology.py":
+            assert calls_of(path.read_text(), "_inflated_cocycle") == []
