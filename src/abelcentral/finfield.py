@@ -318,17 +318,17 @@ class RootOfUnity:
     def doubled_power_span(self):
         """The span of the tables 2 * psi(f) over the character space, canonical.
 
-        Cached on the root, so it is freed with the root and its field.  The
-        rows are stacked inline, so their list is freed before the Howell form
-        runs.
+        The characters mod n are the multiples c chi of the generating
+        character chi, and psi(c chi) = c^2 A + c B with 2A = 0 (see
+        ``tables.ffrak_generate``), so 2 psi(c chi) = 2c B = c * 2 psi(chi):
+        the span is that of the one row 2 psi(chi).  Cached on the root, so it
+        is freed with the root and its field.
         """
         from . import tables  # tables imports this module
 
-        return modring.canonicalize(
-            modring.ModMatrix(
-                self.field.n, np.stack([tables.psi(f, self).scale(2).flatten() for f in characters(self.field)])
-            )
-        )
+        chi = KummerCharacter(self.field, self.field.n, 1)
+        row = tables.psi(chi, self).scale(2).flatten()
+        return modring.canonicalize(modring.ModMatrix(self.field.n, row[None, :]))
 
 
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:

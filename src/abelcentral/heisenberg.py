@@ -168,14 +168,35 @@ def _char_pairs_check(pairs, field: FqField) -> int:
     return n
 
 
+def _pair_coeffs(pairs, ndim: int) -> np.ndarray:
+    """The coefficients of the pairs as an int64 array of shape (2, m, 1, ..., 1),
+    c(s_i) at [0, i] and c(t_i) at [1, i], with ``ndim`` trailing axes to
+    broadcast against."""
+    coeffs = np.array([[s.c for s, _ in pairs], [t.c for _, t in pairs]], dtype=np.int64)
+    return coeffs.reshape(coeffs.shape + (1,) * ndim)
+
+
 def _comm_sums(pairs, a, b, c, n: int) -> np.ndarray:
     """Sum over the pairs (s_i, t_i) of the commutator coordinates of the
     images g^{c(s_i)} and g^{c(t_i)}, for every generator image g = h(a, b; c)
-    of the arrays."""
-    total = np.zeros(np.shape(a), dtype=np.int64)
-    for s, t in pairs:
-        total += _comm(n, heis_pow_arrays(n, a, b, c, s.c), heis_pow_arrays(n, a, b, c, t.c))
-    return total % n
+    of the arrays.  All the powers come from one ``heis_pow_arrays`` call
+    over the (2, pairs) axes of ``_pair_coeffs``, and each commutator
+    coordinate is reduced mod n before the sum over the pairs.  An empty
+    family builds no terms (the power law reads every image whatever the
+    number of pairs)."""
+    if not pairs:
+        return np.zeros(np.shape(a), dtype=np.int64)
+    (sa, ta), (sb, tb), _ = heis_pow_arrays(n, a, b, c, _pair_coeffs(pairs, np.ndim(a)))
+    return _comm(n, (sa, sb), (ta, tb)).sum(axis=0) % n
+
+
+def _bilinear_sums(pairs, a, b, n: int) -> np.ndarray:
+    """Sum over the pairs of s_i(x) t_i(y) - s_i(y) t_i(x) for the coordinate
+    functionals x, y of the generator images h(a, b; .): s_i(x) = c(s_i) * a,
+    s_i(y) = c(s_i) * b, etc., without the power formula."""
+    coeffs = _pair_coeffs(pairs, np.ndim(a))
+    (sx, tx), (sy, ty) = (coeffs * a) % n, (coeffs * b) % n
+    return ((sx * ty - sy * tx) % n).sum(axis=0) % n
 
 
 def enumerate_homs_check(pairs, field: FqField) -> bool:
@@ -190,22 +211,17 @@ def enumerate_homs_check(pairs, field: FqField) -> bool:
     cross-checked, image by image, against the bilinear criterion
     sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for the induced pair of coordinate
     functionals, computed without the power formula; any disagreement
-    raises ``TheoremViolationError``.
+    raises ``TheoremViolationError``.  Both run over (pairs x n^3) arrays.
     """
     n = _char_pairs_check(pairs, field)
     a, b, c = _elements(n)
     total = _comm_sums(pairs, a, b, c, n)
-    # Bilinear criterion: s_i(x) = c_i * a, s_i(y) = c_i * b, etc.
-    bilinear = np.zeros_like(a)
-    for s, t in pairs:
-        sx, sy, tx, ty = (s.c * a) % n, (s.c * b) % n, (t.c * a) % n, (t.c * b) % n
-        bilinear += (sx * ty - sy * tx) % n
-    if not np.array_equal(total, bilinear % n):
+    if not np.array_equal(total, _bilinear_sums(pairs, a, b, n)):
         raise TheoremViolationError("commutator sum disagrees with the bilinear criterion")
     return not total.any()
 
 
-POINT_CHUNK_CELLS = 2**20  # (points x n) cells evaluated at once
+POINT_CHUNK_CELLS = 2**20  # (pairs x points x n) cells evaluated at once
 
 
 def pointwise_embedding_check(pairs, field: FqField) -> tuple[bool, int | None]:
@@ -217,7 +233,8 @@ def pointwise_embedding_check(pairs, field: FqField) -> tuple[bool, int | None]:
     is a homomorphism's generator image because ``exponent_divides_n2``
     holds (checked in ``_char_pairs_check``).  The solutions are laid out
     as a full (points x n) array, t running over every central coordinate,
-    and the commutator sum is computed at every cell.  The sum is
+    and the commutator sum is computed at every cell, in blocks of rows that
+    hold at most ``POINT_CHUNK_CELLS`` cells across the pairs axis.  The sum is
     independent of t, so one solution works iff all do; a row where it is
     not constant raises ``TheoremViolationError``.  Returns (flag, smallest
     failing x).
@@ -226,11 +243,12 @@ def pointwise_embedding_check(pairs, field: FqField) -> tuple[bool, int | None]:
     dx, dy = (d % n for d in field.point_dlogs)
     central = np.arange(n, dtype=np.int64)
     sums = np.zeros(dx.size, dtype=np.int64)
-    step = max(1, POINT_CHUNK_CELLS // n)
+    step = max(1, POINT_CHUNK_CELLS // (n * max(len(pairs), 1)))
     for lo in range(0, dx.size, step):
         rows = slice(lo, lo + step)
-        a, b, c = np.broadcast_arrays(dx[rows, None], dy[rows, None], central)
-        block = _comm_sums(pairs, a, b, c, n)
+        grid = np.empty((3, dx[rows].size, n), dtype=np.int64)
+        grid[0], grid[1], grid[2] = dx[rows, None], dy[rows, None], central
+        block = _comm_sums(pairs, *grid, n)
         if (block != block[:, :1]).any():
             raise TheoremViolationError("commutator sum depends on the central coordinate")
         sums[rows] = block[:, 0]

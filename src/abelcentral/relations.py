@@ -97,6 +97,7 @@ def _halves(w: int, n: int) -> tuple[int, ...]:
 
 
 COND6_CHUNK_CELLS = 2**20  # grid cells evaluated at once by condition (6)
+COND6_TERMS_MAX = 2**22  # terms of condition (6) contracted at once
 
 
 def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
@@ -107,7 +108,7 @@ def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
     bijection from the units onto [0, q-1) and n | q-1, so every class is hit, and
     the grid of classes decides exactly the statement about all pairs of units.
     """
-    classes = np.unique(np.concatenate(([0], field.point_dlogs[0])) % n)  # dlog(1) = 0
+    classes = np.flatnonzero(np.bincount(np.concatenate(([0], field.point_dlogs[0])) % n))  # dlog(1) = 0
     # -t(x) s(y) is written (-t)(x) s(y), so every operand lies in [0, n).
     left = np.array([s.c for s, _ in pairs] + [-t.c for _, t in pairs], dtype=np.int64)[:, None] * classes % n
     right = np.array([t.c for _, t in pairs] + [s.c for s, _ in pairs], dtype=np.int64)[:, None] * classes % n
@@ -117,25 +118,70 @@ def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
 def _grid_vanishes(left: np.ndarray, right: np.ndarray, n: int) -> bool:
     """Whether sum_k left[k, x] right[k, y] = 0 mod n at every cell (x, y); True for no terms.
 
-    Scans row chunks of about ``COND6_CHUNK_CELLS`` cells.  The operands lie in [0, n)
-    and n < 2^20 (q <= FIELD_MAX), so reducing after every term keeps int64 exact.
+    Contracts row chunks of about ``COND6_CHUNK_CELLS`` cells, left[k, chunk].T @ right[k],
+    over blocks k of at most ``COND6_TERMS_MAX`` terms, reducing after each block.  int64
+    matmul is exact integer arithmetic (no float, no BLAS).  The operands lie in [0, n)
+    and n < 2^20 (q <= FIELD_MAX), so a product is below 2^40, the sum of a block below
+    2^62, and the running sum below 2^62 + n < 2^63.
     """
-    step = max(1, COND6_CHUNK_CELLS // right.shape[1])
+    terms, cols = right.shape
+    step = max(1, COND6_CHUNK_CELLS // cols)
     for lo in range(0, left.shape[1], step):
-        block = np.zeros((min(step, left.shape[1] - lo), right.shape[1]), dtype=np.int64)
-        for lv, rv in zip(left[:, lo:lo + step], right):
-            block += lv[:, None] * rv
+        block = np.zeros((min(step, left.shape[1] - lo), cols), dtype=np.int64)
+        for k in range(0, terms, COND6_TERMS_MAX):
+            block += left[k:k + COND6_TERMS_MAX, lo:lo + step].T @ right[k:k + COND6_TERMS_MAX]
             block %= n
         if block.any():
             return False
     return True
 
 
+def _pair_sum(terms: np.ndarray, n: int) -> np.ndarray:
+    """The sum of ``terms`` along the leading pairs axis mod n, reducing ``terms`` in place.
+
+    Each term is reduced before the sum, so the sum stays below 2^63 for fewer
+    than 2^43 terms (n < 2^20).
+    """
+    terms %= n
+    return terms.sum(axis=0) % n
+
+
+def _alternating_sum(st: np.ndarray, dl_pts: np.ndarray, dl_1m: np.ndarray, n: int) -> np.ndarray:
+    """sum_i s_i(x) t_i(1-x) - s_i(1-x) t_i(x) mod n at every point x, for the
+    coefficients ``st`` of shape (2, m, 1)."""
+    (sx, tx), (sy, ty) = st * dl_pts % n, st * dl_1m % n
+    return _pair_sum(sx * ty - sy * tx, n)
+
+
+def _commutator_sum(st: np.ndarray, dlogs, n: int) -> np.ndarray:
+    """sum_i phi(s_i, t_i) mod n, flattened (a_0, b_0, a_1, ...), from one batch of the
+    coefficients ``st`` of shape (2, m, 1)."""
+    return _pair_sum(tables._phi_values(*st, *dlogs, n), n).reshape(-1)
+
+
+def _power_rows(coeffs: np.ndarray, dlogs, n: int) -> np.ndarray:
+    """The tables psi(f), shape (rows, q-2, 2), of the characters f with coefficients ``coeffs`` (rows, 1)."""
+    rows = tables._psi_values(coeffs, *dlogs, n)
+    rows %= n
+    return rows
+
+
+def _witness_combination(fam_psi: np.ndarray, wit_a, wit_b, n: int) -> np.ndarray:
+    """sum_i 2b_i psi(s_i) - 2a_i psi(t_i) mod n, flattened, with the first witnesses
+    a_i, b_i and the rows psi(s_1), ..., psi(s_m), psi(t_1), ..., psi(t_m) of ``fam_psi``."""
+    weights = np.array([2 * b[0] for b in wit_b] + [-2 * a[0] for a in wit_a], dtype=np.int64)
+    return _pair_sum(weights[:, None, None] * fam_psi, n).reshape(-1)
+
+
 def relation_check(
     pairs: Sequence[tuple[KummerCharacter, KummerCharacter]],
     omega: RootOfUnity,
 ) -> RelationReport:
-    """Evaluate every decidable condition for the finite family ``pairs``."""
+    """Evaluate every decidable condition for the finite family ``pairs``.
+
+    Every sum over the family runs along a leading pairs axis: one broadcast
+    and one reduction per condition.
+    """
     field, n = omega.field, omega.order
     if (field.q - 1) % (2 * n) != 0:
         raise HypothesisError(f"mu_{2 * n} not contained in F_{field.q}")
@@ -145,50 +191,45 @@ def relation_check(
         if s.n != n or t.n != n:
             raise ModulusError("character modulus differs from omega's order")
 
-    pts = field.table_points
-    dl_pts, dl_1m = (d % n for d in field.point_dlogs)
-
-    # (1): pointwise alternating sum over K minus {0, 1}.
-    alt = np.zeros(len(pts), dtype=np.int64)
-    for s, t in pairs:
-        sx, sy, tx, ty = (s.c * dl_pts) % n, (s.c * dl_1m) % n, (t.c * dl_pts) % n, (t.c * dl_1m) % n
-        alt += (sx * ty - sy * tx) % n
-    alt %= n
-    fail = np.flatnonzero(alt)
-    cond1 = fail.size == 0
-    first_failing_point = int(pts[fail[0]]) if fail.size else None
+    # s_i = st[0, i] chi and t_i = st[1, i] chi for the generating character chi.
+    st = heisenberg._pair_coeffs(pairs, 1)
+    dlogs = tables._omega_dlogs(omega)
+    dl_pts, dl_1m, _ = dlogs
 
     # Witnesses: 2a_i = s_i(omega), 2b_i = t_i(omega).
     w_elt = omega.element
     wit_a = tuple(_halves(s(w_elt), n) for s, _ in pairs)
     wit_b = tuple(_halves(t(w_elt), n) for _, t in pairs)
 
-    # Commutator-sum table, shared by (2), (3), (4).
-    comm_sum = tables.zero_table(field, n)
-    for s, t in pairs:
-        comm_sum = comm_sum + tables.phi(s, t, omega)
+    # The family's tables, each a sum along its pairs axis.  An empty family
+    # builds no terms: its sums are zero and it spans the zero subgroup.
+    alt, comm_sum = np.zeros(dl_pts.size, dtype=np.int64), np.zeros(2 * dl_pts.size, dtype=np.int64)
+    rhs, fam_span = comm_sum, None
+    if pairs:
+        # (1): pointwise alternating sum over K minus {0, 1}.
+        alt = _alternating_sum(st, dl_pts, dl_1m, n)
+        # Commutator-sum table of (2), (3), (4).
+        comm_sum = _commutator_sum(st, dlogs, n)
+        # The power tables psi(s_1), ..., psi(s_m), psi(t_1), ..., psi(t_m),
+        # read by (2)'s witness combination and (3)'s span.
+        fam_psi = _power_rows(st.reshape(-1, 1), dlogs, n)
+        rhs = _witness_combination(fam_psi, wit_a, wit_b, n)
+        fam_span = modring.canonicalize(ModMatrix(n, (2 * fam_psi).reshape(len(fam_psi), -1)))
 
-    # Power tables of the family, shared by (2) and (3).
-    fam_psi = [(tables.psi(s, omega), tables.psi(t, omega)) for s, t in pairs]
+    # (1): the alternating sum vanishes at every point.
+    fail = np.flatnonzero(alt)
+    cond1 = fail.size == 0
+    first_failing_point = int(field.table_points[fail[0]]) if fail.size else None
 
     # (2): equality with the witness combination; the choice of half does not
     # matter since the halves differ by n/2 and n * psi(f) = 0.
-    rhs = tables.zero_table(field, n)
-    for (psi_s, psi_t), a_sols, b_sols in zip(fam_psi, wit_a, wit_b):
-        a, b = a_sols[0], b_sols[0]
-        rhs = rhs + psi_s.scale(2 * b) - psi_t.scale(2 * a)
-    cond2 = comm_sum == rhs
+    cond2 = bool(np.array_equal(comm_sum, rhs))
 
     # (3): membership in the span of the family's own doubled power tables.
-    fam_rows = [p.scale(2).flatten() for pair in fam_psi for p in pair]
-    if fam_rows:
-        fam_span = modring.canonicalize(ModMatrix(n, np.stack(fam_rows)))
-        cond3 = modring.membership(fam_span, comm_sum.flatten())
-    else:
-        cond3 = comm_sum.is_zero()
+    cond3 = modring.membership(fam_span, comm_sum) if fam_span is not None else not comm_sum.any()
 
     # (4): membership in the span of all doubled power tables.
-    cond4 = modring.membership(omega.doubled_power_span, comm_sum.flatten())
+    cond4 = modring.membership(omega.doubled_power_span, comm_sum)
 
     # (6): alternating sum over all pairs of units (every cup product of unit
     # classes dies in the relevant cohomology, so the scan is unrestricted).

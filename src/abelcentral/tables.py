@@ -98,31 +98,53 @@ def _reduced_dlogs(field: FqField, n: int) -> tuple[np.ndarray, np.ndarray]:
     return dx % n, dy % n
 
 
+def _omega_dlogs(omega: RootOfUnity) -> tuple[np.ndarray, np.ndarray, int]:
+    """dlog x and dlog(1 - x) over the table points, and dlog omega, reduced mod n."""
+    field, n = omega.field, omega.order
+    return (*_reduced_dlogs(field, n), field.dlog(omega.element) % n)
+
+
+def _columns(col1: np.ndarray, col2: np.ndarray) -> np.ndarray:
+    """The two columns side by side, shape (*col1.shape, 2)."""
+    out = np.empty(col1.shape + (2,), dtype=np.int64)
+    out[..., 0], out[..., 1] = col1, col2
+    return out
+
+
+def _phi_values(fc, gc, dx, dy, dw: int, n: int) -> np.ndarray:
+    """The values of phi for the characters with coefficients ``fc``, ``gc``, unreduced.
+
+    ``fc`` and ``gc`` are ints or integer arrays that broadcast against the
+    point axis of ``dx``, ``dy`` (shape (m, 1) gives m tables at once); ``dx``,
+    ``dy``, ``dw`` are as ``_omega_dlogs`` returns them.  The result has shape
+    (..., q-2, 2), one column per component.  Every character value is reduced
+    mod n before the products, so the entries lie in (-n^2, n^2).
+    """
+    fx, fy, fw = fc * dx % n, fc * dy % n, fc * dw % n
+    gx, gy, gw = gc * dx % n, gc * dy % n, gc * dw % n
+    return _columns(fx * gy - fy * gx, fx * gw - fw * gx)
+
+
+def _psi_values(fc, dx, dy, dw: int, n: int) -> np.ndarray:
+    """The values of psi for the characters with coefficients ``fc``, unreduced.
+
+    Arguments and shape as for ``_phi_values``; the entries lie in [0, n^2).
+    """
+    fx = fc * dx % n
+    bfx = binom2(n) * fx % n
+    return _columns(bfx * (fc * dy % n), bfx * (fc * dw % n) + fx)
+
+
 def phi(f: KummerCharacter, g: KummerCharacter, omega: RootOfUnity) -> FnTable:
     """The table x -> (f(x)g(1-x) - f(1-x)g(x), f(x)g(omega) - f(omega)g(x))."""
     _check_inputs(omega, f, g)
-    field, n = omega.field, omega.order
-    dx, dy = _reduced_dlogs(field, n)
-    dw = field.dlog(omega.element) % n
-    fx, fy, fw = (f.c * dx) % n, (f.c * dy) % n, (f.c * dw) % n
-    gx, gy, gw = (g.c * dx) % n, (g.c * dy) % n, (g.c * dw) % n
-    col1 = fx * gy - fy * gx
-    col2 = fx * gw - fw * gx
-    return FnTable(field, n, np.stack([col1, col2], axis=1))
+    return FnTable(omega.field, omega.order, _phi_values(f.c, g.c, *_omega_dlogs(omega), omega.order))
 
 
 def psi(f: KummerCharacter, omega: RootOfUnity) -> FnTable:
     """The table x -> (C(n,2) f(x)f(1-x), C(n,2) f(x)f(omega) + f(x))."""
     _check_inputs(omega, f)
-    field, n = omega.field, omega.order
-    b2 = binom2(n)
-    dx, dy = _reduced_dlogs(field, n)
-    fx, fy = (f.c * dx) % n, (f.c * dy) % n
-    fw = (f.c * (field.dlog(omega.element) % n)) % n
-    bfx = (b2 * fx) % n
-    col1 = bfx * fy
-    col2 = bfx * fw + fx
-    return FnTable(field, n, np.stack([col1, col2], axis=1))
+    return FnTable(omega.field, omega.order, _psi_values(f.c, *_omega_dlogs(omega), omega.order))
 
 
 @dataclass(frozen=True)

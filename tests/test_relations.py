@@ -7,8 +7,10 @@ import weakref
 
 import numpy as np
 import pytest
+import relations_oracle
+from test_heisenberg import skewed_pow, use_power_law
 
-from abelcentral import relations
+from abelcentral import heisenberg, relations, tables
 from abelcentral.errors import HypothesisError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field, omega
 from abelcentral.relations import RelationReport, relation_check
@@ -17,6 +19,39 @@ from abelcentral.relations import RelationReport, relation_check
 def field_and_omega(p, n):
     f = make_field(p, n=n)
     return f, omega(f, n)
+
+
+# (p, degree, n) with 2n | q - 1: F_13, F_17, F_41, F_61, F_2003, F_25 and
+# F_49, with n <= 10 (the Heisenberg conditions run) and n > 10.
+ORACLE_FIELDS = [
+    (13, 1, 3), (13, 1, 6), (17, 1, 4), (17, 1, 8), (41, 1, 10), (41, 1, 20), (61, 1, 10),
+    (61, 1, 15), (2003, 1, 11), (2003, 1, 7), (5, 2, 4), (5, 2, 12), (7, 2, 8), (7, 2, 24),
+]
+
+
+# Every field of the tests in this module, for the span of all doubled power tables.
+SPAN_FIELDS = ORACLE_FIELDS + [(13, 1, 4), (29, 1, 7), (65537, 1, 16), (211, 1, 105), (211, 1, 35), (3, 4, 40)]
+
+
+def seeded_families(k, n, seed, per_size=2):
+    """``per_size`` families of each size 0..6 with random coefficients."""
+    rng = random.Random(seed)
+    return [
+        [(KummerCharacter(k, n, rng.randrange(n)), KummerCharacter(k, n, rng.randrange(n))) for _ in range(size)]
+        for size in range(7)
+        for _ in range(per_size)
+    ]
+
+
+def spy_tables(monkeypatch):
+    """Record the family tables each relation_check builds, by helper name."""
+    seen = {}
+    for name in ("_alternating_sum", "_commutator_sum", "_power_rows", "_witness_combination"):
+        helper = getattr(relations, name)
+        monkeypatch.setattr(relations, name, lambda *a, name=name, helper=helper: seen.setdefault(name, helper(*a)))
+    canonicalize = relations.modring.canonicalize
+    monkeypatch.setattr(relations.modring, "canonicalize", lambda g: seen.setdefault("span", canonicalize(g)))
+    return seen
 
 
 class TestBasics:
@@ -97,21 +132,34 @@ class TestConsistency:
             assert rep.holds
 
     def test_family_power_tables_computed_once(self, monkeypatch):
-        # Conditions (2) and (3) share one psi table per character of the
-        # family.  The first call fills the cached span of all power tables.
+        # Conditions (2) and (3) read one batch of power tables, psi(s_1), ...,
+        # psi(s_m), psi(t_1), ..., psi(t_m): a single _psi_values call of 2m
+        # rows.  The first call fills the cached span of all power tables.
         k, w = field_and_omega(13, 3)
         fam = [(KummerCharacter(k, 3, a), KummerCharacter(k, 3, b)) for a, b in [(1, 2), (2, 2), (0, 1)]]
         relation_check(fam, w)
-        calls = []
-        psi = relations.tables.psi
+        calls, spans = [], []
+        kernel, canonicalize = relations.tables._psi_values, relations.modring.canonicalize
 
-        def counting_psi(f, om):
-            calls.append(f)
-            return psi(f, om)
+        def counting_kernel(fc, *args):
+            out = kernel(fc, *args)
+            calls.append((np.array(fc), out % 3))
+            return out
 
-        monkeypatch.setattr(relations.tables, "psi", counting_psi)
+        monkeypatch.setattr(relations.tables, "_psi_values", counting_kernel)
+        monkeypatch.setattr(relations.modring, "canonicalize", lambda gens: spans.append(gens) or canonicalize(gens))
         relation_check(fam, w)
-        assert len(calls) == 2 * len(fam)
+        (coeffs, rows), = calls
+        assert coeffs.ravel().tolist() == [s.c for s, _ in fam] + [t.c for _, t in fam]
+        assert rows.shape == (2 * len(fam), k.q - 2, 2)
+        # (3) spans the doubled rows of the batch ...
+        (gens,) = spans
+        assert np.array_equal(gens.entries, (2 * rows).reshape(2 * len(fam), -1) % 3)
+        # ... and (2) reads the same batch: shifting it breaks (2) alone, and
+        # the detector refuses the disagreement.
+        monkeypatch.setattr(relations.tables, "_psi_values", lambda *a: kernel(*a) + 1)
+        with pytest.raises(TheoremViolationError, match="disagree"):
+            relation_check(fam, w)
 
     def test_power_span_freed_with_field(self):
         # The span of all doubled power tables is cached on the root of
@@ -143,6 +191,45 @@ class TestConsistency:
         assert span.canonical.rows >= 1
         assert peak <= 40 * 2**20
 
+    def test_peak_memory_f65537_eight_pairs(self):
+        # The 16 power tables of the family hold 16 MiB.  The per-pair loops
+        # kept the tables, their doubled copies and the stacked matrix alive
+        # together and peaked at 71.9 MiB here (span filled beforehand).
+        k, w = field_and_omega(65537, 16)
+        w.doubled_power_span
+        rng = random.Random(8)
+        fam = [(KummerCharacter(k, 16, rng.randrange(16)), KummerCharacter(k, 16, rng.randrange(16)))
+               for _ in range(8)]
+        tracemalloc.start()
+        try:
+            rep = relation_check(fam, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds
+        assert peak <= 71.9 * 2**20
+
+    @pytest.mark.parametrize("p,deg,n", SPAN_FIELDS)
+    def test_power_span_matches_all_characters(self, p, deg, n):
+        # The span of the one row 2 psi(chi) against the rows of all n characters.
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        want = relations_oracle.doubled_power_span(w).canonical.entries
+        assert np.array_equal(w.doubled_power_span.canonical.entries, want)
+
+    def test_power_span_memory_n32768(self):
+        # n = 32768 is the largest n with mu_2n in F_65537.  One table per
+        # character would stack 32768 x 131070 cells (32 GiB as int64).
+        k, w = field_and_omega(65537, 32768)
+        tracemalloc.start()
+        try:
+            span = w.doubled_power_span
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert span.canonical.rows >= 1
+        assert peak <= 32 * 2**20
+
     def test_single_pair_cond3_equals_cond4(self):
         # On a single pair the family span sits inside the full span, and the
         # detector must still report equal flags.
@@ -168,6 +255,76 @@ class TestConsistency:
             )
 
 
+class TestBatchAgainstOracles:
+    """The pairs-axis batches against the per-pair loops they replaced."""
+
+    @pytest.mark.parametrize("p,deg,n", ORACLE_FIELDS)
+    def test_reports_and_tables(self, monkeypatch, p, deg, n):
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        span = w.doubled_power_span  # filled before the spy goes in
+        for fam in seeded_families(k, n, 100 * p + n):
+            with monkeypatch.context() as mp:
+                seen = spy_tables(mp)
+                rep = relation_check(fam, w)
+            assert rep.as_dict() == relations_oracle.relation_report(fam, w)
+            if not fam:
+                assert not seen
+                continue
+            assert np.array_equal(seen["_alternating_sum"], relations_oracle.alternating_sum(fam, k, n))
+            assert np.array_equal(seen["_commutator_sum"], relations_oracle.commutator_sum(fam, w).flatten())
+            powers = relations_oracle.power_tables(fam, w)
+            want_rows = [s.values for s, _ in powers] + [t.values for _, t in powers]
+            assert np.array_equal(seen["_power_rows"], np.stack(want_rows))
+            rhs = relations_oracle.witness_combination(fam, w, rep.witnesses_a, rep.witnesses_b)
+            assert np.array_equal(seen["_witness_combination"], rhs.flatten())
+            want_span = relations_oracle.family_span(fam, w)
+            assert np.array_equal(seen["span"].canonical.entries, want_span.canonical.entries)
+        assert w.doubled_power_span is span
+
+    @pytest.mark.parametrize("p,deg,n", [(41, 1, 10), (2003, 1, 11), (7, 2, 24)])
+    def test_witness_combination_with_any_witnesses(self, p, deg, n):
+        # The family tables of (1) and of the commutator sum vanish for every
+        # family of multiples of one character; a combination of power tables
+        # with arbitrary coefficients does not, and must equal its loop entry
+        # for entry, also for coefficients near n.
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        dlogs = tables._omega_dlogs(w)
+        rng = random.Random(p)
+        nonzero = 0
+        for size in range(1, 7):
+            coeffs = [(rng.randrange(n), rng.randrange(n)) for _ in range(size - 1)] + [(n - 1, n - 2)]
+            fam = [(KummerCharacter(k, n, a), KummerCharacter(k, n, b)) for a, b in coeffs]
+            st = np.array(coeffs, dtype=np.int64).T[..., None]
+            wit_a = [(rng.randrange(-n, n),) for _ in fam]
+            wit_b = [(n - 1,)] * size
+            rows = relations._power_rows(st.reshape(-1, 1), dlogs, n)
+            rhs = relations_oracle.witness_combination(fam, w, wit_a, wit_b).flatten()
+            nonzero += bool(rhs.any())
+            assert np.array_equal(relations._witness_combination(rows, wit_a, wit_b, n), rhs)
+            assert np.array_equal(relations._alternating_sum(st, *dlogs[:2], n),
+                                  relations_oracle.alternating_sum(fam, k, n))
+            assert np.array_equal(relations._commutator_sum(st, dlogs, n),
+                                  relations_oracle.commutator_sum(fam, w).flatten())
+        assert nonzero >= 4
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 10])
+    def test_heisenberg_sums_under_a_wrong_law(self, monkeypatch, n):
+        # Under the true law both sums vanish on every image; under a law whose
+        # powers of one element stop commuting they do not.
+        k = make_field({3: 13, 4: 17, 7: 29, 10: 41}[n], n=n)
+        use_power_law(monkeypatch, skewed_pow)
+        a, b, c = heisenberg._elements(n)
+        nonzero = 0
+        for fam in seeded_families(k, n, 7 * n):
+            want = relations_oracle.comm_sums(fam, a, b, c, n)
+            nonzero += bool(want.any())
+            assert np.array_equal(heisenberg._comm_sums(fam, a, b, c, n), want)
+            assert np.array_equal(heisenberg._bilinear_sums(fam, a, b, n), relations_oracle.bilinear_sums(fam, a, b, n))
+        assert nonzero >= 3
+
+
 def cond6_oracle(pairs, field, n):
     """The full (q-1)^2 table of the alternating sum over pairs of units."""
     dl_units = np.array([field.dlog(x) for x in field.units()], dtype=object)
@@ -176,6 +333,12 @@ def cond6_oracle(pairs, field, n):
         sv, tv = s.c * dl_units, t.c * dl_units
         m += np.outer(sv, tv) - np.outer(tv, sv)
     return not (m % n).any()
+
+
+def python_int_grid_vanishes(left, right, n):
+    """Whether sum_k left[k, x] right[k, y] = 0 mod n at every cell, in Python ints."""
+    rows, cols = left.T.tolist(), right.T.tolist()
+    return all(sum(a * b for a, b in zip(x, y)) % n == 0 for x in rows for y in cols)
 
 
 class TestCondition6Scan:
@@ -223,6 +386,52 @@ class TestCondition6Scan:
         e_row, e_col = np.zeros((2, n), dtype=np.int64)
         e_row[row], e_col[col] = 1, n - 1
         assert not grid(np.vstack((left, e_row)), np.vstack((right, e_col)), n)
+
+    def test_exact_near_n_on_f65537(self, monkeypatch):
+        # n = 32768 on F_65537 with coefficients near n, so the operands lie
+        # near n and their products near 2^30.  The 2^30-cell grid is out of
+        # reach of a Python-int oracle, so the operands of _unit_pairs_vanish
+        # are taken on 64 classes, in blocks of 3 terms and chunks of 5 rows.
+        k, n = make_field(65537, n=32768), 32768
+        fam = [(KummerCharacter(k, n, n - 1 - i), KummerCharacter(k, n, n - 3 - 2 * i)) for i in range(4)]
+        seen = []
+        monkeypatch.setattr(relations, "_grid_vanishes", lambda *a: seen.append(a[:2]) or True)
+        relations._unit_pairs_vanish(fam, k, n)
+        monkeypatch.undo()
+        (left, right), = seen
+        assert left.shape == right.shape == (8, n)
+        # Class 1 carries the coefficients themselves.
+        cols = np.concatenate(([1], np.random.default_rng(0).choice(np.arange(2, n), size=63, replace=False)))
+        left, right = left[:, cols], right[:, cols]
+        assert left[:4, 0].tolist() == [n - 1, n - 2, n - 3, n - 4]
+        monkeypatch.setattr(relations, "COND6_TERMS_MAX", 3)
+        monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", 5 * 64)
+        # A cancelling pair of terms, u v + (n - u) v = n v, and one term that
+        # is (n - 1)^2 = 1 at the single cell (12, 40).
+        u, v = np.full(64, n - 5), np.full(64, n - 7)
+        e_row, e_col = np.zeros((2, 64), dtype=np.int64)
+        e_row[12], e_col[40] = n - 1, n - 1
+        cases = [
+            (left, right),
+            (np.vstack((left, u, n - u)), np.vstack((right, v, v))),
+            (np.vstack((left, u, n - u, e_row)), np.vstack((right, v, v, e_col))),
+        ]
+        got = [relations._grid_vanishes(lhs, rhs, n) for lhs, rhs in cases]
+        assert got == [python_int_grid_vanishes(lhs, rhs, n) for lhs, rhs in cases] == [True, True, False]
+
+    def test_term_blocks_keep_int64_exact(self, monkeypatch):
+        # Past the field bound, at n = 2^31 - 1, a product reaches 2^62 and
+        # the int64 sum of three of them wraps; blocks of one term keep the
+        # running sum below 2^62 + n.  Column 0 sums to 3n v = 0, column 1 to
+        # 3n v + v.
+        n = 2**31 - 1
+        v = n - 5
+        left = np.array([[n - 2, n - 2], [n - 3, n - 3], [n - 4, n - 4], [9, 10]], dtype=np.int64)
+        right = np.full((4, 1), v, dtype=np.int64)
+        monkeypatch.setattr(relations, "COND6_TERMS_MAX", 1)
+        for cols, vanishes in ((slice(0, 1), True), (slice(0, 2), False)):
+            assert python_int_grid_vanishes(left[:, cols], right, n) is vanishes
+            assert relations._grid_vanishes(left[:, cols], right, n) is vanishes
 
     def test_peak_memory_on_f2003(self):
         # Condition 6 over F_2003 covers (q-1)^2 = 4 M unit pairs through the

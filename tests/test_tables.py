@@ -143,6 +143,42 @@ class TestPsi:
             assert tuple(t.values[i]) == expected
 
 
+class TestBatchKernels:
+    @pytest.mark.parametrize("p,k,n", [(13, 1, 3), (13, 1, 12), (41, 1, 10), (7, 2, 8), (3, 4, 40)])
+    def test_rows_equal_scalar_tables(self, p, k, n):
+        # Row c of the psi batch is psi(c chi), row (c, d) of the phi batch
+        # phi(c chi, d chi), for every c, d in Z/n.
+        field, w = field_and_omega(p, n, k)
+        dlogs = tables._omega_dlogs(w)
+        c = np.arange(n)
+        powers = tables._psi_values(c[:, None], *dlogs, n) % n
+        pairs = tables._phi_values(c[:, None, None], c[None, :, None], *dlogs, n) % n
+        assert powers.shape == (n, field.q - 2, 2) and pairs.shape == (n, n, field.q - 2, 2)
+        for a in range(n):
+            f = KummerCharacter(field, n, a)
+            assert np.array_equal(powers[a], tables.psi(f, w).values)
+            for b in range(n):
+                assert np.array_equal(pairs[a, b], tables.phi(f, KummerCharacter(field, n, b), w).values)
+
+    def test_unreduced_rows_on_any_dlogs(self):
+        # On arbitrary dlog arrays the unreduced batch rows equal the scalar
+        # kernel calls and the formulas in Python ints.
+        n, dw = 40, 7
+        dx, dy = np.random.default_rng(5).integers(0, n, size=(2, 50))
+        c = np.arange(n)
+        powers = tables._psi_values(c[:, None], dx, dy, dw, n)
+        pairs = tables._phi_values(c[:, None, None], c[None, :, None], dx, dy, dw, n)
+        b2 = n * (n - 1) // 2
+        for a in range(n):
+            assert np.array_equal(powers[a], tables._psi_values(a, dx, dy, dw, n))
+            fx, fy, fw = (a * dx % n).tolist(), (a * dy % n).tolist(), a * dw % n
+            assert powers[a].tolist() == [[b2 * x % n * y, b2 * x % n * fw + x] for x, y in zip(fx, fy)]
+            for b in range(n):
+                assert np.array_equal(pairs[a, b], tables._phi_values(a, b, dx, dy, dw, n))
+            gx, gy, gw = (7 * dx % n).tolist(), (7 * dy % n).tolist(), 7 * dw % n
+            assert pairs[a, 7].tolist() == [[x * v - y * u, x * gw - fw * u] for x, y, u, v in zip(fx, fy, gx, gy)]
+
+
 class TestFfrak:
     @pytest.mark.parametrize("p,n", [(7, 3), (5, 2), (13, 4)])
     def test_invariant_factors(self, p, n):
