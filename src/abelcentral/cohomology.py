@@ -11,6 +11,7 @@ second layer onto the restricted image of S.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -206,6 +207,13 @@ def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
 # --- H^2 presentation and the pairing with S -------------------------------
 
 
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) index arrays of the pairs i < j < k in row order, as
+    ``np.triu_indices(k, 1)`` gives them."""
+    ij = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), 2)), dtype=np.int64)
+    return ij[0::2], ij[1::2]
+
+
 @dataclass(frozen=True)
 class H2Class:
     """Element of H^2((Z/n)^k) in the cup/Bockstein normal form.
@@ -233,15 +241,14 @@ class H2Class:
 
     def coeff_vector(self) -> np.ndarray:
         """Concatenated (cups for i<j in row order, bocksteins)."""
-        iu = np.triu_indices(self.k, 1)
-        return np.concatenate([self.cup[iu], self.bockstein])
+        return np.concatenate([self.cup[_upper_pairs(self.k)], self.bockstein])
 
     @classmethod
     def from_coeff_vector(cls, k: int, n: int, v: Sequence[int]) -> "H2Class":
         v = np.asarray(v, dtype=np.int64)
         m = k * (k - 1) // 2
         cup = np.zeros((k, k), dtype=np.int64)
-        cup[np.triu_indices(k, 1)] = v[:m]
+        cup[_upper_pairs(k)] = v[:m]
         return cls(k=k, n=n, cup=cup, bockstein=v[m:])
 
     def decomposition(self) -> tuple[list[tuple[np.ndarray, np.ndarray]], list[np.ndarray]]:
@@ -300,7 +307,7 @@ def pairing_S(s: SElement, c: H2Class) -> int:
     """((F,g), class) = sum of cup[i][j] F[i][j] (i<j) plus bockstein . g."""
     if s.k != c.k or s.n != c.n:
         raise DimensionError("rank or modulus mismatch")
-    iu = np.triu_indices(s.k, 1)
+    iu = _upper_pairs(s.k)
     return int((c.cup[iu] * s.F[iu]).sum() + (c.bockstein * s.g).sum()) % s.n
 
 
@@ -357,11 +364,15 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     layer-1 coordinates; ``_layer1_coords`` checks that they are a
     homomorphism, which makes every inflated table a cocycle.
     """
+    return _kernel_of_inflation(cs, *_layer1_coords(cs))
+
+
+def _kernel_of_inflation(cs: CentralSeriesData, k: int, coords: np.ndarray) -> list[H2Class]:
+    """``kernel_of_inflation`` from the rank and coordinates ``_layer1_coords`` returned."""
     G, n = cs.group, cs.n
-    k, coords = _layer1_coords(cs)
     T = [G.identity, *G.generators]
     cg, ct = coords[:, None, :], coords[T][None, :, :]
-    iu, ju = np.triu_indices(k, 1)
+    iu, ju = _upper_pairs(k)
     xi_on = np.concatenate([cg[:, :, iu] * ct[:, :, ju] % n, (cg + ct >= n).astype(np.int64)], axis=2)
     m = k * (k + 1) // 2
 
@@ -473,7 +484,7 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     cs = central_series(G, n)
     k, coords = _layer1_coords(cs)
     C, l2 = cs.layer1.decomposition.coords_of, cs.layer2
-    R = kernel_of_inflation(cs)
+    R = _kernel_of_inflation(cs, k, coords)
     comm, powr = layer_maps(cs, random.Random(seed))
 
     bad = [0, 0]  # identity violations, alternative-decomposition violations

@@ -192,26 +192,16 @@ class TableGroup:
         return acc
 
     def powers(self, a: int, m: int) -> np.ndarray:
-        """The array (a^0, a^1, ..., a^(m-1)); each gather doubles its length."""
-        out = np.array([self.identity], dtype=np.int64)
-        while out.size < m:
-            out = np.concatenate([out, self.table[out, self.table[out[-1], a]]])
-        return out[:m]
+        """The array (a^0, a^1, ..., a^(m-1))."""
+        return _powers(self.table, self.identity, a, m)
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
 
     @cached_property
     def orders(self) -> np.ndarray:
-        """The order of every element, read-only.  By Lagrange the order of a
-        is the least divisor d of N with a^d = e: one power per divisor,
-        ascending, until every order is set."""
-        N, idx = self.order, np.arange(self.order)
-        out = np.zeros(N, dtype=np.int64)
-        for d in np.flatnonzero(N % np.arange(1, N + 1) == 0) + 1:
-            out[(out == 0) & (_nth_powers(self, idx, int(d)) == self.identity)] = d
-            if out.all():
-                break
+        """The order of every element, read-only."""
+        out = _orders(self.table, self.identity)
         out.flags.writeable = False
         return out
 
@@ -245,11 +235,9 @@ class TableGroup:
         cosets are numbered by their smallest elements, in ascending order."""
         if not self.is_subgroup(normal) or not self.is_normal(normal):
             raise DomainError("quotient requires a normal subgroup")
-        smallest = self.table[:, np.flatnonzero(self._mask(normal))].min(axis=1)
-        reps = np.flatnonzero(smallest == np.arange(self.order))
-        proj = np.searchsorted(reps, smallest)
+        reps, proj, table = _cosets(self.table, np.arange(self.order), np.flatnonzero(self._mask(normal)))
         q_labels = tuple(self.labels[r] for r in reps.tolist()) if self.labels else None
-        return _generated_group(proj[self.table[reps[:, None], reps]], q_labels, proj[list(self.generators)]), proj
+        return _generated_group(table, q_labels, proj[list(self.generators)]), proj
 
     def subgroup_table(self, elems: Sequence[int]) -> tuple["TableGroup", np.ndarray]:
         """(the subgroup as its own TableGroup, sorted index array mapping new -> old index)."""
@@ -298,7 +286,60 @@ def _generated_group(table: np.ndarray, labels: Optional[tuple[str, ...]], candi
     return g
 
 
+def _powers(t: np.ndarray, e: int, a: int, m: int) -> np.ndarray:
+    """(a^0, a^1, ..., a^(m-1)) in the group table ``t`` with identity ``e``;
+    each gather doubles the length."""
+    out = np.array([e], dtype=np.int64)
+    while out.size < m:
+        out = np.concatenate([out, t[out, t[out[-1], a]]])
+    return out[:m]
+
+
+def _nth_powers(t: np.ndarray, e: int, elems: np.ndarray, m: int) -> np.ndarray:
+    """The m-th power of each entry of the index array ``elems`` (m >= 0) in the
+    group table ``t`` with identity ``e``, by repeated squaring."""
+    acc = np.full_like(elems, e)
+    while m:
+        if m & 1:
+            acc = t[acc, elems]
+        elems, m = t[elems, elems], m >> 1
+    return acc
+
+
+def _orders(t: np.ndarray, e: int) -> np.ndarray:
+    """The order of every element of the group table ``t`` with identity ``e``.
+
+    By Lagrange the order of a is the least divisor d of N with a^d = e: one
+    power per divisor, ascending, until every order is set.
+    """
+    N = t.shape[0]
+    idx, out = np.arange(N), np.zeros(N, dtype=np.int64)
+    for d in np.flatnonzero(N % np.arange(1, N + 1) == 0) + 1:
+        out[(out == 0) & (_nth_powers(t, e, idx, int(d)) == e)] = d
+        if out.all():
+            break
+    return out
+
+
+def _cosets(t: np.ndarray, members: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cosets x K, x in H, of a normal subgroup K of H in the group table ``t``.
+
+    ``members`` is the sorted index array of H and ``normal`` holds the
+    elements of K.  Returns (reps, project, table): the cosets are numbered
+    by their smallest elements ``reps``, ascending, ``project`` (length N,
+    -1 outside H) maps each member to its coset, and ``table`` is the
+    multiplication table of H/K on these numbers.
+    """
+    smallest = t[members[:, None], normal].min(axis=1)
+    reps = members[smallest == members]
+    project = np.full(t.shape[0], -1, dtype=np.int64)
+    project[members] = np.searchsorted(reps, smallest)
+    return reps, project, project[t[reps[:, None], reps]]
+
+
 def cyclic_group(m: int) -> TableGroup:
+    if not 1 <= m <= TABLE_MAX:
+        raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
     idx = np.arange(m)
     table = (idx[:, None] + idx[None, :]) % m
     return _generated_group(table, tuple(str(i) for i in range(m)), [1] if m > 1 else [])
@@ -340,44 +381,64 @@ class CyclicDecomposition:
     coords_of: np.ndarray  # (N, k): row e holds the coordinates of element e
 
 
-def _coords_map(a: TableGroup, gens: Sequence[int], orders: Sequence[int]) -> Optional[np.ndarray]:
-    """(N, k) element coordinates, or None when the factors are not direct.
+def _coords_map(t: np.ndarray, e: int, gens: Sequence[int], orders: Sequence[int]) -> Optional[np.ndarray]:
+    """(N, k) element coordinates in the group table ``t`` with identity ``e``,
+    or None when the factors are not direct.
 
     The products g_1^c_1 ... g_k^c_k are formed for every c, in
     ``itertools.product`` order, with one gather per cyclic factor.
     """
-    elems = np.array([a.identity], dtype=np.int64)
+    N = t.shape[0]
+    elems = np.array([e], dtype=np.int64)
     for gen, d in zip(gens, orders):
-        elems = a.table[elems[:, None], a.powers(gen, d)].ravel()
-    if elems.size != a.order or not np.bincount(elems, minlength=a.order).all():
+        elems = t[elems[:, None], _powers(t, e, gen, d)].ravel()
+    if elems.size != N or not np.bincount(elems, minlength=N).all():
         return None
-    coords = np.empty((a.order, len(orders)), dtype=np.int64)
+    coords = np.empty((N, len(orders)), dtype=np.int64)
     coords[elems] = np.indices(orders).reshape(len(orders), -1).T
     return coords
 
 
-def abelian_decomposition(a: TableGroup) -> CyclicDecomposition:
-    """Decompose an abelian group into cyclic factors of descending order."""
-    if not np.array_equal(a.table, a.table.T):
-        raise DomainError("decomposition requires an abelian group")
-    if a.order == 1:
-        return CyclicDecomposition(gens=(), orders=(), coords_of=np.zeros((1, 0), dtype=np.int64))
-    exp = a.exponent()
-    g1 = int(np.argmax(a.orders == exp))
-    q, proj = a.quotient(np.flatnonzero(a._closure_mask([g1])))
-    qdec = abelian_decomposition(q)
-    orders = (exp, *qdec.orders)
+def _decompose_table(t: np.ndarray, e: int) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray]:
+    """(gens, orders, coords) of the abelian group table ``t`` with identity ``e``.
+
+    g_1 is the first element of maximal order; the rest lift the
+    decomposition of the quotient by <g_1>, its cosets numbered by their
+    smallest elements as ``TableGroup.quotient`` numbers them.  The quotients
+    stay raw tables: their group laws follow from that of ``t``, and the
+    ``_coords_map`` bijection check at the top level certifies the answer.
+    """
+    if t.shape[0] == 1:
+        return (), (), np.zeros((1, 0), dtype=np.int64)
+    orders = _orders(t, e)
+    exp = int(np.lcm.reduce(orders))
+    g1 = int(np.argmax(orders == exp))
+    _, proj, qt = _cosets(t, np.arange(t.shape[0]), _powers(t, e, g1, exp))
+    qgens, qorders, _ = _decompose_table(qt, int(proj[e]))
+    all_orders = (exp, *qorders)
     # Lifts of the quotient generators keeping their orders; the directness
     # check below selects a combination that splits the extension.
     candidates = [
-        np.flatnonzero((proj == qgen) & (a.orders == qord)).tolist()
-        for qgen, qord in zip(qdec.gens, qdec.orders)
+        np.flatnonzero((proj == qgen) & (orders == qord)).tolist()
+        for qgen, qord in zip(qgens, qorders)
     ]
     for lifts in itertools.product(*candidates):
-        coords = _coords_map(a, (g1, *lifts), orders)
+        coords = _coords_map(t, e, (g1, *lifts), all_orders)
         if coords is not None:
-            return CyclicDecomposition(gens=(g1, *lifts), orders=orders, coords_of=coords)
+            return (g1, *lifts), all_orders, coords
     raise TheoremViolationError("no direct system of generators found")
+
+
+def abelian_decomposition(a: TableGroup) -> CyclicDecomposition:
+    """Decompose an abelian group into cyclic factors of descending order.
+
+    The coordinates are checked to be a bijection onto the verified table of
+    ``a``: the products g_1^c_1 ... g_k^c_k, c_i < ord(g_i), are distinct.
+    """
+    if not np.array_equal(a.table, a.table.T):
+        raise DomainError("decomposition requires an abelian group")
+    gens, orders, coords = _decompose_table(a.table, a.identity)
+    return CyclicDecomposition(gens=gens, orders=orders, coords_of=coords)
 
 
 # --- central series --------------------------------------------------------
@@ -419,17 +480,6 @@ class CentralSeriesData:
         return tuple(len(s) for s in self.subgroups)
 
 
-def _nth_powers(g: TableGroup, elems: np.ndarray, m: int) -> np.ndarray:
-    """The m-th power of each entry of the index array ``elems`` (m >= 0), by repeated squaring."""
-    t = g.table
-    acc = np.full_like(elems, g.identity)
-    while m:
-        if m & 1:
-            acc = t[acc, elems]
-        elems, m = t[elems, elems], m >> 1
-    return acc
-
-
 def _next_term(g: TableGroup, cur: np.ndarray, n: int) -> np.ndarray:
     """G^(i+1) = <[G^(i), G], (G^(i))^n>, from the sorted index array ``cur`` of G^(i).
 
@@ -443,15 +493,17 @@ def _next_term(g: TableGroup, cur: np.ndarray, n: int) -> np.ndarray:
     t, inv = g.table, g._inverses
     a = np.asarray(g.generators, dtype=np.int64)
     comms = t[t[inv[cur][:, None], inv[a]], t[cur[:, None], a]]
-    return g.subgroup_closure(np.concatenate([comms.ravel(), _nth_powers(g, cur, n)]))
+    return g.subgroup_closure(np.concatenate([comms.ravel(), _nth_powers(t, g.identity, cur, n)]))
 
 
-def _layer(g: TableGroup, sub: TableGroup, members: np.ndarray, lower: np.ndarray) -> LayerData:
-    """G^(i)/G^(i+1), with G^(i) the TableGroup ``sub`` on the sorted ``members`` of G."""
-    quot, proj = sub.quotient(np.searchsorted(members, lower))
-    project = np.full(g.order, -1, dtype=np.int64)
-    project[members] = proj
-    return LayerData(quot, members, project)
+def _coset_layer(g: TableGroup, members: np.ndarray, lower: np.ndarray, candidates: np.ndarray) -> LayerData:
+    """G^(i)/G^(i+1) as the cosets of the sorted ``lower`` in the sorted
+    ``members`` of G^(i), inside G's table, with generators drawn from the
+    images of the G-index array ``candidates``.  The caller has checked that
+    G^(i+1) is a normal subgroup of G inside G^(i)."""
+    reps, project, table = _cosets(g.table, members, lower)
+    labels = tuple(g.labels[r] for r in reps.tolist()) if g.labels else None
+    return LayerData(_generated_group(table, labels, project[candidates]), members, project)
 
 
 def central_series(g: TableGroup, n: int) -> CentralSeriesData:
@@ -466,7 +518,10 @@ def central_series(g: TableGroup, n: int) -> CentralSeriesData:
             raise TheoremViolationError("series is not descending")
         if not g.is_normal(lower):
             raise TheoremViolationError("series term is not normal")
-    layers = (_layer(g, g, chain[0], chain[1]), _layer(g, *g.subgroup_table(chain[1]), chain[2]))
+    layers = (
+        _coset_layer(g, chain[0], chain[1], np.asarray(g.generators, dtype=np.int64)),
+        _coset_layer(g, chain[1], chain[2], chain[1]),
+    )
     return CentralSeriesData(g, n, tuple(chain), *layers)
 
 
@@ -491,7 +546,7 @@ def layer_maps(cs: CentralSeriesData, rng: Optional[random.Random] = None) -> tu
     t, inv = g.table, g._inverses
 
     def compute(ls: np.ndarray, lt: np.ndarray, lp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return t[t[inv[ls], inv[lt]], t[ls, lt]], _nth_powers(g, lp, cs.n)
+        return t[t[inv[ls], inv[lt]], t[ls, lt]], _nth_powers(t, g.identity, lp, cs.n)
 
     first = lifts[:, 0]
     comm, powr = compute(first[:, None], first[None, :], first)

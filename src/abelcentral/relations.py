@@ -37,11 +37,12 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import heisenberg, modring, tables
-from .errors import HypothesisError, ModulusError, TheoremViolationError
+from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
 from .finfield import FqField, KummerCharacter, RootOfUnity
 from .modring import ModMatrix
 
 ENUM_BOUND_N = 10  # n^3 generator images must stay enumerable
+RELATION_BYTES_MAX = 1 << 28  # largest int64 working set relation_check may allocate
 
 
 @dataclass(frozen=True)
@@ -181,6 +182,11 @@ def relation_check(
 
     Every sum over the family runs along a leading pairs axis: one broadcast
     and one reduction per condition.
+
+    For m pairs over F_q the work holds the 2m power tables of 2(q - 2) int64
+    cells three times at once (the power batch, its doubled copy and the
+    Howell working copy of (3)'s span); an estimate above
+    ``RELATION_BYTES_MAX`` raises ``DomainError`` before any is allocated.
     """
     field, n = omega.field, omega.order
     if (field.q - 1) % (2 * n) != 0:
@@ -190,6 +196,12 @@ def relation_check(
             raise ModulusError("characters live on a different field")
         if s.n != n or t.n != n:
             raise ModulusError("character modulus differs from omega's order")
+    need = 3 * 8 * 2 * len(pairs) * 2 * (field.q - 2)
+    if need > RELATION_BYTES_MAX:
+        raise DomainError(
+            f"relation check on {len(pairs)} pairs over F_{field.q} needs about {need} bytes, "
+            f"above the bound {RELATION_BYTES_MAX}"
+        )
 
     # s_i = st[0, i] chi and t_i = st[1, i] chi for the generating character chi.
     st = heisenberg._pair_coeffs(pairs, 1)

@@ -484,6 +484,17 @@ class TestHomomorphismShortcut:
             if g.order <= 16:
                 assert all_triples_cocycle(g.table, xi.values, n)
 
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS[:4], ids=[g[0] for g in ORACLE_GROUPS[:4]])
+    def test_coordinates_checked_once(self, name, build, n, monkeypatch):
+        # The kernel and the inflated tables share one checked coordinate map.
+        g, calls = build(), []
+        layer1_coords = coh._layer1_coords
+        monkeypatch.setattr(coh, "_layer1_coords", lambda cs: calls.append(cs) or layer1_coords(cs))
+        verify_thm23_and_omegaR(g, n)
+        assert len(calls) == 1
+        kernel_of_inflation(calls[0])
+        assert len(calls) == 2
+
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     def test_corrupted_coordinates_raise(self, name, build, n, monkeypatch):
         # Mutations of the layer-1 decomposition: the identity moved off 0,
@@ -674,6 +685,11 @@ class TestH2Class:
     def test_lower_fold(self):
         c = H2Class(k=2, n=3, cup=np.array([[0, 0], [1, 0]]), bockstein=np.zeros(2, dtype=int))
         assert c.cup[0, 1] == 2  # x2 cup x1 = -x1 cup x2
+
+    def test_upper_pairs_match_triu_indices(self):
+        for k in range(13):
+            got, want = coh._upper_pairs(k), np.triu_indices(k, 1)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
 
     def test_coeff_vector_roundtrip(self):
         c = H2Class(k=3, n=4, cup=np.triu(np.arange(9).reshape(3, 3), 1), bockstein=np.array([1, 2, 3]))

@@ -1,5 +1,6 @@
 """Multiplication-table groups, central series, and layer maps."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from abelcentral import groups
+from abelcentral.cohomology import verify_thm23_and_omegaR
 from abelcentral.errors import DomainError, ModulusError, TheoremViolationError
 from abelcentral.groups import (
     TableGroup,
@@ -149,6 +151,18 @@ class TestConstruction:
         assert g.inv(2) == 4
         assert g.order_of(2) == 3
         assert g.exponent() == 6
+
+    @pytest.mark.parametrize("m", [10**6, groups.TABLE_MAX + 1, 0, -3])
+    def test_cyclic_order_bound(self, m):
+        # The order is checked before the m x m table is formed.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"group order must be in \\[1, {groups.TABLE_MAX}\\]"):
+                cyclic_group(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_elementary_indexing(self):
         g = elementary_group(3, 2)
@@ -303,6 +317,25 @@ class TestDecomposition:
     def test_nonabelian_rejected(self):
         with pytest.raises(DomainError):
             abelian_decomposition(to_table_group(2))
+
+
+class TestWorkPerVerification:
+    @pytest.mark.parametrize("build,closures", [
+        (lambda: to_table_group(2), 7),
+        (lambda: elementary_group(2, 6), 10),
+    ], ids=["heis2", "(Z/2)^6"])
+    def test_derived_groups_built_once(self, monkeypatch, build, closures):
+        # One Light's test per layer group: the decompositions and G^(2)
+        # build no verified group of their own.
+        g, counts = build(), collections.Counter()
+        for name in ("_verify", "_closure_mask"):
+            method = getattr(TableGroup, name)
+            monkeypatch.setattr(
+                TableGroup, name, lambda self, *a, name=name, method=method: counts.update([name]) or method(self, *a)
+            )
+        assert verify_thm23_and_omegaR(g, 2).ok
+        assert counts["_verify"] == 2
+        assert counts["_closure_mask"] <= closures
 
 
 class TestCentralSeries:
@@ -510,6 +543,14 @@ def oracle_decomposition(a):
     raise AssertionError("no direct system of generators found")
 
 
+def relabelled(g, seed):
+    """The group ``g`` with its elements renumbered by a seeded random permutation."""
+    new = np.random.default_rng(seed).permutation(g.order)  # old index -> new index
+    t = np.empty_like(g.table)
+    t[new[:, None], new[None, :]] = new[g.table]
+    return TableGroup(table=t)
+
+
 def oracle_central_series(g, n, depth=3):
     chain = [tuple(range(g.order))]
     for _ in range(depth):
@@ -562,6 +603,14 @@ ORACLE_GROUPS = [
     ("S4,n=6", S4, 6),
 ]
 
+RELABELLED_ABELIAN = [
+    ("C4xC2xC6", lambda: direct_product(direct_product(cyclic_group(4), cyclic_group(2)), cyclic_group(6))),
+    ("C3xC9", lambda: direct_product(cyclic_group(3), cyclic_group(9))),
+    ("C2xC2xC4", lambda: direct_product(elementary_group(2, 2), cyclic_group(4))),
+    ("C6xC10", lambda: direct_product(cyclic_group(6), cyclic_group(10))),
+    ("C36", lambda: cyclic_group(36)),
+]
+
 SMALL_ORACLE_GROUPS = [c for c in ORACLE_GROUPS if c[0] not in {"heis5", "heis6", "heis7", "(Z/2)^7"}]  # order <= 64
 
 
@@ -580,6 +629,17 @@ class TestAgainstOracles:
             assert np.array_equal(layer.group.table, quot.table)
             assert layer.group.labels == quot.labels
             dec = layer.decomposition
+            assert (dec.gens, dec.orders) == (gens, orders)
+            assert {e: tuple(c) for e, c in enumerate(dec.coords_of.tolist())} == coords
+
+    @pytest.mark.parametrize("name,build", RELABELLED_ABELIAN, ids=[c[0] for c in RELABELLED_ABELIAN])
+    def test_decomposition_of_relabelled_groups(self, name, build):
+        # Away from the standard numbering the identity and <g_1> are not the
+        # first indices, so the cosets of each quotient are numbered afresh.
+        for seed in range(3):
+            a = relabelled(build(), seed)
+            dec = abelian_decomposition(a)
+            gens, orders, coords = oracle_decomposition(a)
             assert (dec.gens, dec.orders) == (gens, orders)
             assert {e: tuple(c) for e, c in enumerate(dec.coords_of.tolist())} == coords
 
@@ -637,7 +697,7 @@ class TestAgainstOracles:
         a = build()
         for x, y in itertools.product(range(a.order), repeat=2):
             orders = (a.order_of(x), a.order_of(y))
-            got = _coords_map(a, (x, y), orders)
+            got = _coords_map(a.table, a.identity, (x, y), orders)
             expected = oracle_coords_map(a, (x, y), orders)
             if expected is None:
                 assert got is None

@@ -11,7 +11,7 @@ import relations_oracle
 from test_heisenberg import skewed_pow, use_power_law
 
 from abelcentral import heisenberg, relations, tables
-from abelcentral.errors import HypothesisError, TheoremViolationError
+from abelcentral.errors import DomainError, HypothesisError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field, omega
 from abelcentral.relations import RelationReport, relation_check
 
@@ -208,6 +208,20 @@ class TestConsistency:
             tracemalloc.stop()
         assert rep.holds
         assert peak <= 71.9 * 2**20
+
+    def test_memory_bound(self, monkeypatch):
+        # 4 pairs on F_41: 8 power tables of 2 * 39 int64 cells, held three
+        # times, 3 * 8 * 8 * 78 = 14976 bytes.  Above the bound no table is built.
+        k, w = field_and_omega(41, 10)
+        fam = [(KummerCharacter(k, 10, c), KummerCharacter(k, 10, 3 * c)) for c in range(4)]
+        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14976 - 1)
+        built = spy_tables(monkeypatch)
+        with pytest.raises(DomainError, match="4 pairs over F_41 needs about 14976 bytes"):
+            relation_check(fam, w)
+        assert built == {}
+        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14976)
+        assert relation_check(fam, w).holds
+        assert set(built) == {"_alternating_sum", "_commutator_sum", "_power_rows", "_witness_combination", "span"}
 
     @pytest.mark.parametrize("p,deg,n", SPAN_FIELDS)
     def test_power_span_matches_all_characters(self, p, deg, n):

@@ -7,8 +7,16 @@ its caller and then runs every group check on it, and
 ``cohomology._inflated_cocycle``, which skips Light's test on a pullback
 along the layer-1 coordinates.  That pullback is a cocycle only once
 ``_layer1_coords`` has checked the coordinates to be a homomorphism, so
-every function calling ``_inflated_cocycle`` must call ``_layer1_coords``
-too.
+every function calling ``_inflated_cocycle`` or ``_kernel_of_inflation``
+must call ``_layer1_coords`` too.
+
+Two table-level helpers of ``groups`` skip checks the same way.
+``_decompose_table`` recurses on raw quotient tables, which are groups only
+when the input table is abelian, so outside its own recursion it is called
+only from ``abelian_decomposition``, which compares the table with its
+transpose.  ``_coset_layer`` numbers the cosets of G^(i+1) in G^(i), which
+form a group only when G^(i+1) is normal, so it is called only from
+``central_series``, which calls ``is_normal`` on each term.
 """
 
 import ast
@@ -93,3 +101,22 @@ def test_inflated_cocycles_only_after_the_homomorphism_check():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "cohomology.py":
             assert calls_of(path.read_text(), "_inflated_cocycle") == []
+
+
+def test_kernel_only_from_checked_coordinates():
+    source = (SRC / "cohomology.py").read_text()
+    callers = set(calls_of(source, "_kernel_of_inflation"))
+    assert callers == {"kernel_of_inflation", "verify_thm23_and_omegaR"}
+    assert callers <= set(calls_of(source, "_layer1_coords"))
+
+
+def test_raw_table_helpers_only_behind_their_checks():
+    source = (SRC / "groups.py").read_text()
+    assert set(calls_of(source, "_decompose_table")) == {"abelian_decomposition", "_decompose_table"}
+    assert "abelian_decomposition" in calls_of(source, "array_equal")
+    assert set(calls_of(source, "_coset_layer")) == {"central_series"}
+    assert "central_series" in calls_of(source, "is_normal")
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "groups.py":
+            for helper in ("_decompose_table", "_coset_layer"):
+                assert calls_of(path.read_text(), helper) == []
