@@ -21,6 +21,7 @@ import numpy as np
 from . import modring
 from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
 from .groups import (
+    CHECK_CHUNK_CELLS,
     CentralSeriesData,
     TableGroup,
     central_series,
@@ -60,21 +61,17 @@ class Cocycle2:
     values: np.ndarray  # shape (N, N)
 
     def __post_init__(self):
-        self._reduce()
-        v, t = self.values, self.group.table
-        for s in self.group.generators:
-            lhs = v[:, s][:, None] + v[t[:, s]]
-            rhs = v[s][None, :] + v[:, t[s]]
-            if ((lhs - rhs) % self.n).any():
-                raise DomainError("cocycle identity fails")
-
-    def _reduce(self) -> None:
-        """Store the values reduced mod n after checking their shape."""
         v = np.asarray(self.values, dtype=np.int64) % self.n
         N = self.group.order
         if v.shape != (N, N):
             raise DimensionError("cocycle table shape does not match the group")
         object.__setattr__(self, "values", v)
+        t = self.group.table
+        for s in self.group.generators:
+            lhs = v[:, s][:, None] + v[t[:, s]]
+            rhs = v[s][None, :] + v[:, t[s]]
+            if ((lhs - rhs) % self.n).any():
+                raise DomainError("cocycle identity fails")
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         if other.n != self.n or not np.array_equal(other.group.table, self.group.table):
@@ -185,23 +182,49 @@ def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.nda
     return rows % n, cochain
 
 
+def _solve_coboundaries(G: TableGroup, xi_on: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """Cochains u_i solving ``_coboundary_system`` for each of the m cocycles
+    xi_i, as the columns of an (N, m) array, or None.
+
+    One system and one Howell form of its u-block serve all m cocycles:
+    ``modring.solve_linear`` takes their m right-hand sides at once, and
+    None means that some xi_i is not a coboundary.  The u_i are not checked
+    here; ``_check_coboundary`` checks each on all N^2 pairs.
+    """
+    r, m = 1 + len(G.generators), xi_on.shape[2]
+    rows, cochain = _coboundary_system(G, xi_on, n)
+    y = modring.solve_linear(ModMatrix(n, rows[:, :r]), -rows[:, r:])
+    if y is None:
+        return None
+    return modring._matvec(cochain, np.vstack([y, np.eye(m, dtype=np.int64)]), n)
+
+
+def _check_coboundary(G: TableGroup, u: np.ndarray, values: np.ndarray, n: int) -> None:
+    """Raise ``TheoremViolationError`` unless u(s) + u(t) - u(st) = values[s, t]
+    mod n for every pair (s, t), compared in row blocks of s of at most
+    ``CHECK_CHUNK_CELLS`` cells, so that no N x N temporary is formed."""
+    t, step = G.table, max(1, CHECK_CHUNK_CELLS // G.order)
+    for lo in range(0, G.order, step):
+        block = slice(lo, lo + step)
+        if ((u[block, None] + u - u[t[block]] - values[block]) % n).any():
+            raise TheoremViolationError("coboundary solution fails substitution")
+
+
 def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
     """A cochain u with u(st) = u(s) + u(t) - xi(s, t), or None.
 
     None certifies that the class of xi is nontrivial.  For a normalized
-    cocycle (xi(1,1) = 0) any solution has u(identity) = 0.  A returned u is
-    re-verified on all N^2 pairs.
+    cocycle (xi(1,1) = 0) any solution has u(identity) = 0.  The one-table
+    case of the machinery's solve (``_solve_coboundaries``): u is solved on
+    the generating set, and a returned u is re-verified on all N^2 pairs in
+    row blocks (``_check_coboundary``).
     """
     G, n = xi.group, xi.n
-    T = [G.identity, *G.generators]
-    rows, cochain = _coboundary_system(G, xi.values[:, T, None], n)
-    y = modring.solve_linear(ModMatrix(n, rows[:, :-1]), -rows[:, -1])
-    if y is None:
+    U = _solve_coboundaries(G, xi.values[:, [G.identity, *G.generators], None], n)
+    if U is None:
         return None
-    u = modring._matvec(cochain, np.append(y, 1), n)
-    if ((u[:, None] + u[None, :] - u[G.table] - xi.values) % n).any():
-        raise TheoremViolationError("coboundary solution fails substitution")
-    return u
+    _check_coboundary(G, U[:, 0], xi.values, n)
+    return U[:, 0]
 
 
 # --- H^2 presentation and the pairing with S -------------------------------
@@ -335,6 +358,15 @@ def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
     return len(dec.orders), coords
 
 
+def _inflated_values(left: np.ndarray, right: np.ndarray, n: int, P: np.ndarray, zs: Sequence[np.ndarray]) -> np.ndarray:
+    """xi(a, b) = a^T P b + sum of the carries B_z(a, b), mod n, for the
+    (Z/n)^k coordinate rows ``left`` of the a and ``right`` of the b."""
+    values = left @ P @ right.T
+    for z in zs:
+        values += _evaluate(left, n, z)[:, None] + _evaluate(right, n, z) >= n
+    return values % n
+
+
 def _inflated_cocycle(G: TableGroup, n: int, coords: np.ndarray, P: np.ndarray, zs: Sequence[np.ndarray]) -> Cocycle2:
     """The cocycle xi(pi(a), pi(b)) on G, xi = sum of x^T P y and of the B_z.
 
@@ -344,12 +376,17 @@ def _inflated_cocycle(G: TableGroup, n: int, coords: np.ndarray, P: np.ndarray, 
     x(z) + y(z) past n, whose cocycle identity says that both ways of
     adding three values in [0, n) carry the same total, sums of cocycles
     are cocycles, and so is a cocycle pulled back along a homomorphism.
+    The table is filled in row blocks of at most ``CHECK_CHUNK_CELLS``
+    cells, so that it is the one N x N array formed.
     """
+    N = G.order
+    values, step = np.empty((N, N), dtype=np.int64), max(1, CHECK_CHUNK_CELLS // N)
+    for lo in range(0, N, step):
+        values[lo : lo + step] = _inflated_values(coords[lo : lo + step], coords, n, P, zs)
     xi = object.__new__(Cocycle2)
     object.__setattr__(xi, "group", G)
     object.__setattr__(xi, "n", n)
-    object.__setattr__(xi, "values", coords @ P @ coords.T + sum(_B_values(coords, n, z) for z in zs))
-    xi._reduce()
+    object.__setattr__(xi, "values", values)
     return xi
 
 
@@ -357,12 +394,16 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     """Generators (canonical form) of the classes on layer 1 dying in G.
 
     Solved as one linear system over Z/n in the unknowns (u on e and the
-    generators of G, class coefficients c): du = (inflation of the class with
-    coefficients c); the projection of the solution module onto the
-    c-coordinates is the kernel.  The basis U_{e_i, e_j} (i < j) and B_{e_j}
-    enters through its values on the pairs (g, s), s in T, read off the
-    layer-1 coordinates; ``_layer1_coords`` checks that they are a
-    homomorphism, which makes every inflated table a cocycle.
+    generators of G, class coefficients c): A_u y + X c = 0, the equations
+    du = (inflation of the class with coefficients c) of
+    ``_coboundary_system``; the projection of its solution module onto the
+    c-coordinates is the kernel.  Its Howell form is read off one Howell
+    form, of the rows (A_u^T | 0) and (X^T | I) (``modring._left_kernel``
+    keeping the c-coordinates): the rows that vanish on the left block.
+    The basis U_{e_i, e_j} (i < j) and B_{e_j} enters through its values on
+    the pairs (g, s), s in T, read off the layer-1 coordinates;
+    ``_layer1_coords`` checks that they are a homomorphism, which makes
+    every inflated table a cocycle.
     """
     return _kernel_of_inflation(cs, *_layer1_coords(cs))
 
@@ -377,14 +418,7 @@ def _kernel_of_inflation(cs: CentralSeriesData, k: int, coords: np.ndarray) -> l
     m = k * (k + 1) // 2
 
     rows, _ = _coboundary_system(G, xi_on, n)
-    sols = modring.nullspace(ModMatrix(n, rows))  # rows of sols solve rows @ x = 0
-    tails = sols.entries[:, len(T):]
-    span = modring.canonicalize(ModMatrix(n, tails if tails.size else tails.reshape(0, m)))
-    return [
-        H2Class.from_coeff_vector(k, n, row)
-        for row in span.canonical.entries
-        if row.any()
-    ]
+    return [H2Class.from_coeff_vector(k, n, row) for row in modring._left_kernel(rows.T, n, m)]
 
 
 # --- the main verification -------------------------------------------------
@@ -463,6 +497,15 @@ def _additive_extension(
     return additive, reached, values
 
 
+def _distinct_rows(a: np.ndarray) -> bool:
+    """True when no two rows of the 2-D array ``a`` are equal: after one
+    lexicographic sort equal rows are neighbours."""
+    if not a.shape[1]:
+        return len(a) <= 1
+    s = a[np.lexsort(a.T)]
+    return not (s[1:] == s[:-1]).all(axis=1).any()
+
+
 def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryReport:
     """Verify the cochain identities and the layer-2 isomorphism for G.
 
@@ -487,23 +530,33 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     R = _kernel_of_inflation(cs, k, coords)
     comm, powr = layer_maps(cs, random.Random(seed))
 
-    bad = [0, 0]  # identity violations, alternative-decomposition violations
-    columns = []  # Omega's value vector of each commutator and power, one per eta
+    variants = []  # (P, zs) of eta's decomposition, then of the alternative, for each eta
     for eta in R:
         pairs, zs = eta.decomposition()
         P = sum((np.outer(x, y) for x, y in pairs), np.zeros((k, k), dtype=np.int64))
         # The alternative is the same class, shifted by the relation x cup x = C(n,2) beta x.
         e0 = np.eye(k, dtype=np.int64)[0]
-        variants = [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n) * e0) % n])]
-        for variant, (vP, vz) in enumerate(variants):
-            u = solve_coboundary(_inflated_cocycle(G, n, coords, vP, vz))
-            if u is None:
-                raise TheoremViolationError("kernel class fails to die after inflation")
-            on_comm, on_pow = _evaluations(C, n, vP, vz)
-            bad[variant] += int(np.count_nonzero((u[comm] + on_comm) % n))
-            bad[variant] += int(np.count_nonzero((u[powr] + on_pow) % n))
-            if variant == 0:
-                columns.append(np.concatenate([on_comm.ravel(), on_pow]))
+        variants += [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n) * e0) % n])]
+    if variants:
+        # One system and one Howell form for all 2|R| inflated cocycles, from
+        # their values on the pairs (g, T); each table is then built, and u
+        # checked against it on all pairs, one at a time.
+        on_T = coords[[G.identity, *G.generators]]
+        xi_on = np.stack([_inflated_values(coords, on_T, n, vP, vz) for vP, vz in variants], axis=2)
+        U = _solve_coboundaries(G, xi_on, n)
+        if U is None:
+            raise TheoremViolationError("kernel class fails to die after inflation")
+
+    bad = [0, 0]  # identity violations, alternative-decomposition violations
+    columns = []  # Omega's value vector of each commutator and power, one per eta
+    for i, (vP, vz) in enumerate(variants):
+        u, variant = U[:, i], i % 2
+        _check_coboundary(G, u, _inflated_cocycle(G, n, coords, vP, vz).values, n)
+        on_comm, on_pow = _evaluations(C, n, vP, vz)
+        bad[variant] += int(np.count_nonzero((u[comm] + on_comm) % n))
+        bad[variant] += int(np.count_nonzero((u[powr] + on_pow) % n))
+        if variant == 0:
+            columns.append(np.concatenate([on_comm.ravel(), on_pow]))
 
     # The induced map: layer-2 element -> its function on R.  For eta in
     # normal form the commutator element of (s, t) pairs to
@@ -518,7 +571,7 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     well_defined = bool(additive and np.array_equal(vecs, vecs[first][where]))
     omega = values[reached]
     total = bool(reached.all())
-    injective = well_defined and len(np.unique(omega, axis=0)) == len(omega)
+    injective = well_defined and _distinct_rows(omega)
 
     # Image of the compatible-pair space under restriction to R: spanned by
     # the pairings of the power elements of the e_i and the commutator

@@ -56,6 +56,16 @@ class ModMatrix:
         object.__setattr__(self, "entries", arr)
 
     @classmethod
+    def _wrap(cls, modulus: int, entries: np.ndarray) -> "ModMatrix":
+        """A ModMatrix holding ``entries`` as they are: a fresh 2-D int64 array
+        already reduced into [0, modulus), such as ``_howell`` returns.  The
+        public constructor would reduce it into a second copy."""
+        mat = object.__new__(cls)
+        object.__setattr__(mat, "modulus", modulus)
+        object.__setattr__(mat, "entries", entries)
+        return mat
+
+    @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], modulus: int, cols: Optional[int] = None) -> "ModMatrix":
         if len(rows) == 0:
             if cols is None:
@@ -208,7 +218,10 @@ def _free_row(a: np.ndarray, lo: int, end: int, j: int) -> tuple[np.ndarray, int
 
 def howell_form(mat: ModMatrix) -> ModMatrix:
     """Canonical Howell row form spanning the same row module as ``mat``."""
-    return ModMatrix(mat.modulus, _howell(mat.entries, mat.modulus))
+    h = _howell(mat.entries, mat.modulus)
+    if h.base is not None and h.base.size > h.size:
+        h = h.copy()  # the rows of the form, without the rest of the working array
+    return ModMatrix._wrap(mat.modulus, h)
 
 
 def canonicalize(gens: ModMatrix) -> SubgroupZnk:
@@ -237,15 +250,26 @@ def membership(s: SubgroupZnk, v: Sequence[int]) -> bool:
     return not _reduce_against(s.canonical.entries, vec, s.modulus).any()
 
 
-def _left_kernel(mat: np.ndarray, n: int) -> np.ndarray:
-    """Rows x with x @ mat = 0 mod n, as a Howell basis (shape (*, mat.rows))."""
-    h = _howell(np.hstack([mat, np.eye(mat.shape[0], dtype=np.int64)]), n)
+def _left_kernel(mat: np.ndarray, n: int, keep: Optional[int] = None) -> np.ndarray:
+    """The last ``keep`` entries (default: all) of the rows x with x @ mat = 0
+    mod n, as a Howell basis of shape (*, keep).
+
+    It is read off the Howell form of [mat | J], J the last ``keep`` columns
+    of the identity.  Its row module is {(x @ mat, x_tail)}; by the Howell
+    property the form's rows that vanish on the left block span the elements
+    that do, {0} x {x_tail : x @ mat = 0}, and being sorted, reduced above
+    their pivots and with the Howell property themselves, they are the
+    unique Howell form of that projection.
+    """
+    r = mat.shape[0]
+    keep = r if keep is None else keep
+    h = _howell(np.hstack([mat, np.eye(r, keep, keep - r, dtype=np.int64)]), n)
     return h[~h[:, : mat.shape[1]].any(axis=1), mat.shape[1]:]
 
 
 def nullspace(mat: ModMatrix) -> ModMatrix:
     """Howell basis of {x : mat @ x = 0 mod n} (rows are kernel vectors)."""
-    return ModMatrix(mat.modulus, _left_kernel(mat.entries.T, mat.modulus))
+    return ModMatrix._wrap(mat.modulus, _left_kernel(mat.entries.T, mat.modulus))
 
 
 def structure(s: SubgroupZnk) -> AbelianStructure:
@@ -282,35 +306,62 @@ def structure(s: SubgroupZnk) -> AbelianStructure:
 def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
     """Some x with a @ x = b mod n, or None when no solution exists.
 
-    Any returned solution is re-verified by substitution; a solution that
-    fails it raises ``TheoremViolationError`` rather than reading as None.
+    ``b`` is a vector of ``a.rows`` entries, or an (a.rows, k) array of k
+    right-hand sides; then x is (a.cols, k), column i solving column i of b,
+    and None means that some column has no solution.  All k columns share
+    one Howell form of [a^T | I].  Any returned solution is re-verified by
+    substitution; a solution that fails it raises ``TheoremViolationError``
+    rather than reading as None.
     """
-    vec = np.asarray(b, dtype=np.int64) % a.modulus
-    if vec.shape != (a.rows,):
-        raise DimensionError(f"rhs length {vec.shape} != row count {a.rows}")
+    rhs = np.asarray(b, dtype=np.int64) % a.modulus
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.rows:
+        raise DimensionError(f"rhs shape {rhs.shape} does not start with the row count {a.rows}")
     n, r = a.modulus, a.rows
     # b is in the column span of a iff b^T is in the row span of a^T; the
     # right block of the augmented Howell form tracks the combination, so
     # reducing (b, 0) by the rows that reach the left block leaves (0, -x).
     h = _howell(np.hstack([a.entries.T, np.eye(a.cols, dtype=np.int64)]), n)
-    v = _reduce_against(h[h[:, :r].any(axis=1)], np.concatenate([vec, np.zeros(a.cols, dtype=np.int64)]), n)
-    if v[:r].any():
-        return None
-    x = (-v[r:]) % n
-    if not np.array_equal(_matvec(a.entries, x, n), vec):
+    reach = h[h[:, :r].any(axis=1)]
+    if rhs.ndim == 1:
+        v = _reduce_against(reach, np.concatenate([rhs, np.zeros(a.cols, dtype=np.int64)]), n)
+        if v[:r].any():
+            return None
+        x = (-v[r:]) % n
+    else:
+        v = _reduce_columns(reach, np.hstack([rhs.T, np.zeros((rhs.shape[1], a.cols), dtype=np.int64)]), n)
+        if v is None or v[:, :r].any():
+            return None
+        x = (-v[:, r:].T) % n
+    if not np.array_equal(_matvec(a.entries, x, n), rhs):
         raise TheoremViolationError("solution fails substitution")
     return x
 
 
+def _reduce_columns(canonical: np.ndarray, vs: np.ndarray, n: int) -> Optional[np.ndarray]:
+    """``_reduce_against`` on each row of ``vs`` at once (entries in [0, n));
+    None as soon as one row has an entry its pivot does not divide."""
+    for row in canonical:
+        j = int(np.flatnonzero(row)[0])
+        d, vals = int(row[j]), vs[:, j]
+        if (vals % d).any():
+            return None
+        if vals.any():
+            vs = (vs - (vals // d)[:, None] * row) % n
+    return vs
+
+
 def _matvec(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:
-    """mat @ x mod n for entries in [0, n), without int64 overflow.
+    """mat @ x mod n for entries in [0, n), without int64 overflow; x is a
+    vector or a matrix.
 
     One matmul while its sums of products stay below 2^63; above that, one
-    column at a time, reduced after each step (each step stays below n^2 + n).
+    column of mat at a time, reduced after each step (each step stays below
+    n^2 + n).
     """
     if (n - 1) ** 2 * mat.shape[1] < 2**63:
         return (mat @ x) % n
-    acc = np.zeros(mat.shape[0], dtype=np.int64)
+    cols = mat.reshape(mat.shape + (1,) * (x.ndim - 1))  # column j times row j of a matrix x
+    acc = np.zeros(mat.shape[:1] + x.shape[1:], dtype=np.int64)
     for j in range(mat.shape[1]):
-        acc = (acc + mat[:, j] * x[j]) % n
+        acc = (acc + cols[:, j] * x[j]) % n
     return acc

@@ -38,7 +38,7 @@ from abelcentral.groups import (
 )
 from abelcentral.heisenberg import to_table_group
 from abelcentral.modring import ModMatrix, binom2
-from cohomology_oracle import inflate, representative
+from cohomology_oracle import inflate, kernel_by_nullspace, representative, solve_one_table, verify_per_table
 from test_groups import D4, S3, perm_group
 
 
@@ -354,6 +354,7 @@ class TestAgainstOracles:
             assert (got is None) == (want is None)
             if got is not None:
                 assert not ((got[:, None] + got[None, :] - got[g.table] - vals) % n).any()
+                assert np.array_equal(got, solve_one_table(Cocycle2(g, n, vals)))
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     def test_kernel_of_inflation(self, name, build, n):
@@ -444,6 +445,83 @@ class TestAgainstOracles:
             assert same_form == same_set
             outcomes.append(same_set)
         assert 20 <= sum(outcomes) <= 180
+
+
+class TestAgainstPerTablePaths:
+    # The machinery reads the kernel off one Howell form and solves all 2|R|
+    # inflated cocycles from one system; cohomology_oracle keeps the kernel
+    # from nullspace + canonicalize and the one solve per table.
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_kernel(self, name, build, n):
+        cs = central_series(build(), n)
+        k, coords = coh._layer1_coords(cs)
+        got, want = coh._kernel_of_inflation(cs, k, coords), kernel_by_nullspace(cs, k, coords)
+        assert [c.coeff_vector().tolist() for c in got] == [c.coeff_vector().tolist() for c in want]
+
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    @pytest.mark.parametrize("seed", [0, 5, -3])
+    def test_report_and_cochains(self, name, build, n, seed, monkeypatch):
+        # The same report, and each u checked against its table is the one
+        # the table's own solve returns.
+        checked = []
+        check = coh._check_coboundary
+        monkeypatch.setattr(coh, "_check_coboundary", lambda G, u, v, n: checked.append((u.copy(), v)) or check(G, u, v, n))
+        g = build()
+        report = verify_thm23_and_omegaR(g, n, seed=seed)
+        monkeypatch.undo()
+        assert report.as_dict() == verify_per_table(g, n, seed).as_dict()
+        assert len(checked) == 2 * report.kernel_size
+        for u, values in checked:
+            assert np.array_equal(u, solve_one_table(Cocycle2(g, n, values)))
+
+    def test_distinct_rows_against_unique(self):
+        # Omega is injective when its value rows are distinct; (L, 0) arrays
+        # arise when the kernel is empty.
+        rng = np.random.default_rng(9)
+        arrays = [np.zeros((L, 0), dtype=np.int64) for L in range(4)]
+        for _ in range(300):
+            L, w, n = int(rng.integers(0, 12)), int(rng.integers(1, 4)), int(rng.integers(2, 5))
+            a = rng.integers(0, n, (L, w))
+            if L and rng.integers(2):
+                a = rng.permutation(np.vstack([a, a[rng.integers(L)]]))  # one row twice
+            arrays.append(a)
+        outcomes = set()
+        for a in arrays:
+            want = len(np.unique(a, axis=0)) == len(a)
+            assert coh._distinct_rows(a) == want
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("cells", [1, 24, None])
+    def test_check_in_row_blocks(self, cells, monkeypatch):
+        # du = xi is compared in row blocks (of one row, of three rows, of the
+        # whole table here); a mismatch on any one pair is found.
+        if cells is not None:
+            monkeypatch.setattr(coh, "CHECK_CHUNK_CELLS", cells)
+        g = to_table_group(2)
+        u = np.random.default_rng(1).integers(0, 2, g.order)
+        values = (u[:, None] + u[None, :] - u[g.table]) % 2
+        coh._check_coboundary(g, u, values, 2)
+        for a, b in [(0, 0), (3, 5), (7, 7)]:
+            bad = values.copy()
+            bad[a, b] ^= 1
+            with pytest.raises(TheoremViolationError, match="fails substitution"):
+                coh._check_coboundary(g, u, bad, 2)
+
+    @pytest.mark.parametrize("cells", [1, 100, None])
+    def test_inflated_table_in_row_blocks(self, cells, monkeypatch):
+        # The table filled block by block is x^T P y plus the carries, mod n.
+        if cells is not None:
+            monkeypatch.setattr(coh, "CHECK_CHUNK_CELLS", cells)
+        rng = np.random.default_rng(4)
+        for g, n in [(to_table_group(3), 3), (cyclic_group(16), 4), (z4_squared(), 2)]:
+            k, coords = coh._layer1_coords(central_series(g, n))
+            for _ in range(3):
+                P = rng.integers(-2 * n, 2 * n, (k, k))
+                zs = list(rng.integers(0, n, (int(rng.integers(0, 3)), k)))
+                want = (coords @ P @ coords.T + sum(coh._B_values(coords, n, z) for z in zs)) % n
+                assert np.array_equal(coh._inflated_cocycle(g, n, coords, P, zs).values, want)
 
 
 def oracle_is_homomorphism(g, coords, n):
@@ -633,7 +711,8 @@ class TestSolveCoboundary:
         g = cyclic_group(4)
         u = np.array([1, 0, 0, 0])  # du(e, e) = 1, so u(e) = 0 fails
         xi = Cocycle2(g, 2, u[:, None] + u[None, :] - u[g.table])
-        monkeypatch.setattr(modring, "solve_linear", lambda a, b: np.zeros(a.cols, dtype=np.int64))
+        # solve_linear gets one right-hand side column per cocycle.
+        monkeypatch.setattr(modring, "solve_linear", lambda a, b: np.zeros((a.cols, *np.shape(b)[1:]), dtype=np.int64))
         with pytest.raises(TheoremViolationError):
             solve_coboundary(xi)
 
@@ -792,6 +871,20 @@ class TestMachinery:
             tracemalloc.stop()
         assert rep.ok and rep.kernel_size == 1
         assert peak <= 16 * 2**20
+
+    def test_memory_heisenberg_mod_13(self):
+        # One N x N int64 array at a time, the inflated table being checked
+        # (36.8 MiB at N = 2197).  With each table solved on its own and u
+        # checked through N x N temporaries, the peak was 111.8 MiB here.
+        g = to_table_group(13)
+        tracemalloc.start()
+        try:
+            rep = verify_thm23_and_omegaR(g, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.ok and rep.kernel_size == 1
+        assert peak < 64 * 2**20
 
     @pytest.mark.parametrize("build,n,kernel", [
         (lambda: to_table_group(7), 7, 1),

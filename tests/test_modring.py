@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +255,36 @@ class TestHowellOracle:
         for entries, m in inputs:
             assert_same_howell(entries, m)
 
+    def test_forms_wrap_the_working_array(self):
+        # howell_form and canonicalize return _howell's own reduced array: on
+        # 8 x 2(q-2) over F_65537 the peak is that working copy plus pivot-row
+        # temporaries, where reducing it again into a new ModMatrix took a
+        # second copy (two copies, 16 MiB).
+        n = 65537
+        mat = ModMatrix(n, np.random.default_rng(3).integers(0, n, (8, 2 * (n - 2))))
+        want = ref_howell(mat.entries, n)
+        for op in (modring.howell_form, lambda m: modring.canonicalize(m).canonical):
+            tracemalloc.start()
+            try:
+                h = op(mat)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert h.entries.tobytes() == want.tobytes() and h.entries.shape == want.shape
+            assert peak < 1.5 * mat.entries.nbytes
+        # A form of few rows does not keep a tall working array alive.
+        tall = ModMatrix(6, np.random.default_rng(4).integers(0, 6, (20000, 3)))
+        tracemalloc.start()
+        try:
+            h = modring.howell_form(tall)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert h.entries.tobytes() == ref_howell(tall.entries, 6).tobytes()
+        assert held < tall.entries.nbytes / 10
+        # The public constructor still reduces its input.
+        assert ModMatrix(5, np.array([[7, -1]])).entries.tolist() == [[2, 4]]
+
     def test_doubled_powers_f65537(self):
         from abelcentral import finfield, tables
 
@@ -281,6 +312,11 @@ class TestEmptyShapes:
         assert modring.solve_linear(mat, [0] * rows).tolist() == [0] * cols
         x = modring.solve_linear(mat, [1] * rows)
         assert (x is None) == (rows > 0)
+        for k in (0, 2):
+            x = modring.solve_linear(mat, np.zeros((rows, k), dtype=np.int64))
+            assert x.shape == (cols, k) and not x.any()
+            x = modring.solve_linear(mat, np.ones((rows, k), dtype=np.int64))
+            assert (x is None) == (rows > 0 and k > 0)
 
 
 class TestMembership:
@@ -377,6 +413,23 @@ class TestNullspace:
             ker = modring.nullspace(m)
             for row in ker.entries:
                 assert not ((m.entries @ row) % n).any()
+
+    def test_projected_kernel(self):
+        # The last keep entries of the kernel vectors, read off one Howell
+        # form, are the Howell form of those of the full kernel basis.
+        rng = random.Random(8)
+        for _ in range(300):
+            n = rng.choice([2, 4, 6, 12, 2**16, 2**31 - 1])
+            r, c = rng.randrange(0, 7), rng.randrange(0, 7)
+            keep = rng.randrange(0, r + 1)
+            sparse = rng.random() < 0.5
+            mat = np.array(
+                [[rng.randrange(n) if not sparse or rng.random() < 0.3 else 0 for _ in range(c)] for _ in range(r)],
+                dtype=np.int64,
+            ).reshape(r, c)
+            want = ref_howell(modring._left_kernel(mat, n)[:, r - keep :], n)
+            got = modring._left_kernel(mat, n, keep)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_kernel_complete(self):
         # Every brute-force kernel vector must lie in the returned span.
@@ -477,5 +530,77 @@ class TestSolveLinear:
         b = [4, 1]
         assert modring.solve_linear(a, b) is not None
         monkeypatch.setattr(modring, "_matvec", lambda mat, x, n: (mat @ x + 1) % n)
-        with pytest.raises(TheoremViolationError, match="fails substitution"):
-            modring.solve_linear(a, b)
+        for rhs in (b, np.array([b, b]).T):
+            with pytest.raises(TheoremViolationError, match="fails substitution"):
+                modring.solve_linear(a, rhs)
+
+    @staticmethod
+    def columns_case(rng, n, rows, cols, k):
+        """(a, b): a of random rank, b with k columns a @ x0 of planted x0, one
+        of them replaced by a random column half the time (products in Python
+        integers)."""
+        inner = rng.randrange(1, max(rows, cols) + 1)
+        left = [[rng.randrange(n) for _ in range(inner)] for _ in range(rows)]
+        right = [[rng.randrange(n) for _ in range(cols)] for _ in range(inner)]
+        a = [[sum(x * y for x, y in zip(row, col)) % n for col in zip(*right)] for row in left]
+        x0 = [[rng.randrange(n) for _ in range(k)] for _ in range(cols)]
+        b = [[sum(a[i][j] * x0[j][c] for j in range(cols)) % n for c in range(k)] for i in range(rows)]
+        if k and rng.random() < 0.5:
+            c = rng.randrange(k)
+            for row in b:
+                row[c] = rng.randrange(n)
+        return a, b
+
+    def assert_columns_match(self, n, a, b, k):
+        """solve_linear with k columns against k one-column solves; True when solved."""
+        mat, rhs = ModMatrix(n, np.array(a, dtype=np.int64)), np.array(b, dtype=np.int64).reshape(len(a), k)
+        x = modring.solve_linear(mat, rhs)
+        singles = [modring.solve_linear(mat, rhs[:, c]) for c in range(k)]
+        if any(s is None for s in singles):
+            assert x is None
+            return False
+        assert x.shape == (mat.cols, k)
+        for c in range(k):
+            assert x[:, c].tolist() == singles[c].tolist()
+            got = [sum(ai * int(xi) for ai, xi in zip(row, x[:, c])) % n for row in a]
+            assert got == [row[c] for row in b]
+        return True
+
+    def test_columns_against_single_solves(self):
+        # k right-hand sides at once: None exactly when some column alone has
+        # no solution, else column by column the one-column answer.
+        rng = random.Random(12)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.choice([2, 4, 6, 12, 2**16, 65537, 2**31 - 1])
+            rows, cols, k = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(0, 5)
+            outcomes.add(self.assert_columns_match(n, *self.columns_case(rng, n, rows, cols, k), k))
+        assert outcomes == {True, False}
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_columns_at_large_moduli(self, data):
+        n = data.draw(st.sampled_from([2**31 - 1, 65537, 2**16]), label="n")
+        rows = data.draw(st.integers(1, 12), label="rows")
+        cols = data.draw(st.integers(1, 12), label="cols")
+        k = data.draw(st.integers(0, 4), label="k")
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        self.assert_columns_match(n, *self.columns_case(rng, n, rows, cols, k), k)
+
+    def test_matvec_columns_without_overflow(self):
+        # At 2^31 - 1 a plain int64 matmul of 9 columns overflows; the
+        # column-by-column branch takes a vector or a matrix x.
+        rng = random.Random(13)
+        for n in (2**31 - 1, 65537, 2**16):
+            mat = [[rng.randrange(n - 4, n) for _ in range(9)] for _ in range(7)]
+            x = [[rng.randrange(n - 4, n) for _ in range(3)] for _ in range(9)]
+            want = [[sum(mat[i][j] * x[j][c] for j in range(9)) % n for c in range(3)] for i in range(7)]
+            got = modring._matvec(np.array(mat, dtype=np.int64), np.array(x, dtype=np.int64), n)
+            assert got.tolist() == want
+            col = modring._matvec(np.array(mat, dtype=np.int64), np.array(x, dtype=np.int64)[:, 1], n)
+            assert col.tolist() == [row[1] for row in want]
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 2), (2, 2, 1), ()])
+    def test_rhs_shape_checked(self, shape):
+        with pytest.raises(DimensionError):
+            modring.solve_linear(ModMatrix(5, np.eye(2, dtype=np.int64)), np.zeros(shape, dtype=np.int64))

@@ -1,11 +1,14 @@
 """The constructions that skip a check stay where their argument holds.
 
-``object.__new__`` builds a TableGroup or Cocycle2 without running its
-``__post_init__``.  In the library that happens in exactly two private
-helpers: ``groups._generated_group``, which takes the generating set from
-its caller and then runs every group check on it, and
+``object.__new__`` builds a TableGroup, Cocycle2 or ModMatrix without
+running its ``__post_init__``.  In the library that happens in exactly three
+private helpers: ``groups._generated_group``, which takes the generating set
+from its caller and then runs every group check on it,
 ``cohomology._inflated_cocycle``, which skips Light's test on a pullback
-along the layer-1 coordinates.  That pullback is a cocycle only once
+along the layer-1 coordinates, and ``modring.ModMatrix._wrap``, which skips
+the reduction mod n of an array that is already reduced, so it is called
+only from ``howell_form`` and ``nullspace`` on the fresh arrays ``_howell``
+and ``_left_kernel`` return.  That pullback is a cocycle only once
 ``_layer1_coords`` has checked the coordinates to be a homomorphism, so
 every function calling ``_inflated_cocycle`` or ``_kernel_of_inflation``
 must call ``_layer1_coords`` too.
@@ -27,6 +30,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abelcentral"
 ALLOWED = {
     ("groups.py", "_generated_group", "TableGroup"),
     ("cohomology.py", "_inflated_cocycle", "Cocycle2"),
+    ("modring.py", "_wrap", "cls"),
 }
 
 
@@ -101,6 +105,13 @@ def test_inflated_cocycles_only_after_the_homomorphism_check():
     for path in sorted(SRC.glob("*.py")):
         if path.name != "cohomology.py":
             assert calls_of(path.read_text(), "_inflated_cocycle") == []
+
+
+def test_unreduced_matrices_only_from_howell_forms():
+    assert set(calls_of((SRC / "modring.py").read_text(), "_wrap")) == {"howell_form", "nullspace"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "modring.py":
+            assert calls_of(path.read_text(), "_wrap") == []
 
 
 def test_kernel_only_from_checked_coordinates():
