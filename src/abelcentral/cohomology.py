@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import modring
+from . import groups, modring
 from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
 from .groups import (
-    CHECK_CHUNK_CELLS,
     CentralSeriesData,
     TableGroup,
     central_series,
@@ -51,9 +50,12 @@ class Cocycle2:
     among them too.  These elements generate E: left-bracketed products of
     the (0, s) reach some (z, g) for every g, and
     (x, e)(z, g) = (x + z + xi(e, e), g) reaches every x.  (With S empty, G
-    is trivial and every xi is a cocycle.)  The machinery's inflated tables
-    skip this check once their layer-1 coordinates are checked to be a
-    homomorphism; ``_inflated_cocycle`` gives the argument.
+    is trivial and every xi is a cocycle.)  ``values`` is the constructor's
+    own reduced copy and is read-only once the test has passed, so xi stays
+    the cocycle that was checked, as ``solve_coboundary``'s N |T| check
+    needs.  The machinery never builds its inflated tables: it reads their
+    values on the pairs (g, s), s in (e, *S), off the layer-1 coordinates
+    (``_inflated_values``).
     """
 
     group: TableGroup
@@ -72,6 +74,7 @@ class Cocycle2:
             rhs = v[s][None, :] + v[:, t[s]]
             if ((lhs - rhs) % self.n).any():
                 raise DomainError("cocycle identity fails")
+        v.flags.writeable = False
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
         if other.n != self.n or not np.array_equal(other.group.table, self.group.table):
@@ -120,33 +123,29 @@ def verify_propA1(k: int, n: int) -> int:
       (2) sum over i of U(s^i, s) = C(n,2) s(x)s(y)
       (3) B(s,t) + B(t^-1, st) - B(t^-1, t) = 0
       (4) sum over i of B(s^i, s) = s(x)
+
+    Each identity is compared for a row block of s at once, of at most
+    ``groups.CHECK_CHUNK_CELLS`` cells, so that no N x N temporary is formed
+    beyond the U and B tables.
     """
-    g = elementary_group(n, k)
-    coords = elementary_coords(n, k)
-    b2 = binom2(n)
+    g, eye = elementary_group(n, k), np.eye(k, dtype=np.int64)
+    coords, t, inv, every = elementary_coords(n, k), g.table, g._inverses, np.arange(g.order)
+    b2, step = binom2(n), max(1, groups.CHECK_CHUNK_CELLS // g.order)
     bad = 0
-    for xi in range(k):
-        x = np.eye(k, dtype=np.int64)[xi]
-        for yi in range(k):
-            y = np.eye(k, dtype=np.int64)[yi]
-            u, b = make_U_B(k, n, x, y)
-            uv, bv = u.values, b.values
-            sx, sy = (coords @ x) % n, (coords @ y) % n
-            for s in range(g.order):
-                powers = [g.power(s, i) for i in range(n)]
-                if (sum(int(uv[p, s]) for p in powers) - b2 * sx[s] * sy[s]) % n:
-                    bad += 1
-                if (sum(int(bv[p, s]) for p in powers) - sx[s]) % n:
-                    bad += 1
-                for t in range(g.order):
-                    ti = g.inv(t)
-                    st = g.mul(s, t)
-                    lhs = uv[s, t] + uv[ti, st] - uv[ti, t]
-                    if (lhs - (sx[s] * sy[t] - sy[s] * sx[t])) % n:
-                        bad += 1
-                    if (bv[s, t] + bv[ti, st] - bv[ti, t]) % n:
-                        bad += 1
-    return bad
+    for x, y in itertools.product(eye, repeat=2):
+        u, b = make_U_B(k, n, x, y)
+        uv, bv = u.values, b.values
+        sx, sy = (coords @ x) % n, (coords @ y) % n
+        for lo in range(0, g.order, step):
+            s = every[lo : lo + step]
+            st, power, u_sum, b_sum = t[s], np.full_like(s, g.identity), 0, 0
+            for _ in range(n):
+                u_sum, b_sum, power = u_sum + uv[power, s], b_sum + bv[power, s], t[power, s]
+            bad += np.count_nonzero((u_sum - b2 * sx[s] * sy[s]) % n) + np.count_nonzero((b_sum - sx[s]) % n)
+            lhs = uv[s] + uv[inv, st] - uv[inv, every]
+            bad += np.count_nonzero((lhs - (sx[s, None] * sy - sy[s, None] * sx)) % n)
+            bad += np.count_nonzero((bv[s] + bv[inv, st] - bv[inv, every]) % n)
+    return int(bad)
 
 
 def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -183,31 +182,42 @@ def _coboundary_system(G: TableGroup, xi_on: np.ndarray, n: int) -> tuple[np.nda
 
 
 def _solve_coboundaries(G: TableGroup, xi_on: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """Cochains u_i solving ``_coboundary_system`` for each of the m cocycles
-    xi_i, as the columns of an (N, m) array, or None.
+    """Cochains u_i with du_i = xi_i for each of the m cocycles xi_i, as the
+    columns of an (N, m) array, or None.
 
     One system and one Howell form of its u-block serve all m cocycles:
     ``modring.solve_linear`` takes their m right-hand sides at once, and
-    None means that some xi_i is not a coboundary.  The u_i are not checked
-    here; ``_check_coboundary`` checks each on all N^2 pairs.
+    None means that some xi_i is not a coboundary.  The u_i are returned
+    only once ``_check_coboundary`` has compared them with ``xi_on``, which
+    is exact because every caller's xi_i is a cocycle.
     """
     r, m = 1 + len(G.generators), xi_on.shape[2]
     rows, cochain = _coboundary_system(G, xi_on, n)
     y = modring.solve_linear(ModMatrix(n, rows[:, :r]), -rows[:, r:])
     if y is None:
         return None
-    return modring._matvec(cochain, np.vstack([y, np.eye(m, dtype=np.int64)]), n)
+    U = modring._matvec(cochain, np.vstack([y, np.eye(m, dtype=np.int64)]), n)
+    _check_coboundary(G, U, xi_on, n)
+    return U
 
 
-def _check_coboundary(G: TableGroup, u: np.ndarray, values: np.ndarray, n: int) -> None:
-    """Raise ``TheoremViolationError`` unless u(s) + u(t) - u(st) = values[s, t]
-    mod n for every pair (s, t), compared in row blocks of s of at most
-    ``CHECK_CHUNK_CELLS`` cells, so that no N x N temporary is formed."""
-    t, step = G.table, max(1, CHECK_CHUNK_CELLS // G.order)
-    for lo in range(0, G.order, step):
-        block = slice(lo, lo + step)
-        if ((u[block, None] + u - u[t[block]] - values[block]) % n).any():
-            raise TheoremViolationError("coboundary solution fails substitution")
+def _check_coboundary(G: TableGroup, U: np.ndarray, xi_on: np.ndarray, n: int) -> None:
+    """Raise ``TheoremViolationError`` unless U[g] + U[s] - U[gs] = xi_on[g, j]
+    mod n on the N |T| pairs (g, s = T[j]), T = (e, *S), for all m columns
+    of U at once.
+
+    Exact when each xi_i is a cocycle: then so is zeta = xi_i - du_i.  The
+    cocycle identity at b = c = e gives zeta(g, e) = zeta(e, e), and the
+    pairs (g, e) check that.  At (g, s, w) it gives
+    zeta(g, s w) = zeta(g s, w) + zeta(g, s) - zeta(s, w), so by induction
+    on the word length of w in S, zeta vanishes on all of G x G.  Both
+    callers pass cocycles: a ``Cocycle2`` is one by Light's test and keeps
+    its checked values read-only, and an inflated table is one once
+    ``_layer1_coords`` has checked the coordinates (``_inflated_values``).
+    """
+    T = [G.identity, *G.generators]
+    if ((U[:, None] + U[T] - U[G.table[:, T]] - xi_on) % n).any():
+        raise TheoremViolationError("coboundary solution fails substitution")
 
 
 def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
@@ -216,15 +226,12 @@ def solve_coboundary(xi: Cocycle2) -> Optional[np.ndarray]:
     None certifies that the class of xi is nontrivial.  For a normalized
     cocycle (xi(1,1) = 0) any solution has u(identity) = 0.  The one-table
     case of the machinery's solve (``_solve_coboundaries``): u is solved on
-    the generating set, and a returned u is re-verified on all N^2 pairs in
-    row blocks (``_check_coboundary``).
+    the generating set and checked on the N |T| pairs (g, s) with s in
+    T = (e, *S), which is exact because xi is a cocycle.
     """
-    G, n = xi.group, xi.n
-    U = _solve_coboundaries(G, xi.values[:, [G.identity, *G.generators], None], n)
-    if U is None:
-        return None
-    _check_coboundary(G, U[:, 0], xi.values, n)
-    return U[:, 0]
+    G = xi.group
+    U = _solve_coboundaries(G, xi.values[:, [G.identity, *G.generators], None], xi.n)
+    return None if U is None else U[:, 0]
 
 
 # --- H^2 presentation and the pairing with S -------------------------------
@@ -346,7 +353,7 @@ def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
     induction on the length of a word w in the generators,
     pi(g w) = pi(g) + pi(w), and every element is such a word.  So every
     table xi(pi(a), pi(b)) with xi a cocycle on (Z/n)^k is a cocycle on G
-    (see ``_inflated_cocycle``).
+    (see ``_inflated_values``).
     """
     dec = cs.layer1.decomposition
     if any(d != cs.n for d in dec.orders):
@@ -360,34 +367,19 @@ def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
 
 def _inflated_values(left: np.ndarray, right: np.ndarray, n: int, P: np.ndarray, zs: Sequence[np.ndarray]) -> np.ndarray:
     """xi(a, b) = a^T P b + sum of the carries B_z(a, b), mod n, for the
-    (Z/n)^k coordinate rows ``left`` of the a and ``right`` of the b."""
+    (Z/n)^k coordinate rows ``left`` of the a and ``right`` of the b.
+
+    On the coordinates pi of ``_layer1_coords``, which checks that pi is a
+    homomorphism, these are the values of a cocycle on G: (x, y) -> x^T P y
+    is bilinear, B_z is the carry of x(z) + y(z) past n, whose cocycle
+    identity says that both ways of adding three values in [0, n) carry the
+    same total, sums of cocycles are cocycles, and so is a cocycle pulled
+    back along a homomorphism.
+    """
     values = left @ P @ right.T
     for z in zs:
         values += _evaluate(left, n, z)[:, None] + _evaluate(right, n, z) >= n
     return values % n
-
-
-def _inflated_cocycle(G: TableGroup, n: int, coords: np.ndarray, P: np.ndarray, zs: Sequence[np.ndarray]) -> Cocycle2:
-    """The cocycle xi(pi(a), pi(b)) on G, xi = sum of x^T P y and of the B_z.
-
-    ``coords`` are the coordinates pi of ``_layer1_coords``, which checks
-    that pi is a homomorphism, so the table is built without Light's test.
-    It is a cocycle: (x, y) -> x^T P y is bilinear, B_z is the carry of
-    x(z) + y(z) past n, whose cocycle identity says that both ways of
-    adding three values in [0, n) carry the same total, sums of cocycles
-    are cocycles, and so is a cocycle pulled back along a homomorphism.
-    The table is filled in row blocks of at most ``CHECK_CHUNK_CELLS``
-    cells, so that it is the one N x N array formed.
-    """
-    N = G.order
-    values, step = np.empty((N, N), dtype=np.int64), max(1, CHECK_CHUNK_CELLS // N)
-    for lo in range(0, N, step):
-        values[lo : lo + step] = _inflated_values(coords[lo : lo + step], coords, n, P, zs)
-    xi = object.__new__(Cocycle2)
-    object.__setattr__(xi, "group", G)
-    object.__setattr__(xi, "n", n)
-    object.__setattr__(xi, "values", values)
-    return xi
 
 
 def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
@@ -538,9 +530,8 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
         e0 = np.eye(k, dtype=np.int64)[0]
         variants += [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n) * e0) % n])]
     if variants:
-        # One system and one Howell form for all 2|R| inflated cocycles, from
-        # their values on the pairs (g, T); each table is then built, and u
-        # checked against it on all pairs, one at a time.
+        # One system, one Howell form and one check for all 2|R| inflated
+        # cocycles, from their values on the pairs (g, T).
         on_T = coords[[G.identity, *G.generators]]
         xi_on = np.stack([_inflated_values(coords, on_T, n, vP, vz) for vP, vz in variants], axis=2)
         U = _solve_coboundaries(G, xi_on, n)
@@ -551,7 +542,6 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     columns = []  # Omega's value vector of each commutator and power, one per eta
     for i, (vP, vz) in enumerate(variants):
         u, variant = U[:, i], i % 2
-        _check_coboundary(G, u, _inflated_cocycle(G, n, coords, vP, vz).values, n)
         on_comm, on_pow = _evaluations(C, n, vP, vz)
         bad[variant] += int(np.count_nonzero((u[comm] + on_comm) % n))
         bad[variant] += int(np.count_nonzero((u[powr] + on_pow) % n))

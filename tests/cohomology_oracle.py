@@ -4,7 +4,8 @@ in the cup/Bockstein normal form, and the paths the machinery once ran
 itself: the kernel of inflation from ``nullspace`` of the whole coboundary
 system and a second ``canonicalize`` of its class columns, one solve and one
 all-pairs check per cocycle table, and the verification assembled from
-them, with Omega's injectivity decided by ``np.unique``."""
+them, with Omega's injectivity decided by ``np.unique``; and the count of
+Proposition A.1's violations by one Python loop over the pairs (s, t)."""
 
 from __future__ import annotations
 
@@ -22,10 +23,11 @@ from abelcentral.cohomology import (
     _B_values,
     _coboundary_system,
     _evaluations,
-    _inflated_cocycle,
+    _inflated_values,
     _layer1_coords,
     _U_values,
     _upper_pairs,
+    make_U_B,
 )
 from abelcentral.errors import DimensionError, TheoremViolationError
 from abelcentral.groups import CentralSeriesData, TableGroup, central_series, elementary_coords, elementary_group, layer_maps
@@ -106,7 +108,7 @@ def verify_per_table(G: TableGroup, n: int, seed: int = 0) -> MachineryReport:
         e0 = np.eye(k, dtype=np.int64)[0]
         variants = [(P, zs), (P + np.outer(e0, e0), zs + [(-binom2(n) * e0) % n])]
         for variant, (vP, vz) in enumerate(variants):
-            u = solve_one_table(_inflated_cocycle(G, n, coords, vP, vz))
+            u = solve_one_table(Cocycle2(G, n, _inflated_values(coords, coords, n, vP, vz)))
             if u is None:
                 raise TheoremViolationError("kernel class fails to die after inflation")
             on_comm, on_pow = _evaluations(C, n, vP, vz)
@@ -142,3 +144,34 @@ def verify_per_table(G: TableGroup, n: int, seed: int = 0) -> MachineryReport:
         omega_image_matches=image_matches,
         seed=seed,
     )
+
+
+def verify_propA1_loop(k: int, n: int) -> int:
+    """``verify_propA1`` by the literal loop: each identity at each s and
+    each pair (s, t), one pair of basis vectors at a time."""
+    g = elementary_group(n, k)
+    coords = elementary_coords(n, k)
+    b2 = binom2(n)
+    bad = 0
+    for xi in range(k):
+        x = np.eye(k, dtype=np.int64)[xi]
+        for yi in range(k):
+            y = np.eye(k, dtype=np.int64)[yi]
+            u, b = make_U_B(k, n, x, y)
+            uv, bv = u.values, b.values
+            sx, sy = (coords @ x) % n, (coords @ y) % n
+            for s in range(g.order):
+                powers = [g.power(s, i) for i in range(n)]
+                if (sum(int(uv[p, s]) for p in powers) - b2 * sx[s] * sy[s]) % n:
+                    bad += 1
+                if (sum(int(bv[p, s]) for p in powers) - sx[s]) % n:
+                    bad += 1
+                for t in range(g.order):
+                    ti = g.inv(t)
+                    st = g.mul(s, t)
+                    lhs = uv[s, t] + uv[ti, st] - uv[ti, t]
+                    if (lhs - (sx[s] * sy[t] - sy[s] * sx[t])) % n:
+                        bad += 1
+                    if (bv[s, t] + bv[ti, st] - bv[ti, t]) % n:
+                        bad += 1
+    return bad

@@ -6,12 +6,14 @@ import itertools
 import math
 import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+import cohomology_oracle
 from abelcentral import cohomology as coh
-from abelcentral import modring
+from abelcentral import groups, modring
 from abelcentral.cohomology import (
     CentralExtension,
     Cocycle2,
@@ -38,7 +40,14 @@ from abelcentral.groups import (
 )
 from abelcentral.heisenberg import to_table_group
 from abelcentral.modring import ModMatrix, binom2
-from cohomology_oracle import inflate, kernel_by_nullspace, representative, solve_one_table, verify_per_table
+from cohomology_oracle import (
+    inflate,
+    kernel_by_nullspace,
+    representative,
+    solve_one_table,
+    verify_per_table,
+    verify_propA1_loop,
+)
 from test_groups import D4, S3, perm_group
 
 
@@ -462,18 +471,21 @@ class TestAgainstPerTablePaths:
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     @pytest.mark.parametrize("seed", [0, 5, -3])
     def test_report_and_cochains(self, name, build, n, seed, monkeypatch):
-        # The same report, and each u checked against its table is the one
-        # the table's own solve returns.
-        checked = []
-        check = coh._check_coboundary
-        monkeypatch.setattr(coh, "_check_coboundary", lambda G, u, v, n: checked.append((u.copy(), v)) or check(G, u, v, n))
+        # The same report, and each u the machinery checks is the one that
+        # the solve of its inflated cocycle, built in full, returns.
+        variants, checked = [], []
+        inflated, check = coh._inflated_values, coh._check_coboundary
+        monkeypatch.setattr(coh, "_inflated_values", lambda *a: variants.append(a) or inflated(*a))
+        monkeypatch.setattr(coh, "_check_coboundary", lambda G, U, xi_on, n: checked.append(U.copy()) or check(G, U, xi_on, n))
         g = build()
         report = verify_thm23_and_omegaR(g, n, seed=seed)
         monkeypatch.undo()
         assert report.as_dict() == verify_per_table(g, n, seed).as_dict()
-        assert len(checked) == 2 * report.kernel_size
-        for u, values in checked:
-            assert np.array_equal(u, solve_one_table(Cocycle2(g, n, values)))
+        assert len(variants) == 2 * report.kernel_size
+        assert len(checked) == (1 if variants else 0)
+        for i, (coords, _, _, P, zs) in enumerate(variants):
+            xi = Cocycle2(g, n, inflated(coords, coords, n, P, zs))
+            assert np.array_equal(checked[0][:, i], solve_one_table(xi))
 
     def test_distinct_rows_against_unique(self):
         # Omega is injective when its value rows are distinct; (L, 0) arrays
@@ -493,35 +505,78 @@ class TestAgainstPerTablePaths:
             outcomes.add(want)
         assert outcomes == {True, False}
 
-    @pytest.mark.parametrize("cells", [1, 24, None])
-    def test_check_in_row_blocks(self, cells, monkeypatch):
-        # du = xi is compared in row blocks (of one row, of three rows, of the
-        # whole table here); a mismatch on any one pair is found.
-        if cells is not None:
-            monkeypatch.setattr(coh, "CHECK_CHUNK_CELLS", cells)
-        g = to_table_group(2)
-        u = np.random.default_rng(1).integers(0, 2, g.order)
-        values = (u[:, None] + u[None, :] - u[g.table]) % 2
-        coh._check_coboundary(g, u, values, 2)
-        for a, b in [(0, 0), (3, 5), (7, 7)]:
-            bad = values.copy()
-            bad[a, b] ^= 1
-            with pytest.raises(TheoremViolationError, match="fails substitution"):
-                coh._check_coboundary(g, u, bad, 2)
+    @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
+    def test_check_agrees_with_all_pairs(self, name, build, n):
+        # For cocycles xi, the check of du = xi on the N |T| pairs (g, s), s
+        # in T, accepts exactly the cochains the all-pairs check accepts.
+        # Cocycles: random combinations of the inflated U/B basis shifted by
+        # random coboundaries, and coboundaries alone.  Cochains: the
+        # solution, the solution plus a homomorphism to Z/n (also a
+        # solution), the solution with one value changed, and random ones.
+        # All the cochains of one xi, checked as the columns of one U, pass
+        # exactly when each passes.
+        g = build()
+        N, T = g.order, [g.identity, *g.generators]
+        k, coords = coh._layer1_coords(central_series(g, n))
+        eye = np.eye(k, dtype=np.int64)
+        basis = [coh._U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
+        basis += [coh._B_values(coords, n, eye[j]) for j in range(k)]
+        rng = np.random.default_rng(N * n)
+        verdicts = []
+        for trial in range(6):
+            r = rng.integers(0, n, N)
+            mix = sum(int(c) * b for c, b in zip(rng.integers(0, n, len(basis)), basis)) if trial % 2 else 0
+            xi = Cocycle2(g, n, mix + r[:, None] + r - r[g.table])
+            cochains = [rng.integers(0, n, N) for _ in range(2)]
+            u = solve_one_table(xi)
+            if u is not None:
+                changed = u.copy()
+                changed[rng.integers(N)] += rng.integers(1, n)
+                cochains += [u, (u + coords @ rng.integers(0, n, k)) % n, changed % n]
+            ours = []
+            for c in cochains:
+                try:
+                    coh._check_coboundary(g, c[:, None], xi.values[:, T, None], n)
+                    ours.append(True)
+                except TheoremViolationError:
+                    ours.append(False)
+                assert ours[-1] == (not ((c[:, None] + c - c[g.table] - xi.values) % n).any())
+            U = np.stack(cochains, axis=1)
+            try:
+                coh._check_coboundary(g, U, np.repeat(xi.values[:, T, None], U.shape[1], axis=2), n)
+                assert all(ours)
+            except TheoremViolationError:
+                assert not all(ours)
+            verdicts += ours
+        assert set(verdicts) == {True, False}
 
-    @pytest.mark.parametrize("cells", [1, 100, None])
-    def test_inflated_table_in_row_blocks(self, cells, monkeypatch):
-        # The table filled block by block is x^T P y plus the carries, mod n.
-        if cells is not None:
-            monkeypatch.setattr(coh, "CHECK_CHUNK_CELLS", cells)
+    def test_check_catches_one_pair(self):
+        # Two solutions checked as two columns: changing the value of one
+        # column on any one pair (g, s), s in T, is found.
+        g = to_table_group(2)
+        T = [g.identity, *g.generators]
+        U = np.random.default_rng(1).integers(0, 2, (g.order, 2))
+        xi_on = (U[:, None] + U[T] - U[g.table[:, T]]) % 2
+        coh._check_coboundary(g, U, xi_on, 2)
+        for a, j, col in itertools.product(range(g.order), range(len(T)), range(2)):
+            bad = xi_on.copy()
+            bad[a, j, col] ^= 1
+            with pytest.raises(TheoremViolationError, match="fails substitution"):
+                coh._check_coboundary(g, U, bad, 2)
+
+    def test_inflated_values(self):
+        # The values on the pairs (a, b) are x^T P y plus the carries, mod n,
+        # on the whole table and on its columns T.
         rng = np.random.default_rng(4)
         for g, n in [(to_table_group(3), 3), (cyclic_group(16), 4), (z4_squared(), 2)]:
             k, coords = coh._layer1_coords(central_series(g, n))
+            T = [g.identity, *g.generators]
             for _ in range(3):
                 P = rng.integers(-2 * n, 2 * n, (k, k))
                 zs = list(rng.integers(0, n, (int(rng.integers(0, 3)), k)))
                 want = (coords @ P @ coords.T + sum(coh._B_values(coords, n, z) for z in zs)) % n
-                assert np.array_equal(coh._inflated_cocycle(g, n, coords, P, zs).values, want)
+                assert np.array_equal(coh._inflated_values(coords, coords, n, P, zs), want)
+                assert np.array_equal(coh._inflated_values(coords, coords[T], n, P, zs), want[:, T])
 
 
 def oracle_is_homomorphism(g, coords, n):
@@ -531,8 +586,9 @@ def oracle_is_homomorphism(g, coords, n):
 
 class TestHomomorphismShortcut:
     # The machinery checks once that the layer-1 coordinates pi are a
-    # homomorphism and then builds its inflated tables xi o (pi x pi)
-    # without Light's test.  The full test must accept every such table.
+    # homomorphism and then reads the values of its inflated cocycles
+    # xi o (pi x pi) on the pairs (g, T) without Light's test.  Each such
+    # table, built in full, must pass the full test.
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     def test_shortcut_agrees_with_light(self, name, build, n, monkeypatch):
@@ -548,19 +604,22 @@ class TestHomomorphismShortcut:
         if g.order <= 16:
             assert all(all_triples_cocycle(g.table, v, n) for v in full)
 
-        systems, built = [], []
-        system, inflated = coh._coboundary_system, coh._inflated_cocycle
+        systems, variants = [], []
+        system, inflated = coh._coboundary_system, coh._inflated_values
         monkeypatch.setattr(coh, "_coboundary_system", lambda *a: systems.append(a[1]) or system(*a))
-        monkeypatch.setattr(coh, "_inflated_cocycle", lambda *a: built.append(inflated(*a)) or built[-1])
+        monkeypatch.setattr(coh, "_inflated_values", lambda *a: variants.append(a) or inflated(*a))
         report = verify_thm23_and_omegaR(g, n)
+        monkeypatch.undo()
         # The basis values kernel_of_inflation reads off the coordinates are
         # those of the checked tables on (g, T).
         assert np.array_equal(systems[0], np.stack([v[:, T] for v in full], axis=2))
-        assert len(built) == 2 * report.kernel_size
-        for xi in built:
-            assert np.array_equal(Cocycle2(g, n, xi.values).values, xi.values)
+        assert len(variants) == 2 * report.kernel_size
+        for left, right, vn, P, zs in variants:
+            assert np.array_equal(left, coords) and np.array_equal(right, coords[T]) and vn == n
+            values = inflated(coords, coords, n, P, zs)
+            assert np.array_equal(Cocycle2(g, n, values).values, values)
             if g.order <= 16:
-                assert all_triples_cocycle(g.table, xi.values, n)
+                assert all_triples_cocycle(g.table, values, n)
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS[:4], ids=[g[0] for g in ORACLE_GROUPS[:4]])
     def test_coordinates_checked_once(self, name, build, n, monkeypatch):
@@ -680,6 +739,24 @@ class TestCocycles:
             with pytest.raises(DomainError):
                 Cocycle2(g, 3, vals)
 
+    def test_values_read_only(self):
+        # A checked table cannot change under solve_coboundary's N |T|
+        # check; the caller's own array is copied, not frozen.  Sums,
+        # classifying cocycles and embedding problems build new tables.
+        g, raw = cyclic_group(4), np.zeros((4, 4), dtype=np.int64)
+        xi = Cocycle2(g, 2, raw)
+        with pytest.raises(ValueError, match="read-only"):
+            xi.values[1, 1] = 1
+        raw[1, 1] = 1
+        assert not xi.values.any()
+        _, b = make_U_B(1, 4, [1], [1])
+        total = b + b
+        assert np.array_equal(total.values, 2 * b.values % 4) and not total.values.flags.writeable
+        ext = CentralExtension(cyclic_group(4), cyclic_group(2), np.arange(4) % 2)
+        cls, _, m = ext.classifying_cocycle()
+        assert (m, cls.values.tolist(), cls.values.flags.writeable) == (2, [[0, 0], [0, 1]], False)
+        assert embedding_solvable(cyclic_group(4), ext, np.arange(4) % 2)[1].tolist() == [0, 1, 2, 3]
+
     def test_U_B_are_cocycles(self):
         # Construction runs the exhaustive identity check.
         for k, n in [(1, 2), (1, 5), (2, 3), (3, 2)]:
@@ -693,6 +770,34 @@ class TestPropA1:
     @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3)])
     def test_zero_violations(self, k, n):
         assert verify_propA1(k, n) == 0
+
+    def test_counts_match_the_loop(self, monkeypatch):
+        # The row-block count equals the literal loop's, in blocks of one
+        # row, of a few rows and of the whole table, on the true U and B
+        # tables (zero) and on copies with three entries of each changed.
+        grid = list(itertools.product(range(4), range(2, 6)))
+        make = coh.make_U_B
+
+        def corrupted(k, n, x, y):
+            rng = np.random.default_rng([k, n, *np.asarray(x).tolist(), *np.asarray(y).tolist()])
+            tables = []
+            for c in make(k, n, x, y):
+                v = c.values.copy()
+                at = rng.choice(v.size, min(3, v.size), replace=False)
+                v.flat[at] = (v.flat[at] + rng.integers(1, n, at.size)) % n
+                tables.append(types.SimpleNamespace(values=v))
+            return tuple(tables)
+
+        for tables in (make, corrupted):
+            monkeypatch.setattr(coh, "make_U_B", tables)
+            monkeypatch.setattr(cohomology_oracle, "make_U_B", tables)
+            want = [verify_propA1_loop(k, n) for k, n in grid]
+            assert any(want) == (tables is corrupted)
+            for cells in (1, 24, None):
+                if cells is not None:
+                    monkeypatch.setattr(groups, "CHECK_CHUNK_CELLS", cells)
+                assert [verify_propA1(k, n) for k, n in grid] == want
+            monkeypatch.undo()
 
 
 class TestSolveCoboundary:
@@ -873,9 +978,10 @@ class TestMachinery:
         assert peak <= 16 * 2**20
 
     def test_memory_heisenberg_mod_13(self):
-        # One N x N int64 array at a time, the inflated table being checked
-        # (36.8 MiB at N = 2197).  With each table solved on its own and u
-        # checked through N x N temporaries, the peak was 111.8 MiB here.
+        # No N x N array besides G's table, which is built before tracing:
+        # each cochain is checked on the N |T| pairs its solve holds.  With
+        # every inflated table built in full (36.8 MiB at N = 2197) and
+        # checked on all pairs, the peak was 42.3 MiB here, and 4.6 MiB after.
         g = to_table_group(13)
         tracemalloc.start()
         try:
@@ -884,7 +990,7 @@ class TestMachinery:
         finally:
             tracemalloc.stop()
         assert rep.ok and rep.kernel_size == 1
-        assert peak < 64 * 2**20
+        assert peak <= 16 * 2**20
 
     @pytest.mark.parametrize("build,n,kernel", [
         (lambda: to_table_group(7), 7, 1),

@@ -1,16 +1,19 @@
 """The constructions that skip a check stay where their argument holds.
 
-``object.__new__`` builds a TableGroup, Cocycle2 or ModMatrix without
-running its ``__post_init__``.  In the library that happens in exactly three
-private helpers: ``groups._generated_group``, which takes the generating set
-from its caller and then runs every group check on it,
-``cohomology._inflated_cocycle``, which skips Light's test on a pullback
-along the layer-1 coordinates, and ``modring.ModMatrix._wrap``, which skips
-the reduction mod n of an array that is already reduced, so it is called
-only from ``howell_form`` and ``nullspace`` on the fresh arrays ``_howell``
-and ``_left_kernel`` return.  That pullback is a cocycle only once
-``_layer1_coords`` has checked the coordinates to be a homomorphism, so
-every function calling ``_inflated_cocycle`` or ``_kernel_of_inflation``
+``object.__new__`` builds a TableGroup or ModMatrix without running its
+``__post_init__``.  In the library that happens in exactly two private
+helpers: ``groups._generated_group``, which takes the generating set from
+its caller and then runs every group check on it, and
+``modring.ModMatrix._wrap``, which skips the reduction mod n of an array
+that is already reduced, so it is called only from ``howell_form`` and
+``nullspace`` on the fresh arrays ``_howell`` and ``_left_kernel`` return.
+
+The cohomology machinery skips Light's test on the cocycles it pulls back
+along the layer-1 coordinates, reading their values off the coordinates
+with ``_inflated_values``.  Those are the values of a cocycle only once
+``_layer1_coords`` has checked the coordinates to be a homomorphism, and
+the coboundary check on the N |T| pairs is exact only for a cocycle, so
+every function calling ``_inflated_values`` or ``_kernel_of_inflation``
 must call ``_layer1_coords`` too.
 
 Two table-level helpers of ``groups`` skip checks the same way.
@@ -29,7 +32,6 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "abelcentral"
 
 ALLOWED = {
     ("groups.py", "_generated_group", "TableGroup"),
-    ("cohomology.py", "_inflated_cocycle", "Cocycle2"),
     ("modring.py", "_wrap", "cls"),
 }
 
@@ -99,12 +101,12 @@ def test_unchecked_constructions_only_in_the_named_helpers():
 
 def test_inflated_cocycles_only_after_the_homomorphism_check():
     source = (SRC / "cohomology.py").read_text()
-    callers = set(calls_of(source, "_inflated_cocycle"))
+    callers = set(calls_of(source, "_inflated_values"))
     assert callers == {"verify_thm23_and_omegaR"}
     assert callers <= set(calls_of(source, "_layer1_coords"))
     for path in sorted(SRC.glob("*.py")):
         if path.name != "cohomology.py":
-            assert calls_of(path.read_text(), "_inflated_cocycle") == []
+            assert calls_of(path.read_text(), "_inflated_values") == []
 
 
 def test_unreduced_matrices_only_from_howell_forms():
