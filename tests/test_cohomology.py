@@ -550,9 +550,14 @@ class TestAgainstPerTablePaths:
             verdicts += ours
         assert set(verdicts) == {True, False}
 
-    def test_check_catches_one_pair(self):
+    @pytest.mark.parametrize("cells", [1, 24, None])
+    def test_check_in_row_blocks(self, cells, monkeypatch):
         # Two solutions checked as two columns: changing the value of one
-        # column on any one pair (g, s), s in T, is found.
+        # column on any one pair (g, s), s in T, is found.  The check forms
+        # only N x |T| arrays, so its verdict must not depend on the row-block
+        # size of the N x N passes (one cell, three rows, the default).
+        if cells is not None:
+            monkeypatch.setattr(groups, "CHECK_CHUNK_CELLS", cells)
         g = to_table_group(2)
         T = [g.identity, *g.generators]
         U = np.random.default_rng(1).integers(0, 2, (g.order, 2))
@@ -564,18 +569,23 @@ class TestAgainstPerTablePaths:
             with pytest.raises(TheoremViolationError, match="fails substitution"):
                 coh._check_coboundary(g, U, bad, 2)
 
-    def test_inflated_values(self):
-        # The values on the pairs (a, b) are x^T P y plus the carries, mod n,
-        # on the whole table and on its columns T.
+    @pytest.mark.parametrize("cells", [1, 100, None])
+    def test_inflated_table_in_row_blocks(self, cells):
+        # The table filled block by block from the rows of the left
+        # coordinates (one row, 100 // N rows, the whole table at once) is
+        # x^T P y plus the carries, mod n, and so are its columns T.
         rng = np.random.default_rng(4)
         for g, n in [(to_table_group(3), 3), (cyclic_group(16), 4), (z4_squared(), 2)]:
             k, coords = coh._layer1_coords(central_series(g, n))
             T = [g.identity, *g.generators]
+            step = g.order if cells is None else max(1, cells // g.order)
             for _ in range(3):
                 P = rng.integers(-2 * n, 2 * n, (k, k))
                 zs = list(rng.integers(0, n, (int(rng.integers(0, 3)), k)))
                 want = (coords @ P @ coords.T + sum(coh._B_values(coords, n, z) for z in zs)) % n
-                assert np.array_equal(coh._inflated_values(coords, coords, n, P, zs), want)
+                rows = range(0, g.order, step)
+                got = np.concatenate([coh._inflated_values(coords[r : r + step], coords, n, P, zs) for r in rows])
+                assert np.array_equal(got, want)
                 assert np.array_equal(coh._inflated_values(coords, coords[T], n, P, zs), want[:, T])
 
 
