@@ -68,12 +68,17 @@ class Cocycle2:
         if v.shape != (N, N):
             raise DimensionError("cocycle table shape does not match the group")
         object.__setattr__(self, "values", v)
-        t = self.group.table
+        # Compared in row blocks of a, so that no N x N temporary is formed
+        # besides the reduced copy.
+        t, step = self.group.table, max(1, groups.CHECK_CHUNK_CELLS // N)
         for s in self.group.generators:
-            lhs = v[:, s][:, None] + v[t[:, s]]
-            rhs = v[s][None, :] + v[:, t[s]]
-            if ((lhs - rhs) % self.n).any():
-                raise DomainError("cocycle identity fails")
+            for lo in range(0, N, step):
+                a = slice(lo, lo + step)
+                d = v[t[a, s]]  # a fresh block, changed in place
+                d -= v[a][:, t[s]]
+                d += v[a, s, None] - v[s]
+                if (d % self.n).any():
+                    raise DomainError("cocycle identity fails")
         v.flags.writeable = False
 
     def __add__(self, other: "Cocycle2") -> "Cocycle2":
@@ -86,33 +91,25 @@ def zero_cocycle(group: TableGroup, n: int) -> Cocycle2:
     return Cocycle2(group, n, np.zeros((group.order, group.order), dtype=np.int64))
 
 
-def _evaluate(coords: np.ndarray, n: int, x: Sequence[int]) -> np.ndarray:
-    """s(x) in [0, n) for each element s with the given (Z/n)^k coordinates.
-
-    Rows of ``coords`` may repeat, which gives the inflated value tables
-    below.
-    """
-    xv = np.asarray(x, dtype=np.int64) % n
-    if xv.shape != (coords.shape[1],):
-        raise DimensionError("basis vectors must have length k")
-    return (coords @ xv) % n
-
-
-def _U_values(coords: np.ndarray, n: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
-    """The value table of U_{x,y}: U_{x,y}(s, t) = s(x) * t(y)."""
-    return np.outer(_evaluate(coords, n, x), _evaluate(coords, n, y))
-
-
-def _B_values(coords: np.ndarray, n: int, x: Sequence[int]) -> np.ndarray:
-    """The value table of B_x: 1 exactly when s(x) + t(x) >= n (the carry cocycle)."""
-    fx = _evaluate(coords, n, x)
-    return (fx[:, None] + fx[None, :] >= n).astype(np.int64)
+def _elementary_cocycle(g: TableGroup, coords: np.ndarray, n: int, P: np.ndarray, zs: Sequence[np.ndarray]) -> Cocycle2:
+    """The cocycle x^T P y plus the carries B_z on ``g`` = (Z/n)^k with
+    coordinate rows ``coords``, checked by Light's test: U_{x,y} is
+    P = x y^T with no z, and B_x is P = 0 with the one z = x."""
+    return Cocycle2(g, n, _inflated_values(coords, coords, n, P, zs))
 
 
 def make_U_B(k: int, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[Cocycle2, Cocycle2]:
-    """(the cup cocycle U_{x,y}, the Bockstein cocycle B_x) on (Z/n)^k."""
-    g, coords = elementary_group(n, k), elementary_coords(n, k)
-    return Cocycle2(g, n, _U_values(coords, n, x, y)), Cocycle2(g, n, _B_values(coords, n, x))
+    """(the cup cocycle U_{x,y}, the Bockstein cocycle B_x) on (Z/n)^k.
+
+    U_{x,y}(s, t) = s(x) t(y), and B_x(s, t) is 1 exactly when
+    s(x) + t(x) >= n.  Both come from the one formula of
+    ``_elementary_cocycle`` on one ``elementary_group(n, k)``.
+    """
+    xv, yv = (np.asarray(v, dtype=np.int64) % n for v in (x, y))
+    if xv.shape != (k,) or yv.shape != (k,):
+        raise DimensionError("basis vectors must have length k")
+    g, coords, zero = elementary_group(n, k), elementary_coords(n, k), np.zeros((k, k), dtype=np.int64)
+    return _elementary_cocycle(g, coords, n, np.outer(xv, yv), []), _elementary_cocycle(g, coords, n, zero, [xv])
 
 
 def verify_propA1(k: int, n: int) -> int:
@@ -124,27 +121,31 @@ def verify_propA1(k: int, n: int) -> int:
       (3) B(s,t) + B(t^-1, st) - B(t^-1, t) = 0
       (4) sum over i of B(s^i, s) = s(x)
 
-    Each identity is compared for a row block of s at once, of at most
-    ``groups.CHECK_CHUNK_CELLS`` cells, so that no N x N temporary is formed
-    beyond the U and B tables.
+    One ``elementary_group(n, k)`` carries every table, and each comes
+    from the one formula of ``_elementary_cocycle`` and passes Light's
+    test: B_x once for each basis vector x and U_{x,y} once for each pair,
+    k + k^2 tables.  (3) and (4) are counted for every pair (x, y), as for
+    the U and B of ``make_U_B(k, n, x, y)``.  Each identity is compared for
+    a row block of s at once, of at most ``groups.CHECK_CHUNK_CELLS``
+    cells, so that no N x N temporary is formed beyond the U and B tables.
     """
-    g, eye = elementary_group(n, k), np.eye(k, dtype=np.int64)
-    coords, t, inv, every = elementary_coords(n, k), g.table, g._inverses, np.arange(g.order)
+    g, coords, eye = elementary_group(n, k), elementary_coords(n, k), np.eye(k, dtype=np.int64)
+    t, inv, every = g.table, g._inverses, np.arange(g.order)
     b2, step = binom2(n), max(1, groups.CHECK_CHUNK_CELLS // g.order)
     bad = 0
-    for x, y in itertools.product(eye, repeat=2):
-        u, b = make_U_B(k, n, x, y)
-        uv, bv = u.values, b.values
-        sx, sy = (coords @ x) % n, (coords @ y) % n
-        for lo in range(0, g.order, step):
-            s = every[lo : lo + step]
-            st, power, u_sum, b_sum = t[s], np.full_like(s, g.identity), 0, 0
-            for _ in range(n):
-                u_sum, b_sum, power = u_sum + uv[power, s], b_sum + bv[power, s], t[power, s]
-            bad += np.count_nonzero((u_sum - b2 * sx[s] * sy[s]) % n) + np.count_nonzero((b_sum - sx[s]) % n)
-            lhs = uv[s] + uv[inv, st] - uv[inv, every]
-            bad += np.count_nonzero((lhs - (sx[s, None] * sy - sy[s, None] * sx)) % n)
-            bad += np.count_nonzero((bv[s] + bv[inv, st] - bv[inv, every]) % n)
+    for x in eye:
+        bv, sx = _elementary_cocycle(g, coords, n, np.zeros_like(eye), [x]).values, (coords @ x) % n
+        for y in eye:
+            uv, sy = _elementary_cocycle(g, coords, n, np.outer(x, y), []).values, (coords @ y) % n
+            for lo in range(0, g.order, step):
+                s = every[lo : lo + step]
+                st, power, u_sum, b_sum = t[s], np.full_like(s, g.identity), 0, 0
+                for _ in range(n):
+                    u_sum, b_sum, power = u_sum + uv[power, s], b_sum + bv[power, s], t[power, s]
+                bad += np.count_nonzero((u_sum - b2 * sx[s] * sy[s]) % n) + np.count_nonzero((b_sum - sx[s]) % n)
+                lhs = uv[s] + uv[inv, st] - uv[inv, every]
+                bad += np.count_nonzero((lhs - (sx[s, None] * sy - sy[s, None] * sx)) % n)
+                bad += np.count_nonzero((bv[s] + bv[inv, st] - bv[inv, every]) % n)
     return int(bad)
 
 
@@ -378,7 +379,7 @@ def _inflated_values(left: np.ndarray, right: np.ndarray, n: int, P: np.ndarray,
     """
     values = left @ P @ right.T
     for z in zs:
-        values += _evaluate(left, n, z)[:, None] + _evaluate(right, n, z) >= n
+        values += (left @ z % n)[:, None] + right @ z % n >= n
     return values % n
 
 

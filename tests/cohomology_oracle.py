@@ -1,6 +1,9 @@
 """Cohomology helpers that the library does not call, kept as test-side
-oracles: inflation along a projection, the canonical cocycle of an H^2 class
-in the cup/Bockstein normal form, and the paths the machinery once ran
+oracles: the cup and carry tables by their own formulas (``_evaluate``,
+``_U_values`` and ``_B_values``, which the library once built ``make_U_B``
+from and now reads off ``_inflated_values``), inflation along a
+projection, the canonical cocycle of an H^2 class in the cup/Bockstein
+normal form, and the paths the machinery once ran
 itself: the kernel of inflation from ``nullspace`` of the whole coboundary
 system and a second ``canonicalize`` of its class columns, one solve and one
 all-pairs check per cocycle table, and the verification assembled from
@@ -20,18 +23,39 @@ from abelcentral.cohomology import (
     H2Class,
     MachineryReport,
     _additive_extension,
-    _B_values,
     _coboundary_system,
     _evaluations,
     _inflated_values,
     _layer1_coords,
-    _U_values,
     _upper_pairs,
     make_U_B,
 )
 from abelcentral.errors import DimensionError, TheoremViolationError
 from abelcentral.groups import CentralSeriesData, TableGroup, central_series, elementary_coords, elementary_group, layer_maps
 from abelcentral.modring import ModMatrix, binom2
+
+
+def _evaluate(coords: np.ndarray, n: int, x: Sequence[int]) -> np.ndarray:
+    """s(x) in [0, n) for each element s with the given (Z/n)^k coordinates.
+
+    Rows of ``coords`` may repeat, which gives the inflated value tables
+    below.
+    """
+    xv = np.asarray(x, dtype=np.int64) % n
+    if xv.shape != (coords.shape[1],):
+        raise DimensionError("basis vectors must have length k")
+    return (coords @ xv) % n
+
+
+def _U_values(coords: np.ndarray, n: int, x: Sequence[int], y: Sequence[int]) -> np.ndarray:
+    """The value table of U_{x,y}: U_{x,y}(s, t) = s(x) * t(y)."""
+    return np.outer(_evaluate(coords, n, x), _evaluate(coords, n, y))
+
+
+def _B_values(coords: np.ndarray, n: int, x: Sequence[int]) -> np.ndarray:
+    """The value table of B_x: 1 exactly when s(x) + t(x) >= n (the carry cocycle)."""
+    fx = _evaluate(coords, n, x)
+    return (fx[:, None] + fx[None, :] >= n).astype(np.int64)
 
 
 def inflate(xi: Cocycle2, proj: Sequence[int], group: TableGroup) -> Cocycle2:

@@ -1,6 +1,7 @@
 """Explicit cocycles, coboundary solving, kernel of inflation, and the
 layer-2 isomorphism, with brute-force cochain oracles."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -29,7 +30,7 @@ from abelcentral.cohomology import (
     verify_thm23_and_omegaR,
     zero_cocycle,
 )
-from abelcentral.errors import DomainError, TheoremViolationError
+from abelcentral.errors import DimensionError, DomainError, TheoremViolationError
 from abelcentral.groups import (
     TableGroup,
     abelian_decomposition,
@@ -41,6 +42,8 @@ from abelcentral.groups import (
 from abelcentral.heisenberg import to_table_group
 from abelcentral.modring import ModMatrix, binom2
 from cohomology_oracle import (
+    _B_values,
+    _U_values,
     inflate,
     kernel_by_nullspace,
     representative,
@@ -519,8 +522,8 @@ class TestAgainstPerTablePaths:
         N, T = g.order, [g.identity, *g.generators]
         k, coords = coh._layer1_coords(central_series(g, n))
         eye = np.eye(k, dtype=np.int64)
-        basis = [coh._U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
-        basis += [coh._B_values(coords, n, eye[j]) for j in range(k)]
+        basis = [_U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
+        basis += [_B_values(coords, n, eye[j]) for j in range(k)]
         rng = np.random.default_rng(N * n)
         verdicts = []
         for trial in range(6):
@@ -582,7 +585,7 @@ class TestAgainstPerTablePaths:
             for _ in range(3):
                 P = rng.integers(-2 * n, 2 * n, (k, k))
                 zs = list(rng.integers(0, n, (int(rng.integers(0, 3)), k)))
-                want = (coords @ P @ coords.T + sum(coh._B_values(coords, n, z) for z in zs)) % n
+                want = (coords @ P @ coords.T + sum(_B_values(coords, n, z) for z in zs)) % n
                 rows = range(0, g.order, step)
                 got = np.concatenate([coh._inflated_values(coords[r : r + step], coords, n, P, zs) for r in rows])
                 assert np.array_equal(got, want)
@@ -608,8 +611,8 @@ class TestHomomorphismShortcut:
         assert oracle_is_homomorphism(g, coords, n)
         T = [g.identity, *g.generators]
         eye = np.eye(k, dtype=np.int64)
-        basis = [coh._U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
-        basis += [coh._B_values(coords, n, eye[j]) for j in range(k)]
+        basis = [_U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
+        basis += [_B_values(coords, n, eye[j]) for j in range(k)]
         full = [Cocycle2(g, n, values).values for values in basis]  # Light's test on each
         if g.order <= 16:
             assert all(all_triples_cocycle(g.table, v, n) for v in full)
@@ -696,6 +699,48 @@ class TestCocycles:
         bad[1, 2] = 1
         with pytest.raises(DomainError):
             Cocycle2(g, 3, bad)
+
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_light_check_in_row_blocks(self, rows, monkeypatch):
+        # Blocks of one row, of three rows (short last blocks at N = 5 and
+        # 8) and of the whole table give the all-triples verdict on
+        # cocycles and on them with any one cell changed.
+        rng = np.random.default_rng(2)
+        for g, n, k in [(elementary_group(5, 1), 5, 1), (elementary_group(2, 3), 2, 3), (to_table_group(2), 2, 0)]:
+            if rows is not None:
+                monkeypatch.setattr(groups, "CHECK_CHUNK_CELLS", rows * g.order)
+            u = rng.integers(0, n, g.order)
+            good = u[:, None] + u - u[g.table]
+            if k:
+                eye = np.eye(k, dtype=np.int64)
+                good = good + sum(c.values for c in make_U_B(k, n, eye[0], eye[-1]))
+            Cocycle2(g, n, good)
+            for a, b in itertools.product(range(g.order), repeat=2):
+                v = good.copy()
+                v[a, b] += 1
+                assert not all_triples_cocycle(g.table, v % n, n)
+                with pytest.raises(DomainError, match="cocycle identity fails"):
+                    Cocycle2(g, n, v)
+
+    def test_light_check_memory_heisenberg_mod_13(self):
+        # The check forms row blocks of at most CHECK_CHUNK_CELLS cells
+        # beside the constructor's reduced copy of the 36.8 MiB table.  With
+        # four N x N temporaries per generator the peak was 184.2 MiB.
+        g = to_table_group(13)
+        u = np.random.default_rng(3).integers(0, 13, g.order)
+        values = u[:, None] + u - u[g.table]
+        tracemalloc.start()
+        try:
+            Cocycle2(g, 13, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * values.nbytes
+
+    def test_make_U_B_vector_lengths(self):
+        for x, y in [([1, 0], [1]), ([1], [0, 1]), ([[1], [0]], [1, 0])]:
+            with pytest.raises(DimensionError, match="length k"):
+                make_U_B(2, 3, x, y)
 
     @pytest.mark.parametrize("build,n", [
         (lambda: cyclic_group(4), 2),
@@ -785,22 +830,21 @@ class TestPropA1:
         # The row-block count equals the literal loop's, in blocks of one
         # row, of a few rows and of the whole table, on the true U and B
         # tables (zero) and on copies with three entries of each changed.
+        # Both build their tables through _elementary_cocycle (the loop
+        # through make_U_B), and a corrupted table depends only on the
+        # constructor's (n, P, zs), so both count the same copies.
         grid = list(itertools.product(range(4), range(2, 6)))
-        make = coh.make_U_B
+        make = coh._elementary_cocycle
 
-        def corrupted(k, n, x, y):
-            rng = np.random.default_rng([k, n, *np.asarray(x).tolist(), *np.asarray(y).tolist()])
-            tables = []
-            for c in make(k, n, x, y):
-                v = c.values.copy()
-                at = rng.choice(v.size, min(3, v.size), replace=False)
-                v.flat[at] = (v.flat[at] + rng.integers(1, n, at.size)) % n
-                tables.append(types.SimpleNamespace(values=v))
-            return tuple(tables)
+        def corrupted(g, coords, n, P, zs):
+            rng = np.random.default_rng([n, *np.ravel(P).tolist(), *np.ravel(zs).astype(np.int64).tolist()])
+            v = make(g, coords, n, P, zs).values.copy()
+            at = rng.choice(v.size, min(3, v.size), replace=False)
+            v.flat[at] = (v.flat[at] + rng.integers(1, n, at.size)) % n
+            return types.SimpleNamespace(values=v)
 
         for tables in (make, corrupted):
-            monkeypatch.setattr(coh, "make_U_B", tables)
-            monkeypatch.setattr(cohomology_oracle, "make_U_B", tables)
+            monkeypatch.setattr(coh, "_elementary_cocycle", tables)
             want = [verify_propA1_loop(k, n) for k, n in grid]
             assert any(want) == (tables is corrupted)
             for cells in (1, 24, None):
@@ -808,6 +852,19 @@ class TestPropA1:
                     monkeypatch.setattr(groups, "CHECK_CHUNK_CELLS", cells)
                 assert [verify_propA1(k, n) for k, n in grid] == want
             monkeypatch.undo()
+
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (2, 3), (3, 2)])
+    def test_one_group_and_each_table_once(self, monkeypatch, k, n):
+        # B_x once per basis vector and U_{x,y} once per pair, k + k^2
+        # checked tables, all on one group (the per-pair make_U_B built
+        # k^2 + 1 groups and 2 k^2 tables).
+        counts = collections.Counter()
+        build, check = coh.elementary_group, Cocycle2.__post_init__
+        monkeypatch.setattr(coh, "elementary_group", lambda *a: counts.update(["group"]) or build(*a))
+        monkeypatch.setattr(Cocycle2, "__post_init__", lambda self: counts.update(["cocycle"]) or check(self))
+        assert verify_propA1(k, n) == 0
+        assert counts == {"group": 1, "cocycle": k * k + k}
 
 
 class TestSolveCoboundary:

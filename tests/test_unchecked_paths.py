@@ -13,8 +13,10 @@ along the layer-1 coordinates, reading their values off the coordinates
 with ``_inflated_values``.  Those are the values of a cocycle only once
 ``_layer1_coords`` has checked the coordinates to be a homomorphism, and
 the coboundary check on the N |T| pairs is exact only for a cocycle, so
-every function calling ``_inflated_values`` or ``_kernel_of_inflation``
-must call ``_layer1_coords`` too.
+every function calling ``_kernel_of_inflation``, and every call of
+``_inflated_values`` whose values do not go straight into ``Cocycle2``
+and its Light's test, must lie in a function that calls
+``_layer1_coords``.
 
 Two table-level helpers of ``groups`` skip checks the same way.
 ``_decompose_table`` recurses on raw quotient tables, which are groups only
@@ -64,16 +66,29 @@ def new_calls(source: str) -> list[tuple[str, str]]:
     return found
 
 
+def _is_call_of(node, name: str) -> bool:
+    return isinstance(node, ast.Call) and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
 def calls_of(source: str, name: str) -> list[str]:
     """The enclosing function of every call of ``name`` (a bare name or an attribute)."""
     tree = ast.parse(source)
     owner = _innermost(tree)
-    return [
-        owner[node]
+    return [owner[node] for node in ast.walk(tree) if _is_call_of(node, name)]
+
+
+def unwrapped_calls_of(source: str, name: str, wrapper: str) -> list[str]:
+    """The enclosing function of every call of ``name`` that is not itself
+    an argument, positional or keyword, of a call of ``wrapper``."""
+    tree = ast.parse(source)
+    owner = _innermost(tree)
+    wrapped = {
+        id(arg)
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
-    ]
+        if _is_call_of(node, wrapper)
+        for arg in [*node.args, *(kw.value for kw in node.keywords)]
+    }
+    return [owner[node] for node in ast.walk(tree) if _is_call_of(node, name) and id(node) not in wrapped]
 
 
 def test_finds_new_calls():
@@ -90,6 +105,14 @@ def test_finds_calls_of_a_helper():
     assert sorted(calls_of(source, "h")) == ["f", "f", "inner"]
 
 
+def test_finds_calls_outside_a_wrapper():
+    source = (
+        "def f():\n    W(h())\n    W(x, key=h())\n    W(g(h()))\n    h()\n"
+        "def g():\n    mod.W(1, mod.h())\n    y = h()\n    W(y)\n"
+    )
+    assert sorted(unwrapped_calls_of(source, "h", "W")) == ["f", "f", "g"]
+
+
 def test_unchecked_constructions_only_in_the_named_helpers():
     found = {
         (path.name, func, cls)
@@ -100,10 +123,12 @@ def test_unchecked_constructions_only_in_the_named_helpers():
 
 
 def test_inflated_cocycles_only_after_the_homomorphism_check():
+    # Values that go straight into Cocycle2 pass its Light's test; every
+    # other call needs the homomorphism check.
     source = (SRC / "cohomology.py").read_text()
-    callers = set(calls_of(source, "_inflated_values"))
-    assert callers == {"verify_thm23_and_omegaR"}
-    assert callers <= set(calls_of(source, "_layer1_coords"))
+    unchecked = set(unwrapped_calls_of(source, "_inflated_values", "Cocycle2"))
+    assert unchecked == {"verify_thm23_and_omegaR"}
+    assert unchecked <= set(calls_of(source, "_layer1_coords"))
     for path in sorted(SRC.glob("*.py")):
         if path.name != "cohomology.py":
             assert calls_of(path.read_text(), "_inflated_values") == []
