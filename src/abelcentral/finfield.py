@@ -334,6 +334,8 @@ class RootOfUnity:
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:
     """The primitive n-th root generator**(index*(q-1)/n); index must be a unit mod n."""
     q = field.q
+    if n < 2:
+        raise ModulusError(f"modulus must be >= 2, got {n}")
     if (q - 1) % n != 0:
         raise HypothesisError(f"mu_{n} not contained in F_{q}")
     if math.gcd(index, n) != 1:
@@ -356,6 +358,8 @@ class KummerCharacter:
     c: int
 
     def __post_init__(self):
+        if self.n < 2:
+            raise ModulusError(f"modulus must be >= 2, got {self.n}")
         if (self.field.q - 1) % self.n != 0:
             raise HypothesisError("character modulus must divide q-1")
         object.__setattr__(self, "c", self.c % self.n)

@@ -172,8 +172,15 @@ class TableGroup:
 
     # -- element arithmetic --
 
+    def _element(self, a: int) -> int:
+        """The element index ``a``; DomainError outside [0, N), where numpy
+        would wrap a negative index."""
+        if not 0 <= a < self.order:
+            raise DomainError(f"element index out of range [0, {self.order})")
+        return a
+
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return int(self.table[self._element(a), self._element(b)])
 
     @cached_property
     def _inverses(self) -> np.ndarray:
@@ -181,19 +188,16 @@ class TableGroup:
         return inv.astype(np.int64)
 
     def inv(self, a: int) -> int:
-        return int(self._inverses[a])
+        return int(self._inverses[self._element(a)])
 
     def power(self, a: int, m: int) -> int:
         if m < 0:
-            return self.power(self.inv(a), -m)
-        acc = self.identity
-        for _ in range(m):
-            acc = self.mul(acc, a)
-        return acc
+            a, m = self.inv(a), -m
+        return int(_nth_powers(self.table, self.identity, np.array([self._element(a)]), m)[0])
 
     def powers(self, a: int, m: int) -> np.ndarray:
         """The array (a^0, a^1, ..., a^(m-1))."""
-        return _powers(self.table, self.identity, a, m)
+        return _powers(self.table, self.identity, self._element(a), m)
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
@@ -206,7 +210,7 @@ class TableGroup:
         return out
 
     def order_of(self, a: int) -> int:
-        return int(self.orders[a])
+        return int(self.orders[self._element(a)])
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.orders))

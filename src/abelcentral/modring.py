@@ -148,7 +148,8 @@ def _howell(entries: np.ndarray, n: int) -> np.ndarray:
     The subtraction runs over row blocks of about ``HOWELL_CHUNK_CELLS``
     cells.  On a wide matrix, with more than four times as many columns left
     as rows, where under a quarter of the rows have x[j] // d nonzero (the
-    [A^T | I] of ``nullspace`` and ``solve_linear``), it gathers just those.
+    [mat | I] of ``_left_kernel``, mat = A^T for ``nullspace`` and
+    [-b^T; A^T] for ``solve_linear``), it gathers just those.
 
     Exactness: the rows still span the module M.  An x in M that is zero in
     column j is k*p plus a combination of the rows below, with k*d = 0 mod n,
@@ -304,50 +305,32 @@ def structure(s: SubgroupZnk) -> AbelianStructure:
 
 
 def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
-    """Some x with a @ x = b mod n, or None when no solution exists.
+    """The canonical x with a @ x = b mod n, or None when no solution exists.
 
     ``b`` is a vector of ``a.rows`` entries, or an (a.rows, k) array of k
     right-hand sides; then x is (a.cols, k), column i solving column i of b,
-    and None means that some column has no solution.  All k columns share
-    one Howell form of [a^T | I].  Any returned solution is re-verified by
-    substitution; a solution that fails it raises ``TheoremViolationError``
-    rather than reading as None.
+    and None means that some column has no solution.  A vector is the case
+    k = 1.  The pairs (c, x) with a @ x = b @ c are the left kernel of
+    [-b^T; a^T] (``_left_kernel``), and every column is solvable iff that
+    kernel's Howell form starts with k rows [I_k | X]: the c-coordinates
+    then reach each e_i, so by the Howell property each of the first k
+    columns has pivot 1.  Row i of X solves column i.  It is reduced against
+    the rows after those k, the Howell rows of ker a, so x does not depend
+    on the order of the equations or on the other columns.  Any returned
+    solution is re-verified by substitution; a solution that fails it raises
+    ``TheoremViolationError`` rather than reading as None.
     """
     rhs = np.asarray(b, dtype=np.int64) % a.modulus
     if rhs.ndim not in (1, 2) or rhs.shape[0] != a.rows:
         raise DimensionError(f"rhs shape {rhs.shape} does not start with the row count {a.rows}")
-    n, r = a.modulus, a.rows
-    # b is in the column span of a iff b^T is in the row span of a^T; the
-    # right block of the augmented Howell form tracks the combination, so
-    # reducing (b, 0) by the rows that reach the left block leaves (0, -x).
-    h = _howell(np.hstack([a.entries.T, np.eye(a.cols, dtype=np.int64)]), n)
-    reach = h[h[:, :r].any(axis=1)]
-    if rhs.ndim == 1:
-        v = _reduce_against(reach, np.concatenate([rhs, np.zeros(a.cols, dtype=np.int64)]), n)
-        if v[:r].any():
-            return None
-        x = (-v[r:]) % n
-    else:
-        v = _reduce_columns(reach, np.hstack([rhs.T, np.zeros((rhs.shape[1], a.cols), dtype=np.int64)]), n)
-        if v is None or v[:, :r].any():
-            return None
-        x = (-v[:, r:].T) % n
-    if not np.array_equal(_matvec(a.entries, x, n), rhs):
+    k = rhs.shape[1] if rhs.ndim == 2 else 1
+    h = _left_kernel(np.vstack([-rhs.reshape(a.rows, k).T, a.entries.T]), a.modulus)
+    if not np.array_equal(h[:k, :k], np.eye(k, dtype=np.int64)):
+        return None
+    x = h[:k, k:].T.reshape((a.cols,) + rhs.shape[1:])
+    if not np.array_equal(_matvec(a.entries, x, a.modulus), rhs):
         raise TheoremViolationError("solution fails substitution")
     return x
-
-
-def _reduce_columns(canonical: np.ndarray, vs: np.ndarray, n: int) -> Optional[np.ndarray]:
-    """``_reduce_against`` on each row of ``vs`` at once (entries in [0, n));
-    None as soon as one row has an entry its pivot does not divide."""
-    for row in canonical:
-        j = int(np.flatnonzero(row)[0])
-        d, vals = int(row[j]), vs[:, j]
-        if (vals % d).any():
-            return None
-        if vals.any():
-            vs = (vs - (vals // d)[:, None] * row) % n
-    return vs
 
 
 def _matvec(mat: np.ndarray, x: np.ndarray, n: int) -> np.ndarray:

@@ -38,6 +38,30 @@ class TestExitCodes:
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == "ab29f8031661e79f266ad6de0c11a2bfa35ad8bcc439f674115e9054ec0eabc1"
 
+    def test_machinery_reports_pinned(self, capsys, tmp_path):
+        # One sha256 over the report texts of groupcoh on the exported
+        # Heisenberg groups, the machinery suite on the cyclic and elementary
+        # groups of the group_machinery benchmark, and propA1 at rank 2.
+        argvs = []
+        for n in range(2, 6):
+            table = str(tmp_path / f"heis{n}.json")
+            assert cli.main(["heisenberg", "--n", str(n), "--output", table]) == cli.EXIT_OK
+            argvs += [["groupcoh", "--input", table, "--n", str(n), "--seed", s] for s in ("0", "7")]
+        for n, m in [(2, 4), (3, 9)]:
+            table = tmp_path / f"cyclic{m}.json"
+            table.write_text(json.dumps({"table": [[(i + j) % m for j in range(m)] for i in range(m)]}))
+            argvs += [["verify", "--suite", "machinery", "--input", str(table), "--n", str(n), "--seed", s] for s in ("0", "7")]
+        for n, rank in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3), (3, 4)]:
+            argvs += [["verify", "--suite", "machinery", "--n", str(n), "--rank", str(rank), "--seed", s] for s in ("0", "7")]
+        argvs += [["verify", "--suite", "propA1", "--n", str(n), "--rank", "2"] for n in range(2, 6)]
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        for argv in argvs:
+            code, out, err = run(argv, capsys)
+            assert (code, err) == (cli.EXIT_OK, ""), argv
+            digest.update(out.encode())
+        assert digest.hexdigest() == "ce6136a36d7298e2ccdeb0f75787abfafdc9d58e47fb7fa1d3a7a6f8bf712522"
+
     def test_verify_ffrak_f65537_full_order(self, capsys):
         # The route over all n power tables needed a 64 GiB array here.
         code, out, err = run(["verify", "--suite", "ffrak", "--p", "65537", "--n", "65536"], capsys)

@@ -350,6 +350,13 @@ class TestOmega:
         with pytest.raises(DomainError):
             omega(k, 4, index=2)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_modulus_below_two(self, n):
+        # 0 used to die with ZeroDivisionError, -3 to give a root of order -3.
+        k = make_field(13, n=3)
+        with pytest.raises(ModulusError):
+            omega(k, n)
+
 
 class TestCharacters:
     def test_character_space_size(self):
@@ -367,6 +374,13 @@ class TestCharacters:
         k = make_field(5, n=2)
         with pytest.raises(DomainError):
             char_eval(KummerCharacter(k, 2, 1), 0)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_modulus_below_two(self, n):
+        # 0 used to die with ZeroDivisionError, -3 to give c = -2 and chi(2) = -2.
+        k = make_field(13, n=3)
+        with pytest.raises(ModulusError):
+            KummerCharacter(k, n, 1)
 
     def test_linearity(self):
         k = make_field(7, n=6)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import math
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -177,6 +178,25 @@ class TestConstruction:
         for a in range(4):
             for b in range(4):
                 assert g.commutator(a, b) == g.identity
+
+    @pytest.mark.parametrize("build", [lambda: cyclic_group(7), lambda: to_table_group(3)], ids=["C7", "heis3"])
+    def test_power_matches_the_loop(self, build):
+        # a^m as m (or -m) literal products, for every a and |m| <= 2N.
+        g = build()
+        for a in range(g.order):
+            acc, inv_acc = g.identity, g.identity
+            for m in range(2 * g.order + 1):
+                assert (g.power(a, m), g.power(a, -m)) == (acc, inv_acc), (a, m)
+                acc, inv_acc = int(g.table[acc, a]), int(g.table[inv_acc, g.inv(a)])
+
+    def test_power_of_a_huge_exponent(self):
+        # By repeated squaring: 10^18 literal products would never finish.
+        g = to_table_group(3)
+        start = time.perf_counter()
+        got = [g.power(a, 10**18) for a in range(g.order)]
+        assert time.perf_counter() - start < 0.5
+        assert got == [g.power(a, 10**18 % g.order_of(a)) for a in range(g.order)]
+        assert cyclic_group(7).power(1, 10**18) == 10**18 % 7
 
 
 class TestSuppliedGenerators:
@@ -736,10 +756,20 @@ class TestIndexValidation:
         lambda g, x: g.is_normal([0, 2, x]),
         lambda g, x: g.quotient([0, 2, x]),
         lambda g, x: g.subgroup_table([0, x]),
-    ], ids=["subgroup_closure", "is_subgroup", "is_normal", "quotient", "subgroup_table"])
+        lambda g, x: g.mul(x, 0),
+        lambda g, x: g.mul(0, x),
+        lambda g, x: g.inv(x),
+        lambda g, x: g.power(x, 3),
+        lambda g, x: g.power(x, -3),
+        lambda g, x: g.powers(x, 3),
+        lambda g, x: g.commutator(0, x),
+        lambda g, x: g.order_of(x),
+    ], ids=["subgroup_closure", "is_subgroup", "is_normal", "quotient", "subgroup_table", "mul_left", "mul_right",
+            "inv", "power", "power_negative", "powers", "commutator", "order_of"])
     def test_out_of_range(self, call, bad):
         # Negative indices used to wrap around: is_subgroup([0, 2, -2]) on C4
-        # was True and subgroup_closure([-1]) all of C4.
+        # was True, subgroup_closure([-1]) all of C4 and mul(-1, 0) 3; mul(4, 0)
+        # raised a bare IndexError.
         with pytest.raises(DomainError):
             call(cyclic_group(4), bad)
 

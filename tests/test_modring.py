@@ -212,10 +212,11 @@ class TestHowellOracle:
 
     @pytest.mark.parametrize("chunk", [1, 3, None])
     def test_wide_sparse_rows(self, chunk, monkeypatch):
-        # [A^T | I] for sparse A with many more columns than rows, as
-        # nullspace and solve_linear build them: most steps change under a
-        # quarter of the rows, which are then gathered (in chunks of one or
-        # three rows when the chunk bound is lowered).
+        # [M | I] for sparse M with many more columns than rows, as
+        # _left_kernel builds them for nullspace (M = A^T) and solve_linear
+        # (M = [-b^T; A^T]): most steps change under a quarter of the rows,
+        # which are then gathered (in chunks of one or three rows when the
+        # chunk bound is lowered).
         if chunk is not None:
             monkeypatch.setattr(modring, "HOWELL_CHUNK_CELLS", chunk * 200)
         rng = random.Random(11 if chunk is None else chunk)
@@ -576,6 +577,25 @@ class TestSolveLinear:
             rows, cols, k = rng.randrange(1, 9), rng.randrange(1, 9), rng.randrange(0, 5)
             outcomes.add(self.assert_columns_match(n, *self.columns_case(rng, n, rows, cols, k), k))
         assert outcomes == {True, False}
+
+    def test_canonical_solution(self):
+        # x is reduced against the Howell rows of ker a, so reordering the
+        # equations (rows of a with b) gives the same x.
+        rng = random.Random(14)
+        solved = 0
+        for _ in range(400):
+            n = rng.choice([6, 12, 2**16, 65537, 2**31 - 1])
+            rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+            a, b = (np.array(m, dtype=np.int64) for m in self.columns_case(rng, n, rows, cols, 1))
+            x = modring.solve_linear(ModMatrix(n, a), b[:, 0])
+            perm = rng.sample(range(rows), rows)
+            y = modring.solve_linear(ModMatrix(n, a[perm]), b[perm, 0])
+            assert (x is None) == (y is None)
+            if x is not None:
+                solved += 1
+                assert y.tolist() == x.tolist()
+                assert modring._reduce_against(modring.nullspace(ModMatrix(n, a)).entries, x, n).tolist() == x.tolist()
+        assert solved > 200
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())

@@ -25,6 +25,11 @@ only from ``abelian_decomposition``, which compares the table with its
 transpose.  ``_coset_layer`` numbers the cosets of G^(i+1) in G^(i), which
 form a group only when G^(i+1) is normal, so it is called only from
 ``central_series``, which calls ``is_normal`` on each term.
+
+``modring`` has one path for kernels and solutions: ``solve_linear`` reads
+its solutions off ``_left_kernel``, as ``nullspace`` does, and the
+reduction against Howell rows, ``_reduce_against``, serves ``membership``
+alone.
 """
 
 import ast
@@ -158,3 +163,12 @@ def test_raw_table_helpers_only_behind_their_checks():
         if path.name != "groups.py":
             for helper in ("_decompose_table", "_coset_layer"):
                 assert calls_of(path.read_text(), helper) == []
+
+
+def test_one_solving_path():
+    source = (SRC / "modring.py").read_text()
+    assert "solve_linear" in calls_of(source, "_left_kernel")
+    assert set(calls_of(source, "_reduce_against")) == {"membership"}
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "modring.py":
+            assert calls_of(path.read_text(), "_reduce_against") == []
