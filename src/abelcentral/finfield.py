@@ -13,6 +13,7 @@ the Frobenius matrix, and generator orders by matrix powers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -362,7 +363,7 @@ class KummerCharacter:
             raise ModulusError(f"modulus must be >= 2, got {self.n}")
         if (self.field.q - 1) % self.n != 0:
             raise HypothesisError("character modulus must divide q-1")
-        object.__setattr__(self, "c", self.c % self.n)
+        object.__setattr__(self, "c", _integer(self.c, "character value") % self.n)
 
     def __call__(self, x: int) -> int:
         return char_eval(self, x)
@@ -373,7 +374,15 @@ class KummerCharacter:
         return KummerCharacter(self.field, self.n, self.c + other.c)
 
     def scale(self, a: int) -> "KummerCharacter":
-        return KummerCharacter(self.field, self.n, a * self.c)
+        return KummerCharacter(self.field, self.n, _integer(a, "scale factor") * self.c)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int (numpy integers pass); DomainError for a float or a non-number."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def char_eval(f: KummerCharacter, x: int) -> int:

@@ -196,7 +196,9 @@ class TableGroup:
         return int(_nth_powers(self.table, self.identity, np.array([self._element(a)]), m)[0])
 
     def powers(self, a: int, m: int) -> np.ndarray:
-        """The array (a^0, a^1, ..., a^(m-1))."""
+        """The array (a^0, a^1, ..., a^(m-1)); DomainError for a negative m."""
+        if m < 0:
+            raise DomainError(f"power count must be >= 0, got {m}")
         return _powers(self.table, self.identity, self._element(a), m)
 
     def commutator(self, a: int, b: int) -> int:

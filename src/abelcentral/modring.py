@@ -15,7 +15,7 @@ Conventions making canonical forms byte-comparable:
 
 Everything is numpy on int64 entries and rests on the one Howell routine;
 ``structure`` too reads its invariant factors off Howell forms, of the rows
-and the columns in turn.
+and the columns of the pivot block in turn.
 """
 
 from __future__ import annotations
@@ -178,10 +178,13 @@ def _howell(entries: np.ndarray, n: int) -> np.ndarray:
                 row = a[i, j:]
                 pivot[:], row[:] = (s % n * pivot + t % n * row) % n, ((c // g) * row - (b // g) * pivot) % n
                 c = g
-        pivot = _unit_scale(c, n) * pivot % n
-        a[src, j:] = a[top, j:]
-        a[top, j:] = pivot
-        pivot, q = a[top, j:], a[:end, j] // d
+        if (u := _unit_scale(c, n)) != 1:
+            pivot *= u
+            pivot %= n
+        if src != top:
+            a[top, j:], a[src, j:] = pivot, a[top, j:].copy()
+        pivot = a[top, j:]
+        q = a[:end, j].copy() if d == 1 else a[:end, j] // d
         q[top] = 0
         step = max(1, HOWELL_CHUNK_CELLS // (cols - j))
         if cols - j > 4 * end and 4 * np.count_nonzero(q) < end:
@@ -195,11 +198,14 @@ def _howell(entries: np.ndarray, n: int) -> np.ndarray:
                     block = a[lo : min(lo + step, end), j:]
                     block -= q[lo : lo + step, None] * pivot
                     block %= n
-        if d > 1 and (ann := (n // d) * pivot % n).any():
-            if end == a.shape[0]:
-                a, end = _free_row(a, top + 1, end, j)
-            a[end, j:] = ann
-            end += 1
+        if d > 1:
+            ann = pivot * (n // d)
+            ann %= n
+            if ann.any():
+                if end == a.shape[0]:
+                    a, end = _free_row(a, top + 1, end, j)
+                a[end, j:] = ann
+                end += 1
         top, j = top + 1, j + 1
     return a[:top]
 
@@ -230,11 +236,17 @@ def canonicalize(gens: ModMatrix) -> SubgroupZnk:
     return SubgroupZnk(modulus=gens.modulus, ambient_rank=gens.cols, canonical=howell_form(gens))
 
 
+def _pivot_columns(canonical: np.ndarray) -> np.ndarray:
+    """The column of each canonical Howell row's pivot, its first nonzero entry."""
+    if not canonical.size:  # argmax has no answer on zero columns
+        return np.zeros(canonical.shape[0], dtype=np.intp)
+    return (canonical != 0).argmax(axis=1)
+
+
 def _reduce_against(canonical: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """The remainder of v reduced by canonical Howell rows; zero iff v is in their span."""
     v = v % n
-    for row in canonical:
-        j = int(np.flatnonzero(row)[0])
+    for row, j in zip(canonical, _pivot_columns(canonical).tolist()):
         d, val = int(row[j]), int(v[j])
         if val % d:
             return v
@@ -276,7 +288,17 @@ def nullspace(mat: ModMatrix) -> ModMatrix:
 def structure(s: SubgroupZnk) -> AbelianStructure:
     """Invariant factors of the subgroup as a finite abelian group.
 
-    The canonical rows are replaced by the Howell rows of their transpose
+    The r canonical rows H are first cut down to their pivot columns, an
+    r x r upper triangular block B with the pivots on its diagonal; the
+    order of the subgroup is the product of n / pivot.  B keeps the group,
+    since projecting onto the pivot columns is injective on the row module M
+    of a Howell form.  Suppose x in M is nonzero and vanishes on every pivot
+    column, and let j be its first nonzero column.  Then j is not a pivot
+    column, and by the Howell property x lies in the span of the rows whose
+    pivot column is > j.  All of those rows are 0 at column j, so x[j] = 0, a
+    contradiction.  So M is isomorphic to the row module of B.
+
+    The rows of B are then replaced by the Howell rows of their transpose
     until every row and every column has at most one nonzero entry d; each
     such row spans a cyclic factor of order n / gcd(d, n).  Exactness: a
     Howell step keeps the row module, and the row and column modules of a
@@ -287,10 +309,11 @@ def structure(s: SubgroupZnk) -> AbelianStructure:
     with d's column, and the rounds go on in the rows and columns after it.
     Z/n has finitely many ideals, so the rounds end.  The factors are then
     put into a divisibility chain by pairwise gcd/lcm, and their product
-    must be the order of the subgroup, the product of n / pivot.
+    must be the order of the subgroup.
     """
-    n, a = s.modulus, s.canonical.entries
-    order = math.prod(n // int(row[row != 0][0]) for row in a)
+    n, h = s.modulus, s.canonical.entries
+    a = h[:, _pivot_columns(h)]
+    order = math.prod(n // d for d in np.diagonal(a).tolist())
     nonzero = a != 0
     while (nonzero.sum(axis=0) > 1).any() or (nonzero.sum(axis=1) > 1).any():
         a = _howell(a.T, n)

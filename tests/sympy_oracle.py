@@ -1,10 +1,13 @@
-"""The sympy computations the library once made itself, kept as test-side
+"""The computations the library once made itself, kept as test-side
 oracles: irreducibility by ``gf_irreducible_p``, the generator search by
-``gf_pow_mod`` on galoistools lists, and invariant factors from the Smith
-form of a subgroup's relation lattice."""
+``gf_pow_mod`` on galoistools lists, invariant factors from the Smith form of
+a subgroup's relation lattice, and the Howell transpose rounds run on the
+full width of the canonical rows."""
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -13,7 +16,9 @@ from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod, gf_strip
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.normalforms import invariant_factors
 
-from abelcentral.modring import SubgroupZnk, _left_kernel
+from abelcentral import modring
+from abelcentral.errors import TheoremViolationError
+from abelcentral.modring import AbelianStructure, SubgroupZnk, _left_kernel
 
 
 def is_irreducible(poly: Sequence[int], p: int) -> bool:
@@ -49,3 +54,23 @@ def structure(s: SubgroupZnk) -> tuple[int, ...]:
     rel = np.vstack([_left_kernel(basis, s.modulus), s.modulus * np.eye(basis.shape[0], dtype=np.int64)])
     factors = invariant_factors(DomainMatrix.from_list(rel.tolist(), ZZ))
     return tuple(int(d) for d in factors if d > 1)
+
+
+def full_width_structure(s: SubgroupZnk) -> AbelianStructure:
+    """Invariant factors by Howell rounds on the whole canonical form, as
+    ``modring.structure`` computed them before it cut the form down to its
+    pivot columns: the rows, then their transpose (2(q-2) x r on the table
+    group), and so on until every row and column has one nonzero entry."""
+    n, a = s.modulus, s.canonical.entries
+    order = math.prod(n // int(row[row != 0][0]) for row in a)
+    nonzero = a != 0
+    while (nonzero.sum(axis=0) > 1).any() or (nonzero.sum(axis=1) > 1).any():
+        a = modring._howell(a.T, n)
+        nonzero = a != 0
+    factors = sorted(n // math.gcd(int(d), n) for d in a[nonzero])
+    for i, j in itertools.combinations(range(len(factors)), 2):
+        g = math.gcd(factors[i], factors[j])
+        factors[i], factors[j] = g, factors[i] * factors[j] // g
+    if math.prod(factors) != order:
+        raise TheoremViolationError(f"invariant factors {factors} do not multiply to the order {order}")
+    return AbelianStructure(tuple(d for d in factors if d > 1))

@@ -6,6 +6,7 @@ import random
 import time
 from typing import Sequence
 
+import numpy as np
 import pytest
 import sympy
 
@@ -381,6 +382,27 @@ class TestCharacters:
         k = make_field(13, n=3)
         with pytest.raises(ModulusError):
             KummerCharacter(k, n, 1)
+
+    @pytest.mark.parametrize("c", [2.5, 2.0, "1", None])
+    def test_value_not_an_integer(self, c):
+        # 2.5 used to be kept: chi(2) = 2.5 and chi(4) = 2.0 on F_13 mod 3.
+        k = make_field(13, n=3)
+        with pytest.raises(DomainError, match="integer"):
+            KummerCharacter(k, 3, c)
+
+    @pytest.mark.parametrize("a", [2.5, 2.0, "2", None])
+    def test_scale_not_an_integer(self, a):
+        # scale(2.5) used to give c = 2.5 (and 0.25 from c = 1.5), scale(None)
+        # a bare TypeError.
+        k = make_field(13, n=3)
+        with pytest.raises(DomainError, match="integer"):
+            KummerCharacter(k, 3, 1).scale(a)
+
+    def test_numpy_integer_values(self):
+        k = make_field(13, n=3)
+        f = KummerCharacter(k, 3, np.int64(5))
+        assert f.c == 2 and type(f.c) is int
+        assert f.scale(np.int32(2)).c == 1 and f == KummerCharacter(k, 3, 2)
 
     def test_linearity(self):
         k = make_field(7, n=6)

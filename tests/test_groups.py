@@ -773,6 +773,14 @@ class TestIndexValidation:
         with pytest.raises(DomainError):
             call(cyclic_group(4), bad)
 
+    def test_negative_power_count(self):
+        # powers(1, -3) on C7 used to return an empty array, as if there were no powers.
+        g = cyclic_group(7)
+        with pytest.raises(DomainError, match="power count"):
+            g.powers(1, -3)
+        assert g.powers(1, 0).tolist() == []
+        assert g.powers(1, 3).tolist() == [0, 1, 2]
+
     def test_closed_but_not_normal(self):
         h = to_table_group(3)
         sub = [h.labels.index(f"h({a},0;0)") for a in range(3)]

@@ -380,6 +380,58 @@ class TestStructure:
             sub = modring.canonicalize(ModMatrix(n, entries))
             assert modring.structure(sub).invariant_factors == sympy_oracle.structure(sub), (n, entries.tolist())
 
+    def test_against_the_full_width_rounds(self):
+        # The pivot block against the rounds on the whole canonical form:
+        # narrow subgroups at composite and prime moduli, most of them rank
+        # deficient (rows are combinations of fewer base rows, scaled by a
+        # divisor of n for pivots that are not units), then wide forms of
+        # 1-3 rows up to 131070 columns.
+        rng = np.random.default_rng(25)
+        moduli = [4, 6, 12, 36, 60, 720, 2**16, 65537, 2**31 - 1]
+
+        def rows_of(n, rows, cols, rank):
+            divisors = [d for d in (1, 2, 3, 4, 6, 8, 12, 2**8) if n % d == 0 and d < n]
+            base = rng.integers(0, n, (rank, cols)) * int(rng.choice(divisors)) % n
+            return rng.integers(1, 4, (rows, rank)) @ base % n
+
+        cases = []
+        for _ in range(600):
+            n, cols = int(rng.choice(moduli)), int(rng.integers(1, 9))
+            cases.append((n, rows_of(n, int(rng.integers(0, 9)), cols, int(rng.integers(1, 5)))))
+        for cols in (2, 3, 1000, 65535, 131070):
+            for n in (12, 720, 2**16):
+                rows = int(rng.integers(1, 4))
+                cases.append((n, rows_of(n, rows, cols, int(rng.integers(1, rows + 1)))))
+        wide = 0
+        for n, entries in cases:
+            sub = modring.canonicalize(ModMatrix(n, entries))
+            wide += sub.canonical.cols >= 1000 and 1 <= sub.canonical.rows <= 3
+            got, want = modring.structure(sub), sympy_oracle.full_width_structure(sub)
+            assert got == want, (n, entries.shape)
+        assert wide >= 8
+
+    def test_pivot_block_bounds_f65537(self, monkeypatch):
+        # The table group of F_65537 at n = 65536 has two Howell rows of
+        # 131070 columns, which the full-width rounds transposed into a
+        # 131070 x 2 matrix (about 37 ms and a 10.8 MiB tracemalloc peak).
+        from abelcentral import finfield, tables
+
+        k = finfield.make_field(65537, n=65536)
+        sub = tables.ffrak_generate(k, finfield.omega(k, 65536)).subgroup
+        r = sub.canonical.rows
+        assert (r, sub.canonical.cols) == (2, 131070)
+        cells, howell = [], modring._howell
+        monkeypatch.setattr(modring, "_howell", lambda a, n: cells.append(a.size) or howell(a, n))
+        assert modring.structure(sub).invariant_factors == (65536,)
+        assert cells and max(cells) <= r * r
+        tracemalloc.start()
+        try:
+            modring.structure(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
     def test_three_rounds(self, monkeypatch):
         # Howell rows [[4, 2], [0, 3]] mod 60, order 15 * 20: the columns,
         # the rows and the columns again before each line has one entry.
