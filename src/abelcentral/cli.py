@@ -69,8 +69,8 @@ def _cmd_relations(args) -> int:
         doc = json.load(fh)
     pairs = [
         (
-            KummerCharacter(field, field.n, int(item["sigma"])),
-            KummerCharacter(field, field.n, int(item["tau"])),
+            KummerCharacter(field, field.n, item["sigma"]),
+            KummerCharacter(field, field.n, item["tau"]),
         )
         for item in doc["pairs"]
     ]

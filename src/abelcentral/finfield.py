@@ -122,17 +122,32 @@ class FqField:
         out = ((da + sign * db) % self.p) @ place
         return int(out) if np.ndim(out) == 0 else out
 
+    def _in_field(self, x: Elements) -> np.ndarray:
+        """``x`` as an int64 array, after checking that every entry lies in [0, q).
+
+        One comparison per operand: read as unsigned, a negative entry is at
+        least 2^63 > q.  DomainError for an entry outside the field.
+        """
+        try:
+            arr = np.asarray(x, dtype=np.int64)
+        except OverflowError:
+            raise DomainError(f"element {x} outside field of order {self.q}") from None
+        outside = arr.view(np.uint64) >= self.q
+        if outside.any():
+            raise DomainError(f"element {arr[outside][0]} outside field of order {self.q}")
+        return arr
+
     def add(self, a: Elements, b: Elements) -> Elements:
-        return self._digitwise(a, b, 1)
+        return self._digitwise(self._in_field(a), self._in_field(b), 1)
 
     def neg(self, a: Elements) -> Elements:
-        return self._digitwise(0, a, -1)
+        return self._digitwise(0, self._in_field(a), -1)
 
     def sub(self, a: Elements, b: Elements) -> Elements:
-        return self._digitwise(a, b, -1)
+        return self._digitwise(self._in_field(a), self._in_field(b), -1)
 
     def one_minus(self, x: Elements) -> Elements:
-        return self._digitwise(1, x, -1)
+        return self._digitwise(1, self._in_field(x), -1)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:

@@ -199,60 +199,82 @@ def _bilinear_sums(pairs, a, b, n: int) -> np.ndarray:
     return ((sx * ty - sy * tx) % n).sum(axis=0) % n
 
 
-def enumerate_homs_check(pairs, field: FqField) -> bool:
+def _image_axes(n: int):
+    """The coordinates a, b and c of the generator images h(a, b; c), as int64
+    axes of shapes (n, 1, 1), (1, n, 1) and (1, 1, n)."""
+    return tuple(np.arange(n, dtype=np.int64).reshape(shape) for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
+
+
+def _image_sums(pairs, n: int) -> np.ndarray:
+    """The commutator sum at every generator image h(a, b; c), as a read-only
+    (n, n, n) grid indexed [a, b, c].
+
+    The axes of ``_image_axes`` go into ``_comm_sums``, and the result is
+    broadcast to (n, n, n).  This gives exactly the values of the full enumeration over
+    ``_elements(n)`` at every image, under any power law: ``_comm_sums`` is
+    elementwise in the image coordinates (``heis_pow_arrays``, ``_comm`` and
+    the reductions mod n act cell by cell) and sums only along the leading
+    pairs axis, so its value at an image depends on that image's (a, b, c)
+    alone, and numpy broadcasting evaluates the same elementwise expression
+    at every cell of the broadcast shape.  Where the sum does not read c, as
+    under the true law, the result has a length-1 c axis and the broadcast
+    repeats it; a law whose sums do read c carries the c axis by itself.
+    """
+    return np.broadcast_to(_comm_sums(pairs, *_image_axes(n), n), (n, n, n))
+
+
+def enumerate_homs_check(pairs, field: FqField, *, image_sums: np.ndarray | None = None) -> bool:
     """Whether the commutator sum vanishes for every homomorphism.
 
-    Enumerates all n^3 generator images h(a, b; c) as coordinate arrays, in
-    ``itertools.product`` order (every Heisenberg element has order dividing
-    n^2, verified by enumeration rather than assumed, so every image defines
-    a homomorphism from the cyclic order-n^2 source).  The images of the
-    characters' values are the closed-form powers ``heis_pow_arrays``, and
-    their commutator coordinates are summed over the pairs.  That sum is
-    cross-checked, image by image, against the bilinear criterion
-    sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for the induced pair of coordinate
-    functionals, computed without the power formula; any disagreement
-    raises ``TheoremViolationError``.  Both run over (pairs x n^3) arrays.
+    Every one of the n^3 generator images h(a, b; c) defines a homomorphism
+    from the cyclic order-n^2 source (every Heisenberg element has order
+    dividing n^2, verified by enumeration rather than assumed).  The
+    commutator sums of the images of the characters' values, taken with the
+    closed-form powers ``heis_pow_arrays`` and summed over the pairs, are
+    the grid ``_image_sums``; ``image_sums`` passes that grid in when the
+    caller has it already.  The grid is cross-checked, image by image,
+    against the bilinear criterion sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for
+    the induced pair of coordinate functionals, computed without the power
+    formula on the (n, n, 1) plane of (a, b), since it reads no c; any
+    disagreement raises ``TheoremViolationError``.
     """
     n = _char_pairs_check(pairs, field)
-    a, b, c = _elements(n)
-    total = _comm_sums(pairs, a, b, c, n)
-    if not np.array_equal(total, _bilinear_sums(pairs, a, b, n)):
+    if image_sums is None:
+        image_sums = _image_sums(pairs, n)
+    a, b, _ = _image_axes(n)
+    if (image_sums != _bilinear_sums(pairs, a, b, n)).any():
         raise TheoremViolationError("commutator sum disagrees with the bilinear criterion")
-    return not total.any()
+    return not image_sums.any()
 
 
-POINT_CHUNK_CELLS = 2**20  # (pairs x points x n) cells evaluated at once
-
-
-def pointwise_embedding_check(pairs, field: FqField) -> tuple[bool, int | None]:
+def pointwise_embedding_check(
+    pairs, field: FqField, *, image_sums: np.ndarray | None = None
+) -> tuple[bool, int | None]:
     """For each x in K minus {0,1}: some solution of the (x, 1-x) problem kills
     the commutator sum.
 
     The problem of x has target (dlog(x), dlog(1-x)) mod n and the n
     solutions h(dx, dy; t), which recover the target by construction; each
     is a homomorphism's generator image because ``exponent_divides_n2``
-    holds (checked in ``_char_pairs_check``).  The solutions are laid out
-    as a full (points x n) array, t running over every central coordinate,
-    and the commutator sum is computed at every cell, in blocks of rows that
-    hold at most ``POINT_CHUNK_CELLS`` cells across the pairs axis.  The sum is
-    independent of t, so one solution works iff all do; a row where it is
-    not constant raises ``TheoremViolationError``.  Returns (flag, smallest
-    failing x).
+    holds (checked in ``_char_pairs_check``).  Their commutator sums are row
+    (dx, dy) of the image grid ``_image_sums`` (passed in as ``image_sums``
+    when the caller has it), so each point is read by its type dx*n + dy.
+    The sum is independent of t, so one solution works iff all do; a row of
+    a type that occurs where it is not constant raises
+    ``TheoremViolationError``.  Returns (flag, smallest failing x).
     """
     n = _char_pairs_check(pairs, field)
-    dx, dy = (d % n for d in field.point_dlogs)
-    central = np.arange(n, dtype=np.int64)
-    sums = np.zeros(dx.size, dtype=np.int64)
-    step = max(1, POINT_CHUNK_CELLS // (n * max(len(pairs), 1)))
-    for lo in range(0, dx.size, step):
-        rows = slice(lo, lo + step)
-        grid = np.empty((3, dx[rows].size, n), dtype=np.int64)
-        grid[0], grid[1], grid[2] = dx[rows, None], dy[rows, None], central
-        block = _comm_sums(pairs, *grid, n)
-        if (block != block[:, :1]).any():
-            raise TheoremViolationError("commutator sum depends on the central coordinate")
-        sums[rows] = block[:, 0]
-    fail = np.flatnonzero(sums)
+    if image_sums is None:
+        image_sums = _image_sums(pairs, n)
+    dx, dy = field.point_dlogs
+    types = dx % n * n + dy % n
+    present = np.flatnonzero(np.bincount(types, minlength=n * n))
+    rows = image_sums.reshape(n * n, n)[present]
+    if (rows != rows[:, :1]).any():
+        raise TheoremViolationError("commutator sum depends on the central coordinate")
+    failing = np.zeros(n * n, dtype=bool)
+    failing[present] = rows[:, 0] != 0
+    fail = np.flatnonzero(failing[types])
     if fail.size:
         return False, min(field.table_points[i] for i in fail)
     return True, None

@@ -19,7 +19,11 @@ through an independent code path and raises if they ever disagree.
         problem kills the commutator sum.
 
 Conditions (5) and (7) are decided by finite enumeration and are only
-computed when n is within the enumeration bound.
+computed when n is within the enumeration bound.  Both are read off one grid
+of commutator sums over the n^3 generator images h(a, b; c), built once per
+check by broadcasting: (5) compares it with the bilinear criterion at every
+image, and (7) reads the n solutions of each point's embedding problem off
+its row (dlog x, dlog(1 - x)) mod n.
 
 Over a finite field every family satisfies all seven conditions.  K^x/K^xn
 is cyclic, so every character is a multiple a * chi of one character chi,
@@ -249,8 +253,9 @@ def relation_check(
 
     cond5 = cond7 = None
     if n <= ENUM_BOUND_N:
-        cond5 = heisenberg.enumerate_homs_check(list(pairs), field)
-        cond7, _ = heisenberg.pointwise_embedding_check(list(pairs), field)
+        image_sums = heisenberg._image_sums(pairs, n)
+        cond5 = heisenberg.enumerate_homs_check(list(pairs), field, image_sums=image_sums)
+        cond7, _ = heisenberg.pointwise_embedding_check(list(pairs), field, image_sums=image_sums)
 
     return RelationReport(
         cond1=cond1,

@@ -151,6 +151,16 @@ class TestExitCodes:
         )
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("value", [1.5, None, "1", [1]])
+    def test_relations_character_value_not_an_integer(self, capsys, tmp_path, value):
+        # 1.5 used to run as 1 and exit 0; null ended in a TypeError
+        # traceback with exit 1, the counterexample status.
+        inp = tmp_path / "fam.json"
+        inp.write_text(json.dumps({"pairs": [{"sigma": 1, "tau": 2}, {"sigma": 2, "tau": value}]}))
+        code, out, err = run(["relations", "--p", "13", "--n", "3", "--input", str(inp)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and f"character value must be an integer, got {value!r}" in err
+
     def test_field_above_the_bound(self, capsys):
         # 1048583 is the least prime above FIELD_MAX = 2^20.
         code, out, err = run(["field", "--p", "1048583", "--n", "2"], capsys)

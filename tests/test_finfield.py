@@ -267,6 +267,36 @@ class TestExtensionField:
                 assert k.sub(a, b) == oracle_add(k, a, b, -1)
 
 
+class TestAdditiveRange:
+    """add, sub, neg and one_minus refuse operands outside [0, q), as mul does."""
+
+    @pytest.mark.parametrize("q_args,call", [
+        ((13, 1), lambda k: k.neg(99)),
+        ((13, 1), lambda k: k.add(-1, 1)),
+        ((13, 1), lambda k: k.sub(5, 13)),
+        ((13, 1), lambda k: k.one_minus(13)),
+        ((13, 1), lambda k: k.add(2**70, 1)),
+        ((13, 1), lambda k: k.one_minus(np.array([2, 12, -3]))),
+        ((13, 1), lambda k: k.add(np.arange(14), 0)),
+        ((2, 2), lambda k: k.add(4, 1)),
+        ((2, 2), lambda k: k.add(99, 1)),
+        ((2, 2), lambda k: k.neg(np.array([[0, 1], [5, 2]]))),
+    ])
+    def test_outside_raises(self, q_args, call):
+        # F_13 used to give neg(99) = 5 and F_4 add(4, 1) = 1.
+        p, deg = q_args
+        with pytest.raises(DomainError, match="outside field"):
+            call(make_field(p, k=deg, n=3))
+
+    @pytest.mark.parametrize("p,deg", [(13, 1), (2, 2)])
+    def test_edges_pass(self, p, deg):
+        k = make_field(p, k=deg, n=3)
+        x = np.arange(k.q)
+        assert k.add(x, 0).tolist() == x.tolist()
+        assert k.sub(k.q - 1, k.q - 1) == 0 and k.neg(0) == 0
+        assert k.one_minus(np.array(1)) == 0
+
+
 class TestPointDlogs:
     @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (101, 1, 4), (7, 2, 3), (5, 2, 4), (3, 3, 2), (5, 3, 4)])
     def test_table_lookup_matches_loop(self, p, deg, n):

@@ -347,6 +347,22 @@ class TestArrayChecksAgainstOracles:
         with pytest.raises(TheoremViolationError, match="bilinear"):
             enumerate_homs_oracle(fam, k)
 
+    @pytest.mark.parametrize("law", [None, skewed_pow, central_pow])
+    @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (41, 1, 10), (7, 2, 8)])
+    def test_image_grid_is_the_full_enumeration(self, monkeypatch, law, p, deg, n):
+        # The broadcast grid must hold the commutator sums of all n^3 images
+        # in itertools.product order, also under a law whose sums read c.
+        k = make_field(p, k=deg, n=n)
+        if law is not None:
+            use_power_law(monkeypatch, law)
+        elements = heisenberg._elements(n)
+        reads_c = 0
+        for fam in seeded_families(k, 5 * p + n):
+            grid = heisenberg._image_sums(fam, n)
+            assert np.array_equal(grid, heisenberg._comm_sums(fam, *elements, n).reshape(n, n, n))
+            reads_c += bool((grid != grid[..., :1]).any())
+        assert (reads_c > 0) == (law is central_pow)
+
     def test_central_coordinate_dependence_raises(self, monkeypatch):
         k = make_field(13, n=3)
         use_power_law(monkeypatch, central_pow)
@@ -355,3 +371,25 @@ class TestArrayChecksAgainstOracles:
             pointwise_embedding_check(fam, k)
         with pytest.raises(TheoremViolationError, match="central coordinate"):
             pointwise_oracle(fam, k)
+        # The sums vanish on the plane c = 0, so only images with c != 0
+        # show the bilinear cross-check a disagreement.
+        with pytest.raises(TheoremViolationError, match="bilinear"):
+            enumerate_homs_check(fam, k)
+        with pytest.raises(TheoremViolationError, match="bilinear"):
+            enumerate_homs_oracle(fam, k)
+
+    def test_pointwise_memory_f65537(self):
+        # The grid holds n^3 sums and each point one type code.  The
+        # (points x n) solutions across the pairs axis peaked at 81.5 MiB here
+        # (field tables filled beforehand).
+        k = make_field(65537, n=8)
+        fam = [(KummerCharacter(k, 8, 3), KummerCharacter(k, 8, 5)), (KummerCharacter(k, 8, 7), KummerCharacter(k, 8, 1))]
+        k.point_dlogs
+        tracemalloc.start()
+        try:
+            result = pointwise_embedding_check(fam, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == (True, None)
+        assert peak <= 8 * 2**20

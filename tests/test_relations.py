@@ -8,9 +8,10 @@ import weakref
 import numpy as np
 import pytest
 import relations_oracle
-from test_heisenberg import skewed_pow, use_power_law
+from test_heisenberg import central_pow, enumerate_homs_oracle, pointwise_oracle, skewed_pow, use_power_law
 
 from abelcentral import heisenberg, relations, tables
+from abelcentral.heisenberg import enumerate_homs_check, pointwise_embedding_check
 from abelcentral.errors import DomainError, HypothesisError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field, omega
 from abelcentral.relations import RelationReport, relation_check
@@ -337,6 +338,85 @@ class TestBatchAgainstOracles:
             assert np.array_equal(heisenberg._comm_sums(fam, a, b, c, n), want)
             assert np.array_equal(heisenberg._bilinear_sums(fam, a, b, n), relations_oracle.bilinear_sums(fam, a, b, n))
         assert nonzero >= 3
+
+
+# The n <= 10 fields of the relation_families benchmark workload, and F_49
+# with n = 8, whose table_points are in dlog order.
+HEISENBERG_FIELDS = [(13, 1, 3), (17, 1, 4), (29, 1, 7), (37, 1, 9), (41, 1, 10), (61, 1, 10), (7, 2, 8)]
+
+
+class TestHeisenbergGrid:
+    """Conditions (5) and (7) read off one grid of commutator sums per check."""
+
+    @pytest.mark.parametrize("p,deg,n", HEISENBERG_FIELDS)
+    def test_conditions_match_standalone_checks_and_oracles(self, p, deg, n):
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        for fam in seeded_families(k, n, 10 * p + n):
+            rep = relation_check(fam, w)
+            assert rep.cond5 == enumerate_homs_check(fam, k) == enumerate_homs_oracle(fam, k)
+            pointwise = pointwise_embedding_check(fam, k)
+            assert pointwise == pointwise_oracle(fam, k)
+            assert rep.cond7 == pointwise[0]
+
+    def test_one_grid_and_one_power_batch(self, monkeypatch):
+        # Both checks receive the same grid, the commutator sums at every
+        # image; its powers come from one heis_pow_arrays call, none for an
+        # empty family.
+        k, w = field_and_omega(41, 10)
+        elements = heisenberg._elements(10)
+        powers, grids = [], []
+        pow_arrays = heisenberg.heis_pow_arrays
+        monkeypatch.setattr(heisenberg, "heis_pow_arrays", lambda *a: powers.append(a) or pow_arrays(*a))
+        for name in ("enumerate_homs_check", "pointwise_embedding_check"):
+            check = getattr(heisenberg, name)
+            monkeypatch.setattr(heisenberg, name, lambda *a, check=check, **kw: grids.append(kw) or check(*a, **kw))
+        for fam in seeded_families(k, 10, 41):
+            powers.clear()
+            grids.clear()
+            relation_check(fam, w)
+            assert len(powers) == (1 if fam else 0)
+            assert len(grids) == 2 and grids[0]["image_sums"] is grids[1]["image_sums"]
+            want = relations_oracle.comm_sums(fam, *elements, 10).reshape(10, 10, 10)
+            assert np.array_equal(grids[0]["image_sums"], want)
+
+    @pytest.mark.parametrize("law", [skewed_pow, central_pow])
+    @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (41, 1, 10), (7, 2, 8)])
+    def test_wrong_law_raises_the_standalone_message(self, monkeypatch, law, p, deg, n):
+        # relation_check runs (5) before (7), so it must raise what the
+        # standalone checks raise in that order, message for message.
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        use_power_law(monkeypatch, law)
+        raised = 0
+        for fam in seeded_families(k, n, 3 * p + n):
+            try:
+                enumerate_homs_check(fam, k)
+                pointwise_embedding_check(fam, k)
+            except TheoremViolationError as exc:
+                raised += 1
+                with pytest.raises(TheoremViolationError) as info:
+                    relation_check(fam, w)
+                assert str(info.value) == str(exc)
+            else:
+                assert relation_check(fam, w).holds
+        assert raised >= 3
+
+    def test_peak_memory_f65537_n8(self):
+        # (7) reads each point's type off the n^3 grid.  Its (points x n)
+        # solutions across the pairs axis peaked at 90.0 MiB here (span
+        # filled beforehand).
+        k, w = field_and_omega(65537, 8)
+        w.doubled_power_span
+        fam = [(KummerCharacter(k, 8, 3), KummerCharacter(k, 8, 5)), (KummerCharacter(k, 8, 7), KummerCharacter(k, 8, 1))]
+        tracemalloc.start()
+        try:
+            rep = relation_check(fam, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds and rep.cond7 is True
+        assert peak <= 32 * 2**20
 
 
 def cond6_oracle(pairs, field, n):
