@@ -379,9 +379,10 @@ class TestArrayChecksAgainstOracles:
             enumerate_homs_oracle(fam, k)
 
     def test_pointwise_memory_f65537(self):
-        # The grid holds n^3 sums and each point one type code.  The
-        # (points x n) solutions across the pairs axis peaked at 81.5 MiB here
-        # (field tables filled beforehand).
+        # The grid holds n^3 sums and each point one type code, about
+        # 1 MiB.  Evaluating the (points x n) solutions across the pairs axis
+        # instead takes 81.5 MiB on these inputs (field tables filled
+        # beforehand).
         k = make_field(65537, n=8)
         fam = [(KummerCharacter(k, 8, 3), KummerCharacter(k, 8, 5)), (KummerCharacter(k, 8, 7), KummerCharacter(k, 8, 1))]
         k.point_dlogs

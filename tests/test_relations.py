@@ -11,9 +11,9 @@ import relations_oracle
 from test_heisenberg import central_pow, enumerate_homs_oracle, pointwise_oracle, skewed_pow, use_power_law
 
 from abelcentral import heisenberg, relations, tables
-from abelcentral.heisenberg import enumerate_homs_check, pointwise_embedding_check
 from abelcentral.errors import DomainError, HypothesisError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field, omega
+from abelcentral.heisenberg import enumerate_homs_check, pointwise_embedding_check
 from abelcentral.relations import RelationReport, relation_check
 
 
@@ -403,9 +403,10 @@ class TestHeisenbergGrid:
         assert raised >= 3
 
     def test_peak_memory_f65537_n8(self):
-        # (7) reads each point's type off the n^3 grid.  Its (points x n)
-        # solutions across the pairs axis peaked at 90.0 MiB here (span
-        # filled beforehand).
+        # (7) reads each point's type off the n^3 grid, and the check peaks
+        # at about 17 MiB on these inputs, in the tables of the other
+        # conditions.  Evaluating the (points x n) solutions across the
+        # pairs axis instead takes 90.0 MiB (span filled beforehand).
         k, w = field_and_omega(65537, 8)
         w.doubled_power_span
         fam = [(KummerCharacter(k, 8, 3), KummerCharacter(k, 8, 5)), (KummerCharacter(k, 8, 7), KummerCharacter(k, 8, 1))]
