@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import cohomology, heisenberg, relations, tables
-from .errors import TheoremViolationError
+from .errors import DomainError, TheoremViolationError
 from .finfield import KummerCharacter, make_field, omega as make_omega
 from .groups import TableGroup, elementary_group
 
@@ -67,12 +67,15 @@ def _cmd_relations(args) -> int:
     field, w = _field_from_args(args)
     with open(args.input) as fh:
         doc = json.load(fh)
+    items = doc.get("pairs") if isinstance(doc, dict) else None
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise DomainError('input must be a JSON object {"pairs": [{"sigma": c, "tau": c}, ...]}')
     pairs = [
         (
             KummerCharacter(field, field.n, item["sigma"]),
             KummerCharacter(field, field.n, item["tau"]),
         )
-        for item in doc["pairs"]
+        for item in items
     ]
     report = relations.relation_check(pairs, w)
     emit_report(report.as_dict(), args.output)

@@ -70,10 +70,9 @@ class Cocycle2:
         object.__setattr__(self, "values", v)
         # Compared in row blocks of a, so that no N x N temporary is formed
         # besides the reduced copy.
-        t, step = self.group.table, max(1, groups.CHECK_CHUNK_CELLS // N)
+        t, blocks = self.group.table, modring.row_blocks(N, N, groups.CHECK_CHUNK_CELLS)
         for s in self.group.generators:
-            for lo in range(0, N, step):
-                a = slice(lo, lo + step)
+            for a in blocks:
                 d = v[t[a, s]]  # a fresh block, changed in place
                 d -= v[a][:, t[s]]
                 d += v[a, s, None] - v[s]
@@ -131,14 +130,14 @@ def verify_propA1(k: int, n: int) -> int:
     """
     g, coords, eye = elementary_group(n, k), elementary_coords(n, k), np.eye(k, dtype=np.int64)
     t, inv, every = g.table, g._inverses, np.arange(g.order)
-    b2, step = binom2(n), max(1, groups.CHECK_CHUNK_CELLS // g.order)
+    b2, blocks = binom2(n), modring.row_blocks(g.order, g.order, groups.CHECK_CHUNK_CELLS)
     bad = 0
     for x in eye:
         bv, sx = _elementary_cocycle(g, coords, n, np.zeros_like(eye), [x]).values, (coords @ x) % n
         for y in eye:
             uv, sy = _elementary_cocycle(g, coords, n, np.outer(x, y), []).values, (coords @ y) % n
-            for lo in range(0, g.order, step):
-                s = every[lo : lo + step]
+            for rows in blocks:
+                s = every[rows]
                 st, power, u_sum, b_sum = t[s], np.full_like(s, g.identity), 0, 0
                 for _ in range(n):
                     u_sum, b_sum, power = u_sum + uv[power, s], b_sum + bv[power, s], t[power, s]

@@ -16,12 +16,12 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import modring
-from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
+from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError, check_bound
 
 FIELD_MAX = 2**20  # every field holds its full exp/dlog tables
 
@@ -123,15 +123,24 @@ class FqField:
         return int(out) if np.ndim(out) == 0 else out
 
     def _in_field(self, x: Elements) -> np.ndarray:
-        """``x`` as an int64 array, after checking that every entry lies in [0, q).
+        """``x`` as an int64 array, after checking that every entry is an
+        integer in [0, q).
 
-        One comparison per operand: read as unsigned, a negative entry is at
-        least 2^63 > q.  DomainError for an entry outside the field.
+        DomainError for an array that is not of an integer dtype (a float
+        would be truncated by the cast, a bool read as 0 or 1), or for an entry
+        outside the field.  Python ints beyond int64 arrive as an object array
+        and lie outside.  One comparison per operand: read as unsigned, a
+        negative entry is at least 2^63 > q.
         """
-        try:
-            arr = np.asarray(x, dtype=np.int64)
-        except OverflowError:
-            raise DomainError(f"element {x} outside field of order {self.q}") from None
+        arr = np.asarray(x)
+        if arr.dtype == object and all(type(v) is int for v in arr.flat):
+            try:
+                arr = arr.astype(np.int64)
+            except OverflowError:
+                raise DomainError(f"element {x} outside field of order {self.q}") from None
+        if arr.dtype.kind not in "iu":
+            raise DomainError(f"field elements must be integers, got {x!r}")
+        arr = arr.astype(np.int64, copy=False)
         outside = arr.view(np.uint64) >= self.q
         if outside.any():
             raise DomainError(f"element {arr[outside][0]} outside field of order {self.q}")
@@ -281,12 +290,7 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
         raise DomainError(f"{p} is not prime")
     if k < 1:
         raise DomainError("degree must be >= 1")
-    if p > FIELD_MAX or k >= FIELD_MAX.bit_length():  # before p**k is formed
-        order = p if k == 1 else f"{p}^{k}"
-        raise DomainError(f"field of order {order} exceeds the supported bound {FIELD_MAX}")
-    q = p**k
-    if q > FIELD_MAX:
-        raise DomainError(f"field of order {q} exceeds the supported bound {FIELD_MAX}")
+    q = check_bound((p, k), FIELD_MAX, "field order")
     if n % p == 0:
         raise HypothesisError(f"n = {n} is not prime to the characteristic {p}")
     if (q - 1) % n != 0:
@@ -384,8 +388,7 @@ class KummerCharacter:
         return char_eval(self, x)
 
     def __add__(self, other: "KummerCharacter") -> "KummerCharacter":
-        if other.field is not self.field or other.n != self.n:
-            raise ModulusError("characters live on different fields/moduli")
+        check_characters([other], self.field, self.n)
         return KummerCharacter(self.field, self.n, self.c + other.c)
 
     def scale(self, a: int) -> "KummerCharacter":
@@ -393,11 +396,21 @@ class KummerCharacter:
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as a Python int (numpy integers pass); DomainError for a float or a non-number."""
+    """``value`` as a Python int (numpy integers pass); DomainError for a
+    bool, a float or a non-number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return operator.index(value)
     except TypeError:
         raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
+def check_characters(chars: Iterable[KummerCharacter], field: FqField, n: int) -> None:
+    """ModulusError unless every character of ``chars`` lives on ``field`` (the same object) mod n."""
+    for f in chars:
+        if f.field is not field or f.n != n:
+            raise ModulusError(f"characters must share the field F_{field.q} and the modulus {n}")
 
 
 def char_eval(f: KummerCharacter, x: int) -> int:

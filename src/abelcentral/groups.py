@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_bound
+from .modring import row_blocks
 
 TABLE_MAX = 10**4
 CHECK_CHUNK_CELLS = 1 << 18  # cells per row block of Light's test
@@ -42,8 +43,9 @@ class TableGroup:
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError("multiplication table must be square")
         n = t.shape[0]
-        if n == 0 or n > TABLE_MAX:
+        if n == 0:
             raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
+        check_bound(n, TABLE_MAX, "group order")
         if t.min() < 0 or t.max() >= n:
             raise DomainError("table entries out of range")
         object.__setattr__(self, "table", t)
@@ -125,10 +127,10 @@ class TableGroup:
         # element is a product of generators, so T is everything once it
         # holds the generators.  Compared in row blocks of a, so that no
         # N x N temporary is formed.
-        step = max(1, CHECK_CHUNK_CELLS // self.order)
+        blocks = row_blocks(self.order, self.order, CHECK_CHUNK_CELLS)
         for s in self.generators:
-            for lo in range(0, self.order, step):
-                if not np.array_equal(t[t[lo : lo + step, s]], t[lo : lo + step, t[s]]):
+            for a in blocks:
+                if not np.array_equal(t[t[a, s]], t[a, t[s]]):
                     raise DomainError("table is not associative")
 
     @cached_property
@@ -344,8 +346,9 @@ def _cosets(t: np.ndarray, members: np.ndarray, normal: np.ndarray) -> tuple[np.
 
 
 def cyclic_group(m: int) -> TableGroup:
-    if not 1 <= m <= TABLE_MAX:
+    if m < 1:
         raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
+    check_bound(m, TABLE_MAX, "group order")
     idx = np.arange(m)
     table = (idx[:, None] + idx[None, :]) % m
     return _generated_group(table, tuple(str(i) for i in range(m)), [1] if m > 1 else [])
@@ -360,13 +363,12 @@ def elementary_group(n: int, k: int) -> TableGroup:
     """(Z/n)^k with index sum(c_l * n^(k-1-l)) for coordinates (c_0..c_{k-1}).
 
     k = 0 gives the trivial group.  The table is a sum on a grid with one
-    axis per coordinate of each factor.
+    axis per coordinate of each factor.  n = 1 needs k = 0: no bound on the
+    order 1 of (Z/1)^k would bound its 2k axes and k-entry labels.
     """
-    if n < 1 or k < 0:
-        raise DomainError("elementary group needs n >= 1 and k >= 0")
-    size = n ** k
-    if size > TABLE_MAX:
-        raise DomainError("group too large")
+    if n < 1 or k < 0 or (n == 1 and k > 0):
+        raise DomainError("elementary group needs n >= 2 and k >= 0, or n = 1 and k = 0")
+    size = check_bound((n, k), TABLE_MAX, "group order")
     axes = np.ix_(*[np.arange(n)] * (2 * k))
     table = np.zeros((1,) * (2 * k), dtype=np.int64)
     for l in range(k):
@@ -544,10 +546,7 @@ def layer_maps(cs: CentralSeriesData, rng: Optional[random.Random] = None) -> tu
     """
     L = cs.layer1.group.order
     need = (6 if rng is not None else 3) * 8 * L * L
-    if need > LAYER_MAPS_BYTES_MAX:
-        raise DomainError(
-            f"layer maps on {L} layer-1 elements need about {need} bytes, above the bound {LAYER_MAPS_BYTES_MAX}"
-        )
+    check_bound(need, LAYER_MAPS_BYTES_MAX, f"bytes of layer maps on {L} layer-1 elements")
     g, lifts, project = cs.group, cs.layer1.lifts, cs.layer2.project
     t, inv = g.table, g._inverses
 

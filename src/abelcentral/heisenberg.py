@@ -21,10 +21,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import groups
 from .cohomology import make_U_B
-from .errors import DomainError, ModulusError, TheoremViolationError
-from .finfield import FqField
-from .groups import TABLE_MAX, TableGroup, _generated_group, central_series
+from .errors import ModulusError, TheoremViolationError, check_bound
+from .finfield import FqField, check_characters
+from .groups import TableGroup, _generated_group, central_series
 
 
 def _mul(n: int, u, v):
@@ -67,13 +68,10 @@ def heis_pow_arrays(n: int, a, b, c, m: int):
 
 
 def _order(n: int) -> int:
-    """The group order n^3, after checking 2 <= n and n^3 <= ``TABLE_MAX``."""
+    """The group order n^3, after checking 2 <= n and n^3 <= ``groups.TABLE_MAX``."""
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
-    size = n ** 3
-    if size > TABLE_MAX:
-        raise DomainError(f"table of order {size} exceeds the bound {TABLE_MAX}")
-    return size
+    return check_bound(n**3, groups.TABLE_MAX, "group order")
 
 
 def _elements(n: int):
@@ -158,11 +156,7 @@ def _char_pairs_check(pairs, field: FqField) -> int:
     element of the mod-n Heisenberg group has order dividing n^2 (so every
     generator image defines a homomorphism from the cyclic order-n^2 source)."""
     n = field.n
-    for s, t in pairs:
-        if s.field is not field or t.field is not field:
-            raise ModulusError("characters live on a different field")
-        if s.n != n or t.n != n:
-            raise ModulusError("character modulus differs from the field's")
+    check_characters([f for pair in pairs for f in pair], field, n)
     if not exponent_divides_n2(n):
         raise TheoremViolationError("Heisenberg exponent does not divide n^2")
     return n

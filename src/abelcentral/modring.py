@@ -119,6 +119,16 @@ class AbelianStructure:
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
 
 
+def row_blocks(count: int, width: int, cells: int) -> list[slice]:
+    """Consecutive slices covering range(count) once, in order, each of at
+    most max(1, cells // width) rows: the row blocks of at most ``cells``
+    cells (or of one row) in which a count x width pass is computed."""
+    step = cells // width or 1
+    if 0 < count <= step:  # the common case, without the comprehension's call
+        return [slice(0, count)]
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
 def _gcdex(a: int, b: int) -> tuple[int, int, int]:
     """g, s, t with s*a + t*b = g = gcd(a, b), for positive a and b."""
     g = math.gcd(a, b)
@@ -186,17 +196,17 @@ def _howell(entries: np.ndarray, n: int) -> np.ndarray:
         pivot = a[top, j:]
         q = a[:end, j].copy() if d == 1 else a[:end, j] // d
         q[top] = 0
-        step = max(1, HOWELL_CHUNK_CELLS // (cols - j))
         if cols - j > 4 * end and 4 * np.count_nonzero(q) < end:
             changed = np.flatnonzero(q)
-            for lo in range(0, changed.size, step):
-                rows = changed[lo : lo + step]
+            for block in row_blocks(changed.size, cols - j, HOWELL_CHUNK_CELLS):
+                rows = changed[block]
                 a[rows, j:] = (a[rows, j:] - q[rows, None] * pivot) % n
         else:
-            for lo in range(0, end, step):
-                if step >= end or q[lo : lo + step].any():
-                    block = a[lo : min(lo + step, end), j:]
-                    block -= q[lo : lo + step, None] * pivot
+            blocks = row_blocks(end, cols - j, HOWELL_CHUNK_CELLS)
+            for rows in blocks:
+                if len(blocks) == 1 or q[rows].any():
+                    block = a[rows, j:]
+                    block -= q[rows, None] * pivot
                     block %= n
         if d > 1:
             ann = pivot * (n // d)

@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import heisenberg, modring, tables
-from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
-from .finfield import FqField, KummerCharacter, RootOfUnity
+from .errors import HypothesisError, TheoremViolationError, check_bound
+from .finfield import FqField, KummerCharacter, RootOfUnity, check_characters
 from .modring import ModMatrix
 
 ENUM_BOUND_N = 10  # n^3 generator images must stay enumerable
@@ -130,11 +130,11 @@ def _grid_vanishes(left: np.ndarray, right: np.ndarray, n: int) -> bool:
     2^62, and the running sum below 2^62 + n < 2^63.
     """
     terms, cols = right.shape
-    step = max(1, COND6_CHUNK_CELLS // cols)
-    for lo in range(0, left.shape[1], step):
-        block = np.zeros((min(step, left.shape[1] - lo), cols), dtype=np.int64)
-        for k in range(0, terms, COND6_TERMS_MAX):
-            block += left[k:k + COND6_TERMS_MAX, lo:lo + step].T @ right[k:k + COND6_TERMS_MAX]
+    term_blocks = modring.row_blocks(terms, 1, COND6_TERMS_MAX)
+    for x in modring.row_blocks(left.shape[1], cols, COND6_CHUNK_CELLS):
+        block = np.zeros((x.stop - x.start, cols), dtype=np.int64)
+        for k in term_blocks:
+            block += left[k, x].T @ right[k]
             block %= n
         if block.any():
             return False
@@ -195,17 +195,9 @@ def relation_check(
     field, n = omega.field, omega.order
     if (field.q - 1) % (2 * n) != 0:
         raise HypothesisError(f"mu_{2 * n} not contained in F_{field.q}")
-    for s, t in pairs:
-        if s.field is not field or t.field is not field:
-            raise ModulusError("characters live on a different field")
-        if s.n != n or t.n != n:
-            raise ModulusError("character modulus differs from omega's order")
+    check_characters([f for pair in pairs for f in pair], field, n)
     need = 3 * 8 * 2 * len(pairs) * 2 * (field.q - 2)
-    if need > RELATION_BYTES_MAX:
-        raise DomainError(
-            f"relation check on {len(pairs)} pairs over F_{field.q} needs about {need} bytes, "
-            f"above the bound {RELATION_BYTES_MAX}"
-        )
+    check_bound(need, RELATION_BYTES_MAX, f"bytes of the relation check on {len(pairs)} pairs over F_{field.q}")
 
     # s_i = st[0, i] chi and t_i = st[1, i] chi for the generating character chi.
     st = heisenberg._pair_coeffs(pairs, 1)

@@ -15,12 +15,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import modring
-from .errors import DomainError, HypothesisError, ModulusError
+from .errors import HypothesisError, ModulusError, check_bound
 from .finfield import (
     FieldEmbedding,
     FqField,
     KummerCharacter,
     RootOfUnity,
+    check_characters,
     embed_field,
     restrict_character,
 )
@@ -83,15 +84,6 @@ def zero_table(field: FqField, n: int) -> FnTable:
     return FnTable(field, n, np.zeros((field.q - 2, 2), dtype=np.int64))
 
 
-def _check_inputs(omega: RootOfUnity, *chars: KummerCharacter) -> None:
-    field = omega.field
-    for f in chars:
-        if f.field is not field:
-            raise ModulusError("character defined over a different field")
-        if f.n != omega.order:
-            raise ModulusError("character modulus differs from the root-of-unity order")
-
-
 def _reduced_dlogs(field: FqField, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The field's point dlogs (x and 1 - x) reduced mod n."""
     dx, dy = field.point_dlogs
@@ -137,13 +129,13 @@ def _psi_values(fc, dx, dy, dw: int, n: int) -> np.ndarray:
 
 def phi(f: KummerCharacter, g: KummerCharacter, omega: RootOfUnity) -> FnTable:
     """The table x -> (f(x)g(1-x) - f(1-x)g(x), f(x)g(omega) - f(omega)g(x))."""
-    _check_inputs(omega, f, g)
+    check_characters((f, g), omega.field, omega.order)
     return FnTable(omega.field, omega.order, _phi_values(f.c, g.c, *_omega_dlogs(omega), omega.order))
 
 
 def psi(f: KummerCharacter, omega: RootOfUnity) -> FnTable:
     """The table x -> (C(n,2) f(x)f(1-x), C(n,2) f(x)f(omega) + f(x))."""
-    _check_inputs(omega, f)
+    check_characters((f,), omega.field, omega.order)
     return FnTable(omega.field, omega.order, _psi_values(f.c, *_omega_dlogs(omega), omega.order))
 
 
@@ -173,11 +165,7 @@ class FfrakGroup:
         """
         order = self.structure.order
         cells = (order - 1) * self.power.values.size
-        if cells > GENERATOR_CELLS_MAX:
-            raise DomainError(
-                f"the {order - 1} generator tables hold {cells} cells ({8 * cells} bytes as int64), "
-                f"above the bound GENERATOR_CELLS_MAX = {GENERATOR_CELLS_MAX}"
-            )
+        check_bound(cells, GENERATOR_CELLS_MAX, f"cells of the {order - 1} generator tables")
         return tuple(self.power.scale(c) for c in range(1, order)) or (self.power,)
 
 
@@ -243,14 +231,9 @@ class FormalWord:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
-        mods = {t.sigma.n for t in self.terms}
-        fields = {id(t.sigma.field) for t in self.terms}
-        for t in self.terms:
-            if isinstance(t, CommTerm):
-                mods.add(t.tau.n)
-                fields.add(id(t.tau.field))
-        if len(mods) > 1 or len(fields) > 1:
-            raise ModulusError("all characters in a word must share field and modulus")
+        chars = [t.sigma for t in self.terms] + [t.tau for t in self.terms if isinstance(t, CommTerm)]
+        if chars:
+            check_characters(chars, chars[0].field, chars[0].n)
 
     def restrict(self, emb: FieldEmbedding) -> "FormalWord":
         out: list[Term] = []

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -71,7 +72,8 @@ class TestExitCodes:
     def test_ffrak_generator_list_above_the_bound(self, capsys):
         code, out, err = run(["ffrak", "--p", "65537", "--n", "65536"], capsys)
         assert code == cli.EXIT_USAGE
-        assert not out and err.startswith("error: ") and "8589672450 cells" in err
+        assert not out and err.startswith("error: ")
+        assert "cells of the 65535 generator tables: 8589672450 exceeds" in err
 
     def test_failed_table_check_is_a_counterexample(self, capsys, monkeypatch):
         # 4 = 2^2 is a square in F_13, so it cannot generate F_13^x.
@@ -118,7 +120,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "n,message",
-        [("1", "modulus must be >= 2"), ("-2", "modulus must be >= 2"), ("22", "exceeds the bound")],
+        [
+            ("1", "modulus must be >= 2"),
+            ("-2", "modulus must be >= 2"),
+            pytest.param("22", "group order: 10648 exceeds the supported bound 10000", id="22-exceeds the bound"),
+        ],
     )
     def test_verify_heisenberg_out_of_range(self, capsys, n, message):
         # 22^3 exceeds the table bound: refused before any pair is checked.
@@ -160,6 +166,29 @@ class TestExitCodes:
         code, out, err = run(["relations", "--p", "13", "--n", "3", "--input", str(inp)], capsys)
         assert code == cli.EXIT_USAGE
         assert not out and f"character value must be an integer, got {value!r}" in err
+
+    @pytest.mark.parametrize("doc", [{"pairs": [[1, 2]]}, [1], {"pairs": 3}, {"pairs": [{"sigma": True, "tau": 1}]}])
+    def test_relations_input_of_the_wrong_shape(self, capsys, tmp_path, doc):
+        # The first three ended in a TypeError traceback with exit 1, the
+        # counterexample status; "sigma": true ran as 1 and exited 0.
+        inp = tmp_path / "fam.json"
+        inp.write_text(json.dumps(doc))
+        code, out, err = run(["relations", "--p", "13", "--n", "3", "--input", str(inp)], capsys)
+        assert code == cli.EXIT_USAGE
+        assert not out and err.startswith("error: ")
+
+    @pytest.mark.parametrize("n,rank,message", [
+        ("3", "100000000", "group order: 3^100000000 exceeds the supported bound 10000"),
+        ("1", "40", "elementary group needs n >= 2"),
+    ])
+    def test_verify_machinery_group_out_of_range(self, capsys, n, rank, message):
+        # (Z/3)^(10^8) hung on forming 3^(10^8); (Z/1)^40 died in numpy's
+        # bare ValueError on its 80-axis grid.
+        start = time.perf_counter()
+        code, out, err = run(["verify", "--suite", "machinery", "--n", n, "--rank", rank], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == cli.EXIT_USAGE
+        assert not out and err.startswith("error: ") and message in err
 
     def test_field_above_the_bound(self, capsys):
         # 1048583 is the least prime above FIELD_MAX = 2^20.

@@ -288,6 +288,21 @@ class TestAdditiveRange:
         with pytest.raises(DomainError, match="outside field"):
             call(make_field(p, k=deg, n=3))
 
+    @pytest.mark.parametrize("call", [
+        lambda k: k.add(1.5, 1),
+        lambda k: k.add([1, 2], [3, 1.5]),
+        lambda k: k.sub(np.array([2.0]), 1),
+        lambda k: k.neg(np.float32(3)),
+        lambda k: k.one_minus(True),
+        lambda k: k.add([2**70, 1.5], 0),
+        lambda k: k.add(None, 1),
+    ])
+    def test_not_an_integer_raises(self, call):
+        # The int64 cast used to truncate: add(1.5, 1) gave 2 and
+        # add([1, 2], [3, 1.5]) gave [4, 3] on F_13.
+        with pytest.raises(DomainError, match="field elements must be integers"):
+            call(make_field(13, n=3))
+
     @pytest.mark.parametrize("p,deg", [(13, 1), (2, 2)])
     def test_edges_pass(self, p, deg):
         k = make_field(p, k=deg, n=3)
@@ -427,6 +442,35 @@ class TestCharacters:
         k = make_field(13, n=3)
         with pytest.raises(DomainError, match="integer"):
             KummerCharacter(k, 3, 1).scale(a)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_])
+    def test_bool_is_not_an_integer(self, value):
+        # True used to run as 1, so the CLI read "sigma": true as 1.
+        k = make_field(13, n=3)
+        with pytest.raises(DomainError, match="must be an integer"):
+            KummerCharacter(k, 3, value)
+        with pytest.raises(DomainError, match="must be an integer"):
+            KummerCharacter(k, 3, 1).scale(value)
+
+    def test_one_family_check(self):
+        # Every site that takes a family of characters refuses one from
+        # another field or modulus with the same error.
+        from abelcentral import heisenberg, relations, tables
+
+        k, other = make_field(13, n=3), make_field(19, n=3)
+        w = omega(k, 3)
+        f, far, wide = KummerCharacter(k, 3, 1), KummerCharacter(other, 3, 1), KummerCharacter(k, 6, 1)
+        calls = [
+            lambda g: f + g,
+            lambda g: tables.phi(f, g, w),
+            lambda g: tables.psi(g, w),
+            lambda g: tables.FormalWord((tables.CommTerm(f, f), tables.PowTerm(g))),
+            lambda g: relations.relation_check([(f, g)], w),
+            lambda g: heisenberg.enumerate_homs_check([(g, f)], k),
+        ]
+        for call, g in itertools.product(calls, (far, wide)):
+            with pytest.raises(ModulusError, match="characters must share the field F_13 and the modulus 3"):
+                call(g)
 
     def test_numpy_integer_values(self):
         k = make_field(13, n=3)

@@ -156,14 +156,60 @@ class TestConstruction:
     @pytest.mark.parametrize("m", [10**6, groups.TABLE_MAX + 1, 0, -3])
     def test_cyclic_order_bound(self, m):
         # The order is checked before the m x m table is formed.
+        if m > 0:
+            message = f"group order: {m} exceeds the supported bound {groups.TABLE_MAX}"
+        else:
+            message = f"group order must be in \\[1, {groups.TABLE_MAX}\\]"
         tracemalloc.start()
         try:
-            with pytest.raises(DomainError, match=f"group order must be in \\[1, {groups.TABLE_MAX}\\]"):
+            with pytest.raises(DomainError, match=message):
                 cyclic_group(m)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n,k", [(3, 10**7), (3, 10**8), (2, 14), (10**5, 1), (22, 3), (1, 33), (1, 1)])
+    def test_elementary_order_bound(self, n, k):
+        # n^k is bounded before it is formed: 3^(10^7) alone took 4.5 s, and
+        # (Z/1)^33 died in numpy's bare ValueError on its 66-axis grid.
+        message = "needs n >= 2" if n == 1 else "group order: .* exceeds the supported bound"
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(DomainError, match=message):
+                elementary_group(n, k)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 2**20
+
+    def test_elementary_order_at_the_bound(self):
+        assert elementary_group(10**4, 1).order == groups.TABLE_MAX
+        assert elementary_group(1, 0).order == 1
+
+    @pytest.mark.parametrize("cells", [1, 24, None])
+    def test_light_test_in_row_blocks_matches_the_oracle(self, cells, monkeypatch):
+        # Blocks of one row, of 24 cells (short last blocks) and of the
+        # default size: every single-entry change of three tables, and the
+        # twisted products, get the triple-by-triple oracle's verdict.
+        if cells is not None:
+            monkeypatch.setattr(groups, "CHECK_CHUNK_CELLS", cells)
+        tables = list(twisted_products(2))
+        for base in (cyclic_group(5).table, to_table_group(2).table, elementary_group(2, 3).table):
+            tables.append(base)
+            for a, b in itertools.product(range(base.shape[0]), repeat=2):
+                t = base.copy()
+                t[a, b] = (t[a, b] + 1) % base.shape[0]
+                tables.append(t)
+        for t in tables:
+            try:
+                TableGroup(table=t)
+                accepted = True
+            except DomainError:
+                accepted = False
+            assert accepted == is_group_oracle(t)
 
     def test_elementary_indexing(self):
         g = elementary_group(3, 2)
@@ -448,11 +494,11 @@ class TestLayerMaps:
         # lifts, three without.  Above the bound nothing is allocated.
         cs = central_series(elementary_group(2, 6), 2)
         monkeypatch.setattr(groups, "LAYER_MAPS_BYTES_MAX", 6 * 8 * 64 * 64 - 1)
-        with pytest.raises(DomainError, match=f"64 layer-1 elements need about {6 * 8 * 64 * 64} bytes"):
+        with pytest.raises(DomainError, match=f"bytes of layer maps on 64 layer-1 elements: {6 * 8 * 64 * 64} exceeds"):
             layer_maps(cs, random.Random(0))
         assert layer_maps(cs)[0].shape == (64, 64)
         monkeypatch.setattr(groups, "LAYER_MAPS_BYTES_MAX", 3 * 8 * 64 * 64 - 1)
-        with pytest.raises(DomainError, match=f"about {3 * 8 * 64 * 64} bytes"):
+        with pytest.raises(DomainError, match=f": {3 * 8 * 64 * 64} exceeds"):
             layer_maps(cs)
 
 

@@ -296,6 +296,37 @@ class TestHowellOracle:
         assert_same_howell(mat, 16)
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("width,cells", [(1, 1), (3, 1), (1, 7), (3, 7), (5, 20), (40, 7), (4, 2**14)])
+    def test_covers_each_row_once_in_order(self, width, cells):
+        # width > cells and cells = 1 give one row per block.
+        step = max(1, cells // width)
+        for count in range(0, 30):
+            blocks = modring.row_blocks(count, width, cells)
+            assert [i for b in blocks for i in range(count)[b]] == list(range(count))
+            assert all(0 < b.stop - b.start <= step for b in blocks)
+            assert len(blocks) == -(-count // step)
+
+    def test_count_zero(self):
+        assert modring.row_blocks(0, 5, 100) == []
+
+    @pytest.mark.parametrize("cells", [1, 200, None])
+    def test_howell_in_blocks_matches_the_oracle(self, cells, monkeypatch):
+        # Both subtraction loops of _howell (all rows, and the gathered rows
+        # of a wide sparse matrix) in blocks of one row, of 200 cells and of
+        # the default size, against the row-wise oracle.
+        if cells is not None:
+            monkeypatch.setattr(modring, "HOWELL_CHUNK_CELLS", cells)
+        rng = random.Random(27)
+        for _ in range(40):
+            n = rng.choice([2, 4, 6, 12, 360, 2**16, 2**31 - 1])
+            r, c = rng.randrange(0, 10), rng.randrange(0, 40)
+            assert_same_howell(np.array([[rng.randrange(n) for _ in range(c)] for _ in range(r)]).reshape(r, c), n)
+            r, c = rng.randrange(4, 12), rng.randrange(60, 120)
+            a = np.array([[rng.randrange(n) if rng.random() < 0.05 else 0 for _ in range(r)] for _ in range(c)])
+            assert_same_howell(np.hstack([a.T, np.eye(r, dtype=np.int64)]), n)
+
+
 class TestEmptyShapes:
     # verify_thm23_and_omegaR compares Howell forms of (L, 0) and (m, 0)
     # matrices on every elementary group, where the kernel is empty.

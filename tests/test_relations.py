@@ -217,7 +217,7 @@ class TestConsistency:
         fam = [(KummerCharacter(k, 10, c), KummerCharacter(k, 10, 3 * c)) for c in range(4)]
         monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14976 - 1)
         built = spy_tables(monkeypatch)
-        with pytest.raises(DomainError, match="4 pairs over F_41 needs about 14976 bytes"):
+        with pytest.raises(DomainError, match="4 pairs over F_41: 14976 exceeds"):
             relation_check(fam, w)
         assert built == {}
         monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14976)
@@ -513,6 +513,27 @@ class TestCondition6Scan:
         ]
         got = [relations._grid_vanishes(lhs, rhs, n) for lhs, rhs in cases]
         assert got == [python_int_grid_vanishes(lhs, rhs, n) for lhs, rhs in cases] == [True, True, False]
+
+    @pytest.mark.parametrize("cells,terms", [(1, 1), (5 * 16, 3), (None, None)])
+    def test_grid_in_blocks_matches_python_ints(self, cells, terms, monkeypatch):
+        # The cell loop and the term loop in blocks of one row and one term,
+        # of 80 cells (three to five rows) and three terms, with short last
+        # blocks, and of the default sizes, on seeded operands, half of them made to vanish by a
+        # cancelling copy of their terms.
+        if cells is not None:
+            monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", cells)
+            monkeypatch.setattr(relations, "COND6_TERMS_MAX", terms)
+        rng = np.random.default_rng(8)
+        verdicts = []
+        for _ in range(40):
+            n = int(rng.choice([2, 7, 40, 2**19 + 1]))
+            k, rows, cols = (int(v) for v in rng.integers(0, 8, 3) + (0, 1, 16))
+            left, right = rng.integers(0, n, (k, rows)), rng.integers(0, n, (k, cols))
+            if rng.random() < 0.5:
+                left, right = np.vstack((left, (n - left) % n)), np.vstack((right, right))
+            verdicts.append(relations._grid_vanishes(left, right, n))
+            assert verdicts[-1] == python_int_grid_vanishes(left, right, n)
+        assert set(verdicts) == {True, False}
 
     def test_term_blocks_keep_int64_exact(self, monkeypatch):
         # Past the field bound, at n = 2^31 - 1, a product reaches 2^62 and
