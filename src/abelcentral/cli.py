@@ -12,8 +12,6 @@ import json
 import sys
 from typing import Optional
 
-import numpy as np
-
 from . import cohomology, heisenberg, relations, tables
 from .errors import DomainError, TheoremViolationError
 from .finfield import KummerCharacter, make_field, omega as make_omega
@@ -92,8 +90,10 @@ def _load_group(path: str) -> TableGroup:
     """The TableGroup of a JSON file {table, labels?}, as ``heisenberg`` exports it."""
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise DomainError('input must be a JSON object {"table": [[...], ...], "labels": [...]}')
     return TableGroup(
-        table=np.array(doc["table"], dtype=np.int64),
+        table=doc["table"],
         labels=tuple(doc["labels"]) if "labels" in doc else None,
     )
 

@@ -159,11 +159,13 @@ class FqField:
         return self._digitwise(1, self._in_field(x), -1)
 
     def mul(self, a: int, b: int) -> int:
+        a, b = _integer(a, "field element"), _integer(b, "field element")
         if a == 0 or b == 0:
             return 0
         return self.exp(self.dlog(a) + self.dlog(b))
 
     def pow(self, a: int, e: int) -> int:
+        a, e = _integer(a, "field element"), _integer(e, "exponent")
         if a == 0:
             if e < 0:
                 raise DomainError("0 is not invertible")
@@ -216,10 +218,11 @@ class FqField:
 
     def exp(self, i: int) -> int:
         """generator**i."""
-        return int(self._tables[0][i % (self.q - 1)])
+        return int(self._tables[0][_integer(i, "exponent") % (self.q - 1)])
 
     def dlog(self, x: int) -> int:
         """i in [0, q-1) with generator**i == x; x must be nonzero."""
+        x = _integer(x, "field element")
         if x == 0:
             raise DomainError("dlog of 0 is undefined")
         if not 0 < x < self.q:

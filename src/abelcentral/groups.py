@@ -38,17 +38,26 @@ class TableGroup:
         self._verify()
 
     def _check_table(self) -> None:
-        """Store the table as int64 after checking its shape, range and labels."""
-        t = np.asarray(self.table, dtype=np.int64)
+        """Store the table as int64 after checking its shape, order, dtype,
+        range and labels.
+
+        The shape, order, dtype and range are checked on the table as given,
+        so a refused table is never copied.  DomainError for a dtype that is
+        not an integer one: the cast would truncate a float and read a bool
+        as 0 or 1, and Python ints beyond int64 arrive as an object array.
+        """
+        t = np.asarray(self.table)
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError("multiplication table must be square")
         n = t.shape[0]
         if n == 0:
             raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
         check_bound(n, TABLE_MAX, "group order")
+        if t.dtype.kind not in "iu":
+            raise DomainError(f"table entries must be integers of at most 64 bits, got dtype {t.dtype}")
         if t.min() < 0 or t.max() >= n:
             raise DomainError("table entries out of range")
-        object.__setattr__(self, "table", t)
+        object.__setattr__(self, "table", t.astype(np.int64, copy=False))
         if self.labels is not None and len(self.labels) != n:
             raise DimensionError("label count differs from group order")
 

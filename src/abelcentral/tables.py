@@ -21,6 +21,7 @@ from .finfield import (
     FqField,
     KummerCharacter,
     RootOfUnity,
+    _factor,
     check_characters,
     embed_field,
     restrict_character,
@@ -144,24 +145,31 @@ class FfrakGroup:
     """The subgroup generated by all pair tables and power tables.
 
     ``power`` is psi(chi, omega) for the generating character chi, which
-    spans the group (see ``ffrak_generate``).
+    spans the group (see ``ffrak_generate``).  A group spanned by one element
+    v is cyclic of v's additive order m, the least m >= 1 with m v = 0: the
+    map Z -> <v>, c -> c v, is onto, and its kernel is the subgroup of Z
+    generated by m.  So ``structure`` is (m,), or () when m = 1, and it
+    needs no Howell form; ``subgroup`` builds that form on first read.
     """
 
     field: FqField
     omega: RootOfUnity
     power: FnTable
-    subgroup: SubgroupZnk  # flattened, ambient rank 2(q-2)
     structure: AbelianStructure
+
+    @functools.cached_property
+    def subgroup(self) -> SubgroupZnk:
+        """The Howell form of the one flattened row psi(chi), of ambient rank 2(q-2)."""
+        return modring.canonicalize(ModMatrix(self.omega.order, self.power.flatten()[None, :]))
 
     @functools.cached_property
     def generators(self) -> tuple[FnTable, ...]:
         """The distinct non-zero tables of the all-pairs loop, in the order it meets them.
 
         These are c psi(chi) for c = 1, ..., ord - 1, where ord, the order of
-        the cyclic group, is the additive order n / gcd(n, entries) of
-        psi(chi), or the zero table alone when ord = 1.  Raises
-        ``DomainError`` before allocating when the list would hold more than
-        ``GENERATOR_CELLS_MAX`` cells.
+        the cyclic group, is the additive order of psi(chi), or the zero table
+        alone when ord = 1.  Raises ``DomainError`` before allocating when the
+        list would hold more than ``GENERATOR_CELLS_MAX`` cells.
         """
         order = self.structure.order
         cells = (order - 1) * self.power.values.size
@@ -183,12 +191,23 @@ def ffrak_generate(field: FqField, omega: RootOfUnity) -> FfrakGroup:
       B(x) = (0, chi(x));
     * c^2 - c is even, and 2A = 0 because n divides 2 C(n,2) = n(n-1).
 
-    So every table is a multiple of psi(chi), and the subgroup is the Howell
-    form of its one flattened row.  The all-pairs loop (phi(f, g) for f, g =
-    0, chi, ..., (n-1) chi, then psi(f) for f = 0, chi, ..., (n-1) chi) meets
-    the distinct non-zero tables c psi(chi) for c = 1, ..., ord - 1 in this
-    order, where ord = n / gcd(n, entries of psi(chi)) is the additive order;
-    ``FfrakGroup.generators`` builds that list on first read.
+    So every table is a multiple of psi(chi), and the subgroup is the cyclic
+    group it spans, of the additive order ord of v = psi(chi) (see
+    ``FfrakGroup``).  The m >= 1 with m v = 0 are the multiples of ord, and
+    n is one, so ord divides n.  The descent of ``_additive_order`` keeps m
+    a multiple of ord that divides n, starting from m = n, and divides m by
+    a prime r of n while (m / r) v is still 0.  It leaves r once m and ord
+    have the same power of r, and dividing by the primes after r keeps that
+    power.  So at the end the powers agree for every prime of n and m = ord,
+    the least such divisor: the exit test, m v = 0 and (m / r) v != 0 for
+    every prime r | m, is the defining property of the additive order, and
+    no Howell form is needed to check it.
+
+    The all-pairs loop (phi(f, g) for f, g = 0, chi, ..., (n-1) chi, then
+    psi(f) for f = 0, chi, ..., (n-1) chi) meets the distinct non-zero
+    tables c psi(chi) for c = 1, ..., ord - 1 in this order;
+    ``FfrakGroup.generators`` builds that list, and ``FfrakGroup.subgroup``
+    the Howell form of the row, on first read.
     """
     if omega.field is not field:
         raise ModulusError("root of unity belongs to a different field")
@@ -196,8 +215,18 @@ def ffrak_generate(field: FqField, omega: RootOfUnity) -> FfrakGroup:
     if (field.q - 1) % n != 0:
         raise HypothesisError(f"mu_{n} not contained in F_{field.q}")
     power = psi(KummerCharacter(field, field.n, 1), omega)
-    sub = modring.canonicalize(ModMatrix(n, power.flatten()[None, :]))
-    return FfrakGroup(field=field, omega=omega, power=power, subgroup=sub, structure=modring.structure(sub))
+    m = _additive_order(power.values, n)
+    return FfrakGroup(field=field, omega=omega, power=power, structure=AbelianStructure((m,) if m > 1 else ()))
+
+
+def _additive_order(v: np.ndarray, n: int) -> int:
+    """The least m >= 1 with m v = 0 mod n, for entries in [0, n), by the
+    descent from m = n over the primes of n that ``ffrak_generate`` proves."""
+    m = n
+    for r in _factor(n):
+        while m % r == 0 and not (m // r * v % n).any():
+            m //= r
+    return m
 
 
 # --- formal words ----------------------------------------------------------

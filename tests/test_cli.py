@@ -306,6 +306,23 @@ class TestReports:
         assert code == cli.EXIT_USAGE
         assert out == "" and "label count" in err
 
+    @pytest.mark.parametrize("command", [["groupcoh"], ["verify", "--suite", "machinery"]])
+    @pytest.mark.parametrize("doc,message", [
+        ({"table": [[0, 1.7], [1.2, 0]]}, "table entries must be integers of at most 64 bits, got dtype float64"),
+        ({"table": [[10**30]]}, "table entries must be integers of at most 64 bits, got dtype object"),
+        ({"table": [[False, True], [True, False]]}, "got dtype bool"),
+        ([[0, 1], [1, 0]], "input must be a JSON object"),
+    ])
+    def test_table_input_not_of_integers(self, capsys, tmp_path, command, doc, message):
+        # The float table used to run as [[0, 1], [1, 0]] and print a C2
+        # report with exit 0, the bools too; 10**30 and a bare table ended in
+        # a traceback with exit 1, the counterexample status.
+        table = tmp_path / "bad.json"
+        table.write_text(json.dumps(doc))
+        code, out, err = run(command + ["--input", str(table), "--n", "2"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error: ") and message in err
+
 
 class TestParserCache:
     ARGVS = [

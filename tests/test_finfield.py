@@ -303,6 +303,34 @@ class TestAdditiveRange:
         with pytest.raises(DomainError, match="field elements must be integers"):
             call(make_field(13, n=3))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda k: k.mul(2.5, 3), "field element must be an integer, got 2.5"),
+        (lambda k: k.mul(0.0, 3), "field element must be an integer, got 0.0"),
+        (lambda k: k.mul(True, 3), "field element must be an integer, got True"),
+        (lambda k: k.mul(3, None), "field element must be an integer, got None"),
+        (lambda k: k.dlog(2.0), "field element must be an integer, got 2.0"),
+        (lambda k: k.dlog(True), "field element must be an integer, got True"),
+        (lambda k: k.dlog(np.float64(3)), "field element must be an integer, got np.float64\\(3.0\\)"),
+        (lambda k: k.pow(2, 1.5), "exponent must be an integer, got 1.5"),
+        (lambda k: k.pow(0, 1.5), "exponent must be an integer, got 1.5"),
+        (lambda k: k.pow(2.0, 3), "field element must be an integer, got 2.0"),
+        (lambda k: k.exp(1.5), "exponent must be an integer, got 1.5"),
+        (lambda k: k.exp(False), "exponent must be an integer, got False"),
+        (lambda k: k.inv(2.0), "field element must be an integer, got 2.0"),
+    ])
+    def test_multiplicative_operand_not_an_integer(self, call, message):
+        # The first operand reached the exp/dlog tables as given: 2.5 and 2.0
+        # raised numpy's bare IndexError, True a TypeError (read as a mask),
+        # and mul(0.0, 3) returned 0.
+        with pytest.raises(DomainError, match=message):
+            call(make_field(13, n=3))
+
+    def test_multiplicative_numpy_integers_pass(self):
+        k = make_field(13, n=3)
+        assert k.mul(np.int64(2), np.uint8(3)) == 6 and k.dlog(np.int32(1)) == 0
+        assert k.pow(np.int16(2), np.int64(-1)) == 7 == k.inv(np.int64(2))
+        assert k.exp(np.uint64(12)) == 1
+
     @pytest.mark.parametrize("p,deg", [(13, 1), (2, 2)])
     def test_edges_pass(self, p, deg):
         k = make_field(p, k=deg, n=3)

@@ -13,7 +13,7 @@ import pytest
 
 from abelcentral import groups
 from abelcentral.cohomology import verify_thm23_and_omegaR
-from abelcentral.errors import DomainError, ModulusError, TheoremViolationError
+from abelcentral.errors import DimensionError, DomainError, ModulusError, TheoremViolationError
 from abelcentral.groups import (
     TableGroup,
     _coords_map,
@@ -145,6 +145,44 @@ class TestConstruction:
         bad = np.array([[1, 1], [1, 1]])
         with pytest.raises(DomainError):
             TableGroup(table=bad)
+
+    @pytest.mark.parametrize("table,message", [
+        (np.array([[0, 1.7], [1.2, 0]]), "got dtype float64"),
+        (np.array([[False, True], [True, False]]), "got dtype bool"),
+        (np.array([[10**30]]), "got dtype object"),
+        ([["0", "1"], ["1", "0"]], "got dtype <U1"),
+    ])
+    def test_table_not_of_integers(self, table, message):
+        # The int64 cast used to truncate the float table to [[0, 1], [1, 0]]
+        # and read the bools as 0 and 1; 10**30 died in its OverflowError.
+        with pytest.raises(DomainError, match=f"table entries must be integers of at most 64 bits, {message}"):
+            TableGroup(table=table)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint64])
+    def test_any_integer_dtype_is_stored_as_int64(self, dtype):
+        g = TableGroup(table=np.array([[0, 1], [1, 0]], dtype=dtype))
+        assert g.table.dtype == np.int64 and g.table.tolist() == [[0, 1], [1, 0]]
+
+    def test_uint64_beyond_int64_out_of_range(self):
+        with pytest.raises(DomainError, match="out of range"):
+            TableGroup(table=np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("table,error", [
+        (np.zeros((3, 2 * 10**6), dtype=np.int8), DimensionError),
+        (np.broadcast_to(np.int8(0), (groups.TABLE_MAX + 1,) * 2), DomainError),
+    ])
+    def test_refused_table_is_not_copied(self, table, error):
+        # The int64 cast ran before the shape and order checks: the 3 x 2*10^6
+        # int8 table (5.7 MiB) peaked at 45.8 MiB before it was refused, and
+        # the 10001 x 10001 view would have been copied into 763 MiB.
+        tracemalloc.start()
+        try:
+            with pytest.raises(error):
+                TableGroup(table=table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_cyclic_basics(self):
         g = cyclic_group(6)

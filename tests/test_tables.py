@@ -245,6 +245,53 @@ class TestFfrak:
             assert g.structure == structure, case
             assert [t.values.tolist() for t in g.generators] == [t.values.tolist() for t in gens], case
 
+    def test_structure_matches_the_howell_oracle(self):
+        # The order of psi(chi) against the invariant factors of its Howell
+        # form, which ffrak_generate builds only on first read of subgroup.
+        cases = oracle_cases(200) + [(65537, 1, n, 1) for n in (16, 256, 65536)]
+        for p, k, n, index in cases:
+            field, w = field_and_omega(p, n, k=k, index=index)
+            g = tables.ffrak_generate(field, w)
+            assert "subgroup" not in vars(g), (p, k, n, index)
+            sub = g.subgroup
+            assert vars(g)["subgroup"] is sub and g.subgroup is sub
+            assert g.structure == modring.structure(sub), (p, k, n, index)
+            row = ModMatrix(n, g.power.flatten()[None, :])
+            assert np.array_equal(sub.canonical.entries, modring.canonicalize(row).canonical.entries)
+
+    @pytest.mark.parametrize("n", [2, 12, 16, 60, 64, 97, 210, 65536])
+    def test_additive_order_matches_the_least_multiple(self, n):
+        # Over a finite field psi(chi) has order n, where the descent divides
+        # nothing; the multiples c v of random rows have orders below n, and
+        # c = 0 gives the zero row of order 1.
+        rng = np.random.default_rng(n)
+        for c in [0, 1, 2, n // 2, n // 4, n - 1, *rng.integers(0, n, size=8).tolist()]:
+            v = c * rng.integers(0, n, size=(5, 2)) % n
+            multiples = np.arange(1, n + 1)[:, None] * v.ravel() % n
+            least = 1 + int(np.flatnonzero(~multiples.any(axis=1))[0])
+            assert tables._additive_order(v, n) == least, (n, c)
+
+    def test_no_howell_form_on_the_ffrak_path(self, capsys, monkeypatch):
+        # Neither ffrak_generate nor the ffrak suite reduces a matrix; the
+        # fields are prime, whose construction needs no Howell form either.
+        calls = []
+        howell = modring._howell
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return howell(*args, **kwargs)
+
+        monkeypatch.setattr(modring, "_howell", counted)
+        for p, n in [(7, 3), (13, 12), (97, 96), (191, 190), (65537, 65536)]:
+            field, w = field_and_omega(p, n)
+            g = tables.ffrak_generate(field, w)
+            argv = ["verify", "--suite", "ffrak", "--p", str(p), "--n", str(n)]
+            assert cli.main(argv) == cli.EXIT_OK
+            assert json.loads(capsys.readouterr().out)["invariant_factors"] == list(g.structure.invariant_factors)
+        assert calls == []
+        g.subgroup
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [256, 65536])
     def test_peak_memory_f65537(self, n):
         # The route over all n power tables held n x 2(q-2) int64 cells:
