@@ -92,9 +92,12 @@ def _load_group(path: str) -> TableGroup:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise DomainError('input must be a JSON object {"table": [[...], ...], "labels": [...]}')
+    labels = doc.get("labels", [])
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise DomainError('"labels" must be a list of strings')
     return TableGroup(
         table=doc["table"],
-        labels=tuple(doc["labels"]) if "labels" in doc else None,
+        labels=tuple(labels) if "labels" in doc else None,
     )
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two intake checks that raise them."""
+
+import operator
 
 
 class ModulusError(ValueError):
@@ -37,3 +39,14 @@ def check_bound(need, bound: int, what: str) -> int:
     if need > bound:
         raise DomainError(f"{what}: {need} exceeds the supported bound {bound}")
     return need
+
+
+def check_integer(value, what: str) -> int:
+    """``value`` as a Python int (numpy integers pass); DomainError for a
+    bool, a float or a non-number."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None

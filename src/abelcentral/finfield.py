@@ -13,7 +13,6 @@ the Frobenius matrix, and generator orders by matrix powers.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -21,7 +20,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import modring
-from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError, check_bound
+from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError, check_bound, check_integer
 
 FIELD_MAX = 2**20  # every field holds its full exp/dlog tables
 
@@ -158,14 +157,21 @@ class FqField:
     def one_minus(self, x: Elements) -> Elements:
         return self._digitwise(1, self._in_field(x), -1)
 
+    def _element(self, x) -> int:
+        """``x`` as a Python int, after checking that it is an integer in [0, q)."""
+        x = check_integer(x, "field element")
+        if not 0 <= x < self.q:
+            raise DomainError(f"element {x} outside field of order {self.q}")
+        return x
+
     def mul(self, a: int, b: int) -> int:
-        a, b = _integer(a, "field element"), _integer(b, "field element")
+        a, b = self._element(a), self._element(b)
         if a == 0 or b == 0:
             return 0
         return self.exp(self.dlog(a) + self.dlog(b))
 
     def pow(self, a: int, e: int) -> int:
-        a, e = _integer(a, "field element"), _integer(e, "exponent")
+        a, e = self._element(a), check_integer(e, "exponent")
         if a == 0:
             if e < 0:
                 raise DomainError("0 is not invertible")
@@ -218,15 +224,13 @@ class FqField:
 
     def exp(self, i: int) -> int:
         """generator**i."""
-        return int(self._tables[0][_integer(i, "exponent") % (self.q - 1)])
+        return int(self._tables[0][check_integer(i, "exponent") % (self.q - 1)])
 
     def dlog(self, x: int) -> int:
         """i in [0, q-1) with generator**i == x; x must be nonzero."""
-        x = _integer(x, "field element")
+        x = self._element(x)
         if x == 0:
             raise DomainError("dlog of 0 is undefined")
-        if not 0 < x < self.q:
-            raise DomainError(f"element {x} outside field of order {self.q}")
         return int(self._tables[1][x])
 
     # --- the points of function tables ---------------------------------------
@@ -254,6 +258,29 @@ class FqField:
         dx, dy = dlog[x], dlog[self.one_minus(x)]
         dx.flags.writeable = dy.flags.writeable = False
         return dx, dy
+
+    @cached_property
+    def point_types(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The types of the table points, read-only: (classes, first, types).
+
+        The type of x is its pair of classes (dlog x mod n, dlog(1 - x) mod n)
+        in K^x/K^xn, on which every value of phi and psi at x depends.
+        ``classes`` holds the |T| types that occur, shape (|T|, 2), ascending;
+        ``first[j]`` is the position in ``table_points`` of the first point of
+        type j, and ``types[i]`` the type of point i, so ``classes[types]`` is
+        the reduced ``point_dlogs``.  A table that reads x only through its
+        type is the pullback, along the surjection ``types`` of the points
+        onto T, of its table on T: a pullback along a surjection is injective,
+        so vanishing, equality and span membership are the same on T as on
+        the points.  The library derives types here only.
+        """
+        n = self.n
+        codes = self.point_dlogs[0] % n * n + self.point_dlogs[1] % n
+        uniq, first, types = np.unique(codes, return_index=True, return_inverse=True)
+        classes = np.stack(np.divmod(uniq, n), axis=1)
+        for arr in (classes, first, types):
+            arr.flags.writeable = False
+        return classes, first, types
 
     # --- misc ---------------------------------------------------------------
 
@@ -356,7 +383,7 @@ class RootOfUnity:
 
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:
     """The primitive n-th root generator**(index*(q-1)/n); index must be a unit mod n."""
-    q = field.q
+    q, n, index = field.q, check_integer(n, "modulus"), check_integer(index, "omega index")
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
     if (q - 1) % n != 0:
@@ -385,7 +412,7 @@ class KummerCharacter:
             raise ModulusError(f"modulus must be >= 2, got {self.n}")
         if (self.field.q - 1) % self.n != 0:
             raise HypothesisError("character modulus must divide q-1")
-        object.__setattr__(self, "c", _integer(self.c, "character value") % self.n)
+        object.__setattr__(self, "c", check_integer(self.c, "character value") % self.n)
 
     def __call__(self, x: int) -> int:
         return char_eval(self, x)
@@ -395,18 +422,7 @@ class KummerCharacter:
         return KummerCharacter(self.field, self.n, self.c + other.c)
 
     def scale(self, a: int) -> "KummerCharacter":
-        return KummerCharacter(self.field, self.n, _integer(a, "scale factor") * self.c)
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as a Python int (numpy integers pass); DomainError for a
-    bool, a float or a non-number."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+        return KummerCharacter(self.field, self.n, check_integer(a, "scale factor") * self.c)
 
 
 def check_characters(chars: Iterable[KummerCharacter], field: FqField, n: int) -> None:

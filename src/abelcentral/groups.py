@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_bound
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_bound, check_integer
 from .modring import row_blocks
 
 TABLE_MAX = 10**4
@@ -185,7 +185,8 @@ class TableGroup:
 
     def _element(self, a: int) -> int:
         """The element index ``a``; DomainError outside [0, N), where numpy
-        would wrap a negative index."""
+        would wrap a negative index, or for an index that is not an integer."""
+        a = check_integer(a, "element index")
         if not 0 <= a < self.order:
             raise DomainError(f"element index out of range [0, {self.order})")
         return a
@@ -202,12 +203,14 @@ class TableGroup:
         return int(self._inverses[self._element(a)])
 
     def power(self, a: int, m: int) -> int:
+        m = check_integer(m, "exponent")
         if m < 0:
             a, m = self.inv(a), -m
         return int(_nth_powers(self.table, self.identity, np.array([self._element(a)]), m)[0])
 
     def powers(self, a: int, m: int) -> np.ndarray:
         """The array (a^0, a^1, ..., a^(m-1)); DomainError for a negative m."""
+        m = check_integer(m, "power count")
         if m < 0:
             raise DomainError(f"power count must be >= 0, got {m}")
         return _powers(self.table, self.identity, self._element(a), m)
@@ -375,6 +378,7 @@ def elementary_group(n: int, k: int) -> TableGroup:
     axis per coordinate of each factor.  n = 1 needs k = 0: no bound on the
     order 1 of (Z/1)^k would bound its 2k axes and k-entry labels.
     """
+    n, k = check_integer(n, "modulus"), check_integer(k, "rank")
     if n < 1 or k < 0 or (n == 1 and k > 0):
         raise DomainError("elementary group needs n >= 2 and k >= 0, or n = 1 and k = 0")
     size = check_bound((n, k), TABLE_MAX, "group order")
@@ -525,6 +529,7 @@ def _coset_layer(g: TableGroup, members: np.ndarray, lower: np.ndarray, candidat
 
 def central_series(g: TableGroup, n: int) -> CentralSeriesData:
     """Compute G^(1) >= G^(2) >= G^(3) and the two layer quotients between them."""
+    n = check_integer(n, "modulus")
     if n < 2:
         raise ModulusError("modulus must be >= 2")
     chain = [np.arange(g.order)]

@@ -151,44 +151,40 @@ def verify_laws(n: int) -> dict:
 # --- hom enumeration behind the relation conditions ------------------------
 
 
-def _char_pairs_check(pairs, field: FqField) -> int:
-    """The field's n, once the pairs live on the field and mod n, and every
-    element of the mod-n Heisenberg group has order dividing n^2 (so every
-    generator image defines a homomorphism from the cyclic order-n^2 source)."""
-    n = field.n
-    check_characters([f for pair in pairs for f in pair], field, n)
-    if not exponent_divides_n2(n):
-        raise TheoremViolationError("Heisenberg exponent does not divide n^2")
-    return n
+def _char_pairs_check(pairs, field: FqField) -> np.ndarray:
+    """The coefficients of the pairs (``_pair_coeffs``), once they live on the
+    field and mod its n."""
+    check_characters([f for pair in pairs for f in pair], field, field.n)
+    return _pair_coeffs(pairs)
 
 
-def _pair_coeffs(pairs, ndim: int) -> np.ndarray:
-    """The coefficients of the pairs as an int64 array of shape (2, m, 1, ..., 1),
-    c(s_i) at [0, i] and c(t_i) at [1, i], with ``ndim`` trailing axes to
-    broadcast against."""
-    coeffs = np.array([[s.c for s, _ in pairs], [t.c for _, t in pairs]], dtype=np.int64)
-    return coeffs.reshape(coeffs.shape + (1,) * ndim)
+def _pair_coeffs(pairs) -> np.ndarray:
+    """The coefficients of the pairs as an int64 array of shape (2, m),
+    c(s_i) at [0, i] and c(t_i) at [1, i]; each reader adds the trailing axes
+    it broadcasts over."""
+    return np.array([[s.c for s, _ in pairs], [t.c for _, t in pairs]], dtype=np.int64)
 
 
-def _comm_sums(pairs, a, b, c, n: int) -> np.ndarray:
+def _comm_sums(st: np.ndarray, a, b, c, n: int) -> np.ndarray:
     """Sum over the pairs (s_i, t_i) of the commutator coordinates of the
     images g^{c(s_i)} and g^{c(t_i)}, for every generator image g = h(a, b; c)
-    of the arrays.  All the powers come from one ``heis_pow_arrays`` call
-    over the (2, pairs) axes of ``_pair_coeffs``, and each commutator
-    coordinate is reduced mod n before the sum over the pairs.  An empty
-    family builds no terms (the power law reads every image whatever the
-    number of pairs)."""
-    if not pairs:
+    of the arrays, from the coefficients ``st`` of ``_pair_coeffs``.  All the
+    powers come from one ``heis_pow_arrays`` call over the (2, pairs) axes of
+    ``st``, and each commutator coordinate is reduced mod n before the sum
+    over the pairs.  An empty family builds no terms (the power law reads
+    every image whatever the number of pairs)."""
+    if not st.size:
         return np.zeros(np.shape(a), dtype=np.int64)
-    (sa, ta), (sb, tb), _ = heis_pow_arrays(n, a, b, c, _pair_coeffs(pairs, np.ndim(a)))
+    coeffs = st.reshape(st.shape + (1,) * np.ndim(a))
+    (sa, ta), (sb, tb), _ = heis_pow_arrays(n, a, b, c, coeffs)
     return _comm(n, (sa, sb), (ta, tb)).sum(axis=0) % n
 
 
-def _bilinear_sums(pairs, a, b, n: int) -> np.ndarray:
+def _bilinear_sums(st: np.ndarray, a, b, n: int) -> np.ndarray:
     """Sum over the pairs of s_i(x) t_i(y) - s_i(y) t_i(x) for the coordinate
     functionals x, y of the generator images h(a, b; .): s_i(x) = c(s_i) * a,
     s_i(y) = c(s_i) * b, etc., without the power formula."""
-    coeffs = _pair_coeffs(pairs, np.ndim(a))
+    coeffs = st.reshape(st.shape + (1,) * np.ndim(a))
     (sx, tx), (sy, ty) = (coeffs * a) % n, (coeffs * b) % n
     return ((sx * ty - sy * tx) % n).sum(axis=0) % n
 
@@ -199,10 +195,13 @@ def _image_axes(n: int):
     return tuple(np.arange(n, dtype=np.int64).reshape(shape) for shape in ((n, 1, 1), (1, n, 1), (1, 1, n)))
 
 
-def _image_sums(pairs, n: int) -> np.ndarray:
+def _image_sums(st: np.ndarray, n: int) -> np.ndarray:
     """The commutator sum at every generator image h(a, b; c), as a read-only
-    (n, n, n) grid indexed [a, b, c].
+    (n, n, n) grid indexed [a, b, c], for the coefficients ``st``.
 
+    Every image defines a homomorphism from the cyclic order-n^2 source,
+    since every element of the mod-n Heisenberg group has order dividing n^2
+    (``exponent_divides_n2``, checked here by enumeration rather than assumed).
     The axes of ``_image_axes`` go into ``_comm_sums``, and the result is
     broadcast to (n, n, n).  This gives exactly the values of the full enumeration over
     ``_elements(n)`` at every image, under any power law: ``_comm_sums`` is
@@ -214,61 +213,66 @@ def _image_sums(pairs, n: int) -> np.ndarray:
     under the true law, the result has a length-1 c axis and the broadcast
     repeats it; a law whose sums do read c carries the c axis by itself.
     """
-    return np.broadcast_to(_comm_sums(pairs, *_image_axes(n), n), (n, n, n))
+    if not exponent_divides_n2(n):
+        raise TheoremViolationError("Heisenberg exponent does not divide n^2")
+    return np.broadcast_to(_comm_sums(st, *_image_axes(n), n), (n, n, n))
 
 
-def enumerate_homs_check(pairs, field: FqField, *, image_sums: np.ndarray | None = None) -> bool:
-    """Whether the commutator sum vanishes for every homomorphism.
-
-    Every one of the n^3 generator images h(a, b; c) defines a homomorphism
-    from the cyclic order-n^2 source (every Heisenberg element has order
-    dividing n^2, verified by enumeration rather than assumed).  The
-    commutator sums of the images of the characters' values, taken with the
-    closed-form powers ``heis_pow_arrays`` and summed over the pairs, are
-    the grid ``_image_sums``; ``image_sums`` passes that grid in when the
-    caller has it already.  The grid is cross-checked, image by image,
-    against the bilinear criterion sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for
-    the induced pair of coordinate functionals, computed without the power
-    formula on the (n, n, 1) plane of (a, b), since it reads no c; any
-    disagreement raises ``TheoremViolationError``.
-    """
-    n = _char_pairs_check(pairs, field)
-    if image_sums is None:
-        image_sums = _image_sums(pairs, n)
+def _homs_vanish(st: np.ndarray, image_sums: np.ndarray, n: int) -> bool:
+    """Condition (5) on the image grid of ``st``: whether it vanishes, after
+    the cross-check of every image against the bilinear criterion, computed
+    without the power formula on the (n, n, 1) plane of (a, b), since it
+    reads no c; any disagreement raises ``TheoremViolationError``."""
     a, b, _ = _image_axes(n)
-    if (image_sums != _bilinear_sums(pairs, a, b, n)).any():
+    if (image_sums != _bilinear_sums(st, a, b, n)).any():
         raise TheoremViolationError("commutator sum disagrees with the bilinear criterion")
     return not image_sums.any()
 
 
-def pointwise_embedding_check(
-    pairs, field: FqField, *, image_sums: np.ndarray | None = None
-) -> tuple[bool, int | None]:
+def _failing_types(image_sums: np.ndarray, field: FqField) -> np.ndarray:
+    """Condition (7) on the field's types: whether each type's embedding
+    problem has solutions that leave the commutator sum nonzero.
+
+    The problem of a point x of type (i, j) = (dlog x, dlog(1 - x)) mod n has
+    the n solutions h(i, j; t), which recover the target by construction, and
+    their commutator sums are row (i, j) of the image grid.  So a point fails
+    exactly when its type does (``FqField.point_types``).  The sum is
+    independent of t, so one solution works iff all do; a row of a type that
+    occurs where it is not constant raises ``TheoremViolationError``.
+    """
+    classes = field.point_types[0]
+    rows = image_sums[classes[:, 0], classes[:, 1]]
+    if (rows != rows[:, :1]).any():
+        raise TheoremViolationError("commutator sum depends on the central coordinate")
+    return rows[:, 0] != 0
+
+
+def enumerate_homs_check(pairs, field: FqField) -> bool:
+    """Whether the commutator sum vanishes for every homomorphism.
+
+    Every one of the n^3 generator images h(a, b; c) defines a homomorphism
+    from the cyclic order-n^2 source.  The commutator sums of the images of
+    the characters' values, taken with the closed-form powers
+    ``heis_pow_arrays`` and summed over the pairs, are the grid
+    ``_image_sums``, which ``_homs_vanish`` cross-checks image by image
+    against the bilinear criterion sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for the
+    induced pair of coordinate functionals.
+    """
+    st = _char_pairs_check(pairs, field)
+    return _homs_vanish(st, _image_sums(st, field.n), field.n)
+
+
+def pointwise_embedding_check(pairs, field: FqField) -> tuple[bool, int | None]:
     """For each x in K minus {0,1}: some solution of the (x, 1-x) problem kills
     the commutator sum.
 
-    The problem of x has target (dlog(x), dlog(1-x)) mod n and the n
-    solutions h(dx, dy; t), which recover the target by construction; each
-    is a homomorphism's generator image because ``exponent_divides_n2``
-    holds (checked in ``_char_pairs_check``).  Their commutator sums are row
-    (dx, dy) of the image grid ``_image_sums`` (passed in as ``image_sums``
-    when the caller has it), so each point is read by its type dx*n + dy.
-    The sum is independent of t, so one solution works iff all do; a row of
-    a type that occurs where it is not constant raises
-    ``TheoremViolationError``.  Returns (flag, smallest failing x).
+    Decided per type by ``_failing_types`` on the image grid ``_image_sums``,
+    and pulled back to the points along their types.  Returns (flag, smallest
+    failing x).
     """
-    n = _char_pairs_check(pairs, field)
-    if image_sums is None:
-        image_sums = _image_sums(pairs, n)
-    dx, dy = field.point_dlogs
-    types = dx % n * n + dy % n
-    present = np.flatnonzero(np.bincount(types, minlength=n * n))
-    rows = image_sums.reshape(n * n, n)[present]
-    if (rows != rows[:, :1]).any():
-        raise TheoremViolationError("commutator sum depends on the central coordinate")
-    failing = np.zeros(n * n, dtype=bool)
-    failing[present] = rows[:, 0] != 0
-    fail = np.flatnonzero(failing[types])
-    if fail.size:
+    st = _char_pairs_check(pairs, field)
+    failing = _failing_types(_image_sums(st, field.n), field)
+    if failing.any():
+        fail = np.flatnonzero(failing[field.point_types[2]])
         return False, min(field.table_points[i] for i in fail)
     return True, None

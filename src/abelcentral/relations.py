@@ -18,12 +18,20 @@ through an independent code path and raises if they ever disagree.
     (7) for every x some Heisenberg lift through the (x, 1-x) embedding
         problem kills the commutator sum.
 
+Every table of the conditions reads a point x only through its type, the
+pair of classes (dlog x, dlog(1 - x)) mod n in K^x/K^xn, so (1)-(3) are
+decided on the field's |T| <= n^2 types (``FqField.point_types``) rather
+than on its q - 2 points: each table is the pullback of its table on T along
+the surjection of the points onto T, and a pullback along a surjection is
+injective.  Condition (4) pulls the commutator sum back to the points, where
+the span of all doubled power tables lives.
+
 Conditions (5) and (7) are decided by finite enumeration and are only
 computed when n is within the enumeration bound.  Both are read off one grid
 of commutator sums over the n^3 generator images h(a, b; c), built once per
 check by broadcasting: (5) compares it with the bilinear criterion at every
-image, and (7) reads the n solutions of each point's embedding problem off
-its row (dlog x, dlog(1 - x)) mod n.
+image, and (7) reads the n solutions of each type's embedding problem off
+its row (i, j).
 
 Over a finite field every family satisfies all seven conditions.  K^x/K^xn
 is cyclic, so every character is a multiple a * chi of one character chi,
@@ -41,8 +49,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import heisenberg, modring, tables
-from .errors import HypothesisError, TheoremViolationError, check_bound
-from .finfield import FqField, KummerCharacter, RootOfUnity, check_characters
+from .errors import HypothesisError, ModulusError, TheoremViolationError, check_bound
+from .finfield import KummerCharacter, RootOfUnity, check_characters
 from .modring import ModMatrix
 
 ENUM_BOUND_N = 10  # n^3 generator images must stay enumerable
@@ -94,29 +102,38 @@ class RelationReport:
 
 
 def _halves(w: int, n: int) -> tuple[int, ...]:
-    """All a in Z/n with 2a = w; nonempty under the mu_2n hypothesis."""
-    sols = tuple(a for a in range(n) if (2 * a - w) % n == 0)
-    if not sols:
+    """All a in Z/n with 2a = w, for w in [0, n), ascending; nonempty under the
+    mu_2n hypothesis.
+
+    For odd n, 2 is a unit with inverse (n + 1)/2, so w (n + 1)/2 is the one
+    solution.  For even n, 2a = w mod n forces w to be even, and then it holds
+    iff a = w/2 mod n/2: the solutions are w/2 and w/2 + n/2.
+    """
+    if n % 2:
+        return (w * (n + 1) // 2 % n,)
+    if w % 2:
         raise TheoremViolationError(f"2a = {w} has no solution mod {n} despite mu_2n in K")
-    return sols
+    return (w // 2, w // 2 + n // 2)
 
 
 COND6_CHUNK_CELLS = 2**20  # grid cells evaluated at once by condition (6)
 COND6_TERMS_MAX = 2**22  # terms of condition (6) contracted at once
 
 
-def _unit_pairs_vanish(pairs, field: FqField, n: int) -> bool:
-    """Whether sum_i s_i(x) t_i(y) - t_i(x) s_i(y) = 0 mod n for all units x, y.
+def _unit_pairs_vanish(st: np.ndarray, n: int) -> bool:
+    """Whether sum_i s_i(x) t_i(y) - t_i(x) s_i(y) = 0 mod n for all units x, y,
+    for the coefficients ``st`` of shape (2, m).
 
     s(x) = c dlog(x) mod n = c (dlog(x) mod n) mod n, so the sum at (x, y) depends
     only on dlog x and dlog y mod n, the classes of x and y in K^x/K^xn.  dlog is a
-    bijection from the units onto [0, q-1) and n | q-1, so every class is hit, and
-    the grid of classes decides exactly the statement about all pairs of units.
+    bijection from the units onto [0, q-1) and n | q-1, so every class in [0, n)
+    is hit, and the grid of the n classes decides exactly the statement about all
+    pairs of units.
     """
-    classes = np.flatnonzero(np.bincount(np.concatenate(([0], field.point_dlogs[0])) % n))  # dlog(1) = 0
+    classes = np.arange(n, dtype=np.int64)
     # -t(x) s(y) is written (-t)(x) s(y), so every operand lies in [0, n).
-    left = np.array([s.c for s, _ in pairs] + [-t.c for _, t in pairs], dtype=np.int64)[:, None] * classes % n
-    right = np.array([t.c for _, t in pairs] + [s.c for s, _ in pairs], dtype=np.int64)[:, None] * classes % n
+    left = np.concatenate((st[0], -st[1]))[:, None] * classes % n
+    right = np.concatenate((st[1], st[0]))[:, None] * classes % n
     return _grid_vanishes(left, right, n)
 
 
@@ -152,20 +169,22 @@ def _pair_sum(terms: np.ndarray, n: int) -> np.ndarray:
 
 
 def _alternating_sum(st: np.ndarray, dl_pts: np.ndarray, dl_1m: np.ndarray, n: int) -> np.ndarray:
-    """sum_i s_i(x) t_i(1-x) - s_i(1-x) t_i(x) mod n at every point x, for the
-    coefficients ``st`` of shape (2, m, 1)."""
+    """sum_i s_i(x) t_i(1-x) - s_i(1-x) t_i(x) mod n at every point x of the dlogs
+    ``dl_pts`` and ``dl_1m``, for the coefficients ``st`` of shape (2, m)."""
+    st = st[..., None]
     (sx, tx), (sy, ty) = st * dl_pts % n, st * dl_1m % n
     return _pair_sum(sx * ty - sy * tx, n)
 
 
 def _commutator_sum(st: np.ndarray, dlogs, n: int) -> np.ndarray:
-    """sum_i phi(s_i, t_i) mod n, flattened (a_0, b_0, a_1, ...), from one batch of the
-    coefficients ``st`` of shape (2, m, 1)."""
-    return _pair_sum(tables._phi_values(*st, *dlogs, n), n).reshape(-1)
+    """sum_i phi(s_i, t_i) mod n, flattened (a_0, b_0, a_1, ...), at the points of
+    ``dlogs``, from one batch of the coefficients ``st`` of shape (2, m)."""
+    return _pair_sum(tables._phi_values(*st[..., None], *dlogs, n), n).reshape(-1)
 
 
 def _power_rows(coeffs: np.ndarray, dlogs, n: int) -> np.ndarray:
-    """The tables psi(f), shape (rows, q-2, 2), of the characters f with coefficients ``coeffs`` (rows, 1)."""
+    """The tables psi(f), shape (rows, points, 2), at the points of ``dlogs``, of the
+    characters f with coefficients ``coeffs`` (rows, 1)."""
     rows = tables._psi_values(coeffs, *dlogs, n)
     rows %= n
     return rows
@@ -184,38 +203,50 @@ def relation_check(
 ) -> RelationReport:
     """Evaluate every decidable condition for the finite family ``pairs``.
 
-    Every sum over the family runs along a leading pairs axis: one broadcast
-    and one reduction per condition.
+    The family is read once, into its (2, m) coefficient array, and every sum
+    over it runs along that pairs axis: one broadcast and one reduction per
+    condition.  Conditions (1)-(3) run on the |T| types of
+    ``FqField.point_types``, which are keyed by the field's n, so ``omega``
+    must have that order (``ModulusError`` otherwise, as (4)'s span raises).
+    Each of their tables is the pullback of its table on T along the
+    surjection ``types`` of the points onto T, and a pullback along a
+    surjection is injective: vanishing (1), equality (2) and span membership
+    (3) are the same on T as on the points.  A point fails (1) exactly when
+    its type does, so the first failing point in table order is the least of
+    the failing types' first points.
 
-    For m pairs over F_q the work holds the 2m power tables of 2(q - 2) int64
-    cells three times at once (the power batch, its doubled copy and the
-    Howell working copy of (3)'s span); an estimate above
-    ``RELATION_BYTES_MAX`` raises ``DomainError`` before any is allocated.
+    For m pairs the work holds the 2m power tables of 2|T| int64 cells three
+    times at once (the power batch, its doubled copy and the Howell working
+    copy of (3)'s span), and (4) gathers one row of 2(q - 2) cells; an
+    estimate above ``RELATION_BYTES_MAX`` raises ``DomainError`` before any
+    is allocated.
     """
     field, n = omega.field, omega.order
     if (field.q - 1) % (2 * n) != 0:
         raise HypothesisError(f"mu_{2 * n} not contained in F_{field.q}")
     check_characters([f for pair in pairs for f in pair], field, n)
-    need = 3 * 8 * 2 * len(pairs) * 2 * (field.q - 2)
+    if field.n != n:
+        raise ModulusError(f"characters must share the field F_{field.q} and the modulus {n}")
+    classes, first, types = field.point_types
+    need = 3 * 8 * 2 * len(pairs) * 2 * len(classes) + 8 * 2 * types.size
     check_bound(need, RELATION_BYTES_MAX, f"bytes of the relation check on {len(pairs)} pairs over F_{field.q}")
 
     # s_i = st[0, i] chi and t_i = st[1, i] chi for the generating character chi.
-    st = heisenberg._pair_coeffs(pairs, 1)
-    dlogs = tables._omega_dlogs(omega)
-    dl_pts, dl_1m, _ = dlogs
+    st = heisenberg._pair_coeffs(pairs)
+    dw = field.dlog(omega.element) % n
+    dlogs = (classes[:, 0], classes[:, 1], dw)
 
-    # Witnesses: 2a_i = s_i(omega), 2b_i = t_i(omega).
-    w_elt = omega.element
-    wit_a = tuple(_halves(s(w_elt), n) for s, _ in pairs)
-    wit_b = tuple(_halves(t(w_elt), n) for _, t in pairs)
+    # Witnesses: 2a_i = s_i(omega) = st[0, i] dlog(omega), 2b_i = t_i(omega).
+    wit_a, wit_b = (tuple(_halves(w, n) for w in row) for row in (st * dw % n).tolist())
 
-    # The family's tables, each a sum along its pairs axis.  An empty family
-    # builds no terms: its sums are zero and it spans the zero subgroup.
-    alt, comm_sum = np.zeros(dl_pts.size, dtype=np.int64), np.zeros(2 * dl_pts.size, dtype=np.int64)
+    # The family's tables on the types, each a sum along its pairs axis.  An
+    # empty family builds no terms: its sums are zero and it spans the zero
+    # subgroup.
+    alt, comm_sum = np.zeros(len(classes), dtype=np.int64), np.zeros(2 * len(classes), dtype=np.int64)
     rhs, fam_span = comm_sum, None
     if pairs:
-        # (1): pointwise alternating sum over K minus {0, 1}.
-        alt = _alternating_sum(st, dl_pts, dl_1m, n)
+        # (1): alternating sum at every type.
+        alt = _alternating_sum(st, *dlogs[:2], n)
         # Commutator-sum table of (2), (3), (4).
         comm_sum = _commutator_sum(st, dlogs, n)
         # The power tables psi(s_1), ..., psi(s_m), psi(t_1), ..., psi(t_m),
@@ -224,10 +255,10 @@ def relation_check(
         rhs = _witness_combination(fam_psi, wit_a, wit_b, n)
         fam_span = modring.canonicalize(ModMatrix(n, (2 * fam_psi).reshape(len(fam_psi), -1)))
 
-    # (1): the alternating sum vanishes at every point.
+    # (1): the alternating sum vanishes at every type.
     fail = np.flatnonzero(alt)
     cond1 = fail.size == 0
-    first_failing_point = int(field.table_points[fail[0]]) if fail.size else None
+    first_failing_point = int(field.table_points[first[fail].min()]) if fail.size else None
 
     # (2): equality with the witness combination; the choice of half does not
     # matter since the halves differ by n/2 and n * psi(f) = 0.
@@ -236,18 +267,18 @@ def relation_check(
     # (3): membership in the span of the family's own doubled power tables.
     cond3 = modring.membership(fam_span, comm_sum) if fam_span is not None else not comm_sum.any()
 
-    # (4): membership in the span of all doubled power tables.
-    cond4 = modring.membership(omega.doubled_power_span, comm_sum)
+    # (4): membership in the span of all doubled power tables, on the points.
+    cond4 = modring.membership(omega.doubled_power_span, comm_sum.reshape(-1, 2)[types].reshape(-1))
 
     # (6): alternating sum over all pairs of units (every cup product of unit
     # classes dies in the relevant cohomology, so the scan is unrestricted).
-    cond6 = _unit_pairs_vanish(pairs, field, n)
+    cond6 = _unit_pairs_vanish(st, n)
 
     cond5 = cond7 = None
     if n <= ENUM_BOUND_N:
-        image_sums = heisenberg._image_sums(pairs, n)
-        cond5 = heisenberg.enumerate_homs_check(list(pairs), field, image_sums=image_sums)
-        cond7, _ = heisenberg.pointwise_embedding_check(list(pairs), field, image_sums=image_sums)
+        image_sums = heisenberg._image_sums(st, n)
+        cond5 = heisenberg._homs_vanish(st, image_sums, n)
+        cond7 = not heisenberg._failing_types(image_sums, field).any()
 
     return RelationReport(
         cond1=cond1,

@@ -1,10 +1,11 @@
 """The per-pair loops that the relation detector once ran, kept as test-side
 oracles for its pairs-axis batches: one pass of a Python loop per pair of the
 family for condition (1), the commutator-sum table, the witness combination
-of (2), the family span of (3), the commutator sums and bilinear criterion
-behind (5) and (7), the term loop of (6), and the span of the doubled power
-tables of every character.  ``relation_report`` assembles them into the
-detector's report."""
+of (2) with its witnesses found by search, the family span of (3), the
+commutator sums and bilinear criterion behind (5) and (7), the term loop of
+(6), and the span of the doubled power tables of every character.  Every
+loop runs on the table points, not on their types.  ``relation_report``
+assembles them into the detector's report."""
 
 from __future__ import annotations
 
@@ -14,7 +15,15 @@ from abelcentral import heisenberg, modring, tables
 from abelcentral.errors import TheoremViolationError
 from abelcentral.finfield import FqField, RootOfUnity, characters
 from abelcentral.modring import ModMatrix, SubgroupZnk
-from abelcentral.relations import ENUM_BOUND_N, _halves
+from abelcentral.relations import ENUM_BOUND_N
+
+
+def halves(w: int, n: int) -> tuple[int, ...]:
+    """All a in Z/n with 2a = w, by a search over Z/n; nonempty under the mu_2n hypothesis."""
+    sols = tuple(a for a in range(n) if (2 * a - w) % n == 0)
+    if not sols:
+        raise TheoremViolationError(f"2a = {w} has no solution mod {n} despite mu_2n in K")
+    return sols
 
 
 def alternating_sum(pairs, field: FqField, n: int) -> np.ndarray:
@@ -98,9 +107,18 @@ def bilinear_sums(pairs, a, b, n: int) -> np.ndarray:
     return bilinear % n
 
 
+def char_pairs_check(pairs, field: FqField) -> int:
+    """The field's n, once the pairs live on the field mod n and every
+    Heisenberg element has order dividing n^2."""
+    heisenberg._char_pairs_check(pairs, field)
+    if not heisenberg.exponent_divides_n2(field.n):
+        raise TheoremViolationError("Heisenberg exponent does not divide n^2")
+    return field.n
+
+
 def enumerate_homs(pairs, field: FqField) -> bool:
     """(5) over all n^3 generator images, cross-checked with the bilinear criterion."""
-    n = heisenberg._char_pairs_check(pairs, field)
+    n = char_pairs_check(pairs, field)
     a, b, c = heisenberg._elements(n)
     total = comm_sums(pairs, a, b, c, n)
     if not np.array_equal(total, bilinear_sums(pairs, a, b, n)):
@@ -110,7 +128,7 @@ def enumerate_homs(pairs, field: FqField) -> bool:
 
 def pointwise_embedding(pairs, field: FqField) -> tuple[bool, int | None]:
     """(7) on the full (points x n) array of solutions h(dlog x, dlog(1-x); t)."""
-    n = heisenberg._char_pairs_check(pairs, field)
+    n = char_pairs_check(pairs, field)
     dx, dy = (d % n for d in field.point_dlogs)
     a, b, c = np.broadcast_arrays(dx[:, None], dy[:, None], np.arange(n, dtype=np.int64))
     sums = comm_sums(pairs, a, b, c, n)
@@ -126,8 +144,8 @@ def relation_report(pairs, omega: RootOfUnity) -> dict:
     """The detector's ``as_dict`` report, every condition from the loops above."""
     field, n = omega.field, omega.order
     alt = alternating_sum(pairs, field, n)
-    wit_a = [list(_halves(s(omega.element), n)) for s, _ in pairs]
-    wit_b = [list(_halves(t(omega.element), n)) for _, t in pairs]
+    wit_a = [list(halves(s(omega.element), n)) for s, _ in pairs]
+    wit_b = [list(halves(t(omega.element), n)) for _, t in pairs]
     comm = commutator_sum(pairs, omega)
     span = family_span(pairs, omega)
     out = {

@@ -307,6 +307,24 @@ class TestReports:
         assert out == "" and "label count" in err
 
     @pytest.mark.parametrize("command", [["groupcoh"], ["verify", "--suite", "machinery"]])
+    @pytest.mark.parametrize("labels", [5, "ab", None, ["0", 1], [["0"], ["1"]], {"0": "a"}])
+    def test_labels_not_a_list_of_strings(self, capsys, tmp_path, command, labels):
+        # 5 and null ended in a TypeError traceback with exit 1, the
+        # counterexample status; "ab" was split into the labels "a", "b"
+        # and a C2 report printed with exit 0.
+        table = tmp_path / "c2.json"
+        table.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": labels}))
+        code, out, err = run(command + ["--input", str(table), "--n", "2"], capsys)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and '"labels" must be a list of strings' in err
+
+    def test_labels_list_of_strings_pass(self, capsys, tmp_path):
+        table = tmp_path / "c2.json"
+        table.write_text(json.dumps({"table": [[0, 1], [1, 0]], "labels": ["e", "a"]}))
+        code, out, _ = run(["groupcoh", "--input", str(table), "--n", "2"], capsys)
+        assert code == cli.EXIT_OK and json.loads(out)
+
+    @pytest.mark.parametrize("command", [["groupcoh"], ["verify", "--suite", "machinery"]])
     @pytest.mark.parametrize("doc,message", [
         ({"table": [[0, 1.7], [1.2, 0]]}, "table entries must be integers of at most 64 bits, got dtype float64"),
         ({"table": [[10**30]]}, "table entries must be integers of at most 64 bits, got dtype object"),

@@ -325,6 +325,23 @@ class TestAdditiveRange:
         with pytest.raises(DomainError, match=message):
             call(make_field(13, n=3))
 
+    @pytest.mark.parametrize("call", [
+        lambda k: k.mul(0, 99),
+        lambda k: k.mul(99, 0),
+        lambda k: k.mul(0, -1),
+        lambda k: k.mul(-1, 0),
+        lambda k: k.mul(0, 13),
+    ])
+    def test_zero_operand_does_not_skip_the_range_check(self, call):
+        # A 0 operand returned 0 before the other was checked: on F_13
+        # mul(0, 99) and mul(99, 0) gave 0 where mul(2, 99) raised.
+        with pytest.raises(DomainError, match="outside field of order 13"):
+            call(make_field(13, n=3))
+
+    def test_zero_operand_in_range(self):
+        k = make_field(13, n=3)
+        assert k.mul(0, 5) == k.mul(5, 0) == k.mul(0, 0) == k.mul(0, 12) == 0
+
     def test_multiplicative_numpy_integers_pass(self):
         k = make_field(13, n=3)
         assert k.mul(np.int64(2), np.uint8(3)) == 6 and k.dlog(np.int32(1)) == 0
@@ -353,6 +370,41 @@ class TestPointDlogs:
             assert not dl.flags.writeable
             with pytest.raises(ValueError):
                 dl[0] = 0
+
+
+def point_types_oracle(k):
+    """(classes, first, types) of the table points by a scan in table order,
+    with scalar dlogs and the digit-loop 1 - x."""
+    pairs = [(k.dlog(x) % k.n, k.dlog(oracle_add(k, 1, x, -1)) % k.n) for x in k.table_points]
+    classes = sorted(set(pairs))
+    first = {}
+    for i, pair in enumerate(pairs):
+        first.setdefault(pair, i)
+    return classes, [first[c] for c in classes], [classes.index(pair) for pair in pairs]
+
+
+class TestPointTypes:
+    # Prime fields in integer order, and F_49 with n = 24 and F_81 with
+    # n = 40, whose points are in dlog order and n is close to q.
+    @pytest.mark.parametrize("p,deg,n", [
+        (13, 1, 3), (13, 1, 12), (41, 1, 10), (61, 1, 15), (101, 1, 4), (7, 2, 24), (3, 4, 40), (3, 4, 8),
+    ])
+    def test_matches_scan(self, p, deg, n):
+        k = make_field(p, k=deg, n=n)
+        classes, first, types = k.point_types
+        want_classes, want_first, want_types = point_types_oracle(k)
+        assert classes.shape == (len(want_classes), 2)
+        assert [tuple(c) for c in classes.tolist()] == want_classes
+        assert first.tolist() == want_first
+        assert types.tolist() == want_types
+
+    def test_read_only_and_cached(self):
+        k = make_field(7, k=2, n=24)
+        assert k.point_types is k.point_types
+        for arr in k.point_types:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestDlogTable:
@@ -424,6 +476,16 @@ class TestOmega:
         with pytest.raises(DomainError):
             omega(k, 4, index=2)
 
+    @pytest.mark.parametrize("n,index,message", [
+        (3, 2.5, "omega index must be an integer, got 2.5"),
+        (3, True, "omega index must be an integer, got True"),
+        (3.0, 1, "modulus must be an integer, got 3.0"),
+    ])
+    def test_not_an_integer(self, n, index, message):
+        # math.gcd raised a bare TypeError.
+        with pytest.raises(DomainError, match=message):
+            omega(make_field(13, n=3), n, index=index)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_modulus_below_two(self, n):
         # 0 used to die with ZeroDivisionError, -3 to give a root of order -3.
@@ -448,6 +510,16 @@ class TestCharacters:
         k = make_field(5, n=2)
         with pytest.raises(DomainError):
             char_eval(KummerCharacter(k, 2, 1), 0)
+
+    @pytest.mark.parametrize("n,index,message", [
+        (3, 2.5, "omega index must be an integer, got 2.5"),
+        (3, True, "omega index must be an integer, got True"),
+        (3.0, 1, "modulus must be an integer, got 3.0"),
+    ])
+    def test_not_an_integer(self, n, index, message):
+        # math.gcd raised a bare TypeError.
+        with pytest.raises(DomainError, match=message):
+            omega(make_field(13, n=3), n, index=index)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_modulus_below_two(self, n):

@@ -857,6 +857,27 @@ class TestIndexValidation:
         with pytest.raises(DomainError):
             call(cyclic_group(4), bad)
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda g: elementary_group(2.5, 2), "modulus must be an integer, got 2.5"),
+        (lambda g: elementary_group(2, 1.5), "rank must be an integer, got 1.5"),
+        (lambda g: central_series(g, 2.5), "modulus must be an integer, got 2.5"),
+        (lambda g: central_series(g, True), "modulus must be an integer, got True"),
+        (lambda g: g.power(1, 1.5), "exponent must be an integer, got 1.5"),
+        (lambda g: g.powers(1, 2.5), "power count must be an integer, got 2.5"),
+        (lambda g: g.mul(1.0, 2), "element index must be an integer, got 1.0"),
+        (lambda g: g.order_of(np.float64(2)), "element index must be an integer"),
+    ])
+    def test_not_an_integer(self, call, message):
+        # Each raised a bare TypeError (or numpy's IndexError).
+        with pytest.raises(DomainError, match=message):
+            call(cyclic_group(4))
+
+    def test_numpy_integers_pass(self):
+        g = cyclic_group(4)
+        assert g.power(np.int64(1), np.uint8(3)) == 3 == g.mul(np.int32(1), 2)
+        assert central_series(g, np.int64(2)).sizes == central_series(g, 2).sizes
+        assert elementary_group(np.int64(2), np.int16(2)).order == 4
+
     def test_negative_power_count(self):
         # powers(1, -3) on C7 used to return an empty array, as if there were no powers.
         g = cyclic_group(7)

@@ -236,7 +236,7 @@ class TestHomEnumeration:
         img = HeisElem(4, 1, 2, 3)
         # Images of powers of one generator always commute.
         assert commutator_sum([(s, t), (t, s)], img) == 0
-        assert heisenberg._comm_sums([(s, t), (t, s)], 1, 2, 3, 4) == 0
+        assert heisenberg._comm_sums(heisenberg._pair_coeffs([(s, t), (t, s)]), 1, 2, 3, 4) == 0
 
 
 # --- the scalar loops behind the array checks, kept here as oracles --------
@@ -358,8 +358,9 @@ class TestArrayChecksAgainstOracles:
         elements = heisenberg._elements(n)
         reads_c = 0
         for fam in seeded_families(k, 5 * p + n):
-            grid = heisenberg._image_sums(fam, n)
-            assert np.array_equal(grid, heisenberg._comm_sums(fam, *elements, n).reshape(n, n, n))
+            st = heisenberg._pair_coeffs(fam)
+            grid = heisenberg._image_sums(st, n)
+            assert np.array_equal(grid, heisenberg._comm_sums(st, *elements, n).reshape(n, n, n))
             reads_c += bool((grid != grid[..., :1]).any())
         assert (reads_c > 0) == (law is central_pow)
 

@@ -1,7 +1,9 @@
 """The relation-condition detector: all computed conditions must agree."""
 
 import gc
+import inspect
 import random
+import re
 import tracemalloc
 import weakref
 
@@ -10,10 +12,11 @@ import pytest
 import relations_oracle
 from test_heisenberg import central_pow, enumerate_homs_oracle, pointwise_oracle, skewed_pow, use_power_law
 
-from abelcentral import heisenberg, relations, tables
-from abelcentral.errors import DomainError, HypothesisError, TheoremViolationError
+from abelcentral import heisenberg, modring, relations, tables
+from abelcentral.errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
 from abelcentral.finfield import KummerCharacter, make_field, omega
 from abelcentral.heisenberg import enumerate_homs_check, pointwise_embedding_check
+from abelcentral.modring import ModMatrix
 from abelcentral.relations import RelationReport, relation_check
 
 
@@ -51,7 +54,14 @@ def spy_tables(monkeypatch):
         helper = getattr(relations, name)
         monkeypatch.setattr(relations, name, lambda *a, name=name, helper=helper: seen.setdefault(name, helper(*a)))
     canonicalize = relations.modring.canonicalize
-    monkeypatch.setattr(relations.modring, "canonicalize", lambda g: seen.setdefault("span", canonicalize(g)))
+
+    def first_span(gens):
+        """Record the first span only, and hand every caller its own."""
+        span = canonicalize(gens)
+        seen.setdefault("span", span)
+        return span
+
+    monkeypatch.setattr(relations.modring, "canonicalize", first_span)
     return seen
 
 
@@ -108,12 +118,104 @@ class TestHypotheses:
         with pytest.raises(HypothesisError):
             relation_check([], omega(k, 4))
 
+    @pytest.mark.parametrize("chars_n", [None, 3, 6])
+    def test_omega_order_must_be_the_field_modulus(self, monkeypatch, chars_n):
+        # The field's types are keyed by its n = 3.  A root of order 6 is
+        # refused before any table is built, with the ModulusError that (4)'s
+        # span raises for it, which is where the check used to stop.
+        k = make_field(61, n=3)
+        w = omega(k, 6)
+        fam = [] if chars_n is None else [(KummerCharacter(k, chars_n, 1), KummerCharacter(k, chars_n, 2))]
+        built = spy_tables(monkeypatch)
+        with pytest.raises(ModulusError) as info:
+            relation_check(fam, w)
+        assert str(info.value) == "characters must share the field F_61 and the modulus 6"
+        assert built == {}
+        monkeypatch.undo()
+        with pytest.raises(ModulusError) as span_error:
+            w.doubled_power_span
+        assert str(span_error.value) == str(info.value)
+
     def test_as_dict_keys(self):
         k, w = field_and_omega(13, 3)
         s = KummerCharacter(k, 3, 1)
         d = relation_check([(s, s)], w).as_dict()
         assert set("12345") <= set(d) and "6" in d and "7" in d
         assert "witnesses_a" in d and "witnesses_b" in d
+
+
+class TestWitnesses:
+    def test_closed_form_matches_the_search(self):
+        # Every n in 2..64 and every w in [0, n), against the search over Z/n,
+        # with the search's error for odd w and even n.
+        raised = 0
+        for n in range(2, 65):
+            for w in range(n):
+                try:
+                    want = relations_oracle.halves(w, n)
+                except TheoremViolationError as exc:
+                    raised += 1
+                    with pytest.raises(TheoremViolationError) as info:
+                        relations._halves(w, n)
+                    assert str(info.value) == str(exc)
+                else:
+                    assert relations._halves(w, n) == want
+        assert raised == sum(n // 2 for n in range(2, 65, 2))
+
+    @pytest.mark.parametrize("p,deg,n", [(13, 1, 6), (41, 1, 10), (2003, 1, 11), (7, 2, 8), (7, 2, 24)])
+    def test_family_read_once(self, monkeypatch, p, deg, n):
+        # The witnesses come from st * dlog(omega), not from 2m character
+        # calls, and every condition reads the one coefficient array st.
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        w.doubled_power_span
+        calls = {"__call__": 0, "_pair_coeffs": 0}
+        char_call, pair_coeffs = KummerCharacter.__call__, heisenberg._pair_coeffs
+
+        def counting_call(f, x):
+            calls["__call__"] += 1
+            return char_call(f, x)
+
+        def counting_coeffs(pairs):
+            calls["_pair_coeffs"] += 1
+            return pair_coeffs(pairs)
+
+        monkeypatch.setattr(KummerCharacter, "__call__", counting_call)
+        monkeypatch.setattr(heisenberg, "_pair_coeffs", counting_coeffs)
+        for fam in seeded_families(k, n, p + n):
+            calls.update({"__call__": 0, "_pair_coeffs": 0})
+            rep = relation_check(fam, w)
+            assert calls == {"__call__": 0, "_pair_coeffs": 1}
+            assert rep.witnesses_a == tuple(relations_oracle.halves(char_call(s, w.element), n) for s, _ in fam)
+            assert rep.witnesses_b == tuple(relations_oracle.halves(char_call(t, w.element), n) for _, t in fam)
+
+    @pytest.mark.parametrize("p,deg,n", [(41, 1, 10), (61, 1, 15), (7, 2, 8), (3, 4, 40)])
+    def test_first_failing_point_is_the_first_point_of_a_failing_type(self, monkeypatch, p, deg, n):
+        # Every family over a finite field satisfies (1), so plant a nonzero
+        # alternating sum on a few types.  The report, refused for the
+        # disagreement, names the first failing point in table order, which a
+        # scan of the points by their own dlogs finds.
+        k = make_field(p, k=deg, n=n)
+        w = omega(k, n)
+        classes = k.point_types[0]
+        dx, dy = k.point_dlogs
+        fam = [(KummerCharacter(k, n, 1), KummerCharacter(k, n, 2))]
+        rng = random.Random(p + n)
+        for _ in range(6):
+            failing = rng.sample(range(len(classes)), rng.randint(1, 3))
+            planted = np.zeros(len(classes), dtype=np.int64)
+            planted[failing] = rng.randrange(1, n)
+            monkeypatch.setattr(relations, "_alternating_sum", lambda *a, planted=planted: planted)
+            bad = {tuple(classes[j].tolist()) for j in failing}
+            want = next(x for x, i, j in zip(k.table_points, (dx % n).tolist(), (dy % n).tolist()) if (i, j) in bad)
+            with pytest.raises(TheoremViolationError, match=re.escape(f"'first_failing_point': {want}}}")):
+                relation_check(fam, w)
+
+    def test_types_are_derived_in_the_field_only(self):
+        # relations and heisenberg read FqField.point_types; neither derives
+        # classes or types from the point dlogs.
+        for module in (relations, heisenberg):
+            assert "point_dlogs" not in inspect.getsource(module)
 
 
 class TestConsistency:
@@ -135,7 +237,8 @@ class TestConsistency:
     def test_family_power_tables_computed_once(self, monkeypatch):
         # Conditions (2) and (3) read one batch of power tables, psi(s_1), ...,
         # psi(s_m), psi(t_1), ..., psi(t_m): a single _psi_values call of 2m
-        # rows.  The first call fills the cached span of all power tables.
+        # rows, one cell pair per type.  The first call fills the cached span
+        # of all power tables.
         k, w = field_and_omega(13, 3)
         fam = [(KummerCharacter(k, 3, a), KummerCharacter(k, 3, b)) for a, b in [(1, 2), (2, 2), (0, 1)]]
         relation_check(fam, w)
@@ -152,7 +255,7 @@ class TestConsistency:
         relation_check(fam, w)
         (coeffs, rows), = calls
         assert coeffs.ravel().tolist() == [s.c for s, _ in fam] + [t.c for _, t in fam]
-        assert rows.shape == (2 * len(fam), k.q - 2, 2)
+        assert rows.shape == (2 * len(fam), len(k.point_types[0]), 2)
         # (3) spans the doubled rows of the batch ...
         (gens,) = spans
         assert np.array_equal(gens.entries, (2 * rows).reshape(2 * len(fam), -1) % 3)
@@ -193,9 +296,11 @@ class TestConsistency:
         assert peak <= 40 * 2**20
 
     def test_peak_memory_f65537_eight_pairs(self):
-        # The 16 power tables of the family hold 16 MiB.  The per-pair loops
-        # kept the tables, their doubled copies and the stacked matrix alive
-        # together and peaked at 71.9 MiB here (span filled beforehand).
+        # The 16 power tables of the family have 256 types, not 65535 points:
+        # what is left is (4)'s one gathered row of 131070 cells and the
+        # field's type table.  The power tables on the points peaked at
+        # 53.9 MiB here, and the per-pair loops before them at 71.9 MiB
+        # (span filled beforehand).
         k, w = field_and_omega(65537, 16)
         w.doubled_power_span
         rng = random.Random(8)
@@ -208,19 +313,22 @@ class TestConsistency:
         finally:
             tracemalloc.stop()
         assert rep.holds
-        assert peak <= 71.9 * 2**20
+        assert peak <= 8 * 2**20
 
     def test_memory_bound(self, monkeypatch):
-        # 4 pairs on F_41: 8 power tables of 2 * 39 int64 cells, held three
-        # times, 3 * 8 * 8 * 78 = 14976 bytes.  Above the bound no table is built.
+        # 4 pairs on F_41 with n = 10, whose 39 points have 36 types: 8 power
+        # tables of 2 * 36 int64 cells, held three times, and (4)'s gathered
+        # row of 2 * 39 cells, 3 * 8 * 8 * 72 + 8 * 78 = 14448 bytes.  Above
+        # the bound no table is built.
         k, w = field_and_omega(41, 10)
+        assert len(k.point_types[0]) == 36
         fam = [(KummerCharacter(k, 10, c), KummerCharacter(k, 10, 3 * c)) for c in range(4)]
-        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14976 - 1)
+        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14448 - 1)
         built = spy_tables(monkeypatch)
-        with pytest.raises(DomainError, match="4 pairs over F_41: 14976 exceeds"):
+        with pytest.raises(DomainError, match="4 pairs over F_41: 14448 exceeds"):
             relation_check(fam, w)
         assert built == {}
-        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14976)
+        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14448)
         assert relation_check(fam, w).holds
         assert set(built) == {"_alternating_sum", "_commutator_sum", "_power_rows", "_witness_combination", "span"}
 
@@ -275,9 +383,18 @@ class TestBatchAgainstOracles:
 
     @pytest.mark.parametrize("p,deg,n", ORACLE_FIELDS)
     def test_reports_and_tables(self, monkeypatch, p, deg, n):
+        # The detector's tables live on the types; pulled back along the type
+        # of each point they must be the point-wise tables of the loops.
         k = make_field(p, k=deg, n=n)
         w = omega(k, n)
         span = w.doubled_power_span  # filled before the spy goes in
+        classes, _, types = k.point_types
+
+        def pullback(flat):
+            """A flattened table on the types as the flattened table on the points."""
+            lead = flat.shape[:-1]
+            return flat.reshape(lead + (len(classes), 2))[..., types, :].reshape(lead + (2 * types.size,))
+
         for fam in seeded_families(k, n, 100 * p + n):
             with monkeypatch.context() as mp:
                 seen = spy_tables(mp)
@@ -286,15 +403,17 @@ class TestBatchAgainstOracles:
             if not fam:
                 assert not seen
                 continue
-            assert np.array_equal(seen["_alternating_sum"], relations_oracle.alternating_sum(fam, k, n))
-            assert np.array_equal(seen["_commutator_sum"], relations_oracle.commutator_sum(fam, w).flatten())
+            assert np.array_equal(seen["_alternating_sum"][types], relations_oracle.alternating_sum(fam, k, n))
+            assert np.array_equal(pullback(seen["_commutator_sum"]), relations_oracle.commutator_sum(fam, w).flatten())
             powers = relations_oracle.power_tables(fam, w)
             want_rows = [s.values for s, _ in powers] + [t.values for _, t in powers]
-            assert np.array_equal(seen["_power_rows"], np.stack(want_rows))
+            assert np.array_equal(seen["_power_rows"][:, types], np.stack(want_rows))
             rhs = relations_oracle.witness_combination(fam, w, rep.witnesses_a, rep.witnesses_b)
-            assert np.array_equal(seen["_witness_combination"], rhs.flatten())
+            assert np.array_equal(pullback(seen["_witness_combination"]), rhs.flatten())
+            # Equal spans have equal Howell forms, once on the same columns.
+            got_span = modring.canonicalize(ModMatrix(n, pullback(seen["span"].canonical.entries)))
             want_span = relations_oracle.family_span(fam, w)
-            assert np.array_equal(seen["span"].canonical.entries, want_span.canonical.entries)
+            assert np.array_equal(got_span.canonical.entries, want_span.canonical.entries)
         assert w.doubled_power_span is span
 
     @pytest.mark.parametrize("p,deg,n", [(41, 1, 10), (2003, 1, 11), (7, 2, 24)])
@@ -311,7 +430,7 @@ class TestBatchAgainstOracles:
         for size in range(1, 7):
             coeffs = [(rng.randrange(n), rng.randrange(n)) for _ in range(size - 1)] + [(n - 1, n - 2)]
             fam = [(KummerCharacter(k, n, a), KummerCharacter(k, n, b)) for a, b in coeffs]
-            st = np.array(coeffs, dtype=np.int64).T[..., None]
+            st = np.array(coeffs, dtype=np.int64).T
             wit_a = [(rng.randrange(-n, n),) for _ in fam]
             wit_b = [(n - 1,)] * size
             rows = relations._power_rows(st.reshape(-1, 1), dlogs, n)
@@ -333,10 +452,11 @@ class TestBatchAgainstOracles:
         a, b, c = heisenberg._elements(n)
         nonzero = 0
         for fam in seeded_families(k, n, 7 * n):
+            st = heisenberg._pair_coeffs(fam)
             want = relations_oracle.comm_sums(fam, a, b, c, n)
             nonzero += bool(want.any())
-            assert np.array_equal(heisenberg._comm_sums(fam, a, b, c, n), want)
-            assert np.array_equal(heisenberg._bilinear_sums(fam, a, b, n), relations_oracle.bilinear_sums(fam, a, b, n))
+            assert np.array_equal(heisenberg._comm_sums(st, a, b, c, n), want)
+            assert np.array_equal(heisenberg._bilinear_sums(st, a, b, n), relations_oracle.bilinear_sums(fam, a, b, n))
         assert nonzero >= 3
 
 
@@ -360,25 +480,25 @@ class TestHeisenbergGrid:
             assert rep.cond7 == pointwise[0]
 
     def test_one_grid_and_one_power_batch(self, monkeypatch):
-        # Both checks receive the same grid, the commutator sums at every
-        # image; its powers come from one heis_pow_arrays call, none for an
-        # empty family.
+        # Conditions (5) and (7) receive the same grid, the commutator sums at
+        # every image; its powers come from one heis_pow_arrays call, none for
+        # an empty family.
         k, w = field_and_omega(41, 10)
         elements = heisenberg._elements(10)
         powers, grids = [], []
         pow_arrays = heisenberg.heis_pow_arrays
         monkeypatch.setattr(heisenberg, "heis_pow_arrays", lambda *a: powers.append(a) or pow_arrays(*a))
-        for name in ("enumerate_homs_check", "pointwise_embedding_check"):
-            check = getattr(heisenberg, name)
-            monkeypatch.setattr(heisenberg, name, lambda *a, check=check, **kw: grids.append(kw) or check(*a, **kw))
+        homs_vanish, failing_types = heisenberg._homs_vanish, heisenberg._failing_types
+        monkeypatch.setattr(heisenberg, "_homs_vanish", lambda st, grid, n: grids.append(grid) or homs_vanish(st, grid, n))
+        monkeypatch.setattr(heisenberg, "_failing_types", lambda grid, f: grids.append(grid) or failing_types(grid, f))
         for fam in seeded_families(k, 10, 41):
             powers.clear()
             grids.clear()
             relation_check(fam, w)
             assert len(powers) == (1 if fam else 0)
-            assert len(grids) == 2 and grids[0]["image_sums"] is grids[1]["image_sums"]
+            assert len(grids) == 2 and grids[0] is grids[1]
             want = relations_oracle.comm_sums(fam, *elements, 10).reshape(10, 10, 10)
-            assert np.array_equal(grids[0]["image_sums"], want)
+            assert np.array_equal(grids[0], want)
 
     @pytest.mark.parametrize("law", [skewed_pow, central_pow])
     @pytest.mark.parametrize("p,deg,n", [(13, 1, 3), (41, 1, 10), (7, 2, 8)])
@@ -456,7 +576,7 @@ class TestCondition6Scan:
             if small:
                 monkeypatch.setattr(relations, "COND6_CHUNK_CELLS", 7 * n)
             for fam in fams:
-                assert relations._unit_pairs_vanish(fam, k, n) == cond6_oracle(fam, k, n)
+                assert relations._unit_pairs_vanish(heisenberg._pair_coeffs(fam), n) == cond6_oracle(fam, k, n)
 
     @pytest.mark.parametrize("p,deg,n", CASES)
     def test_unit_dlogs_hit_every_class(self, p, deg, n):
@@ -475,7 +595,7 @@ class TestCondition6Scan:
         fam = [(KummerCharacter(k, n, s), KummerCharacter(k, n, t)) for s, t in ((1, 2), (3, 5), (7, 39))]
         grid, seen = relations._grid_vanishes, []
         monkeypatch.setattr(relations, "_grid_vanishes", lambda *a: seen.append(a[:2]) or grid(*a))
-        assert relations._unit_pairs_vanish(fam, k, n)
+        assert relations._unit_pairs_vanish(heisenberg._pair_coeffs(fam), n)
         (left, right), = seen
         assert left.shape == right.shape == (6, n)
         e_row, e_col = np.zeros((2, n), dtype=np.int64)
@@ -491,7 +611,7 @@ class TestCondition6Scan:
         fam = [(KummerCharacter(k, n, n - 1 - i), KummerCharacter(k, n, n - 3 - 2 * i)) for i in range(4)]
         seen = []
         monkeypatch.setattr(relations, "_grid_vanishes", lambda *a: seen.append(a[:2]) or True)
-        relations._unit_pairs_vanish(fam, k, n)
+        relations._unit_pairs_vanish(heisenberg._pair_coeffs(fam), n)
         monkeypatch.undo()
         (left, right), = seen
         assert left.shape == right.shape == (8, n)
