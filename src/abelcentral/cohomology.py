@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import groups, modring
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_integer, check_integers
 from .groups import (
     CentralSeriesData,
     TableGroup,
@@ -63,7 +63,8 @@ class Cocycle2:
     values: np.ndarray  # shape (N, N)
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64) % self.n
+        object.__setattr__(self, "n", check_integer(self.n, "modulus"))
+        v = check_integers(self.values, "cocycle values") % self.n
         N = self.group.order
         if v.shape != (N, N):
             raise DimensionError("cocycle table shape does not match the group")
@@ -104,7 +105,7 @@ def make_U_B(k: int, n: int, x: Sequence[int], y: Sequence[int]) -> tuple[Cocycl
     s(x) + t(x) >= n.  Both come from the one formula of
     ``_elementary_cocycle`` on one ``elementary_group(n, k)``.
     """
-    xv, yv = (np.asarray(v, dtype=np.int64) % n for v in (x, y))
+    xv, yv = (check_integers(v, "basis vector entries") % n for v in (x, y))
     if xv.shape != (k,) or yv.shape != (k,):
         raise DimensionError("basis vectors must have length k")
     g, coords, zero = elementary_group(n, k), elementary_coords(n, k), np.zeros((k, k), dtype=np.int64)
@@ -259,8 +260,9 @@ class H2Class:
     bockstein: np.ndarray  # (k,)
 
     def __post_init__(self):
-        cup = np.asarray(self.cup, dtype=np.int64) % self.n
-        bock = np.asarray(self.bockstein, dtype=np.int64) % self.n
+        object.__setattr__(self, "k", check_integer(self.k, "rank"))
+        cup = check_integers(self.cup, "cup coefficients") % self.n
+        bock = check_integers(self.bockstein, "Bockstein coefficients") % self.n
         if cup.shape != (self.k, self.k) or bock.shape != (self.k,):
             raise DimensionError("coefficient shapes do not match the rank")
         b2 = binom2(self.n)
@@ -275,7 +277,7 @@ class H2Class:
 
     @classmethod
     def from_coeff_vector(cls, k: int, n: int, v: Sequence[int]) -> "H2Class":
-        v = np.asarray(v, dtype=np.int64)
+        k, v = check_integer(k, "rank"), check_integers(v, "coefficients")
         m = k * (k - 1) // 2
         cup = np.zeros((k, k), dtype=np.int64)
         cup[_upper_pairs(k)] = v[:m]
@@ -308,8 +310,9 @@ class SElement:
     g: np.ndarray  # (k,)
 
     def __post_init__(self):
-        F = np.asarray(self.F, dtype=np.int64) % self.n
-        g = np.asarray(self.g, dtype=np.int64) % self.n
+        object.__setattr__(self, "k", check_integer(self.k, "rank"))
+        F = check_integers(self.F, "bilinear form entries") % self.n
+        g = check_integers(self.g, "linear form entries") % self.n
         if F.shape != (self.k, self.k) or g.shape != (self.k,):
             raise DimensionError("form shapes do not match the rank")
         b2 = binom2(self.n)
@@ -323,8 +326,8 @@ class SElement:
 
 def special_elements(s: Sequence[int], t: Sequence[int], n: int) -> tuple[SElement, SElement]:
     """The commutator element (s⊗t - t⊗s, 0) and power element (C(n,2)s⊗s, s)."""
-    sv = np.asarray(s, dtype=np.int64) % n
-    tv = np.asarray(t, dtype=np.int64) % n
+    sv = check_integers(s, "coordinates") % n
+    tv = check_integers(t, "coordinates") % n
     if sv.shape != tv.shape or sv.ndim != 1:
         raise DimensionError("mismatched coordinate vectors")
     k = sv.size
@@ -602,7 +605,7 @@ class CentralExtension:
     proj: np.ndarray  # total element -> base element
 
     def __post_init__(self):
-        p = np.asarray(self.proj, dtype=np.int64)
+        p = check_integers(self.proj, "projection values")
         if p.shape != (self.total.order,):
             raise DimensionError("projection length differs from total order")
         object.__setattr__(self, "proj", p)
@@ -658,11 +661,9 @@ def embedding_solvable(
     for being a coboundary; a solving cochain assembles the lift, which is
     verified to be a homomorphism.
     """
-    p = np.asarray(phi, dtype=np.int64)
+    p = check_integers(phi, "phi values", ext.base.order)
     if p.shape != (G.order,):
         raise DimensionError("phi length differs from group order")
-    if p.min() < 0 or p.max() >= ext.base.order:
-        raise DomainError("phi takes values outside the base group")
     if not np.array_equal(p[G.table], ext.base.table[p[:, None], p[None, :]]):
         raise DomainError("phi is not a homomorphism")
     xi, section, m = ext.classifying_cocycle()

@@ -20,7 +20,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import modring
-from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError, check_bound, check_integer
+from .errors import DomainError, HypothesisError, ModulusError, TheoremViolationError
+from .errors import check_bound, check_integer, check_integers
 
 FIELD_MAX = 2**20  # every field holds its full exp/dlog tables
 
@@ -115,63 +116,32 @@ class FqField:
         return self.p ** np.arange(self.k, dtype=np.int64)
 
     def _digitwise(self, a: Elements, b: Elements, sign: int) -> Elements:
-        """a + sign * b, digit by digit in base p; a and b are ints or integer arrays."""
+        """a + sign * b, digit by digit in base p, for field elements a and b: ints or integer arrays."""
         place = self._place
-        da, db = (np.asarray(x, dtype=np.int64)[..., None] // place for x in (a, b))
+        da, db = (check_integers(x, "field elements", self.q)[..., None] // place for x in (a, b))
         out = ((da + sign * db) % self.p) @ place
         return int(out) if np.ndim(out) == 0 else out
 
-    def _in_field(self, x: Elements) -> np.ndarray:
-        """``x`` as an int64 array, after checking that every entry is an
-        integer in [0, q).
-
-        DomainError for an array that is not of an integer dtype (a float
-        would be truncated by the cast, a bool read as 0 or 1), or for an entry
-        outside the field.  Python ints beyond int64 arrive as an object array
-        and lie outside.  One comparison per operand: read as unsigned, a
-        negative entry is at least 2^63 > q.
-        """
-        arr = np.asarray(x)
-        if arr.dtype == object and all(type(v) is int for v in arr.flat):
-            try:
-                arr = arr.astype(np.int64)
-            except OverflowError:
-                raise DomainError(f"element {x} outside field of order {self.q}") from None
-        if arr.dtype.kind not in "iu":
-            raise DomainError(f"field elements must be integers, got {x!r}")
-        arr = arr.astype(np.int64, copy=False)
-        outside = arr.view(np.uint64) >= self.q
-        if outside.any():
-            raise DomainError(f"element {arr[outside][0]} outside field of order {self.q}")
-        return arr
-
     def add(self, a: Elements, b: Elements) -> Elements:
-        return self._digitwise(self._in_field(a), self._in_field(b), 1)
+        return self._digitwise(a, b, 1)
 
     def neg(self, a: Elements) -> Elements:
-        return self._digitwise(0, self._in_field(a), -1)
+        return self._digitwise(0, a, -1)
 
     def sub(self, a: Elements, b: Elements) -> Elements:
-        return self._digitwise(self._in_field(a), self._in_field(b), -1)
+        return self._digitwise(a, b, -1)
 
     def one_minus(self, x: Elements) -> Elements:
-        return self._digitwise(1, self._in_field(x), -1)
-
-    def _element(self, x) -> int:
-        """``x`` as a Python int, after checking that it is an integer in [0, q)."""
-        x = check_integer(x, "field element")
-        if not 0 <= x < self.q:
-            raise DomainError(f"element {x} outside field of order {self.q}")
-        return x
+        return self._digitwise(1, x, -1)
 
     def mul(self, a: int, b: int) -> int:
-        a, b = self._element(a), self._element(b)
+        a, b = check_integer(a, "field element", self.q), check_integer(b, "field element", self.q)
         if a == 0 or b == 0:
             return 0
         return self.exp(self.dlog(a) + self.dlog(b))
 
     def pow(self, a: int, e: int) -> int:
-        a, e = self._element(a), check_integer(e, "exponent")
+        a, e = check_integer(a, "field element", self.q), check_integer(e, "exponent")
         if a == 0:
             if e < 0:
                 raise DomainError("0 is not invertible")
@@ -228,7 +198,7 @@ class FqField:
 
     def dlog(self, x: int) -> int:
         """i in [0, q-1) with generator**i == x; x must be nonzero."""
-        x = self._element(x)
+        x = check_integer(x, "field element", self.q)
         if x == 0:
             raise DomainError("dlog of 0 is undefined")
         return int(self._tables[1][x])
@@ -314,6 +284,7 @@ def _generator(p: int, k: int, poly: Optional[tuple[int, ...]]) -> int:
 
 def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int = 2) -> FqField:
     """Construct F_{p^k} with a verified generator and Kummer hypothesis n | q-1."""
+    p, k, n = check_integer(p, "characteristic"), check_integer(k, "degree"), check_integer(n, "modulus")
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
     if p < 2 or (p <= FIELD_MAX and _factor(p) != {p: 1}):
@@ -330,9 +301,10 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
         poly_t: Optional[tuple[int, ...]] = None
     else:
         if poly is not None:
-            if len(poly) != k + 1 or poly[-1] % p != 1:
+            coeffs = check_integers(poly, "polynomial coefficients") % p
+            if coeffs.shape != (k + 1,) or coeffs[-1] != 1:
                 raise DomainError("defining polynomial must be monic of degree k")
-            poly_t = tuple(int(c) % p for c in poly)
+            poly_t = tuple(coeffs.tolist())
             if not is_irreducible(list(poly_t), p):
                 raise DomainError(f"polynomial {list(poly_t)} is reducible over F_{p}")
         else:
@@ -408,6 +380,7 @@ class KummerCharacter:
     c: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_integer(self.n, "modulus"))
         if self.n < 2:
             raise ModulusError(f"modulus must be >= 2, got {self.n}")
         if (self.field.q - 1) % self.n != 0:

@@ -4,8 +4,9 @@ A TableGroup is an order-N multiplication table of element indices.  The
 group axioms are verified at construction, exactly for every order:
 identity, inverses, and associativity by Light's test over a generating set.
 
-A subset of a TableGroup is a sorted int64 index array or a length-N boolean
-mask, and a map on its elements a length-N int64 array, -1 outside its domain.
+A subset of a TableGroup is an array of element indices; the public methods
+refuse a boolean array, and length-N boolean masks are internal.  A map on
+its elements is a length-N int64 array, -1 outside its domain.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_bound, check_integer
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from .errors import check_bound, check_integer, check_integers
 from .modring import row_blocks
 
 TABLE_MAX = 10**4
@@ -38,26 +40,20 @@ class TableGroup:
         self._verify()
 
     def _check_table(self) -> None:
-        """Store the table as int64 after checking its shape, order, dtype,
-        range and labels.
+        """Store the table as int64 after checking its shape, order, entries
+        and labels.
 
-        The shape, order, dtype and range are checked on the table as given,
-        so a refused table is never copied.  DomainError for a dtype that is
-        not an integer one: the cast would truncate a float and read a bool
-        as 0 or 1, and Python ints beyond int64 arrive as an object array.
+        An array's shape and order are checked before its entries, so a
+        refused table is never copied; a nested list is read as an array first.
         """
-        t = np.asarray(self.table)
+        t = self.table if isinstance(self.table, np.ndarray) else check_integers(self.table, "table entries")
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError("multiplication table must be square")
         n = t.shape[0]
         if n == 0:
             raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
         check_bound(n, TABLE_MAX, "group order")
-        if t.dtype.kind not in "iu":
-            raise DomainError(f"table entries must be integers of at most 64 bits, got dtype {t.dtype}")
-        if t.min() < 0 or t.max() >= n:
-            raise DomainError("table entries out of range")
-        object.__setattr__(self, "table", t.astype(np.int64, copy=False))
+        object.__setattr__(self, "table", check_integers(t, "table entries", n))
         if self.labels is not None and len(self.labels) != n:
             raise DimensionError("label count differs from group order")
 
@@ -76,12 +72,9 @@ class TableGroup:
         raise DomainError("table has no identity element")
 
     def _mask(self, elems: Sequence[int]) -> np.ndarray:
-        """Boolean mask of the element list ``elems``; DomainError outside [0, N)."""
-        idx = np.asarray(elems, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= self.order):
-            raise DomainError(f"element index out of range [0, {self.order})")
+        """Boolean mask of the element indices ``elems``; DomainError outside [0, N)."""
         mask = np.zeros(self.order, dtype=bool)
-        mask[idx] = True
+        mask[check_integers(elems, "element indices", self.order)] = True
         return mask
 
     def _closure_mask(self, gens: Sequence[int], start: Optional[np.ndarray] = None) -> np.ndarray:
@@ -183,16 +176,9 @@ class TableGroup:
 
     # -- element arithmetic --
 
-    def _element(self, a: int) -> int:
-        """The element index ``a``; DomainError outside [0, N), where numpy
-        would wrap a negative index, or for an index that is not an integer."""
-        a = check_integer(a, "element index")
-        if not 0 <= a < self.order:
-            raise DomainError(f"element index out of range [0, {self.order})")
-        return a
-
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[self._element(a), self._element(b)])
+        a, b = (check_integer(x, "element index", self.order) for x in (a, b))
+        return int(self.table[a, b])
 
     @cached_property
     def _inverses(self) -> np.ndarray:
@@ -200,20 +186,20 @@ class TableGroup:
         return inv.astype(np.int64)
 
     def inv(self, a: int) -> int:
-        return int(self._inverses[self._element(a)])
+        return int(self._inverses[check_integer(a, "element index", self.order)])
 
     def power(self, a: int, m: int) -> int:
-        m = check_integer(m, "exponent")
+        a, m = check_integer(a, "element index", self.order), check_integer(m, "exponent")
         if m < 0:
             a, m = self.inv(a), -m
-        return int(_nth_powers(self.table, self.identity, np.array([self._element(a)]), m)[0])
+        return int(_nth_powers(self.table, self.identity, np.array([a]), m)[0])
 
     def powers(self, a: int, m: int) -> np.ndarray:
         """The array (a^0, a^1, ..., a^(m-1)); DomainError for a negative m."""
         m = check_integer(m, "power count")
         if m < 0:
             raise DomainError(f"power count must be >= 0, got {m}")
-        return _powers(self.table, self.identity, self._element(a), m)
+        return _powers(self.table, self.identity, check_integer(a, "element index", self.order), m)
 
     def commutator(self, a: int, b: int) -> int:
         return self.mul(self.mul(self.inv(a), self.inv(b)), self.mul(a, b))
@@ -226,7 +212,7 @@ class TableGroup:
         return out
 
     def order_of(self, a: int) -> int:
-        return int(self.orders[self._element(a)])
+        return int(self.orders[check_integer(a, "element index", self.order)])
 
     def exponent(self) -> int:
         return int(np.lcm.reduce(self.orders))
@@ -358,6 +344,7 @@ def _cosets(t: np.ndarray, members: np.ndarray, normal: np.ndarray) -> tuple[np.
 
 
 def cyclic_group(m: int) -> TableGroup:
+    m = check_integer(m, "group order")
     if m < 1:
         raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
     check_bound(m, TABLE_MAX, "group order")
@@ -368,7 +355,11 @@ def cyclic_group(m: int) -> TableGroup:
 
 def elementary_coords(n: int, k: int) -> np.ndarray:
     """(n^k, k) coordinates of the elements of ``elementary_group(n, k)``, in index order."""
-    return (np.arange(n ** k, dtype=np.int64)[:, None] // n ** np.arange(k - 1, -1, -1)) % n
+    n, k = check_integer(n, "modulus"), check_integer(k, "rank")
+    if n < 1 or k < 0 or (n == 1 and k > 0):
+        raise DomainError("elementary group needs n >= 2 and k >= 0, or n = 1 and k = 0")
+    size = check_bound((n, k), TABLE_MAX, "group order")
+    return (np.arange(size, dtype=np.int64)[:, None] // n ** np.arange(k - 1, -1, -1)) % n
 
 
 def elementary_group(n: int, k: int) -> TableGroup:
@@ -378,15 +369,13 @@ def elementary_group(n: int, k: int) -> TableGroup:
     axis per coordinate of each factor.  n = 1 needs k = 0: no bound on the
     order 1 of (Z/1)^k would bound its 2k axes and k-entry labels.
     """
-    n, k = check_integer(n, "modulus"), check_integer(k, "rank")
-    if n < 1 or k < 0 or (n == 1 and k > 0):
-        raise DomainError("elementary group needs n >= 2 and k >= 0, or n = 1 and k = 0")
-    size = check_bound((n, k), TABLE_MAX, "group order")
+    coords = elementary_coords(n, k)
+    n, (size, k) = check_integer(n, "modulus"), coords.shape
     axes = np.ix_(*[np.arange(n)] * (2 * k))
     table = np.zeros((1,) * (2 * k), dtype=np.int64)
     for l in range(k):
         table = table + (axes[l] + axes[k + l]) % n * n ** (k - 1 - l)
-    labels = tuple("(" + ",".join(map(str, c)) + ")" for c in elementary_coords(n, k).tolist())
+    labels = tuple("(" + ",".join(map(str, c)) + ")" for c in coords.tolist())
     return _generated_group(table.reshape(size, size), labels, n ** np.arange(k) % size)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import groups
 from .cohomology import make_U_B
-from .errors import ModulusError, TheoremViolationError, check_bound
+from .errors import ModulusError, TheoremViolationError, check_bound, check_integer
 from .finfield import FqField, check_characters
 from .groups import TableGroup, _generated_group, central_series
 
@@ -67,11 +67,13 @@ def heis_pow_arrays(n: int, a, b, c, m: int):
     return (m * a) % n, (m * b) % n, (m * c + binom * ((a * b) % n)) % n
 
 
-def _order(n: int) -> int:
-    """The group order n^3, after checking 2 <= n and n^3 <= ``groups.TABLE_MAX``."""
+def _order(n: int) -> tuple[int, int]:
+    """(n as a Python int, the group order n^3), after checking that n is an
+    integer, 2 <= n and n^3 <= ``groups.TABLE_MAX``."""
+    n = check_integer(n, "modulus")
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
-    return check_bound(n**3, groups.TABLE_MAX, "group order")
+    return n, check_bound(n**3, groups.TABLE_MAX, "group order")
 
 
 def _elements(n: int):
@@ -98,7 +100,7 @@ def to_table_group(n: int) -> TableGroup:
     The group is generated by h(0, 1; 0) and h(1, 0; 0), whose commutator
     is h(0, 0; 1).
     """
-    size = _order(n)
+    n, size = _order(n)
     v = _elements(n)
     table = np.empty((size, size), dtype=np.int64)
     for a, b in itertools.product(range(n), repeat=2):
@@ -121,7 +123,7 @@ def verify_laws(n: int) -> dict:
     the two coordinate functionals.  Raises ``ModulusError`` for n < 2 and
     ``DomainError`` when n^3 exceeds ``TABLE_MAX``, before any work.
     """
-    _order(n)
+    n, _ = _order(n)
     v = _elements(n)
     v_inv = _inv(n, v)
     checked = 0

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_integer, check_integers
 
 MAX_MODULUS = 2**31 - 1
 HOWELL_CHUNK_CELLS = 1 << 14  # cells per block of a Howell step's one subtraction
@@ -35,6 +35,7 @@ HOWELL_CHUNK_CELLS = 1 << 14  # cells per block of a Howell step's one subtracti
 
 def binom2(n: int) -> int:
     """n*(n-1)/2 reduced mod n (the coefficient in the power formulas)."""
+    n = check_integer(n, "modulus")
     if n < 2:
         raise ModulusError(f"modulus must be >= 2, got {n}")
     return n * (n - 1) // 2 % n
@@ -48,9 +49,11 @@ class ModMatrix:
     entries: np.ndarray  # shape (rows, cols), dtype int64
 
     def __post_init__(self):
-        if self.modulus < 2 or self.modulus > MAX_MODULUS:
-            raise ModulusError(f"modulus must be in [2, 2^31-1], got {self.modulus}")
-        arr = np.asarray(self.entries, dtype=np.int64) % self.modulus
+        modulus = check_integer(self.modulus, "modulus")
+        if modulus < 2 or modulus > MAX_MODULUS:
+            raise ModulusError(f"modulus must be in [2, 2^31-1], got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+        arr = check_integers(self.entries, "matrix entries") % modulus
         if arr.ndim != 2:
             raise DimensionError("matrix entries must be 2-dimensional")
         object.__setattr__(self, "entries", arr)
@@ -71,7 +74,7 @@ class ModMatrix:
             if cols is None:
                 raise DimensionError("column count required for an empty matrix")
             return cls(modulus, np.zeros((0, cols), dtype=np.int64))
-        return cls(modulus, np.array(rows, dtype=np.int64))
+        return cls(modulus, rows)
 
     @property
     def rows(self) -> int:
@@ -267,7 +270,7 @@ def _reduce_against(canonical: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 
 def membership(s: SubgroupZnk, v: Sequence[int]) -> bool:
     """True iff v lies in the span of the subgroup's generators mod n."""
-    vec = np.asarray(v, dtype=np.int64)
+    vec = check_integers(v, "vector entries")
     if vec.shape != (s.ambient_rank,):
         raise DimensionError(f"vector length {vec.shape} != ambient rank {s.ambient_rank}")
     return not _reduce_against(s.canonical.entries, vec, s.modulus).any()
@@ -353,7 +356,7 @@ def solve_linear(a: ModMatrix, b: Sequence[int]) -> Optional[np.ndarray]:
     solution is re-verified by substitution; a solution that fails it raises
     ``TheoremViolationError`` rather than reading as None.
     """
-    rhs = np.asarray(b, dtype=np.int64) % a.modulus
+    rhs = check_integers(b, "right-hand side entries") % a.modulus
     if rhs.ndim not in (1, 2) or rhs.shape[0] != a.rows:
         raise DimensionError(f"rhs shape {rhs.shape} does not start with the row count {a.rows}")
     k = rhs.shape[1] if rhs.ndim == 2 else 1

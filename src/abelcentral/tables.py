@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import modring
-from .errors import HypothesisError, ModulusError, check_bound
+from .errors import HypothesisError, ModulusError, check_bound, check_integer, check_integers
 from .finfield import (
     FieldEmbedding,
     FqField,
@@ -41,7 +41,8 @@ class FnTable:
     values: np.ndarray  # shape (q-2, 2)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64) % self.n
+        object.__setattr__(self, "n", check_integer(self.n, "modulus"))
+        vals = check_integers(self.values, "table values") % self.n
         if vals.shape != (self.field.q - 2, 2):
             raise ModulusError(f"table shape {vals.shape} does not match field of order {self.field.q}")
         object.__setattr__(self, "values", vals)

@@ -164,7 +164,7 @@ class TestConstruction:
         assert g.table.dtype == np.int64 and g.table.tolist() == [[0, 1], [1, 0]]
 
     def test_uint64_beyond_int64_out_of_range(self):
-        with pytest.raises(DomainError, match="out of range"):
+        with pytest.raises(DomainError, match=r"table entries: 9223372036854775808 outside \[0, 2\)"):
             TableGroup(table=np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64))
 
     @pytest.mark.parametrize("table,error", [
