@@ -28,7 +28,7 @@ from .groups import (
     elementary_group,
     layer_maps,
 )
-from .modring import ModMatrix, binom2
+from .modring import ModMatrix, binom2, check_modulus
 
 
 # --- cocycles --------------------------------------------------------------
@@ -63,7 +63,7 @@ class Cocycle2:
     values: np.ndarray  # shape (N, N)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_integer(self.n, "modulus"))
+        object.__setattr__(self, "n", check_modulus(self.n))
         v = check_integers(self.values, "cocycle values") % self.n
         N = self.group.order
         if v.shape != (N, N):
@@ -261,6 +261,7 @@ class H2Class:
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_integer(self.k, "rank"))
+        object.__setattr__(self, "n", check_modulus(self.n))
         cup = check_integers(self.cup, "cup coefficients") % self.n
         bock = check_integers(self.bockstein, "Bockstein coefficients") % self.n
         if cup.shape != (self.k, self.k) or bock.shape != (self.k,):
@@ -278,6 +279,8 @@ class H2Class:
     @classmethod
     def from_coeff_vector(cls, k: int, n: int, v: Sequence[int]) -> "H2Class":
         k, v = check_integer(k, "rank"), check_integers(v, "coefficients")
+        if k < 0 or v.shape != (k * (k + 1) // 2,):
+            raise DimensionError(f"a class of rank {k} has k(k+1)/2 coefficients, got shape {v.shape}")
         m = k * (k - 1) // 2
         cup = np.zeros((k, k), dtype=np.int64)
         cup[_upper_pairs(k)] = v[:m]
@@ -311,6 +314,7 @@ class SElement:
 
     def __post_init__(self):
         object.__setattr__(self, "k", check_integer(self.k, "rank"))
+        object.__setattr__(self, "n", check_modulus(self.n))
         F = check_integers(self.F, "bilinear form entries") % self.n
         g = check_integers(self.g, "linear form entries") % self.n
         if F.shape != (self.k, self.k) or g.shape != (self.k,):
@@ -326,6 +330,7 @@ class SElement:
 
 def special_elements(s: Sequence[int], t: Sequence[int], n: int) -> tuple[SElement, SElement]:
     """The commutator element (s⊗t - t⊗s, 0) and power element (C(n,2)s⊗s, s)."""
+    n = check_modulus(n)
     sv = check_integers(s, "coordinates") % n
     tv = check_integers(t, "coordinates") % n
     if sv.shape != tv.shape or sv.ndim != 1:

@@ -12,6 +12,12 @@ land in Z/n.  Closed forms used (checked against the literal law by
 
     commutator of h(a,b;.) and h(a',b';.)  = h(0, 0; a*b' - a'*b)
     h(a,b;c)^m                             = h(m*a, m*b; m*c + C(m,2)*a*b)
+
+The power law is ``heis_pow_arrays``, whose planar coordinates (m*a, m*b)
+are ``heis_pow_planar``.  ``verify_laws`` checks all three coordinates; the
+relation conditions (5) and (7) read only the planar ones, since a
+commutator (``_comm``) reads no central coordinate, and the bilinear
+cross-check of (5) (``_bilinear_sums``) reads no power law at all.
 """
 
 from __future__ import annotations
@@ -57,14 +63,26 @@ def _comm(n: int, u, v):
     return (u[0] * v[1] - v[0] * u[1]) % n
 
 
+def heis_pow_planar(n: int, a, b, c, m: int):
+    """The planar coordinates (m*a, m*b) mod n of h(a, b; c)^m, the first two
+    of ``heis_pow_arrays``.
+
+    The arguments broadcast together; the true law reads no c, so the result
+    has the broadcast shape of a, b and m alone.
+    """
+    return (m * a) % n, (m * b) % n
+
+
 def heis_pow_arrays(n: int, a, b, c, m: int):
     """Coordinates of h(a, b; c)^m = h(m*a, m*b; m*c + C(m,2)*a*b) mod n.
 
     ``a``, ``b``, ``c`` are integer arrays of equal shape (one element per
-    position); every product is reduced mod n before the next one.
+    position); every product is reduced mod n before the next one.  The
+    planar coordinates come from ``heis_pow_planar``, so the law is written
+    once.
     """
     binom = (m * (m - 1) // 2) % n
-    return (m * a) % n, (m * b) % n, (m * c + binom * ((a * b) % n)) % n
+    return (*heis_pow_planar(n, a, b, c, m), (m * c + binom * ((a * b) % n)) % n)
 
 
 def _order(n: int) -> tuple[int, int]:
@@ -170,15 +188,19 @@ def _pair_coeffs(pairs) -> np.ndarray:
 def _comm_sums(st: np.ndarray, a, b, c, n: int) -> np.ndarray:
     """Sum over the pairs (s_i, t_i) of the commutator coordinates of the
     images g^{c(s_i)} and g^{c(t_i)}, for every generator image g = h(a, b; c)
-    of the arrays, from the coefficients ``st`` of ``_pair_coeffs``.  All the
-    powers come from one ``heis_pow_arrays`` call over the (2, pairs) axes of
-    ``st``, and each commutator coordinate is reduced mod n before the sum
-    over the pairs.  An empty family builds no terms (the power law reads
-    every image whatever the number of pairs)."""
+    of the arrays, from the coefficients ``st`` of ``_pair_coeffs``.  A
+    commutator reads only the planar coordinates (``_comm``), so all the
+    powers come from one ``heis_pow_planar`` call over the (2, pairs) axes of
+    ``st``, and no central coordinate is formed.  The result has the
+    broadcast shape of the planar powers without the leading axes: under the
+    true law that of a and b alone, while a law whose planar part reads c
+    carries the c axis into it.  Each commutator coordinate is reduced mod n
+    before the sum over the pairs.  An empty family builds no terms (the power
+    law reads every image whatever the number of pairs)."""
     if not st.size:
         return np.zeros(np.shape(a), dtype=np.int64)
     coeffs = st.reshape(st.shape + (1,) * np.ndim(a))
-    (sa, ta), (sb, tb), _ = heis_pow_arrays(n, a, b, c, coeffs)
+    (sa, ta), (sb, tb) = heis_pow_planar(n, a, b, c, coeffs)
     return _comm(n, (sa, sb), (ta, tb)).sum(axis=0) % n
 
 
@@ -207,13 +229,15 @@ def _image_sums(st: np.ndarray, n: int) -> np.ndarray:
     The axes of ``_image_axes`` go into ``_comm_sums``, and the result is
     broadcast to (n, n, n).  This gives exactly the values of the full enumeration over
     ``_elements(n)`` at every image, under any power law: ``_comm_sums`` is
-    elementwise in the image coordinates (``heis_pow_arrays``, ``_comm`` and
+    elementwise in the image coordinates (``heis_pow_planar``, ``_comm`` and
     the reductions mod n act cell by cell) and sums only along the leading
     pairs axis, so its value at an image depends on that image's (a, b, c)
     alone, and numpy broadcasting evaluates the same elementwise expression
-    at every cell of the broadcast shape.  Where the sum does not read c, as
-    under the true law, the result has a length-1 c axis and the broadcast
-    repeats it; a law whose sums do read c carries the c axis by itself.
+    at every cell of the broadcast shape.  The sums read only the planar
+    coordinates of the powers.  Under the true law those do not read c, so
+    the sums come out with shape (n, n, 1) and the broadcast repeats them
+    along c; a law whose planar part reads c carries the c axis by itself,
+    into the constancy check of ``_failing_types``.
     """
     if not exponent_divides_n2(n):
         raise TheoremViolationError("Heisenberg exponent does not divide n^2")
@@ -254,8 +278,9 @@ def enumerate_homs_check(pairs, field: FqField) -> bool:
 
     Every one of the n^3 generator images h(a, b; c) defines a homomorphism
     from the cyclic order-n^2 source.  The commutator sums of the images of
-    the characters' values, taken with the closed-form powers
-    ``heis_pow_arrays`` and summed over the pairs, are the grid
+    the characters' values, taken with the planar coordinates of the
+    closed-form powers (``heis_pow_planar``) and summed over the pairs, are
+    the grid
     ``_image_sums``, which ``_homs_vanish`` cross-checks image by image
     against the bilinear criterion sum(s_i(x) t_i(y) - s_i(y) t_i(x)) for the
     induced pair of coordinate functionals.

@@ -33,6 +33,16 @@ MAX_MODULUS = 2**31 - 1
 HOWELL_CHUNK_CELLS = 1 << 14  # cells per block of a Howell step's one subtraction
 
 
+def check_modulus(n) -> int:
+    """``n`` as a Python int (through ``check_integer``), or ModulusError
+    unless 2 <= n <= ``MAX_MODULUS``, so that a reduction mod n stays in
+    int64 and never divides by zero."""
+    n = check_integer(n, "modulus")
+    if not 2 <= n <= MAX_MODULUS:
+        raise ModulusError(f"modulus must be in [2, 2^31-1], got {n}")
+    return n
+
+
 def binom2(n: int) -> int:
     """n*(n-1)/2 reduced mod n (the coefficient in the power formulas)."""
     n = check_integer(n, "modulus")
@@ -49,9 +59,7 @@ class ModMatrix:
     entries: np.ndarray  # shape (rows, cols), dtype int64
 
     def __post_init__(self):
-        modulus = check_integer(self.modulus, "modulus")
-        if modulus < 2 or modulus > MAX_MODULUS:
-            raise ModulusError(f"modulus must be in [2, 2^31-1], got {modulus}")
+        modulus = check_modulus(self.modulus)
         object.__setattr__(self, "modulus", modulus)
         arr = check_integers(self.entries, "matrix entries") % modulus
         if arr.ndim != 2:

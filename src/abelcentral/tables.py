@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import modring
-from .errors import HypothesisError, ModulusError, check_bound, check_integer, check_integers
+from .errors import HypothesisError, ModulusError, check_bound, check_integers
 from .finfield import (
     FieldEmbedding,
     FqField,
@@ -41,7 +41,7 @@ class FnTable:
     values: np.ndarray  # shape (q-2, 2)
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_integer(self.n, "modulus"))
+        object.__setattr__(self, "n", modring.check_modulus(self.n))
         vals = check_integers(self.values, "table values") % self.n
         if vals.shape != (self.field.q - 2, 2):
             raise ModulusError(f"table shape {vals.shape} does not match field of order {self.field.q}")

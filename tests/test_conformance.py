@@ -168,6 +168,9 @@ SCALAR_INTAKES = [
     ("H2Class k", lambda v: H2Class(v, 4, [[1, 2], [3, 0]], [1, 1]).coeff_vector(), 2),
     ("H2Class.from_coeff_vector k", lambda v: H2Class.from_coeff_vector(v, 4, [1, 2, 3]).coeff_vector(), 2),
     ("SElement k", lambda v: SElement(v, 4, [[0, 1], [3, 0]], [2, 0]).F, 2),
+    ("H2Class n", lambda v: H2Class(2, v, [[1, 2], [3, 0]], [1, 1]).coeff_vector(), 4),
+    ("SElement n", lambda v: SElement(2, v, [[0, 1], [3, 0]], [2, 0]).F, 4),
+    ("special_elements n", lambda v: [(e.F, e.g) for e in special_elements([1, 2], [0, 1], v)], 3),
 ]
 
 BAD_SCALARS = {
@@ -201,17 +204,32 @@ def _outcome(call, value):
         return "refused", type(exc)
 
 
-# The moduli of Cocycle2 and FnTable and the rank of from_coeff_vector have
-# no upper bound, and numpy cannot reduce or size by one beyond int64.
-BIG_INTAKES = [row for row in SCALAR_INTAKES if row[0] not in {"Cocycle2 n", "FnTable n", "H2Class.from_coeff_vector k"}]
-
-
-@pytest.mark.parametrize("name,call,valid", BIG_INTAKES, ids=[row[0] for row in BIG_INTAKES])
+@pytest.mark.parametrize("name,call,valid", SCALAR_INTAKES, ids=[row[0] for row in SCALAR_INTAKES])
 def test_scalar_intake_reads_big_integers_exactly(name, call, valid):
     # A scalar is read as a Python int, so 2^63 as a uint64 is 2^63, never
     # a wrapped int64; each intake answers or refuses with a typed error.
     assert _outcome(call, np.uint64(2**63)) == _outcome(call, 2**63)
     _outcome(call, 2**70)
+
+
+MODULUS_NAMES = {"ModMatrix modulus", "Cocycle2 n", "FnTable n", "H2Class n", "SElement n", "special_elements n"}
+MODULUS_INTAKES = [row for row in SCALAR_INTAKES if row[0] in MODULUS_NAMES]
+
+
+@pytest.mark.parametrize("name,call,valid", MODULUS_INTAKES, ids=[row[0] for row in MODULUS_INTAKES])
+@pytest.mark.parametrize("n", [0, 1, modring.MAX_MODULUS + 1, 2**63])
+def test_modulus_outside_the_supported_range(name, call, valid, n):
+    # Refused before any reduction mod n: n = 0 would divide by zero, n = 1
+    # give the zero ring and n beyond int64 overflow the reduction.
+    with pytest.raises(ModulusError):
+        call(n)
+
+
+@pytest.mark.parametrize("k", [0, 1, 3, 2**63])
+def test_coeff_vector_length_must_match_the_rank(k):
+    # Rank 2 takes 3 coefficients; no k x k array is allocated for another rank.
+    with pytest.raises(DimensionError):
+        H2Class.from_coeff_vector(k, 4, [1, 2, 3])
 
 
 # --- the two helpers --------------------------------------------------------

@@ -297,7 +297,9 @@ def central_pow(n, a, b, c, m):
 
 
 def use_power_law(monkeypatch, law):
+    # The relation conditions read the planar coordinates of the law only.
     monkeypatch.setattr(heisenberg, "heis_pow_arrays", law)
+    monkeypatch.setattr(heisenberg, "heis_pow_planar", lambda n, a, b, c, m: law(n, a, b, c, m)[:2])
     monkeypatch.setattr(HeisElem, "__pow__", lambda x, m: HeisElem(x.n, *law(x.n, x.a, x.b, x.c, m)))
 
 
@@ -311,6 +313,14 @@ class TestArrayChecksAgainstOracles:
             got = np.stack(heis_pow_arrays(n, a, b, c, m), axis=1)
             assert got.tolist() == [[x.a, x.b, x.c] for x in powers]
             powers = [heis_mul(x, g) for x, g in zip(powers, elems)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_planar_power_is_the_literal_planar_part(self, n):
+        a, b, c = heisenberg._elements(n)
+        for m in range(2 * n):
+            got = heisenberg.heis_pow_planar(n, a, b, c, m)
+            want = heisenberg._literal_pow(n, (a, b, c), m)[:2]  # scalars at m = 0
+            assert all(np.array_equal(x, np.broadcast_to(y, a.shape)) for x, y in zip(got, want))
 
     @pytest.mark.parametrize("p,n", [(13, 3), (17, 4)])
     def test_every_small_family(self, p, n):

@@ -332,6 +332,26 @@ class TestConsistency:
         assert relation_check(fam, w).holds
         assert set(built) == {"_alternating_sum", "_commutator_sum", "_power_rows", "_witness_combination", "span"}
 
+    @pytest.mark.parametrize("p,n", [(13, 3), (17, 4), (29, 7), (37, 9), (41, 10), (61, 10)])
+    def test_peak_within_the_estimate(self, p, n):
+        # The bound is enforced on the estimate 3 * 8 * 2m * 2|T| + 8 * 2(q - 2)
+        # bytes, so the check must not peak far above it, (5) and (7) included.
+        # Building the central coordinate of every power on the (2, m, n, n, n)
+        # grid peaked at 1.7-9.7 times the estimate here (128 MiB on F_41).
+        k, w = field_and_omega(p, n)
+        w.doubled_power_span
+        rng = random.Random(p)
+        fam = [(KummerCharacter(k, n, rng.randrange(n)), KummerCharacter(k, n, rng.randrange(n))) for _ in range(4000)]
+        estimate = 3 * 8 * 2 * len(fam) * 2 * len(k.point_types[0]) + 8 * 2 * (p - 2)
+        tracemalloc.start()
+        try:
+            rep = relation_check(fam, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds and rep.cond5 is rep.cond7 is True
+        assert peak <= 1.5 * estimate
+
     @pytest.mark.parametrize("p,deg,n", SPAN_FIELDS)
     def test_power_span_matches_all_characters(self, p, deg, n):
         # The span of the one row 2 psi(chi) against the rows of all n characters.
@@ -481,13 +501,13 @@ class TestHeisenbergGrid:
 
     def test_one_grid_and_one_power_batch(self, monkeypatch):
         # Conditions (5) and (7) receive the same grid, the commutator sums at
-        # every image; its powers come from one heis_pow_arrays call, none for
+        # every image; its powers come from one heis_pow_planar call, none for
         # an empty family.
         k, w = field_and_omega(41, 10)
         elements = heisenberg._elements(10)
         powers, grids = [], []
-        pow_arrays = heisenberg.heis_pow_arrays
-        monkeypatch.setattr(heisenberg, "heis_pow_arrays", lambda *a: powers.append(a) or pow_arrays(*a))
+        pow_planar = heisenberg.heis_pow_planar
+        monkeypatch.setattr(heisenberg, "heis_pow_planar", lambda *a: powers.append(a) or pow_planar(*a))
         homs_vanish, failing_types = heisenberg._homs_vanish, heisenberg._failing_types
         monkeypatch.setattr(heisenberg, "_homs_vanish", lambda st, grid, n: grids.append(grid) or homs_vanish(st, grid, n))
         monkeypatch.setattr(heisenberg, "_failing_types", lambda grid, f: grids.append(grid) or failing_types(grid, f))
