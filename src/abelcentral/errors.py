@@ -58,11 +58,24 @@ def check_integer(value, what: str, bound: int | None = None) -> int:
     return value
 
 
+def _holds_bool(seq) -> bool:
+    """Whether the nested lists and tuples ``seq`` hold a bool, a numpy bool
+    or a boolean array, by one pass of ``type`` over each sequence."""
+    kinds = set(map(type, seq))
+    if bool in kinds or np.bool_ in kinds:
+        return True
+    nested = kinds & {list, tuple, np.ndarray}
+    return bool(nested) and any(
+        v.dtype == bool if type(v) is np.ndarray else _holds_bool(v) for v in seq if type(v) in nested
+    )
+
+
 def check_integers(values, what: str, bound: int | None = None) -> np.ndarray:
     """``values`` as an int64 array of the same shape (an int64 array itself,
     not a copy).  DomainError for a dtype that is not an integer one (the cast
     would truncate a float and read a bool as 0 or 1; an object array passes
-    when it holds Python ints within int64), and for an entry outside
+    when it holds Python ints within int64), for a list or tuple that holds
+    a bool or a boolean array among its ints, and for an entry outside
     [0, bound), by one maximum: read as unsigned, a negative entry is at
     least 2^63 >= bound.  A uint64 array is bounded by 2^63 at most, below
     which the cast keeps every entry.  DimensionError for ragged input; empty
@@ -80,6 +93,8 @@ def check_integers(values, what: str, bound: int | None = None) -> np.ndarray:
             pass  # refused below as an object array
     if arr.dtype.kind not in "iu":
         raise DomainError(f"{what} must be integers of at most 64 bits, got dtype {arr.dtype}")
+    if isinstance(values, (list, tuple)) and _holds_bool(values):  # numpy reads [True, 2] as int64
+        raise DomainError(f"{what} must be integers of at most 64 bits, got a bool entry")
     if arr.dtype.kind == "u" and arr.itemsize == 8:
         bound = 2**63 if bound is None else min(bound, 2**63)
     ints = arr.astype(np.int64, copy=False)

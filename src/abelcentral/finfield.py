@@ -282,11 +282,22 @@ def _generator(p: int, k: int, poly: Optional[tuple[int, ...]]) -> int:
     raise TheoremViolationError("no multiplicative generator found")
 
 
+def check_roots(q: int, n) -> int:
+    """``n`` through ``modring.check_modulus``, or HypothesisError unless
+    mu_n is contained in F_q, i.e. n divides q - 1."""
+    n = modring.check_modulus(n)
+    if (q - 1) % n != 0:
+        raise HypothesisError(f"mu_{n} not contained in F_{q}: {n} does not divide {q - 1}")
+    return n
+
+
 def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int = 2) -> FqField:
-    """Construct F_{p^k} with a verified generator and Kummer hypothesis n | q-1."""
-    p, k, n = check_integer(p, "characteristic"), check_integer(k, "degree"), check_integer(n, "modulus")
-    if n < 2:
-        raise ModulusError(f"modulus must be >= 2, got {n}")
+    """Construct F_{p^k} with a verified generator and Kummer hypothesis n | q-1.
+
+    A supplied ``poly`` must be monic of degree k for every k; with k = 1
+    each such polynomial defines F_p, and the field keeps none.
+    """
+    p, k, n = check_integer(p, "characteristic"), check_integer(k, "degree"), modring.check_modulus(n)
     if p < 2 or (p <= FIELD_MAX and _factor(p) != {p: 1}):
         raise DomainError(f"{p} is not prime")
     if k < 1:
@@ -294,16 +305,16 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
     q = check_bound((p, k), FIELD_MAX, "field order")
     if n % p == 0:
         raise HypothesisError(f"n = {n} is not prime to the characteristic {p}")
-    if (q - 1) % n != 0:
-        raise HypothesisError(f"mu_{n} not contained in F_{q}: {n} does not divide {q - 1}")
+    check_roots(q, n)
+    if poly is not None:
+        coeffs = check_integers(poly, "polynomial coefficients") % p
+        if coeffs.shape != (k + 1,) or coeffs[-1] != 1:
+            raise DomainError("defining polynomial must be monic of degree k")
 
     if k == 1:
         poly_t: Optional[tuple[int, ...]] = None
     else:
         if poly is not None:
-            coeffs = check_integers(poly, "polynomial coefficients") % p
-            if coeffs.shape != (k + 1,) or coeffs[-1] != 1:
-                raise DomainError("defining polynomial must be monic of degree k")
             poly_t = tuple(coeffs.tolist())
             if not is_irreducible(list(poly_t), p):
                 raise DomainError(f"polynomial {list(poly_t)} is reducible over F_{p}")
@@ -330,11 +341,25 @@ def make_field(p: int, k: int = 1, poly: Optional[Sequence[int]] = None, n: int 
 
 @dataclass(frozen=True)
 class RootOfUnity:
-    """A verified primitive n-th root of unity in K."""
+    """A primitive n-th root of unity in K, verified at construction.
+
+    The order n goes through ``check_roots``; the element must lie in [1, q)
+    and have order exactly n, i.e. gcd(dlog element, q - 1) = (q - 1) / n
+    (``DomainError`` otherwise).
+    """
 
     field: FqField
     element: int
     order: int
+
+    def __post_init__(self):
+        q = self.field.q
+        n = check_roots(q, self.order)
+        elt = check_integer(self.element, "root of unity", q)
+        if elt == 0 or math.gcd(self.field.dlog(elt), q - 1) != (q - 1) // n:
+            raise DomainError(f"{elt} is not a primitive root of unity of order {n} in F_{q}")
+        object.__setattr__(self, "element", elt)
+        object.__setattr__(self, "order", n)
 
     @cached_property
     def doubled_power_span(self):
@@ -355,20 +380,10 @@ class RootOfUnity:
 
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:
     """The primitive n-th root generator**(index*(q-1)/n); index must be a unit mod n."""
-    q, n, index = field.q, check_integer(n, "modulus"), check_integer(index, "omega index")
-    if n < 2:
-        raise ModulusError(f"modulus must be >= 2, got {n}")
-    if (q - 1) % n != 0:
-        raise HypothesisError(f"mu_{n} not contained in F_{q}")
+    q, n, index = field.q, check_roots(field.q, n), check_integer(index, "omega index")
     if math.gcd(index, n) != 1:
         raise DomainError(f"index {index} is not a unit mod {n}")
-    elt = field.exp((index * (q - 1) // n) % (q - 1))
-    for r in _factor(n):
-        if field.pow(elt, n // r) == 1:
-            raise TheoremViolationError("root of unity is not primitive")
-    if field.pow(elt, n) != 1:
-        raise TheoremViolationError("root of unity has wrong order")
-    return RootOfUnity(field=field, element=elt, order=n)
+    return RootOfUnity(field=field, element=field.exp(index * (q - 1) // n), order=n)
 
 
 @dataclass(frozen=True)
@@ -380,11 +395,7 @@ class KummerCharacter:
     c: int
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_integer(self.n, "modulus"))
-        if self.n < 2:
-            raise ModulusError(f"modulus must be >= 2, got {self.n}")
-        if (self.field.q - 1) % self.n != 0:
-            raise HypothesisError("character modulus must divide q-1")
+        object.__setattr__(self, "n", check_roots(self.field.q, self.n))
         object.__setattr__(self, "c", check_integer(self.c, "character value") % self.n)
 
     def __call__(self, x: int) -> int:

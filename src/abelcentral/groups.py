@@ -19,9 +19,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from .errors import DimensionError, DomainError, TheoremViolationError
 from .errors import check_bound, check_integer, check_integers
-from .modring import row_blocks
+from .modring import check_modulus, row_blocks
 
 TABLE_MAX = 10**4
 CHECK_CHUNK_CELLS = 1 << 18  # cells per row block of Light's test
@@ -49,10 +49,7 @@ class TableGroup:
         t = self.table if isinstance(self.table, np.ndarray) else check_integers(self.table, "table entries")
         if t.ndim != 2 or t.shape[0] != t.shape[1]:
             raise DimensionError("multiplication table must be square")
-        n = t.shape[0]
-        if n == 0:
-            raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
-        check_bound(n, TABLE_MAX, "group order")
+        n = _check_order(t.shape[0])
         object.__setattr__(self, "table", check_integers(t, "table entries", n))
         if self.labels is not None and len(self.labels) != n:
             raise DimensionError("label count differs from group order")
@@ -343,11 +340,16 @@ def _cosets(t: np.ndarray, members: np.ndarray, normal: np.ndarray) -> tuple[np.
     return reps, project, project[t[reps[:, None], reps]]
 
 
-def cyclic_group(m: int) -> TableGroup:
+def _check_order(m) -> int:
+    """``m`` as a Python int, or DomainError unless 1 <= m <= ``TABLE_MAX``."""
     m = check_integer(m, "group order")
     if m < 1:
         raise DomainError(f"group order must be in [1, {TABLE_MAX}]")
-    check_bound(m, TABLE_MAX, "group order")
+    return check_bound(m, TABLE_MAX, "group order")
+
+
+def cyclic_group(m: int) -> TableGroup:
+    m = _check_order(m)
     idx = np.arange(m)
     table = (idx[:, None] + idx[None, :]) % m
     return _generated_group(table, tuple(str(i) for i in range(m)), [1] if m > 1 else [])
@@ -518,9 +520,7 @@ def _coset_layer(g: TableGroup, members: np.ndarray, lower: np.ndarray, candidat
 
 def central_series(g: TableGroup, n: int) -> CentralSeriesData:
     """Compute G^(1) >= G^(2) >= G^(3) and the two layer quotients between them."""
-    n = check_integer(n, "modulus")
-    if n < 2:
-        raise ModulusError("modulus must be >= 2")
+    n = check_modulus(n)
     chain = [np.arange(g.order)]
     for _ in range(2):
         chain.append(_next_term(g, chain[-1], n))

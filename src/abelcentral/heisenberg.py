@@ -29,9 +29,10 @@ import numpy as np
 
 from . import groups
 from .cohomology import make_U_B
-from .errors import ModulusError, TheoremViolationError, check_bound, check_integer
+from .errors import TheoremViolationError, check_bound
 from .finfield import FqField, check_characters
 from .groups import TableGroup, _generated_group, central_series
+from .modring import check_modulus
 
 
 def _mul(n: int, u, v):
@@ -86,11 +87,9 @@ def heis_pow_arrays(n: int, a, b, c, m: int):
 
 
 def _order(n: int) -> tuple[int, int]:
-    """(n as a Python int, the group order n^3), after checking that n is an
-    integer, 2 <= n and n^3 <= ``groups.TABLE_MAX``."""
-    n = check_integer(n, "modulus")
-    if n < 2:
-        raise ModulusError(f"modulus must be >= 2, got {n}")
+    """(n as a Python int, the group order n^3), after checking n with
+    ``modring.check_modulus`` and n^3 <= ``groups.TABLE_MAX``."""
+    n = check_modulus(n)
     return n, check_bound(n**3, groups.TABLE_MAX, "group order")
 
 
@@ -138,8 +137,9 @@ def verify_laws(n: int) -> dict:
     n^2 blocks, one per (a, b) of u, each against all n^3 elements v.  The
     table must then have central series sizes n^3, n, 1, and the extension
     cocycle read through the section h(a, b; 0) must be the cup cocycle of
-    the two coordinate functionals.  Raises ``ModulusError`` for n < 2 and
-    ``DomainError`` when n^3 exceeds ``TABLE_MAX``, before any work.
+    the two coordinate functionals.  Raises ``ModulusError`` for n outside
+    [2, 2^31 - 1] and ``DomainError`` when n^3 exceeds ``TABLE_MAX``, before
+    any work.
     """
     n, _ = _order(n)
     v = _elements(n)

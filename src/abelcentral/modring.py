@@ -39,15 +39,13 @@ def check_modulus(n) -> int:
     int64 and never divides by zero."""
     n = check_integer(n, "modulus")
     if not 2 <= n <= MAX_MODULUS:
-        raise ModulusError(f"modulus must be in [2, 2^31-1], got {n}")
+        raise ModulusError(f"modulus must be >= 2 and <= 2^31-1, got {n}")
     return n
 
 
 def binom2(n: int) -> int:
     """n*(n-1)/2 reduced mod n (the coefficient in the power formulas)."""
-    n = check_integer(n, "modulus")
-    if n < 2:
-        raise ModulusError(f"modulus must be >= 2, got {n}")
+    n = check_modulus(n)
     return n * (n - 1) // 2 % n
 
 

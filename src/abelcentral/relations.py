@@ -49,8 +49,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import heisenberg, modring, tables
-from .errors import HypothesisError, ModulusError, TheoremViolationError, check_bound
-from .finfield import KummerCharacter, RootOfUnity, check_characters
+from .errors import ModulusError, TheoremViolationError, check_bound
+from .finfield import KummerCharacter, RootOfUnity, check_characters, check_roots
 from .modring import ModMatrix
 
 ENUM_BOUND_N = 10  # n^3 generator images must stay enumerable
@@ -222,8 +222,7 @@ def relation_check(
     is allocated.
     """
     field, n = omega.field, omega.order
-    if (field.q - 1) % (2 * n) != 0:
-        raise HypothesisError(f"mu_{2 * n} not contained in F_{field.q}")
+    check_roots(field.q, 2 * n)
     check_characters([f for pair in pairs for f in pair], field, n)
     if field.n != n:
         raise ModulusError(f"characters must share the field F_{field.q} and the modulus {n}")

@@ -212,11 +212,8 @@ def ffrak_generate(field: FqField, omega: RootOfUnity) -> FfrakGroup:
     """
     if omega.field is not field:
         raise ModulusError("root of unity belongs to a different field")
-    n = omega.order
-    if (field.q - 1) % n != 0:
-        raise HypothesisError(f"mu_{n} not contained in F_{field.q}")
     power = psi(KummerCharacter(field, field.n, 1), omega)
-    m = _additive_order(power.values, n)
+    m = _additive_order(power.values, omega.order)
     return FfrakGroup(field=field, omega=omega, power=power, structure=AbelianStructure((m,) if m > 1 else ()))
 
 

@@ -88,6 +88,12 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert err
 
+    def test_field_polynomial_of_the_wrong_degree(self, capsys):
+        # With k = 1 the polynomial was ignored: exit 0 and "poly": [12, 1].
+        code, out, err = run(["field", "--p", "13", "--poly", "1,0,1", "--n", "3"], capsys)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: defining polynomial must be monic of degree k\n"
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["frobnicate"])
@@ -123,6 +129,7 @@ class TestExitCodes:
         [
             ("1", "modulus must be >= 2"),
             ("-2", "modulus must be >= 2"),
+            ("2147483648", "modulus must be >= 2 and <= 2^31-1, got 2147483648"),
             pytest.param("22", "group order: 10648 exceeds the supported bound 10000", id="22-exceeds the bound"),
         ],
     )
@@ -330,6 +337,7 @@ class TestReports:
         ({"table": [[10**30]]}, "table entries must be integers of at most 64 bits, got dtype object"),
         ({"table": [[False, True], [True, False]]}, "got dtype bool"),
         ([[0, 1], [1, 0]], "input must be a JSON object"),
+        ({"table": [[0, True], [True, 0]]}, "table entries must be integers of at most 64 bits, got a bool entry"),
     ])
     def test_table_input_not_of_integers(self, capsys, tmp_path, command, doc, message):
         # The float table used to run as [[0, 1], [1, 0]] and print a C2

@@ -3,14 +3,17 @@
 Each public intake of an integer array sends it through
 ``errors.check_integers``, and each intake of an integer scalar through
 ``errors.check_integer``.  The tables below hold one row per intake.  An
-array intake must refuse a float, Python bools, a boolean array, a Python
-int beyond int64 and a uint64 entry of 2^63 or more with ``DomainError``, and
-ragged rows with ``DimensionError``; an int8, uint16 or int64 array must give
-the result of the list of ints.  A scalar intake must refuse a float, a bool
-and an array with ``DomainError``, give the Python int's result for a numpy
-integer, and read an integer beyond int64 exactly.  The last test checks by
-the AST that no module but ``errors.py`` reads a dtype's kind or compares a
-dtype with ``object``.
+array intake must refuse a float, Python bools, a bool among ints, a boolean
+array, a Python int beyond int64 and a uint64 entry of 2^63 or more with
+``DomainError``, and ragged rows with ``DimensionError``; an int8, uint16 or
+int64 array must give the result of the list of ints.  A scalar intake must
+refuse a float, a bool and an array with ``DomainError``, give the Python
+int's result for a numpy integer, and read an integer beyond int64 exactly.
+Every modulus intake must refuse n outside [2, 2^31 - 1] with
+``ModulusError``, and ``RootOfUnity`` an element that is not a primitive
+root of its order.  Source tests check that the modulus and mu_n messages
+are each written once, and by the AST that no module but ``errors.py`` reads
+a dtype's kind or compares a dtype with ``object``.
 """
 
 import ast
@@ -37,8 +40,8 @@ from abelcentral.errors import (
     check_integer,
     check_integers,
 )
-from abelcentral.finfield import KummerCharacter, make_field
-from abelcentral.groups import TableGroup, cyclic_group, elementary_coords
+from abelcentral.finfield import KummerCharacter, RootOfUnity, make_field, omega
+from abelcentral.groups import TableGroup, central_series, cyclic_group, elementary_coords
 from abelcentral.modring import ModMatrix
 from abelcentral.tables import FnTable
 
@@ -88,6 +91,7 @@ ARRAY_INTAKES = [
     ("FqField.add", lambda v: F9.add(v, v), [[1, 2], [4, 8]]),
     ("FqField.one_minus", lambda v: F13.one_minus(v), [2, 7, 12]),
     ("make_field poly", lambda v: make_field(3, k=2, poly=v, n=2).descriptor(), [1, 0, 1]),
+    ("make_field poly k = 1", lambda v: make_field(13, poly=v, n=3).descriptor(), [12, 1]),
 ]
 
 
@@ -118,6 +122,7 @@ BAD_ARRAYS = {
     "int beyond int64": (lambda v: _replace_first(v, lambda x: x + 2**64), DomainError),
     "uint64 beyond int64": (_uint64_beyond_int64, DomainError),
     "ragged rows": (_ragged, DimensionError),
+    "bool among ints": (lambda v: _replace_first(v, lambda x: True), DomainError),
 }
 
 
@@ -171,6 +176,9 @@ SCALAR_INTAKES = [
     ("H2Class n", lambda v: H2Class(2, v, [[1, 2], [3, 0]], [1, 1]).coeff_vector(), 4),
     ("SElement n", lambda v: SElement(2, v, [[0, 1], [3, 0]], [2, 0]).F, 4),
     ("special_elements n", lambda v: [(e.F, e.g) for e in special_elements([1, 2], [0, 1], v)], 3),
+    ("omega n", lambda v: omega(F13, v).element, 3),
+    ("central_series n", lambda v: central_series(C4, v).sizes, 2),
+    ("RootOfUnity order", lambda v: RootOfUnity(F13, 3, v).element, 3),
 ]
 
 BAD_SCALARS = {
@@ -212,7 +220,11 @@ def test_scalar_intake_reads_big_integers_exactly(name, call, valid):
     _outcome(call, 2**70)
 
 
-MODULUS_NAMES = {"ModMatrix modulus", "Cocycle2 n", "FnTable n", "H2Class n", "SElement n", "special_elements n"}
+MODULUS_NAMES = {
+    "ModMatrix modulus", "binom2", "Cocycle2 n", "FnTable n", "H2Class n", "SElement n", "special_elements n",
+    "make_field n", "KummerCharacter n", "omega n", "RootOfUnity order", "central_series n",
+    "to_table_group", "verify_laws",
+}
 MODULUS_INTAKES = [row for row in SCALAR_INTAKES if row[0] in MODULUS_NAMES]
 
 
@@ -223,6 +235,39 @@ def test_modulus_outside_the_supported_range(name, call, valid, n):
     # give the zero ring and n beyond int64 overflow the reduction.
     with pytest.raises(ModulusError):
         call(n)
+
+
+@pytest.mark.parametrize("element", [5, 1, 0, 12, 13, 2**63])
+def test_root_of_unity_must_be_primitive_of_its_order(element):
+    # On F_13 the primitive cube roots are 3 and 9: 5^3 = 8, 1 has order 1,
+    # 12 order 2, and 0 and 13 or more are not units of F_13.  Built
+    # directly, 5 used to reach full relation_check and ffrak_generate reports.
+    with pytest.raises(DomainError):
+        RootOfUnity(F13, element, 3)
+
+
+def _string_owners(phrase):
+    """(module, innermost function) of every string constant of ``src`` that holds ``phrase``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) and phrase in node.value:
+                inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.append((path.name, max(inside, key=lambda f: f.lineno).name if inside else None))
+    return found
+
+
+@pytest.mark.parametrize("phrase,owner", [
+    ("modulus must be >=", ("modring.py", "check_modulus")),
+    ("not contained in", ("finfield.py", "check_roots")),
+])
+def test_one_owner_per_hypothesis_message(phrase, owner):
+    # Each standing hypothesis (2 <= n <= 2^31 - 1; mu_n in F_q) is refused
+    # in one place, with one message.
+    assert _string_owners(phrase) == [owner]
+    assert sum(path.read_text().count(phrase) for path in SRC.glob("*.py")) == 1
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 2**63])
@@ -257,6 +302,9 @@ class TestCheckIntegers:
         ([1.0, 2.0], "entries must be integers of at most 64 bits, got dtype float64"),
         ("12", "entries must be integers of at most 64 bits, got dtype <U2"),
         (np.array([2**63], dtype=np.uint64), r"entries: 9223372036854775808 outside \[0, 9223372036854775808\)"),
+        ([[1, True]], "entries must be integers of at most 64 bits, got a bool entry"),
+        (((2, 3), (4, np.True_)), "entries must be integers of at most 64 bits, got a bool entry"),
+        ([np.array([True, False]), np.array([1, 2])], "entries must be integers of at most 64 bits, got a bool entry"),
     ])
     def test_refused(self, value, message):
         with pytest.raises(DomainError, match=message):
