@@ -213,8 +213,8 @@ def _check_coboundary(G: TableGroup, U: np.ndarray, xi_on: np.ndarray, n: int) -
     zeta(g, s w) = zeta(g s, w) + zeta(g, s) - zeta(s, w), so by induction
     on the word length of w in S, zeta vanishes on all of G x G.  Both
     callers pass cocycles: a ``Cocycle2`` is one by Light's test and keeps
-    its checked values read-only, and an inflated table is one once
-    ``_layer1_coords`` has checked the coordinates (``_inflated_values``).
+    its checked values read-only, and an inflated table is one on the
+    checked coordinates ``cs.layer1_coords`` (``_inflated_values``).
     """
     T = [G.identity, *G.generators]
     if ((U[:, None] + U[T] - U[G.table[:, T]] - xi_on) % n).any():
@@ -352,33 +352,12 @@ def pairing_S(s: SElement, c: H2Class) -> int:
 # --- layer-1 identification and kernel of inflation ------------------------
 
 
-def _layer1_coords(cs: CentralSeriesData) -> tuple[int, np.ndarray]:
-    """(rank k, per-G-element coordinate row in (Z/n)^k) for elementary layer 1.
-
-    The coordinate map pi: G -> (Z/n)^k is checked to be a homomorphism:
-    pi(g s) = pi(g) + pi(s) for every g in G and every generator s, N |S|
-    comparisons, else ``TheoremViolationError``.  That suffices: by
-    induction on the length of a word w in the generators,
-    pi(g w) = pi(g) + pi(w), and every element is such a word.  So every
-    table xi(pi(a), pi(b)) with xi a cocycle on (Z/n)^k is a cocycle on G
-    (see ``_inflated_values``).
-    """
-    dec = cs.layer1.decomposition
-    if any(d != cs.n for d in dec.orders):
-        raise DomainError("first layer is not elementary of exponent n")
-    G, coords = cs.group, dec.coords_of[cs.layer1.project]
-    S = np.asarray(G.generators, dtype=np.int64)
-    if ((coords[G.table[:, S]] - coords[:, None, :] - coords[S]) % cs.n).any():
-        raise TheoremViolationError("layer-1 coordinates are not a homomorphism")
-    return len(dec.orders), coords
-
-
 def _inflated_values(left: np.ndarray, right: np.ndarray, n: int, P: np.ndarray, zs: Sequence[np.ndarray]) -> np.ndarray:
     """xi(a, b) = a^T P b + sum of the carries B_z(a, b), mod n, for the
     (Z/n)^k coordinate rows ``left`` of the a and ``right`` of the b.
 
-    On the coordinates pi of ``_layer1_coords``, which checks that pi is a
-    homomorphism, these are the values of a cocycle on G: (x, y) -> x^T P y
+    On the coordinates pi of ``CentralSeriesData.layer1_coords``, checked to
+    be a homomorphism, these are the values of a cocycle on G: (x, y) -> x^T P y
     is bilinear, B_z is the carry of x(z) + y(z) past n, whose cocycle
     identity says that both ways of adding three values in [0, n) carry the
     same total, sums of cocycles are cocycles, and so is a cocycle pulled
@@ -401,16 +380,11 @@ def kernel_of_inflation(cs: CentralSeriesData) -> list[H2Class]:
     form, of the rows (A_u^T | 0) and (X^T | I) (``modring._left_kernel``
     keeping the c-coordinates): the rows that vanish on the left block.
     The basis U_{e_i, e_j} (i < j) and B_{e_j} enters through its values on
-    the pairs (g, s), s in T, read off the layer-1 coordinates;
-    ``_layer1_coords`` checks that they are a homomorphism, which makes
-    every inflated table a cocycle.
+    the pairs (g, s), s in T, read off ``cs.layer1_coords``, which are checked
+    to be a homomorphism, so every inflated table is a cocycle.
     """
-    return _kernel_of_inflation(cs, *_layer1_coords(cs))
-
-
-def _kernel_of_inflation(cs: CentralSeriesData, k: int, coords: np.ndarray) -> list[H2Class]:
-    """``kernel_of_inflation`` from the rank and coordinates ``_layer1_coords`` returned."""
-    G, n = cs.group, cs.n
+    G, n, coords = cs.group, cs.n, cs.layer1_coords
+    k = coords.shape[1]
     T = [G.identity, *G.generators]
     cg, ct = coords[:, None, :], coords[T][None, :, :]
     iu, ju = _upper_pairs(k)
@@ -477,23 +451,22 @@ def _additive_extension(
 ) -> tuple[bool, np.ndarray, np.ndarray]:
     """(additive, reached, values): extend gens -> gen_values additively over ``group``.
 
-    A breadth-first search from the identity (value 0) sets v(x*g) = v(x) +
-    v(g) mod n on each Cayley-graph edge and checks every edge against the
-    value its head already has.  ``reached`` is the span of the generators,
-    ``values`` holds v on it.  Exact: if every edge is additive, induction on
-    the length of a word w in the generators gives v(x*w) = v(x) + v(w), so v
-    is a homomorphism on the span extending the assignment; a homomorphism
-    extending it is additive on every edge.
+    v is read off the breadth-first spanning tree of the Cayley graph from
+    the identity (value 0) along the generators (``groups._spanning_tree``):
+    v(x*g) = v(x) + v(g) mod n on each tree edge.  Then every edge x -> x*g
+    from a reached x is checked against it.  ``reached`` is the span of the
+    generators, ``values`` holds v on it.  Exact: if every edge is additive,
+    induction on the length of a word w in the generators gives
+    v(x*w) = v(x) + v(w), so v is a homomorphism on the span extending the
+    assignment; a homomorphism extending it is additive on every edge.
     """
     values = np.zeros((group.order, gen_values.shape[1]), dtype=np.int64)
     reached = np.arange(group.order) == group.identity
-    frontier, additive = np.flatnonzero(reached), True
-    while frontier.size:
-        heads, want = group.table[frontier[:, None], gens], (values[frontier, None] + gen_values) % n
-        new = ~reached[heads]
-        values[heads[new]], reached[heads] = want[new], True
-        additive &= np.array_equal(values[heads], want)
-        frontier = np.unique(heads[new])
+    for parents, children, steps in groups._spanning_tree(group.table, [group.identity], gens):
+        values[children] = (values[parents] + gen_values[steps]) % n
+        reached[children] = True
+    x = np.flatnonzero(reached)
+    additive = np.array_equal(values[group.table[x[:, None], gens]], (values[x, None] + gen_values) % n)
     return additive, reached, values
 
 
@@ -525,9 +498,9 @@ def verify_thm23_and_omegaR(G: TableGroup, n: int, seed: int = 0) -> MachineryRe
     restricted image; the last two are False when Omega is not well defined.
     """
     cs = central_series(G, n)
-    k, coords = _layer1_coords(cs)
-    C, l2 = cs.layer1.decomposition.coords_of, cs.layer2
-    R = _kernel_of_inflation(cs, k, coords)
+    R = kernel_of_inflation(cs)
+    coords, C, l2 = cs.layer1_coords, cs.layer1.decomposition.coords_of, cs.layer2
+    k = coords.shape[1]
     comm, powr = layer_maps(cs, random.Random(seed))
 
     variants = []  # (P, zs) of eta's decomposition, then of the alternative, for each eta

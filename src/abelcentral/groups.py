@@ -41,7 +41,7 @@ class TableGroup:
 
     def _check_table(self) -> None:
         """Store the table as int64 after checking its shape, order, entries
-        and labels.
+        and labels (one string per element).
 
         An array's shape and order are checked before its entries, so a
         refused table is never copied; a nested list is read as an array first.
@@ -51,8 +51,11 @@ class TableGroup:
             raise DimensionError("multiplication table must be square")
         n = _check_order(t.shape[0])
         object.__setattr__(self, "table", check_integers(t, "table entries", n))
-        if self.labels is not None and len(self.labels) != n:
-            raise DimensionError("label count differs from group order")
+        if self.labels is not None:
+            if len(self.labels) != n:
+                raise DimensionError("label count differs from group order")
+            if not all(isinstance(label, str) for label in self.labels):
+                raise DomainError("group labels must be strings")
 
     @property
     def order(self) -> int:
@@ -96,18 +99,24 @@ class TableGroup:
             frontier = np.flatnonzero(new)
         return seen
 
+    def _kept_generators(self, candidates: Sequence[int]) -> tuple[list[int], np.ndarray]:
+        """(kept, mask of their closure): each of the index array ``candidates``,
+        in order, outside the closure of those kept before it.  The subgroup at
+        least doubles with each one kept: at most log2(N) of them."""
+        cand = np.asarray(candidates, dtype=np.int64)
+        kept: list[int] = []
+        seen = self._closure_mask(kept)
+        while not (inside := seen[cand]).all():
+            kept.append(int(cand[np.argmin(inside)]))
+            seen = self._closure_mask(kept, seen)
+        return kept, seen
+
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A generating set, chosen greedily by closure and then made irredundant.
-
-        Each element added lies outside the subgroup generated so far, so the
-        subgroup at least doubles: at most log2(N) generators.
-        """
-        gens: list[int] = []
-        seen = self._closure_mask(gens)
-        while not seen.all():
-            gens.append(int(np.argmin(seen)))
-            seen = self._closure_mask(gens, seen)
+        """A generating set: the kept candidates of every element in index
+        order (each the smallest element outside the subgroup generated so
+        far), then made irredundant."""
+        gens, _ = self._kept_generators(np.arange(self.order))
         for s in gens[:-1]:  # the last one lies outside the closure of the others
             rest = [g for g in gens if g != s]
             if self._closure_mask(rest).all():
@@ -134,42 +143,23 @@ class TableGroup:
 
     @cached_property
     def _cayley_tree(self) -> tuple[np.ndarray, tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]]:
-        """(letters, levels): a breadth-first spanning tree of the Cayley graph
-        from the roots T = (e, *S), S the generators, read-only.
-
-        Each element outside T is the child g * T[j] (1 <= j < |T|) of one
-        edge from an element g of the round before; within a round the edges
-        of T[1] are taken first, then those of T[2], and so on.  ``levels``
-        holds one (parents, children, steps) triple of index arrays per
-        round, steps being the j.  ``letters[g, j]`` counts T[j] on the tree
-        path to g: the root it starts from and the edges labelled T[j].
+        """(letters, levels), read-only: ``_spanning_tree`` from the roots
+        T = (e, *S), S the generators, along T (the identity's edges reach
+        nothing new, so the steps are 1 <= j < |T|).  ``letters[g, j]``
+        counts T[j] on the tree path to g: its root and its edges labelled T[j].
         """
-        t, T = self.table, [self.identity, *self.generators]
+        T = [self.identity, *self.generators]
         r = len(T)
         letters = np.zeros((self.order, r), dtype=np.int64)
         letters[T, np.arange(r)] = 1
-        done = np.zeros(self.order, dtype=bool)
-        frontier = np.array(T, dtype=np.int64)
-        done[frontier] = True
-        levels = []
-        while frontier.size:
-            edges = [(frontier[:0],) * 3]
-            for j in range(1, r):
-                h = t[frontier, T[j]]
-                new = ~done[h]
-                g, h = frontier[new], h[new]
-                letters[h] = letters[g]
-                letters[h, j] += 1
-                done[h] = True
-                edges.append((g, h, np.full(h.size, j)))
-            level = tuple(np.concatenate(part) for part in zip(*edges))
-            for part in level:
+        levels = _spanning_tree(self.table, T, T)
+        for parents, children, steps in levels:
+            letters[children] = letters[parents]
+            letters[children, steps] += 1
+            for part in (parents, children, steps):
                 part.flags.writeable = False
-            if level[1].size:
-                levels.append(level)
-            frontier = level[1]
         letters.flags.writeable = False
-        return letters, tuple(levels)
+        return letters, levels
 
     # -- element arithmetic --
 
@@ -266,27 +256,47 @@ def _generated_group(table: np.ndarray, labels: Optional[tuple[str, ...]], candi
 
     For constructions that know a generating set: the standard generators
     of a cyclic, elementary or Heisenberg group, or the images of a parent
-    group's generators in a quotient.  Each candidate outside the closure of
-    those kept so far is kept, and the kept set must generate the table,
-    else ``TheoremViolationError``.  This replaces only the greedy search of
-    ``TableGroup.generators``: the range, identity, inverse and Light's
-    tests run as in the public constructor, on the kept set.
+    group's generators in a quotient.  The candidates it keeps
+    (``TableGroup._kept_generators``) must generate the table, else
+    ``TheoremViolationError``.  Unlike ``TableGroup.generators`` it makes no
+    irredundancy pass; the range, identity, inverse and Light's tests run
+    as in the public constructor, on the kept set.
     """
     g = object.__new__(TableGroup)
     object.__setattr__(g, "table", table)
     object.__setattr__(g, "labels", labels)
     g._check_table()
-    cand = np.asarray(candidates, dtype=np.int64)
-    kept: list[int] = []
-    seen = g._closure_mask(kept)
-    while (rest := cand[~seen[cand]]).size:
-        kept.append(int(rest[0]))
-        seen = g._closure_mask(kept, seen)
+    kept, seen = g._kept_generators(candidates)
     if not seen.all():
         raise TheoremViolationError("the supplied elements do not generate the table")
     g.__dict__["generators"] = tuple(kept)
     g._verify()
     return g
+
+
+def _spanning_tree(
+    t: np.ndarray, roots: Sequence[int], gens: Sequence[int]
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The breadth-first spanning tree of the Cayley graph of the group table
+    ``t`` from the index array ``roots`` along x -> x * gens[j]: one
+    (parents, children, steps) triple per round, steps the j.  An element
+    first reached in a round hangs from its first edge, in order of j, then
+    of x; one gather per round serves every generator.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    frontier = np.asarray(roots, dtype=np.int64)
+    done = np.zeros(t.shape[0], dtype=bool)
+    done[frontier] = True
+    levels = []
+    while frontier.size:
+        heads = t[frontier, gens[:, None]].ravel()  # entry j * |frontier| + i is frontier[i] * gens[j]
+        fresh = np.flatnonzero(~done[heads])
+        _, first = np.unique(heads[fresh], return_index=True)
+        edges = fresh[np.sort(first)]
+        levels.append((frontier[edges % frontier.size], heads[edges], edges // frontier.size))
+        frontier = levels[-1][1]
+        done[frontier] = True
+    return tuple(levels[:-1])  # the last round reaches nothing
 
 
 def _powers(t: np.ndarray, e: int, a: int, m: int) -> np.ndarray:
@@ -357,9 +367,9 @@ def cyclic_group(m: int) -> TableGroup:
 
 def elementary_coords(n: int, k: int) -> np.ndarray:
     """(n^k, k) coordinates of the elements of ``elementary_group(n, k)``, in index order."""
-    n, k = check_integer(n, "modulus"), check_integer(k, "rank")
-    if n < 1 or k < 0 or (n == 1 and k > 0):
-        raise DomainError("elementary group needs n >= 2 and k >= 0, or n = 1 and k = 0")
+    n, k = check_modulus(n), check_integer(k, "rank")
+    if k < 0:
+        raise DomainError(f"rank must be >= 0, got {k}")
     size = check_bound((n, k), TABLE_MAX, "group order")
     return (np.arange(size, dtype=np.int64)[:, None] // n ** np.arange(k - 1, -1, -1)) % n
 
@@ -368,8 +378,7 @@ def elementary_group(n: int, k: int) -> TableGroup:
     """(Z/n)^k with index sum(c_l * n^(k-1-l)) for coordinates (c_0..c_{k-1}).
 
     k = 0 gives the trivial group.  The table is a sum on a grid with one
-    axis per coordinate of each factor.  n = 1 needs k = 0: no bound on the
-    order 1 of (Z/1)^k would bound its 2k axes and k-entry labels.
+    axis per coordinate of each factor.
     """
     coords = elementary_coords(n, k)
     n, (size, k) = check_integer(n, "modulus"), coords.shape
@@ -490,6 +499,25 @@ class CentralSeriesData:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(s) for s in self.subgroups)
+
+    @cached_property
+    def layer1_coords(self) -> np.ndarray:
+        """(N, k) read-only: row g holds pi(g) in (Z/n)^k, the coordinates of
+        g's layer-1 class; ``DomainError`` unless layer 1 is elementary of
+        exponent n.  pi is checked to be a homomorphism on the N |S| pairs
+        (g, s), s a generator, else ``TheoremViolationError``: by induction on
+        the word length of w, pi(g w) = pi(g) + pi(w).  So a cocycle on
+        (Z/n)^k pulled back along pi is a cocycle on G.
+        """
+        dec = self.layer1.decomposition
+        if any(d != self.n for d in dec.orders):
+            raise DomainError("first layer is not elementary of exponent n")
+        G, coords = self.group, dec.coords_of[self.layer1.project]
+        S = np.asarray(G.generators, dtype=np.int64)
+        if ((coords[G.table[:, S]] - coords[:, None, :] - coords[S]) % self.n).any():
+            raise TheoremViolationError("layer-1 coordinates are not a homomorphism")
+        coords.flags.writeable = False
+        return coords
 
 
 def _next_term(g: TableGroup, cur: np.ndarray, n: int) -> np.ndarray:

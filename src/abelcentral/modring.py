@@ -76,9 +76,12 @@ class ModMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], modulus: int, cols: Optional[int] = None) -> "ModMatrix":
+        """The matrix of ``rows``; with no rows, of ``cols`` columns, in
+        [0, 2^60), the most numpy gives an int64 array (else DomainError)."""
         if len(rows) == 0:
             if cols is None:
                 raise DimensionError("column count required for an empty matrix")
+            cols = check_integer(cols, "column count", 2**60)
             return cls(modulus, np.zeros((0, cols), dtype=np.int64))
         return cls(modulus, rows)
 
@@ -115,7 +118,7 @@ class AbelianStructure:
     invariant_factors: tuple[int, ...]
 
     def __post_init__(self):
-        facs = tuple(int(d) for d in self.invariant_factors)
+        facs = tuple(check_integer(d, "invariant factor") for d in self.invariant_factors)
         for a, b in zip(facs, facs[1:]):
             if b % a != 0:
                 raise DomainError(f"invariant factors must form a divisibility chain: {facs}")

@@ -26,7 +26,6 @@ from abelcentral.cohomology import (
     _coboundary_system,
     _evaluations,
     _inflated_values,
-    _layer1_coords,
     _upper_pairs,
     make_U_B,
 )
@@ -78,10 +77,11 @@ def representative(eta: H2Class) -> Cocycle2:
     return Cocycle2(elementary_group(eta.n, eta.k), eta.n, acc)
 
 
-def kernel_by_nullspace(cs: CentralSeriesData, k: int, coords: np.ndarray) -> list[H2Class]:
+def kernel_by_nullspace(cs: CentralSeriesData) -> list[H2Class]:
     """The kernel of inflation: ``nullspace`` of the whole coboundary system,
     then ``canonicalize`` of the class columns of its solutions."""
-    G, n = cs.group, cs.n
+    G, n, coords = cs.group, cs.n, cs.layer1_coords
+    k = coords.shape[1]
     T = [G.identity, *G.generators]
     cg, ct = coords[:, None, :], coords[T][None, :, :]
     iu, ju = _upper_pairs(k)
@@ -119,9 +119,9 @@ def verify_per_table(G: TableGroup, n: int, seed: int = 0) -> MachineryReport:
     ``solve_one_table`` per inflated cocycle, and ``np.unique`` for Omega's
     injectivity."""
     cs = central_series(G, n)
-    k, coords = _layer1_coords(cs)
-    C, l2 = cs.layer1.decomposition.coords_of, cs.layer2
-    R = kernel_by_nullspace(cs, k, coords)
+    coords, C, l2 = cs.layer1_coords, cs.layer1.decomposition.coords_of, cs.layer2
+    k = coords.shape[1]
+    R = kernel_by_nullspace(cs)
     comm, powr = layer_maps(cs, random.Random(seed))
 
     bad = [0, 0]

@@ -3,6 +3,7 @@ layer-2 isomorphism, with brute-force cochain oracles."""
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from abelcentral.cohomology import (
 )
 from abelcentral.errors import DimensionError, DomainError, TheoremViolationError
 from abelcentral.groups import (
+    CentralSeriesData,
     TableGroup,
     abelian_decomposition,
     central_series,
@@ -116,7 +118,8 @@ def subgroup_elements(gens, n):
 def kernel_oracle(cs):
     """Oracle: kernel of inflation from the literal dense system, one cell at a time."""
     G, n = cs.group, cs.n
-    k, coords = coh._layer1_coords(cs)
+    coords = cs.layer1_coords
+    k = coords.shape[1]
     pi = std_index(coords, n)
     eye = np.eye(k, dtype=np.int64)
     basis = [make_U_B(k, n, eye[i], eye[j])[0] for i in range(k) for j in range(i + 1, k)]
@@ -200,7 +203,8 @@ def machinery_oracle(G, n, seed):
     """Oracle report: the dense coboundary system, one special element and
     one pairing per layer-1 pair, and the closure comparison of images."""
     cs = central_series(G, n)
-    k, coords = coh._layer1_coords(cs)
+    coords = cs.layer1_coords
+    k = coords.shape[1]
     pi = std_index(coords, n)
     R = kernel_oracle(cs)
     g1 = elementary_group(n, k)
@@ -352,7 +356,8 @@ class TestAgainstOracles:
             u = rng.integers(0, n, g.order)
             cases.append((u[:, None] + u[None, :] - u[g.table]) % n)
         cs = central_series(g, n)
-        k, coords = coh._layer1_coords(cs)
+        coords = cs.layer1_coords
+        k = coords.shape[1]
         pi = std_index(coords, n)
         cases += [inflate(representative(eta), pi, g).values for eta in kernel_oracle(cs)]
         eye = np.eye(k, dtype=np.int64)
@@ -467,8 +472,7 @@ class TestAgainstPerTablePaths:
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     def test_kernel(self, name, build, n):
         cs = central_series(build(), n)
-        k, coords = coh._layer1_coords(cs)
-        got, want = coh._kernel_of_inflation(cs, k, coords), kernel_by_nullspace(cs, k, coords)
+        got, want = kernel_of_inflation(cs), kernel_by_nullspace(cs)
         assert [c.coeff_vector().tolist() for c in got] == [c.coeff_vector().tolist() for c in want]
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
@@ -520,7 +524,8 @@ class TestAgainstPerTablePaths:
         # exactly when each passes.
         g = build()
         N, T = g.order, [g.identity, *g.generators]
-        k, coords = coh._layer1_coords(central_series(g, n))
+        coords = central_series(g, n).layer1_coords
+        k = coords.shape[1]
         eye = np.eye(k, dtype=np.int64)
         basis = [_U_values(coords, n, eye[i], eye[j]) for i in range(k) for j in range(i + 1, k)]
         basis += [_B_values(coords, n, eye[j]) for j in range(k)]
@@ -579,7 +584,8 @@ class TestAgainstPerTablePaths:
         # x^T P y plus the carries, mod n, and so are its columns T.
         rng = np.random.default_rng(4)
         for g, n in [(to_table_group(3), 3), (cyclic_group(16), 4), (z4_squared(), 2)]:
-            k, coords = coh._layer1_coords(central_series(g, n))
+            coords = central_series(g, n).layer1_coords
+            k = coords.shape[1]
             T = [g.identity, *g.generators]
             step = g.order if cells is None else max(1, cells // g.order)
             for _ in range(3):
@@ -607,7 +613,8 @@ class TestHomomorphismShortcut:
     def test_shortcut_agrees_with_light(self, name, build, n, monkeypatch):
         g = build()
         cs = central_series(g, n)
-        k, coords = coh._layer1_coords(cs)
+        coords = cs.layer1_coords
+        k = coords.shape[1]
         assert oracle_is_homomorphism(g, coords, n)
         T = [g.identity, *g.generators]
         eye = np.eye(k, dtype=np.int64)
@@ -636,14 +643,19 @@ class TestHomomorphismShortcut:
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS[:4], ids=[g[0] for g in ORACLE_GROUPS[:4]])
     def test_coordinates_checked_once(self, name, build, n, monkeypatch):
-        # The kernel and the inflated tables share one checked coordinate map.
-        g, calls = build(), []
-        layer1_coords = coh._layer1_coords
-        monkeypatch.setattr(coh, "_layer1_coords", lambda cs: calls.append(cs) or layer1_coords(cs))
+        # The kernel and the inflated tables share one checked coordinate
+        # map, computed once per series: the verification calls the public
+        # kernel_of_inflation once, and every later read hits the cache.
+        g, computed, kernels = build(), [], []
+        checked = CentralSeriesData.__dict__["layer1_coords"].func
+        counted = functools.cached_property(lambda cs: computed.append(cs) or checked(cs))
+        counted.__set_name__(CentralSeriesData, "layer1_coords")
+        monkeypatch.setattr(CentralSeriesData, "layer1_coords", counted)
+        monkeypatch.setattr(coh, "kernel_of_inflation", lambda cs: kernels.append(cs) or kernel_of_inflation(cs))
         verify_thm23_and_omegaR(g, n)
-        assert len(calls) == 1
-        kernel_of_inflation(calls[0])
-        assert len(calls) == 2
+        assert len(kernels) == 1 and computed == kernels
+        kernel_of_inflation(kernels[0])
+        assert len(computed) == 1
 
     @pytest.mark.parametrize("name,build,n", ORACLE_GROUPS, ids=[g[0] for g in ORACLE_GROUPS])
     def test_corrupted_coordinates_raise(self, name, build, n, monkeypatch):
@@ -669,7 +681,7 @@ class TestHomomorphismShortcut:
             bad %= n
             cs.layer1.__dict__["decomposition"] = dataclasses.replace(dec, coords_of=bad)
             if oracle_is_homomorphism(g, bad[cs.layer1.project], n):
-                coh._layer1_coords(cs)
+                cs.layer1_coords
                 continue
             refused += 1
             with pytest.raises(TheoremViolationError, match="not a homomorphism"):
@@ -755,7 +767,8 @@ class TestCocycles:
         # over all triples accepts.
         g = build()
         cs = central_series(g, n)
-        k, coords = coh._layer1_coords(cs)
+        coords = cs.layer1_coords
+        k = coords.shape[1]
         pi = std_index(coords, n)
         eye = np.eye(k, dtype=np.int64)
         cocycles = [inflate(c, pi, g).values for i in range(k) for j in range(k) for c in make_U_B(k, n, eye[i], eye[j])]

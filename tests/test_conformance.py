@@ -7,8 +7,9 @@ array intake must refuse a float, Python bools, a bool among ints, a boolean
 array, a Python int beyond int64 and a uint64 entry of 2^63 or more with
 ``DomainError``, and ragged rows with ``DimensionError``; an int8, uint16 or
 int64 array must give the result of the list of ints.  A scalar intake must
-refuse a float, a bool and an array with ``DomainError``, give the Python
-int's result for a numpy integer, and read an integer beyond int64 exactly.
+refuse a float, a bool, a string and an array with ``DomainError``, give the
+Python int's result for a numpy integer, and read an integer beyond int64
+exactly.
 Every modulus intake must refuse n outside [2, 2^31 - 1] with
 ``ModulusError``, and ``RootOfUnity`` an element that is not a primitive
 root of its order.  Source tests check that the modulus and mu_n messages
@@ -179,6 +180,8 @@ SCALAR_INTAKES = [
     ("omega n", lambda v: omega(F13, v).element, 3),
     ("central_series n", lambda v: central_series(C4, v).sizes, 2),
     ("RootOfUnity order", lambda v: RootOfUnity(F13, 3, v).element, 3),
+    ("AbelianStructure factor", lambda v: modring.AbelianStructure((2, v)).invariant_factors, 4),
+    ("from_rows cols", lambda v: ModMatrix.from_rows([], 5, cols=v).entries.shape, 2),
 ]
 
 BAD_SCALARS = {
@@ -188,6 +191,7 @@ BAD_SCALARS = {
     "numpy bool": lambda v: np.True_,
     "array": lambda v: np.array([v]),
     "list": lambda v: [v],
+    "string": str,
 }
 
 
@@ -220,10 +224,17 @@ def test_scalar_intake_reads_big_integers_exactly(name, call, valid):
     _outcome(call, 2**70)
 
 
+@pytest.mark.parametrize("cols", [-1, 2**60])
+def test_from_rows_column_count_range(cols):
+    # -1 raised numpy's bare ValueError ("negative dimensions are not allowed").
+    with pytest.raises(DomainError, match="column count"):
+        ModMatrix.from_rows([], 5, cols=cols)
+
+
 MODULUS_NAMES = {
     "ModMatrix modulus", "binom2", "Cocycle2 n", "FnTable n", "H2Class n", "SElement n", "special_elements n",
     "make_field n", "KummerCharacter n", "omega n", "RootOfUnity order", "central_series n",
-    "to_table_group", "verify_laws",
+    "to_table_group", "verify_laws", "elementary_coords n",
 }
 MODULUS_INTAKES = [row for row in SCALAR_INTAKES if row[0] in MODULUS_NAMES]
 

@@ -126,6 +126,14 @@ class TestConstruction:
             with pytest.raises(DomainError, match="not associative"):
                 TableGroup(table=t)
 
+    @pytest.mark.parametrize("labels", [(1, 2), ("a", None), ("a", b"b")])
+    def test_labels_must_be_strings(self, labels):
+        # (1, 2) was kept and exported as JSON that groupcoh --input refuses.
+        with pytest.raises(DomainError, match="labels must be strings"):
+            TableGroup(table=cyclic_group(2).table, labels=labels)
+        with pytest.raises(DomainError, match="labels must be strings"):
+            _generated_group(cyclic_group(2).table, labels, [1])
+
     @pytest.mark.parametrize("name,build", GENERATOR_GROUPS, ids=[g[0] for g in GENERATOR_GROUPS])
     def test_generators(self, name, build):
         g = build()
@@ -210,12 +218,16 @@ class TestConstruction:
     @pytest.mark.parametrize("n,k", [(3, 10**7), (3, 10**8), (2, 14), (10**5, 1), (22, 3), (1, 33), (1, 1)])
     def test_elementary_order_bound(self, n, k):
         # n^k is bounded before it is formed: 3^(10^7) alone took 4.5 s, and
-        # (Z/1)^33 died in numpy's bare ValueError on its 66-axis grid.
-        message = "needs n >= 2" if n == 1 else "group order: .* exceeds the supported bound"
+        # (Z/1)^33 died in numpy's bare ValueError on its 66-axis grid.  n = 1
+        # is refused as every modulus below 2 is.
+        if n == 1:
+            error, message = ModulusError, "modulus must be >= 2"
+        else:
+            error, message = DomainError, "group order: .* exceeds the supported bound"
         tracemalloc.start()
         try:
             start = time.perf_counter()
-            with pytest.raises(DomainError, match=message):
+            with pytest.raises(error, match=message):
                 elementary_group(n, k)
             elapsed = time.perf_counter() - start
             peak = tracemalloc.get_traced_memory()[1]
@@ -225,7 +237,9 @@ class TestConstruction:
 
     def test_elementary_order_at_the_bound(self):
         assert elementary_group(10**4, 1).order == groups.TABLE_MAX
-        assert elementary_group(1, 0).order == 1
+        assert elementary_group(2, 0).order == elementary_group(10**4, 0).order == 1
+        with pytest.raises(ModulusError, match="modulus must be >= 2"):
+            elementary_group(1, 0)
 
     @pytest.mark.parametrize("cells", [1, 24, None])
     def test_light_test_in_row_blocks_matches_the_oracle(self, cells, monkeypatch):
@@ -458,6 +472,18 @@ class TestCentralSeries:
         cs = central_series(to_table_group(3), 3)
         assert cs.layer1.decomposition.orders == (3, 3)
         assert cs.layer2.decomposition.orders == (3,)
+
+    def test_layer1_coords_read_only_and_cached(self):
+        cs = central_series(to_table_group(3), 3)
+        coords = cs.layer1_coords
+        assert coords is cs.layer1_coords and coords.shape == (27, 2)
+        assert not coords.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cs.layer1_coords = coords.copy()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del cs.layer1_coords
+        with pytest.raises(DomainError, match="not elementary of exponent n"):
+            central_series(cyclic_group(2), 4).layer1_coords
 
 
 class TestLayerMaps:

@@ -10,13 +10,14 @@ that is already reduced, so it is called only from ``howell_form`` and
 
 The cohomology machinery skips Light's test on the cocycles it pulls back
 along the layer-1 coordinates, reading their values off the coordinates
-with ``_inflated_values``.  Those are the values of a cocycle only once
-``_layer1_coords`` has checked the coordinates to be a homomorphism, and
-the coboundary check on the N |T| pairs is exact only for a cocycle, so
-every function calling ``_kernel_of_inflation``, and every call of
-``_inflated_values`` whose values do not go straight into ``Cocycle2``
-and its Light's test, must lie in a function that calls
-``_layer1_coords``.
+with ``_inflated_values``.  Those are the values of a cocycle only on
+coordinates checked to be a homomorphism, and the coboundary check on the
+N |T| pairs is exact only for a cocycle.  The coordinates exist only as
+the read-only property ``CentralSeriesData.layer1_coords``, which runs that
+check, so ``kernel_of_inflation``, which builds its system from inflated
+values, and every call of ``_inflated_values`` whose values do not go
+straight into ``Cocycle2`` and its Light's test, must lie in a function
+that reads ``layer1_coords``.
 
 Two table-level helpers of ``groups`` skip checks the same way.
 ``_decompose_table`` recurses on raw quotient tables, which are groups only
@@ -82,6 +83,17 @@ def calls_of(source: str, name: str) -> list[str]:
     return [owner[node] for node in ast.walk(tree) if _is_call_of(node, name)]
 
 
+def reads_of(source: str, name: str) -> list[str]:
+    """The enclosing function of every read of the attribute ``name``."""
+    tree = ast.parse(source)
+    owner = _innermost(tree)
+    return [
+        owner[node]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == name and isinstance(node.ctx, ast.Load)
+    ]
+
+
 def unwrapped_calls_of(source: str, name: str, wrapper: str) -> list[str]:
     """The enclosing function of every call of ``name`` that is not itself
     an argument, positional or keyword, of a call of ``wrapper``."""
@@ -110,6 +122,11 @@ def test_finds_calls_of_a_helper():
     assert sorted(calls_of(source, "h")) == ["f", "f", "inner"]
 
 
+def test_finds_attribute_reads():
+    source = "def f(cs):\n    return cs.a\ndef g(cs):\n    cs.a = 1\n    return cs.b.a\n"
+    assert sorted(reads_of(source, "a")) == ["f", "g"]
+
+
 def test_finds_calls_outside_a_wrapper():
     source = (
         "def f():\n    W(h())\n    W(x, key=h())\n    W(g(h()))\n    h()\n"
@@ -133,7 +150,7 @@ def test_inflated_cocycles_only_after_the_homomorphism_check():
     source = (SRC / "cohomology.py").read_text()
     unchecked = set(unwrapped_calls_of(source, "_inflated_values", "Cocycle2"))
     assert unchecked == {"verify_thm23_and_omegaR"}
-    assert unchecked <= set(calls_of(source, "_layer1_coords"))
+    assert unchecked <= set(reads_of(source, "layer1_coords"))
     for path in sorted(SRC.glob("*.py")):
         if path.name != "cohomology.py":
             assert calls_of(path.read_text(), "_inflated_values") == []
@@ -148,9 +165,8 @@ def test_unreduced_matrices_only_from_howell_forms():
 
 def test_kernel_only_from_checked_coordinates():
     source = (SRC / "cohomology.py").read_text()
-    callers = set(calls_of(source, "_kernel_of_inflation"))
-    assert callers == {"kernel_of_inflation", "verify_thm23_and_omegaR"}
-    assert callers <= set(calls_of(source, "_layer1_coords"))
+    assert set(calls_of(source, "kernel_of_inflation")) == {"verify_thm23_and_omegaR"}
+    assert "kernel_of_inflation" in reads_of(source, "layer1_coords")
 
 
 def test_raw_table_helpers_only_behind_their_checks():
