@@ -368,14 +368,16 @@ class RootOfUnity:
         The characters mod n are the multiples c chi of the generating
         character chi, and psi(c chi) = c^2 A + c B with 2A = 0 (see
         ``tables.ffrak_generate``), so 2 psi(c chi) = 2c B = c * 2 psi(chi):
-        the span is that of the one row 2 psi(chi).  Cached on the root, so it
-        is freed with the root and its field.
+        the span is that of the one row 2 psi(chi), on the classes of the
+        field's types (``FqField.point_types``), 2|T| columns.  Cached on the
+        root, so it is freed with the root and its field.
         """
         from . import tables  # tables imports this module
 
-        chi = KummerCharacter(self.field, self.field.n, 1)
-        row = tables.psi(chi, self).scale(2).flatten()
-        return modring.canonicalize(modring.ModMatrix(self.field.n, row[None, :]))
+        field, n = self.field, self.field.n
+        check_characters((KummerCharacter(field, n, 1),), field, self.order)
+        row = tables._psi_values(1, *field.point_types[0].T, field.dlog(self.element) % n, n)
+        return modring.canonicalize(modring.ModMatrix(n, 2 * row.reshape(1, -1)))
 
 
 def omega(field: FqField, n: int, index: int = 1) -> RootOfUnity:

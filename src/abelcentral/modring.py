@@ -27,10 +27,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError, check_integer, check_integers
+from .errors import DimensionError, DomainError, ModulusError, TheoremViolationError
+from .errors import check_bound, check_integer, check_integers
 
 MAX_MODULUS = 2**31 - 1
 HOWELL_CHUNK_CELLS = 1 << 14  # cells per block of a Howell step's one subtraction
+KERNEL_BYTES_MAX = 1 << 28  # largest int64 [mat | J] working array of _left_kernel
 
 
 def check_modulus(n) -> int:
@@ -294,10 +296,13 @@ def _left_kernel(mat: np.ndarray, n: int, keep: Optional[int] = None) -> np.ndar
     property the form's rows that vanish on the left block span the elements
     that do, {0} x {x_tail : x @ mat = 0}, and being sorted, reduced above
     their pivots and with the Howell property themselves, they are the
-    unique Howell form of that projection.
+    unique Howell form of that projection.  An int64 array [mat | J] above
+    ``KERNEL_BYTES_MAX`` bytes raises ``DomainError`` before it is allocated.
     """
     r = mat.shape[0]
     keep = r if keep is None else keep
+    width = mat.shape[1] + keep
+    check_bound(8 * r * width, KERNEL_BYTES_MAX, f"bytes of the {r} x {width} left kernel working array")
     h = _howell(np.hstack([mat, np.eye(r, keep, keep - r, dtype=np.int64)]), n)
     return h[~h[:, : mat.shape[1]].any(axis=1), mat.shape[1]:]
 

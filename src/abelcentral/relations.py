@@ -19,12 +19,11 @@ through an independent code path and raises if they ever disagree.
         problem kills the commutator sum.
 
 Every table of the conditions reads a point x only through its type, the
-pair of classes (dlog x, dlog(1 - x)) mod n in K^x/K^xn, so (1)-(3) are
+pair of classes (dlog x, dlog(1 - x)) mod n in K^x/K^xn, so (1)-(4) are
 decided on the field's |T| <= n^2 types (``FqField.point_types``) rather
 than on its q - 2 points: each table is the pullback of its table on T along
 the surjection of the points onto T, and a pullback along a surjection is
-injective.  Condition (4) pulls the commutator sum back to the points, where
-the span of all doubled power tables lives.
+injective.
 
 Conditions (5) and (7) are decided by finite enumeration and are only
 computed when n is within the enumeration bound.  Both are read off one grid
@@ -205,29 +204,28 @@ def relation_check(
 
     The family is read once, into its (2, m) coefficient array, and every sum
     over it runs along that pairs axis: one broadcast and one reduction per
-    condition.  Conditions (1)-(3) run on the |T| types of
+    condition.  Conditions (1)-(4) run on the |T| types of
     ``FqField.point_types``, which are keyed by the field's n, so ``omega``
     must have that order (``ModulusError`` otherwise, as (4)'s span raises).
     Each of their tables is the pullback of its table on T along the
     surjection ``types`` of the points onto T, and a pullback along a
     surjection is injective: vanishing (1), equality (2) and span membership
-    (3) are the same on T as on the points.  A point fails (1) exactly when
-    its type does, so the first failing point in table order is the least of
-    the failing types' first points.
+    (3), (4) are the same on T as on the points.  A point fails (1) exactly
+    when its type does, so the first failing point in table order is the
+    least of the failing types' first points.
 
     For m pairs the work holds the 2m power tables of 2|T| int64 cells three
     times at once (the power batch, its doubled copy and the Howell working
-    copy of (3)'s span), and (4) gathers one row of 2(q - 2) cells; an
-    estimate above ``RELATION_BYTES_MAX`` raises ``DomainError`` before any
-    is allocated.
+    copy of (3)'s span); an estimate above ``RELATION_BYTES_MAX`` raises
+    ``DomainError`` before any is allocated.
     """
     field, n = omega.field, omega.order
     check_roots(field.q, 2 * n)
     check_characters([f for pair in pairs for f in pair], field, n)
     if field.n != n:
         raise ModulusError(f"characters must share the field F_{field.q} and the modulus {n}")
-    classes, first, types = field.point_types
-    need = 3 * 8 * 2 * len(pairs) * 2 * len(classes) + 8 * 2 * types.size
+    classes, first = field.point_types[:2]
+    need = 3 * 8 * 2 * len(pairs) * 2 * len(classes)
     check_bound(need, RELATION_BYTES_MAX, f"bytes of the relation check on {len(pairs)} pairs over F_{field.q}")
 
     # s_i = st[0, i] chi and t_i = st[1, i] chi for the generating character chi.
@@ -266,8 +264,8 @@ def relation_check(
     # (3): membership in the span of the family's own doubled power tables.
     cond3 = modring.membership(fam_span, comm_sum) if fam_span is not None else not comm_sum.any()
 
-    # (4): membership in the span of all doubled power tables, on the points.
-    cond4 = modring.membership(omega.doubled_power_span, comm_sum.reshape(-1, 2)[types].reshape(-1))
+    # (4): membership in the span of all doubled power tables.
+    cond4 = modring.membership(omega.doubled_power_span, comm_sum)
 
     # (6): alternating sum over all pairs of units (every cup product of unit
     # classes dies in the relevant cohomology, so the scan is unrestricted).

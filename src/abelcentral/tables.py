@@ -15,7 +15,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import modring
-from .errors import HypothesisError, ModulusError, check_bound, check_integers
+from .errors import DimensionError, HypothesisError, ModulusError, check_bound, check_integers
 from .finfield import (
     FieldEmbedding,
     FqField,
@@ -44,7 +44,7 @@ class FnTable:
         object.__setattr__(self, "n", modring.check_modulus(self.n))
         vals = check_integers(self.values, "table values") % self.n
         if vals.shape != (self.field.q - 2, 2):
-            raise ModulusError(f"table shape {vals.shape} does not match field of order {self.field.q}")
+            raise DimensionError(f"table shape {vals.shape} does not match field of order {self.field.q}")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -315,14 +315,13 @@ def restriction_check(
     elif omega_k.element != derived.element or omega_k.order != derived.order:
         raise HypothesisError("omega of the subfield is not the preimage of omega of the big field")
 
-    pts_l = sup.table_points
-    index_l = {x: i for i, x in enumerate(pts_l)}
-    pts_k = sub.table_points
+    # The row of the big table at the image of each subfield point.
+    index_l = {x: i for i, x in enumerate(sup.table_points)}
+    rows = np.array([index_l[emb(x)] for x in sub.table_points], dtype=np.intp)
     for word in words:
         big = omega_eval(word, omega_l)
         small = omega_eval(word.restrict(emb), omega_k)
-        restricted = np.stack([big.values[index_l[emb(x)]] for x in pts_k])
-        if not np.array_equal(restricted, small.values):
+        if not np.array_equal(big.values[rows], small.values):
             return False
     return True
 

@@ -64,10 +64,15 @@ def family_span(pairs, omega: RootOfUnity) -> SubgroupZnk | None:
     return modring.canonicalize(ModMatrix(omega.order, np.stack(rows))) if rows else None
 
 
+def doubled_power_rows(omega: RootOfUnity) -> np.ndarray:
+    """The tables 2 psi(f), shape (n, q - 2, 2), one for every character f."""
+    return np.stack([tables.psi(f, omega).scale(2).values for f in characters(omega.field)])
+
+
 def doubled_power_span(omega: RootOfUnity) -> SubgroupZnk:
     """(4)'s span of the tables 2 psi(f), one row for every character f."""
-    rows = [tables.psi(f, omega).scale(2).flatten() for f in characters(omega.field)]
-    return modring.canonicalize(ModMatrix(omega.field.n, np.stack(rows)))
+    rows = doubled_power_rows(omega)
+    return modring.canonicalize(ModMatrix(omega.field.n, rows.reshape(len(rows), -1)))
 
 
 def grid_vanishes(left: np.ndarray, right: np.ndarray, n: int) -> bool:

@@ -11,8 +11,9 @@ refuse a float, a bool, a string and an array with ``DomainError``, give the
 Python int's result for a numpy integer, and read an integer beyond int64
 exactly.
 Every modulus intake must refuse n outside [2, 2^31 - 1] with
-``ModulusError``, and ``RootOfUnity`` an element that is not a primitive
-root of its order.  Source tests check that the modulus and mu_n messages
+``ModulusError``, ``RootOfUnity`` an element that is not a primitive root of
+its order, and every intake that checks a shape a value of the wrong shape
+with ``DimensionError``.  Source tests check that the modulus and mu_n messages
 are each written once, and by the AST that no module but ``errors.py`` reads
 a dtype's kind or compares a dtype with ``object``.
 """
@@ -279,6 +280,23 @@ def test_one_owner_per_hypothesis_message(phrase, owner):
     # in one place, with one message.
     assert _string_owners(phrase) == [owner]
     assert sum(path.read_text().count(phrase) for path in SRC.glob("*.py")) == 1
+
+
+# (name, call of the intake on a value of the wrong shape)
+SHAPE_MISMATCHES = [
+    ("ModMatrix entries 1-D", lambda: ModMatrix(5, [1, 2])),
+    ("Cocycle2 values", lambda: Cocycle2(C2, 2, [[0, 0, 0], [0, 1, 0]])),
+    ("FnTable values rows", lambda: FnTable(F5, 2, [[0, 1], [1, 0]])),
+    ("FnTable values columns", lambda: FnTable(F5, 2, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])),
+    ("FnTable values flat", lambda: FnTable(F5, 2, [0, 1, 1, 0, 1, 1])),
+]
+
+
+@pytest.mark.parametrize("name,call", SHAPE_MISMATCHES, ids=[row[0] for row in SHAPE_MISMATCHES])
+def test_shape_mismatch_is_a_dimension_error(name, call):
+    # FnTable raised ModulusError for a table of the wrong shape.
+    with pytest.raises(DimensionError):
+        call()
 
 
 @pytest.mark.parametrize("k", [0, 1, 3, 2**63])

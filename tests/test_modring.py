@@ -528,6 +528,35 @@ class TestNullspace:
                 if not ((m.entries @ vec) % n).any():
                     assert modring.membership(ker, vec)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: modring.nullspace(ModMatrix.from_rows([], 5, cols=10**5)),
+            lambda: modring.solve_linear(ModMatrix.from_rows([], 5, cols=10**5), []),
+        ],
+        ids=["nullspace", "solve_linear"],
+    )
+    def test_working_array_bound(self, call):
+        # The [mat | J] of a 0 x 10^5 matrix is 10^5 x 10^5 (74.5 GiB as
+        # int64), which numpy refused with its _ArrayMemoryError.
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"x 10000[01] left kernel working array: \d+ exceeds the supported"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+
+    def test_working_array_at_the_bound(self, monkeypatch):
+        # A 3 x 2 matrix has the 2 x 5 working array [A^T | I] of 80 bytes.
+        m = ModMatrix(5, np.array([[1, 2], [3, 4], [0, 1]]))
+        monkeypatch.setattr(modring, "KERNEL_BYTES_MAX", 80 - 1)
+        with pytest.raises(DomainError, match="bytes of the 2 x 5 left kernel working array: 80 exceeds"):
+            modring.nullspace(m)
+        monkeypatch.setattr(modring, "KERNEL_BYTES_MAX", 80)
+        assert modring.nullspace(m).rows == 0
+
 
 class TestSolveLinear:
     def test_against_enumeration(self):

@@ -281,10 +281,10 @@ class TestConsistency:
         assert [r() for r in refs] == [None, None, None]
 
     def test_power_span_memory_f65537(self):
-        # The 16 x 131070 int64 matrix takes 16 MB; once as the reduced
-        # ModMatrix and once as the Howell working copy is the floor.  Its
-        # per-character rows, kept alive across the Howell form, and a
-        # row-wise Howell form peaked at 53.5 MB here.
+        # The span is one row of 2|T| = 512 cells; what is left is the
+        # field's type table, built on first read (6.6 MiB here).  The
+        # 16 x 131070 rows of every character on the points, kept alive
+        # across a row-wise Howell form, peaked at 53.5 MB here.
         k, w = field_and_omega(65537, 16)
         tracemalloc.start()
         try:
@@ -296,11 +296,11 @@ class TestConsistency:
         assert peak <= 40 * 2**20
 
     def test_peak_memory_f65537_eight_pairs(self):
-        # The 16 power tables of the family have 256 types, not 65535 points:
-        # what is left is (4)'s one gathered row of 131070 cells and the
-        # field's type table.  The power tables on the points peaked at
-        # 53.9 MiB here, and the per-pair loops before them at 71.9 MiB
-        # (span filled beforehand).
+        # The 16 power tables of the family have 256 types, not 65535 points,
+        # and (4) tests the commutator sum on the types too.  Its one row
+        # gathered back to the 131070 cells of the points peaked at 2.2 MiB
+        # here, the power tables on the points at 53.9 MiB, and the per-pair
+        # loops before them at 71.9 MiB (span filled beforehand).
         k, w = field_and_omega(65537, 16)
         w.doubled_power_span
         rng = random.Random(8)
@@ -313,36 +313,51 @@ class TestConsistency:
         finally:
             tracemalloc.stop()
         assert rep.holds
-        assert peak <= 8 * 2**20
+        assert peak <= 2**20
+
+    def test_peak_memory_f65537_no_pairs(self):
+        # An empty family builds no table: (1)-(3) read zero rows of 2|T|
+        # cells and (4) tests one against the span.  The gather of (4)'s row
+        # back to the 65535 points peaked at 3.1 MiB here (span filled
+        # beforehand).
+        k, w = field_and_omega(65537, 16)
+        w.doubled_power_span
+        tracemalloc.start()
+        try:
+            rep = relation_check([], w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.holds
+        assert peak <= 2**20
 
     def test_memory_bound(self, monkeypatch):
         # 4 pairs on F_41 with n = 10, whose 39 points have 36 types: 8 power
-        # tables of 2 * 36 int64 cells, held three times, and (4)'s gathered
-        # row of 2 * 39 cells, 3 * 8 * 8 * 72 + 8 * 78 = 14448 bytes.  Above
-        # the bound no table is built.
+        # tables of 2 * 36 int64 cells, held three times, 3 * 8 * 8 * 72 =
+        # 13824 bytes.  Above the bound no table is built.
         k, w = field_and_omega(41, 10)
         assert len(k.point_types[0]) == 36
         fam = [(KummerCharacter(k, 10, c), KummerCharacter(k, 10, 3 * c)) for c in range(4)]
-        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14448 - 1)
+        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 13824 - 1)
         built = spy_tables(monkeypatch)
-        with pytest.raises(DomainError, match="4 pairs over F_41: 14448 exceeds"):
+        with pytest.raises(DomainError, match="4 pairs over F_41: 13824 exceeds"):
             relation_check(fam, w)
         assert built == {}
-        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 14448)
+        monkeypatch.setattr(relations, "RELATION_BYTES_MAX", 13824)
         assert relation_check(fam, w).holds
         assert set(built) == {"_alternating_sum", "_commutator_sum", "_power_rows", "_witness_combination", "span"}
 
     @pytest.mark.parametrize("p,n", [(13, 3), (17, 4), (29, 7), (37, 9), (41, 10), (61, 10)])
     def test_peak_within_the_estimate(self, p, n):
-        # The bound is enforced on the estimate 3 * 8 * 2m * 2|T| + 8 * 2(q - 2)
-        # bytes, so the check must not peak far above it, (5) and (7) included.
+        # The bound is enforced on the estimate 3 * 8 * 2m * 2|T| bytes, so
+        # the check must not peak far above it, (5) and (7) included.
         # Building the central coordinate of every power on the (2, m, n, n, n)
         # grid peaked at 1.7-9.7 times the estimate here (128 MiB on F_41).
         k, w = field_and_omega(p, n)
         w.doubled_power_span
         rng = random.Random(p)
         fam = [(KummerCharacter(k, n, rng.randrange(n)), KummerCharacter(k, n, rng.randrange(n))) for _ in range(4000)]
-        estimate = 3 * 8 * 2 * len(fam) * 2 * len(k.point_types[0]) + 8 * 2 * (p - 2)
+        estimate = 3 * 8 * 2 * len(fam) * 2 * len(k.point_types[0])
         tracemalloc.start()
         try:
             rep = relation_check(fam, w)
@@ -354,10 +369,13 @@ class TestConsistency:
 
     @pytest.mark.parametrize("p,deg,n", SPAN_FIELDS)
     def test_power_span_matches_all_characters(self, p, deg, n):
-        # The span of the one row 2 psi(chi) against the rows of all n characters.
+        # The span of the one row 2 psi(chi) on the types against the rows of
+        # all n characters on the points, restricted to each type's first point.
         k = make_field(p, k=deg, n=n)
         w = omega(k, n)
-        want = relations_oracle.doubled_power_span(w).canonical.entries
+        rows = relations_oracle.doubled_power_rows(w)[:, k.point_types[1]]
+        want = modring.canonicalize(ModMatrix(n, rows.reshape(n, -1))).canonical.entries
+        assert w.doubled_power_span.ambient_rank == 2 * len(k.point_types[0])
         assert np.array_equal(w.doubled_power_span.canonical.entries, want)
 
     def test_power_span_memory_n32768(self):

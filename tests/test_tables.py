@@ -371,6 +371,28 @@ class TestRestriction:
         words += [FormalWord((CommTerm(f, g),)) for f in chars for g in chars]
         assert tables.restriction_check(sup, sub, words, w)
 
+    @pytest.mark.parametrize("p,sub_deg,deg,n", [(7, 1, 2, 3), (13, 1, 2, 4), (3, 2, 4, 8)])
+    def test_points_embedded_once_per_check(self, monkeypatch, p, sub_deg, deg, n):
+        # Each subfield point is sent through the embedding once per check,
+        # not once per word; the one call more is compatible_omega's check of
+        # the preimage of omega.  A word whose restriction is changed still
+        # fails.
+        from abelcentral.finfield import FieldEmbedding
+
+        sub, sup = make_field(p, k=sub_deg, n=n), make_field(p, k=deg, n=n)
+        w = omega(sup, n)
+        chars = characters(sup)
+        words = [FormalWord((PowTerm(f),)) for f in chars] + [FormalWord((CommTerm(chars[1], chars[-1]),))]
+        calls = []
+        embed = FieldEmbedding.__call__
+        monkeypatch.setattr(FieldEmbedding, "__call__", lambda emb, x: calls.append(x) or embed(emb, x))
+        assert tables.restriction_check(sup, sub, words, w)
+        assert len(calls) == len(sub.table_points) + 1
+        assert sorted(calls[-len(sub.table_points):]) == sorted(sub.table_points)
+        restrict, extra = FormalWord.restrict, (PowTerm(KummerCharacter(sub, n, 1)),)
+        monkeypatch.setattr(FormalWord, "restrict", lambda word, emb: FormalWord(restrict(word, emb).terms + extra))
+        assert not tables.restriction_check(sup, sub, words, w)
+
     def test_incompatible_omega_rejected(self):
         sub = make_field(7, n=3)
         sup = make_field(7, k=2, n=3)
