@@ -2,6 +2,10 @@
 
 Exit codes: 0 success / all checks pass; 1 mathematical counterexample
 (a checked identity failed); 2 usage or input error.
+
+Each command imports the modules it computes with, so a process loads only
+those: ``field``, ``ffrak`` and ``verify --suite ffrak`` never load
+``groups``, ``cohomology``, ``heisenberg`` or ``relations``.
 """
 
 from __future__ import annotations
@@ -10,12 +14,12 @@ import argparse
 import functools
 import json
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import cohomology, heisenberg, relations, tables
 from .errors import DomainError, TheoremViolationError
-from .finfield import KummerCharacter, make_field, omega as make_omega
-from .groups import TableGroup, elementary_group
+
+if TYPE_CHECKING:
+    from .groups import TableGroup
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -32,6 +36,8 @@ def emit_report(doc: dict, output: Optional[str]) -> None:
 
 
 def _field_from_args(args) -> tuple:
+    from .finfield import make_field, omega as make_omega
+
     poly = tuple(int(c) for c in args.poly.split(",")) if args.poly else None
     field = make_field(args.p, k=args.k, poly=poly, n=args.n)
     w = make_omega(field, args.n, index=args.omega_index)
@@ -45,8 +51,10 @@ def _cmd_field(args) -> int:
 
 
 def _cmd_ffrak(args) -> int:
+    from .tables import ffrak_generate
+
     field, w = _field_from_args(args)
-    g = tables.ffrak_generate(field, w)
+    g = ffrak_generate(field, w)
     emit_report(
         {
             "p": field.p,
@@ -62,6 +70,9 @@ def _cmd_ffrak(args) -> int:
 
 
 def _cmd_relations(args) -> int:
+    from .finfield import KummerCharacter
+    from .relations import relation_check
+
     field, w = _field_from_args(args)
     with open(args.input) as fh:
         doc = json.load(fh)
@@ -75,19 +86,23 @@ def _cmd_relations(args) -> int:
         )
         for item in items
     ]
-    report = relations.relation_check(pairs, w)
+    report = relation_check(pairs, w)
     emit_report(report.as_dict(), args.output)
     return EXIT_OK
 
 
 def _cmd_heisenberg(args) -> int:
-    g = heisenberg.to_table_group(args.n)
+    from .heisenberg import to_table_group
+
+    g = to_table_group(args.n)
     emit_report(g.as_dict(), args.output)
     return EXIT_OK
 
 
 def _load_group(path: str) -> TableGroup:
     """The TableGroup of a JSON file {table, labels?}, as ``heisenberg`` exports it."""
+    from .groups import TableGroup
+
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
@@ -102,7 +117,9 @@ def _load_group(path: str) -> TableGroup:
 
 
 def _machinery(g: TableGroup, args) -> int:
-    report = cohomology.verify_thm23_and_omegaR(g, args.n, seed=args.seed)
+    from .cohomology import verify_thm23_and_omegaR
+
+    report = verify_thm23_and_omegaR(g, args.n, seed=args.seed)
     emit_report(report.as_dict(), args.output)
     return EXIT_OK if report.ok else EXIT_COUNTEREXAMPLE
 
@@ -113,16 +130,22 @@ def _cmd_groupcoh(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.suite == "propA1":
-        bad = cohomology.verify_propA1(args.rank, args.n)
+        from .cohomology import verify_propA1
+
+        bad = verify_propA1(args.rank, args.n)
         emit_report({"suite": "propA1", "n": args.n, "rank": args.rank, "violations": bad}, args.output)
         return EXIT_OK if bad == 0 else EXIT_COUNTEREXAMPLE
     if args.suite == "heisenberg":
-        doc = heisenberg.verify_laws(args.n)
+        from .heisenberg import verify_laws
+
+        doc = verify_laws(args.n)
         emit_report({"suite": "heisenberg", **doc}, args.output)
         return EXIT_OK if doc["ok"] else EXIT_COUNTEREXAMPLE
     if args.suite == "ffrak":
+        from .tables import ffrak_generate
+
         field, w = _field_from_args(args)
-        g = tables.ffrak_generate(field, w)
+        g = ffrak_generate(field, w)
         factors = list(g.structure.invariant_factors)
         ok = factors == [args.n]
         emit_report(
@@ -131,6 +154,8 @@ def _cmd_verify(args) -> int:
         )
         return EXIT_OK if ok else EXIT_COUNTEREXAMPLE
     if args.suite == "machinery":
+        from .groups import elementary_group
+
         g = elementary_group(args.n, args.rank) if args.input is None else _load_group(args.input)
         return _machinery(g, args)
     raise AssertionError("unreachable")

@@ -370,12 +370,12 @@ class RootOfUnity:
         ``tables.ffrak_generate``), so 2 psi(c chi) = 2c B = c * 2 psi(chi):
         the span is that of the one row 2 psi(chi), on the classes of the
         field's types (``FqField.point_types``), 2|T| columns.  Cached on the
-        root, so it is freed with the root and its field.
+        root, so it is freed with the root and its field.  A root whose order
+        is not the field's n is refused by ``check_omega``.
         """
         from . import tables  # tables imports this module
 
-        field, n = self.field, self.field.n
-        check_characters((KummerCharacter(field, n, 1),), field, self.order)
+        field, n = self.field, check_omega(self)
         row = tables._psi_values(1, *field.point_types[0].T, field.dlog(self.element) % n, n)
         return modring.canonicalize(modring.ModMatrix(n, 2 * row.reshape(1, -1)))
 
@@ -416,6 +416,14 @@ def check_characters(chars: Iterable[KummerCharacter], field: FqField, n: int) -
     for f in chars:
         if f.field is not field or f.n != n:
             raise ModulusError(f"characters must share the field F_{field.q} and the modulus {n}")
+
+
+def check_omega(root: RootOfUnity) -> int:
+    """The field's n, or ModulusError unless ``root`` has that order."""
+    field = root.field
+    if root.order != field.n:
+        raise ModulusError(f"root of unity of order {root.order} does not match the modulus {field.n} of F_{field.q}")
+    return field.n
 
 
 def char_eval(f: KummerCharacter, x: int) -> int:

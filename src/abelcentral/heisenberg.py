@@ -18,21 +18,26 @@ are ``heis_pow_planar``.  ``verify_laws`` checks all three coordinates; the
 relation conditions (5) and (7) read only the planar ones, since a
 commutator (``_comm``) reads no central coordinate, and the bilinear
 cross-check of (5) (``_bilinear_sums``) reads no power law at all.
+
+Only the table group and its checks (``_order``, ``to_table_group``,
+``verify_laws``) import ``groups`` and ``cohomology``, inside those
+functions, so the relation checks load neither.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import groups
-from .cohomology import make_U_B
 from .errors import TheoremViolationError, check_bound
 from .finfield import FqField, check_characters
-from .groups import TableGroup, _generated_group, central_series
 from .modring import check_modulus
+
+if TYPE_CHECKING:
+    from .groups import TableGroup
 
 
 def _mul(n: int, u, v):
@@ -89,8 +94,10 @@ def heis_pow_arrays(n: int, a, b, c, m: int):
 def _order(n: int) -> tuple[int, int]:
     """(n as a Python int, the group order n^3), after checking n with
     ``modring.check_modulus`` and n^3 <= ``groups.TABLE_MAX``."""
+    from .groups import TABLE_MAX
+
     n = check_modulus(n)
-    return n, check_bound(n**3, groups.TABLE_MAX, "group order")
+    return n, check_bound(n**3, TABLE_MAX, "group order")
 
 
 def _elements(n: int):
@@ -117,6 +124,8 @@ def to_table_group(n: int) -> TableGroup:
     The group is generated by h(0, 1; 0) and h(1, 0; 0), whose commutator
     is h(0, 0; 1).
     """
+    from .groups import _generated_group
+
     n, size = _order(n)
     v = _elements(n)
     table = np.empty((size, size), dtype=np.int64)
@@ -141,6 +150,9 @@ def verify_laws(n: int) -> dict:
     [2, 2^31 - 1] and ``DomainError`` when n^3 exceeds ``TABLE_MAX``, before
     any work.
     """
+    from .cohomology import make_U_B
+    from .groups import central_series
+
     n, _ = _order(n)
     v = _elements(n)
     v_inv = _inv(n, v)

@@ -48,8 +48,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import heisenberg, modring, tables
-from .errors import ModulusError, TheoremViolationError, check_bound
-from .finfield import KummerCharacter, RootOfUnity, check_characters, check_roots
+from .errors import TheoremViolationError, check_bound
+from .finfield import KummerCharacter, RootOfUnity, check_characters, check_omega, check_roots
 from .modring import ModMatrix
 
 ENUM_BOUND_N = 10  # n^3 generator images must stay enumerable
@@ -206,24 +206,23 @@ def relation_check(
     over it runs along that pairs axis: one broadcast and one reduction per
     condition.  Conditions (1)-(4) run on the |T| types of
     ``FqField.point_types``, which are keyed by the field's n, so ``omega``
-    must have that order (``ModulusError`` otherwise, as (4)'s span raises).
-    Each of their tables is the pullback of its table on T along the
-    surjection ``types`` of the points onto T, and a pullback along a
-    surjection is injective: vanishing (1), equality (2) and span membership
-    (3), (4) are the same on T as on the points.  A point fails (1) exactly
-    when its type does, so the first failing point in table order is the
-    least of the failing types' first points.
+    must have that order (``check_omega`` raises ``ModulusError`` otherwise,
+    before the characters are read).  Each of their tables is the pullback
+    of its table on T along the surjection ``types`` of the points onto T,
+    and a pullback along a surjection is injective: vanishing (1), equality
+    (2) and span membership (3), (4) are the same on T as on the points.  A
+    point fails (1) exactly when its type does, so the first failing point in
+    table order is the least of the failing types' first points.
 
     For m pairs the work holds the 2m power tables of 2|T| int64 cells three
     times at once (the power batch, its doubled copy and the Howell working
     copy of (3)'s span); an estimate above ``RELATION_BYTES_MAX`` raises
     ``DomainError`` before any is allocated.
     """
-    field, n = omega.field, omega.order
-    check_roots(field.q, 2 * n)
+    field = omega.field
+    check_roots(field.q, 2 * omega.order)
+    n = check_omega(omega)
     check_characters([f for pair in pairs for f in pair], field, n)
-    if field.n != n:
-        raise ModulusError(f"characters must share the field F_{field.q} and the modulus {n}")
     classes, first = field.point_types[:2]
     need = 3 * 8 * 2 * len(pairs) * 2 * len(classes)
     check_bound(need, RELATION_BYTES_MAX, f"bytes of the relation check on {len(pairs)} pairs over F_{field.q}")

@@ -375,10 +375,38 @@ class TestParserCache:
             assert run(argv, capsys) == got
 
 
-def fresh_interpreter(args, cwd):
-    """Run ``python *args`` in a new process on the package in ``src/``."""
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+def fresh_interpreter(args, cwd, **env):
+    """Run ``python *args`` in a new process on the package in ``src/``, with
+    ``env`` added to the environment."""
+    env = {**os.environ, "PYTHONPATH": str(SRC), **env}
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120)
+
+
+def loaded_submodules(code, cwd):
+    """The ``abelcentral`` submodules, without the package prefix, that a
+    fresh interpreter holds after running ``code``, which must exit 0."""
+    listing = "import json, sys\nprint(json.dumps([m for m in sys.modules if m.startswith('abelcentral.')]))"
+    result = fresh_interpreter(["-c", f"{code}\n{listing}"], cwd)
+    assert result.returncode == 0, result.stderr
+    return {name.split(".", 1)[1] for name in json.loads(result.stdout.splitlines()[-1])}
+
+
+USAGE = "usage: abelcentral [-h] {field,ffrak,relations,heisenberg,groupcoh,verify} ...\n"
+
+HELP = USAGE + """
+positional arguments:
+  {field,ffrak,relations,heisenberg,groupcoh,verify}
+    field               construct a finite field and print its descriptor
+    ffrak               generate the table subgroup and its invariant factors
+    relations           run the relation condition detector on a character
+                        family
+    heisenberg          export the mod-n Heisenberg group as a table
+    groupcoh            verify the cohomological machinery on a table group
+    verify              run a named verification suite
+
+options:
+  -h, --help            show this help message and exit
+"""
 
 
 class TestStartup:
@@ -415,6 +443,53 @@ class TestStartup:
         result = fresh_interpreter(["-c", script], tmp_path)
         assert result.returncode == 0, result.stderr
         assert result.stderr == "[]\n"
+
+    @pytest.mark.parametrize(
+        "code,expected",
+        [("import abelcentral", set()), ("from abelcentral import modring", {"errors", "modring"})],
+        ids=["package", "modring"],
+    )
+    def test_package_import_loads_only_what_it_names(self, tmp_path, code, expected):
+        assert loaded_submodules(code, tmp_path) == expected
+
+    def test_relation_check_loads_no_table_group(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            from abelcentral import KummerCharacter, make_field, omega, relation_check
+
+            k = make_field(13, n=3)
+            f = KummerCharacter(k, 3, 1)
+            assert relation_check([(f, f.scale(2))], omega(k, 3)).holds
+            """
+        )
+        loaded = loaded_submodules(script, tmp_path)
+        assert "relations" in loaded
+        assert loaded & {"groups", "cohomology", "cli"} == set()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["field", "--p", "13", "--n", "3"],
+            ["ffrak", "--p", "13", "--n", "3"],
+            ["verify", "--suite", "ffrak", "--p", "13", "--n", "4"],
+        ],
+        ids=" ".join,
+    )
+    def test_field_commands_load_no_group_machinery(self, tmp_path, argv):
+        loaded = loaded_submodules(f"from abelcentral import cli\nassert cli.main({argv!r}) == 0", tmp_path)
+        # The field commands do not compute with the table groups or the
+        # relation detector.
+        assert {"cli", "finfield"} <= loaded
+        assert loaded & {"groups", "cohomology", "heisenberg", "relations"} == set()
+
+    def test_usage_unchanged(self, tmp_path):
+        # The usage argparse prints at an 80-column width; the text of an
+        # unknown command's choice list differs between Python versions.
+        result = fresh_interpreter(["-m", "abelcentral", "--help"], tmp_path, COLUMNS="80")
+        assert (result.returncode, result.stdout, result.stderr) == (0, HELP, "")
+        result = fresh_interpreter(["-m", "abelcentral", "nope"], tmp_path, COLUMNS="80")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith(USAGE + "abelcentral: error: argument command: invalid choice: 'nope'")
 
     @pytest.mark.parametrize(
         "argv,expected",

@@ -274,10 +274,11 @@ def _string_owners(phrase):
 @pytest.mark.parametrize("phrase,owner", [
     ("modulus must be >=", ("modring.py", "check_modulus")),
     ("not contained in", ("finfield.py", "check_roots")),
+    ("does not match the modulus", ("finfield.py", "check_omega")),
 ])
 def test_one_owner_per_hypothesis_message(phrase, owner):
-    # Each standing hypothesis (2 <= n <= 2^31 - 1; mu_n in F_q) is refused
-    # in one place, with one message.
+    # Each standing hypothesis (2 <= n <= 2^31 - 1; mu_n in F_q; omega of
+    # order the field's n) is refused in one place, with one message.
     assert _string_owners(phrase) == [owner]
     assert sum(path.read_text().count(phrase) for path in SRC.glob("*.py")) == 1
 

@@ -1,8 +1,9 @@
 """Every name a library module imports at module level is read somewhere in
 it, no library module imports sympy, and every name the package exports
-exists and is exported once."""
+exists, is exported once and is its home module's object."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -56,6 +57,21 @@ def test_no_sympy_import(path):
 
 
 def test_exports_resolve_once():
+    # The namespace resolves each name from its home module when it is read:
+    # the very object that module defines, listed by dir() and bound by a
+    # star import; any other name is an AttributeError.
     names = abelcentral.__all__
     assert sorted(set(names)) == sorted(names)
     assert [name for name in names if not hasattr(abelcentral, name)] == []
+    for name in names:
+        obj = getattr(abelcentral, name)
+        assert obj.__module__.startswith("abelcentral."), name
+        assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+    assert set(names) <= set(dir(abelcentral))
+    star = {}
+    exec("from abelcentral import *", star)
+    assert {name: star.get(name) for name in names} == {name: getattr(abelcentral, name) for name in names}
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        abelcentral.no_such_name
+    with pytest.raises(ImportError):
+        from abelcentral import no_such_name  # noqa: F401

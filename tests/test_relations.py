@@ -121,15 +121,16 @@ class TestHypotheses:
     @pytest.mark.parametrize("chars_n", [None, 3, 6])
     def test_omega_order_must_be_the_field_modulus(self, monkeypatch, chars_n):
         # The field's types are keyed by its n = 3.  A root of order 6 is
-        # refused before any table is built, with the ModulusError that (4)'s
-        # span raises for it, which is where the check used to stop.
+        # refused before the characters are read and before any table is
+        # built, with the one ModulusError that names the root, which (4)'s
+        # span raises too.
         k = make_field(61, n=3)
         w = omega(k, 6)
         fam = [] if chars_n is None else [(KummerCharacter(k, chars_n, 1), KummerCharacter(k, chars_n, 2))]
         built = spy_tables(monkeypatch)
         with pytest.raises(ModulusError) as info:
             relation_check(fam, w)
-        assert str(info.value) == "characters must share the field F_61 and the modulus 6"
+        assert str(info.value) == "root of unity of order 6 does not match the modulus 3 of F_61"
         assert built == {}
         monkeypatch.undo()
         with pytest.raises(ModulusError) as span_error:
